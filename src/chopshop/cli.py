@@ -264,9 +264,20 @@ def _aligned_rows(header: list[str], rows: list[tuple[str, list[str]]]) -> list[
     return lines
 
 
+def _ceiling(bound: int) -> int | None:
+    """The proven gap ceiling (n-1)d - (n+1) to report, or None below 1.
+
+    That formula bounds the gap in the hard regime; every gap is at least
+    1, so a value below 1 is no ceiling at all for the small cases where
+    it occurs ((2,7), (3,5) and (3,6)).
+    """
+    return bound if bound >= 1 else None
+
+
 def _cmd_hf(config: RunConfig) -> int:
     params = CaseParams(config.n, config.r)
     prediction = predicted_gap(params)
+    ceiling = _ceiling(prediction.bound)
     top = params.d + prediction.gap
     degrees = list(range(top + 1))
     generic = generic_table(params, top)
@@ -281,7 +292,7 @@ def _cmd_hf(config: RunConfig) -> int:
         "r": params.r,
         "d": params.d,
         "predicted_gap": prediction.gap,
-        "gap_upper_bound": prediction.bound,
+        "gap_upper_bound": ceiling,
         "degrees": degrees,
         "generic": rows["generic"],
         "chopped": rows["chopped"],
@@ -293,7 +304,7 @@ def _cmd_hf(config: RunConfig) -> int:
     )
     lines.append(
         f"d={params.d}  predicted gap={prediction.gap}  "
-        f"upper bound={prediction.bound}"
+        + ("no proven ceiling" if ceiling is None else f"upper bound={ceiling}")
     )
     _emit(config, payload, lines)
     return 0
@@ -302,17 +313,18 @@ def _cmd_hf(config: RunConfig) -> int:
 def _cmd_gap(config: RunConfig) -> int:
     params = CaseParams(config.n, config.r)
     prediction = predicted_gap(params)
+    ceiling = _ceiling(prediction.bound)
     payload = {
         "n": params.n,
         "r": params.r,
         "d": params.d,
         "predicted_gap": prediction.gap,
-        "gap_upper_bound": prediction.bound,
+        "gap_upper_bound": ceiling,
     }
     lines = [
         f"n={params.n} r={params.r} d={params.d}",
         f"predicted gap: {prediction.gap}",
-        f"proven upper bound: {prediction.bound}",
+        "no proven ceiling" if ceiling is None else f"proven upper bound: {ceiling}",
     ]
     _emit(config, payload, lines)
     return 0

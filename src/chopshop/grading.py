@@ -98,15 +98,28 @@ def product_index_map(n: int, d: int, e: int) -> np.ndarray:
 
     Entry (i, j) is the position in monomials(n, d+e) of the product of
     monomials(n, e)[i] with monomials(n, d)[j].  Shape (hs(n,e), hs(n,d)).
+
+    Positions come from the closed form of the enumeration order: the
+    monomials of degree t with last exponent below a come first, and there
+    are hs(k, t) - hs(k, t - a) of them in k+1 variables, so with partial
+    degrees t_k = a_0 + ... + a_k the position of a is the sum over k >= 1
+    of hs(k, t_k) - hs(k, t_{k-1}).  A product's partial degrees are sums
+    of its factors', so the whole table is n vectorized lookups.
     """
-    pos = _position(n, d + e)
-    shifts = monomials(n, e)
-    base = monomials(n, d)
-    out = np.empty((len(shifts), len(base)), dtype=np.int64)
-    for i, m in enumerate(shifts):
-        row = out[i]
-        for j, a in enumerate(base):
-            row[j] = pos[Exponent(x + y for x, y in zip(m, a))]
+    top = d + e
+    # binom[k, s] = hs(k, s) for k >= 1
+    binom = np.array(
+        [[math.comb(k + s, k) for s in range(top + 1)] for k in range(n + 1)],
+        dtype=np.int64,
+    )
+    shift_partial = np.cumsum(np.asarray(monomials(n, e), dtype=np.int64), axis=1)
+    base_partial = np.cumsum(np.asarray(monomials(n, d), dtype=np.int64), axis=1)
+    out = np.zeros((shift_partial.shape[0], base_partial.shape[0]), dtype=np.int64)
+    below = shift_partial[:, :1] + base_partial[:, 0]
+    for k in range(1, n + 1):
+        upto = shift_partial[:, k:k + 1] + base_partial[:, k]
+        out += binom[k][upto] - binom[k][below]
+        below = upto
     out.setflags(write=False)
     return out
 

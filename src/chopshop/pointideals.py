@@ -10,7 +10,7 @@ h-vectors, saturation gaps) is a rank of one of these matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,10 @@ def _evaluation_array(coords: np.ndarray, p: int, t: int) -> np.ndarray:
     return out
 
 
+def _evaluation(coords: np.ndarray, prime: PrimeField, t: int) -> ModMatrix:
+    return ModMatrix(prime, _evaluation_array(coords, prime.p, t), _trusted=True)
+
+
 def _normalized_rows(coords: np.ndarray, p: int) -> list[tuple[int, ...]] | None:
     """Scale each row so its first nonzero entry is 1, or None if some row
     is zero.  Two rows are the same projective point iff they normalize to
@@ -67,6 +71,12 @@ class PointConfig:
     pairwise distinct as projective points.  ``seed`` records how the
     configuration was drawn and ``retries`` how many redraws the genericity
     check forced; both travel into certificates.
+
+    A configuration drawn by ``sample_points`` keeps the degree-d component
+    of its ideal, which the genericity check computes anyway, so
+    ``ideal_component`` need not eliminate the same matrix again.  It is a
+    cache of a value derived from the coordinates: not an argument, not
+    part of equality, never written to a certificate.
     """
 
     n: int
@@ -75,6 +85,7 @@ class PointConfig:
     prime: PrimeField
     seed: int
     retries: int = 0
+    _degree_d_basis: GradedBasis | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.coords, dtype=np.int64) % self.prime.p
@@ -164,6 +175,25 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
     matrix equals min(hs(n,t), r) there.  Degenerate draws (zero rows,
     repeated points, deficient ranks) are redrawn from the same seeded
     stream, so the output is a pure function of its arguments.
+
+    Two lemmas let one rank and one kernel per draw decide all d+1 degrees:
+
+    * Full column rank hs(n,d-1) at degree d-1 implies full column rank at
+      every lower degree t: if a nonzero form f of degree t vanished on the
+      points, so would the nonzero form x0^(d-1-t) f of degree d-1.
+    * Rank r at degree d implies rank r at degree d+1.  A rank is the same
+      over F_p and over its algebraic closure, and there some linear form
+      l vanishes at none of the r points.  The value vector of l f is that
+      of f scaled pointwise by the nonzero values of l, so l times the
+      degree-d forms already takes every value vector on the points.  (Over
+      F_p itself such an l exists when r <= p, since r hyperplanes of
+      linear forms cannot cover all p^(n+1) of them; past that the
+      extension is needed.)
+
+    So the check ranks degree d-1 (when d >= 2) and takes the kernel at
+    degree d, whose size gives the rank there; degree d+1 needs no matrix.
+    The kernel is kept with the accepted configuration as the degree-d
+    component of its ideal.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
@@ -176,13 +206,14 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
         normalized = _normalized_rows(coords, p)
         if normalized is None or len(set(normalized)) != r:
             continue
-        generic = all(
-            rank(ModMatrix(prime, _evaluation_array(coords, p, t), _trusted=True))
-            == min(hs(n, t), r)
-            for t in range(1, d + 2)
-        )
-        if generic:
-            return PointConfig(n, r, coords, prime, seed, retries=attempt)
+        if d >= 2 and rank(_evaluation(coords, prime, d - 1)) != hs(n, d - 1):
+            continue
+        kernel = kernel_basis(_evaluation(coords, prime, d))
+        if hs(n, d) - kernel.cols != r:
+            continue
+        config = PointConfig(n, r, coords, prime, seed, retries=attempt)
+        object.__setattr__(config, "_degree_d_basis", GradedBasis(n, d, kernel))
+        return config
     raise GenericityError(
         f"no generic configuration for n={n}, r={r}, p={p} in {budget} draws"
     )
@@ -193,13 +224,19 @@ def evaluation_matrix(config: PointConfig, t: int) -> ModMatrix:
     exponent alpha, over all degree-t monomials in order."""
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
-    arr = _evaluation_array(config.coords, config.prime.p, t)
-    return ModMatrix(config.prime, arr, _trusted=True)
+    return _evaluation(config.coords, config.prime, t)
 
 
 def ideal_component(config: PointConfig, t: int) -> GradedBasis:
     """Degree-t component of the vanishing ideal: forms whose coefficient
-    vectors kill the evaluation matrix."""
+    vectors kill the evaluation matrix.
+
+    Returns the basis a sampled configuration kept when t is its degree d;
+    it is the same kernel, computed from the same matrix.
+    """
+    kept = config._degree_d_basis
+    if kept is not None and kept.degree == t:
+        return kept
     return GradedBasis(config.n, t, kernel_basis(evaluation_matrix(config, t)))
 
 

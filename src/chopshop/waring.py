@@ -287,19 +287,6 @@ def _normalized_points(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_indices(n: int, t: int) -> np.ndarray:
-    """index_map[k, b]: position in degree t+1 of variable k times the
-    b-th degree-t monomial."""
-    base = monomials(n, t)
-    out = np.empty((n + 1, len(base)), dtype=np.int64)
-    for k in range(n + 1):
-        for b, mono in enumerate(base):
-            shifted = list(mono)
-            shifted[k] += 1
-            out[k, b] = mono_index(n, t + 1, shifted)
-    return out
-
-
 def decompose(
     form: SymmetricForm,
     r: int,
@@ -347,7 +334,9 @@ def decompose(
 
     # Pick r monomials of degree d+e-1 whose shifted cokernel rows are as
     # independent as possible; they index the multiplication matrices.
-    shifts = _shift_indices(n, d + e - 1)
+    # shifts[k, b]: position in degree d+e of x_k times the b-th monomial
+    # of degree d+e-1 (monomials(n, 1)[k] is x_k)
+    shifts = product_index_map(n, d + e - 1, 1)
     stacked = np.concatenate(
         [cokernel[shifts[k], :].T for k in range(n + 1)], axis=0
     )

@@ -61,6 +61,27 @@ class TestFormulaCommands:
             "gap_upper_bound": 5,
         }
 
+    def test_gap_without_proven_ceiling(self):
+        # (n-1)d - (n+1) is 0 at (2,7), below the predicted gap 1: it is
+        # not reported as a ceiling
+        code, data = invoke_json(["gap", "--n", "2", "--r", "7"])
+        assert code == 0
+        assert data == {
+            "n": 2,
+            "r": 7,
+            "d": 3,
+            "predicted_gap": 1,
+            "gap_upper_bound": None,
+        }
+        code, out = invoke(["gap", "--n", "2", "--r", "7"])
+        assert code == 0
+        assert "no proven ceiling" in out and "upper bound" not in out
+        code, out = invoke(["hf", "--n", "2", "--r", "7"])
+        assert code == 0
+        assert "predicted gap=1  no proven ceiling" in out
+        code, data = invoke_json(["hf", "--n", "2", "--r", "7"])
+        assert data["gap_upper_bound"] is None
+
     def test_hf_inadmissible_is_clean_failure(self):
         code, data = invoke_json(["hf", "--n", "2", "--r", "19"])
         assert code == 1

@@ -108,11 +108,18 @@ class TestMonomials:
             mono_index(2, 3, (1, 1, 0))
 
     def test_product_index_map_matches_direct_products(self):
-        n, d, e = 2, 3, 2
-        idx = product_index_map(n, d, e)
-        for i, m in enumerate(monomials(n, e)):
-            for j, a in enumerate(monomials(n, d)):
-                assert idx[i, j] == mono_index(n, d + e, mono_mul(m, a))
+        for n in range(1, 5):
+            for d, e in itertools.product(range(11), repeat=2):
+                if d + e > 10:
+                    continue
+                idx = product_index_map(n, d, e)
+                assert idx.shape == (hs(n, e), hs(n, d))
+                assert not idx.flags.writeable
+                expected = [
+                    [mono_index(n, d + e, mono_mul(m, a)) for a in monomials(n, d)]
+                    for m in monomials(n, e)
+                ]
+                assert idx.tolist() == expected, (n, d, e)
 
 
 class TestHilbertTable:

@@ -5,6 +5,8 @@ coded here: explicit polynomial multiplication over F_p with dict-backed
 coefficient arithmetic, no Macaulay indexing shared with the implementation.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from chopshop.formulas import (
     predicted_gap,
 )
 from chopshop.grading import LexOrder, hs, lex_compare_hf, monomials
-from chopshop.modlinalg import ModMatrix, PrimeField, matmul, rank
+from chopshop.modlinalg import ModMatrix, PrimeField, kernel_basis, matmul, rank
 from chopshop.pointideals import (
+    RETRY_BUDGET,
     GenericityError,
     GradedBasis,
     PointConfig,
@@ -50,6 +53,26 @@ def poly_mul_oracle(n, coeffs_a, deg_a, coeffs_b, deg_b, p):
     return [out.get(exp, 0) for exp in monomials(n, deg_a + deg_b)]
 
 
+def reference_sample(n, r, prime, seed):
+    """Genericity spelled out degree by degree: redraw from the seeded
+    stream until the evaluation matrix has rank min(hs(n,t), r) at every
+    t = 1..d+1.  None when the retry budget runs out."""
+    d = CaseParams(n, r).d
+    rng = np.random.default_rng(seed)
+    for attempt in range(RETRY_BUDGET):
+        coords = rng.integers(0, prime.p, size=(r, n + 1), dtype=np.int64)
+        try:
+            config = PointConfig(n, r, coords, prime, seed, retries=attempt)
+        except ValueError:  # a zero row or a repeated point
+            continue
+        if all(
+            rank(evaluation_matrix(config, t)) == min(hs(n, t), r)
+            for t in range(1, d + 2)
+        ):
+            return config
+    return None
+
+
 class TestSampling:
     def test_deterministic(self):
         a = sample_points(2, 18, P, SEED)
@@ -70,6 +93,27 @@ class TestSampling:
         # cannot exist and the retry budget must run out.
         with pytest.raises(GenericityError):
             sample_points(2, 30, PrimeField(3), 0)
+
+    def test_same_draws_as_rank_at_every_degree(self):
+        # Small primes make degenerate draws common, so this reaches
+        # redraws, exhausted budgets and r > p (no linear form over F_p
+        # need avoid every point).
+        seen = {"accepted": 0, "redrawn": 0, "exhausted": 0, "r_above_p": 0}
+        for p in (3, 5, 7, 11, 13):
+            prime = PrimeField(p)
+            for n, r, seed in itertools.product((1, 2, 3), range(1, 25), range(2)):
+                expected = reference_sample(n, r, prime, seed)
+                if expected is None:
+                    with pytest.raises(GenericityError):
+                        sample_points(n, r, prime, seed)
+                    seen["exhausted"] += 1
+                    continue
+                got = sample_points(n, r, prime, seed)
+                assert got == expected, (p, n, r, seed)
+                seen["accepted"] += 1
+                seen["redrawn"] += got.retries > 0
+                seen["r_above_p"] += r > p
+        assert min(seen.values()) > 0, seen
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -107,6 +151,27 @@ class TestIdealComponent:
     def test_quintics_through_17_points(self):
         cfg = sample_points(2, 17, P, SEED)
         assert ideal_component(cfg, 5).dim == 4
+
+    def test_sampled_basis_is_the_degree_d_kernel(self):
+        cases = [(2, 18, P, SEED), (2, 41, P, 3), (3, 30, P, 4), (4, 20, P, 5),
+                 (3, 1, P, 6), (2, 9, PrimeField(7), 1), (3, 12, PrimeField(5), 2)]
+        for n, r, prime, seed in cases:
+            cfg = sample_points(n, r, prime, seed)
+            d = CaseParams(n, r).d
+            fresh = kernel_basis(evaluation_matrix(cfg, d))
+            kept = ideal_component(cfg, d)
+            assert (kept.n, kept.degree) == (n, d)
+            assert kept.vectors.array.dtype == fresh.array.dtype
+            assert np.array_equal(kept.vectors.array, fresh.array)
+            # a configuration built from the same points computes it afresh
+            direct = PointConfig(n, r, cfg.coords, prime, seed, retries=cfg.retries)
+            assert direct == cfg
+            assert np.array_equal(ideal_component(direct, d).vectors.array, fresh.array)
+
+    def test_kept_basis_is_not_an_argument(self):
+        cfg = sample_points(2, 18, P, SEED)
+        with pytest.raises(TypeError):
+            PointConfig(2, 18, cfg.coords, P, SEED, _degree_d_basis=ideal_component(cfg, 5))
 
     def test_components_vanish_on_points(self):
         cfg = sample_points(3, 7, P, 9)

@@ -8,11 +8,11 @@ values from the worked examples.
 
 import itertools
 import json
-import os
 
 import numpy as np
 import pytest
 
+from chopshop import pointideals
 from chopshop.formulas import RangeError
 from chopshop.grading import hs, monomials
 from chopshop.modlinalg import PrimeField
@@ -134,6 +134,25 @@ class TestVerifyCase:
         )
         assert not replay_certificate(tampered)
 
+    def test_replay_recomputes_the_degree_d_kernel(self, monkeypatch):
+        # The replayed configuration is built from the stored points alone;
+        # it has no basis kept from sampling, so the kernel is eliminated anew.
+        cert = verify_case(2, 18, P, seed=7)
+        shapes = []
+        real = pointideals.kernel_basis
+
+        def counting(m):
+            shapes.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(pointideals, "kernel_basis", counting)
+        assert replay_certificate(cert)
+        assert shapes == [(18, 21)]
+        table = list(cert.observed_quotient)
+        table[5] -= 1
+        tampered = Certificate.from_dict({**cert.to_dict(), "observed_quotient": table})
+        assert not replay_certificate(tampered)
+
 
 class TestVerifyGrid:
     def test_small_plane_grid(self):
@@ -225,26 +244,14 @@ class TestMonomialSearch:
             search_monomial_ideals(19)
 
     @pytest.mark.extended
-    @pytest.mark.skipif(
-        not os.environ.get("CHOPSHOP_EXTENDED"),
-        reason="long search; set CHOPSHOP_EXTENDED=1",
-    )
     def test_r25_empty(self):
         assert search_monomial_ideals(25) == ()
 
     @pytest.mark.extended
-    @pytest.mark.skipif(
-        not os.environ.get("CHOPSHOP_EXTENDED"),
-        reason="long search; set CHOPSHOP_EXTENDED=1",
-    )
     def test_r33_empty(self):
         assert search_monomial_ideals(33) == ()
 
     @pytest.mark.extended
-    @pytest.mark.skipif(
-        not os.environ.get("CHOPSHOP_EXTENDED"),
-        reason="long search; set CHOPSHOP_EXTENDED=1",
-    )
     def test_r32_satisfiers_are_genuine(self):
         # Thirty-two points admit genuine monomial certificates: three
         # variable-permutation orbits survive every filter.  Each survivor
