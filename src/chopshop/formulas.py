@@ -75,50 +75,54 @@ def _admissible(params: CaseParams) -> None:
         )
 
 
-def _expected_ideal_dim_raw(params: CaseParams, t: int) -> int:
-    """Syzygy-counting alternating sum for the chopped ideal's dimension.
+def koszul_sum(n: int, d: int, s: int, t: int) -> int:
+    """Alternating sum over k >= 0 of (-1)^k hs(n, t-kd) C(s,k).
 
-    Sums over every k >= 1 whose hs argument is nonnegative; the binomial
-    counts k-fold products of the hs(n,d) - r degree-d generators.
+    This is the degree-t coefficient of (1 - T^d)^s / (1 - T)^(n+1): the
+    quotient by s degree-d forms whose only syzygies are the Koszul ones.
+    The expected chopped quotient, the Froeberg series and the closed form
+    of the "rmax_general" family are all this one sum.
     """
-    n, d = params.n, params.d
-    s = hs(n, d) - params.r
     total = 0
-    k = 1
+    k = 0
     while t - k * d >= 0:
-        total += (-1) ** (k + 1) * hs(n, t - k * d) * math.comb(s, k)
+        total += (-1) ** k * hs(n, t - k * d) * math.comb(s, k)
         k += 1
     return total
 
 
 @lru_cache(maxsize=None)
-def _gap_and_table(n: int, r: int) -> tuple[int, tuple[int, ...]]:
-    params = CaseParams(n, r)
-    _admissible(params)
-    d = params.d
+def expected_gap_and_table(n: int, d: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """Predicted gap and expected quotient of r points chopped at degree d.
+
+    The table runs from degree 0 through d + gap: the whole ring below d,
+    then the Koszul sum with s = hs(n,d) - r generators up to the first
+    e > 0 where that sum is at most r, where the quotient is r and e is
+    the gap.  d may lie above the least degree of the points' ideal, as
+    the Waring pipeline's working degrees do.
+    """
+    s = hs(n, d) - r
     quotient = [hs(n, t) for t in range(d)]
     e = 0
     while True:
-        t = d + e
-        raw = _expected_ideal_dim_raw(params, t)
-        target = hs(n, t) - r
-        if e > 0 and raw >= target:
+        value = koszul_sum(n, d, s, d + e)
+        if e > 0 and value <= r:
             quotient.append(r)
             return e, tuple(quotient)
-        quotient.append(hs(n, t) - raw)
+        quotient.append(value)
         e += 1
 
 
 def expected_chopped_hf(params: CaseParams, t: int) -> tuple[int, int]:
     """Expected (ideal_dim, quotient_dim) of the chopped ideal at degree t.
 
-    Below the first overshoot degree the ideal dimension is the alternating
-    syzygy count; from the gap degree onward it is hs(n,t) - r.
+    Through the gap degree the quotient is the Koszul sum; from there on
+    it is r.
     """
     if t < params.d:
         raise RangeError(f"degree {t} is below the generation degree {params.d}")
     _admissible(params)
-    gap, quotient = _gap_and_table(params.n, params.r)
+    gap, quotient = expected_gap_and_table(params.n, params.d, params.r)
     if t <= params.d + gap:
         q = quotient[t]
     else:
@@ -141,7 +145,8 @@ class GapPrediction:
 
 def predicted_gap(params: CaseParams) -> GapPrediction:
     """Least e > 0 at which the expected chopped quotient returns to r."""
-    gap, quotient = _gap_and_table(params.n, params.r)
+    _admissible(params)
+    gap, quotient = expected_gap_and_table(params.n, params.d, params.r)
     table = HilbertTable(params.n, quotient, params.r)
     return GapPrediction(gap, table, gap_upper_bound(params.n, params.d))
 
@@ -149,29 +154,15 @@ def predicted_gap(params: CaseParams) -> GapPrediction:
 def froberg(n: int, d: int, s: int, t: int) -> int:
     """Generic-forms lower bound series value at degree t.
 
-    Alternating sum over k >= 0 of hs(n, t-kd)*C(s,k), truncated to zero
-    from the first degree where it becomes nonpositive onward.
+    The Koszul sum, truncated to zero from the first degree where it
+    becomes nonpositive onward.
     """
     if s < 1 or d < 1:
         raise ValueError(f"need s >= 1 and d >= 1, got s={s}, d={d}")
-
-    def raw(u: int) -> int:
-        total = 0
-        k = 0
-        while u - k * d >= 0:
-            total += (-1) ** k * hs(n, u - k * d) * math.comb(s, k)
-            k += 1
-        return total
-
     for u in range(t + 1):
-        if raw(u) <= 0:
+        if koszul_sum(n, d, s, u) <= 0:
             return 0
-    return raw(t)
-
-
-def froberg_meets_hypothesis(n: int, s: int) -> bool:
-    """Whether the count s of degree-d forms is in the proven regime."""
-    return s >= n + 1
+    return koszul_sum(n, d, s, t)
 
 
 def lex_lower_bound_table(params: CaseParams, t_max: int) -> HilbertTable:
@@ -204,28 +195,13 @@ def r_extremes_plane(d: int) -> tuple[int, int]:
 
 
 def igc_gens_d1(params: CaseParams) -> int:
-    """Expected number of degree-(d+1) minimal generators of the full ideal."""
+    """Expected number of degree-(d+1) minimal generators of the full ideal.
+
+    No caller outside the tests: it is kept as an independent cross-check
+    of the gap-1 cases, which are exactly those with no such generator.
+    """
     n, r, d = params.n, params.r, params.d
     return max(0, hs(n, d + 1) - r - (n + 1) * (hs(n, d) - r))
-
-
-def betti_p2(r: int) -> tuple[int, int, int, int]:
-    """Expected graded Betti numbers of r generic plane points.
-
-    Returns (b1_d, b1_d1, b2_d1, b2_d2): generators in degrees d and d+1,
-    relations in degrees d+1 and d+2.  The split of the relations is what
-    exactness of the length-two resolution forces on the Hilbert series.
-    """
-    params = CaseParams(2, r)
-    d = params.d
-    b1d = hs(2, d) - r
-    x = hs(2, d + 1) - 3 * b1d - r
-    b1d1 = max(0, x)
-    b2d1 = max(0, -x) if x <= 0 else 0
-    b2d2 = b1d + b1d1 - 1 - b2d1
-    if b2d2 < 0:
-        raise RangeError(f"no generic resolution of this shape for r={r}")
-    return b1d, b1d1, b2d1, b2d2
 
 
 def ci_socle(n: int, degrees) -> int:
@@ -333,10 +309,5 @@ def theorem_oracle(family: str, t: int, *, d: int, n: int = 2) -> int:
         gap = max(gap_upper_bound(n, d), 0)
         if t > d + gap:
             return r
-        total = 0
-        k = 0
-        while t - k * d >= 0:
-            total += (-1) ** k * hs(n, t - k * d) * math.comb(n + 1, k)
-            k += 1
-        return total
+        return koszul_sum(n, d, n + 1, t)
     raise ValueError(f"unknown family {family!r}")

@@ -53,7 +53,11 @@ class Exponent(tuple):
 
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
-    """Product of two monomials: entrywise sum of exponents."""
+    """Product of two monomials: entrywise sum of exponents.
+
+    No caller outside the tests: it is kept as the plain definition that
+    the reference test of ``product_index_map`` multiplies with.
+    """
     if len(a) != len(b):
         raise ValueError(f"exponent lengths differ: {len(a)} vs {len(b)}")
     return Exponent(x + y for x, y in zip(a, b))
@@ -194,6 +198,8 @@ def hilbert_regularity(h: HilbertTable) -> int:
 
 
 class LexOrder(enum.Enum):
+    """Outcome of ``lex_compare_hf``."""
+
     LESS_EQUAL = "<=lex"
     GREATER_EQUAL = ">=lex"
     EQUAL = "equal"
@@ -206,6 +212,10 @@ def lex_compare_hf(a: HilbertTable, b: HilbertTable) -> LexOrder:
     The verdict is decided by the first degree where the tables differ.
     Tables that agree on their whole common range but leave later degrees
     undetermined are incomparable.
+
+    No caller outside the tests: it is kept because the tests of the
+    paper's lexicographic floor (``lex_lower_bound_table``) compare the
+    expected and observed quotients with it.
     """
     horizon_a = math.inf if a.tail is not None else len(a.values)
     horizon_b = math.inf if b.tail is not None else len(b.values)

@@ -5,7 +5,9 @@ Its ideal is only ever touched degree by degree: the degree-t component is
 the kernel of the evaluation matrix, and the ideal generated by the degree-d
 component ("chopped" at d) is spanned degree by degree by columns of a
 Macaulay matrix.  Every quantity of interest here (Hilbert functions,
-h-vectors, saturation gaps) is a rank of one of these matrices.
+saturation gaps) is a rank of one of these matrices.  The evaluation and
+Macaulay builders work on any coefficient dtype, so the floating-point
+Waring pipeline builds its matrices with them too.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formulas import CaseParams, gap_upper_bound, predicted_gap
-from .grading import HilbertTable, first_difference, hs, monomials, product_index_map
+from .grading import HilbertTable, hs, monomials, product_index_map
 from .modlinalg import ModMatrix, PrimeField, kernel_basis, rank
 
 
@@ -26,27 +28,33 @@ class GenericityError(RuntimeError):
 RETRY_BUDGET = 16
 
 
-def _evaluation_array(coords: np.ndarray, p: int, t: int) -> np.ndarray:
-    """Raw evaluation matrix: entry (i, alpha) is the alpha-th monomial of
-    degree t evaluated at point i.  Built from per-variable power tables so
-    each entry costs n multiplications instead of t."""
+def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.ndarray:
+    """Evaluations of the degree-t monomials at the rows of ``coords``.
+
+    Entry (i, alpha) is the alpha-th monomial of degree t evaluated at row
+    i, in the dtype of ``coords``: int64 coordinates over F_p for the exact
+    pipeline, complex points for the Waring one.  Built from per-variable
+    power tables so each entry costs n+1 multiplications instead of t.
+    With a modulus p every product is reduced mod p.
+    """
     r, nvars = coords.shape
     exps = np.asarray(monomials(nvars - 1, t), dtype=np.int64)
-    powers = []
+    out = np.ones((r, exps.shape[0]), dtype=coords.dtype)
     for i in range(nvars):
-        table = np.empty((r, t + 1), dtype=np.int64)
-        table[:, 0] = 1
+        powers = np.empty((r, t + 1), dtype=coords.dtype)
+        powers[:, 0] = 1
         for k in range(1, t + 1):
-            table[:, k] = table[:, k - 1] * coords[:, i] % p
-        powers.append(table)
-    out = np.ones((r, exps.shape[0]), dtype=np.int64)
-    for i in range(nvars):
-        out = out * powers[i][:, exps[:, i]] % p
+            powers[:, k] = powers[:, k - 1] * coords[:, i]
+            if p is not None:
+                powers[:, k] %= p
+        out = out * powers[:, exps[:, i]]
+        if p is not None:
+            out %= p
     return out
 
 
 def _evaluation(coords: np.ndarray, prime: PrimeField, t: int) -> ModMatrix:
-    return ModMatrix(prime, _evaluation_array(coords, prime.p, t), _trusted=True)
+    return ModMatrix(prime, evaluation_array(coords, t, prime.p), _trusted=True)
 
 
 def _normalized_rows(coords: np.ndarray, p: int) -> list[tuple[int, ...]] | None:
@@ -240,34 +248,44 @@ def ideal_component(config: PointConfig, t: int) -> GradedBasis:
     return GradedBasis(config.n, t, kernel_basis(evaluation_matrix(config, t)))
 
 
-def macaulay_matrix(basis: GradedBasis, e: int) -> ModMatrix:
-    """All degree-e monomial shifts of the basis forms, as columns in
-    degree d+e.
+def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int) -> np.ndarray:
+    """All degree-e monomial shifts of degree-d forms, as columns in degree
+    d+e.
 
-    Column (j, m) holds the coefficients of (monomial m) * (form j); the
-    columns come basis-form-major, monomial-minor, so the matrix is
-    byte-for-byte reproducible.  Its column span is the degree-(d+e)
-    component of the ideal generated by the basis.
+    ``coeffs`` holds one form per column (hs(n,d) rows, any dtype; the
+    result has the same dtype).  Column (j, m) holds the coefficients of
+    (monomial m) * (form j); the columns come form-major, monomial-minor,
+    so the matrix is byte-for-byte reproducible.  Its column span is the
+    degree-(d+e) component of the ideal generated by the forms.
     """
-    if e < 0:
-        raise ValueError(f"need e >= 0, got {e}")
-    n, d = basis.n, basis.degree
-    g = basis.dim
+    g = coeffs.shape[1]
     he = hs(n, e)
     positions = product_index_map(n, d, e)
-    out = np.zeros((hs(n, d + e), g * he), dtype=np.int64)
+    out = np.zeros((hs(n, d + e), g * he), dtype=coeffs.dtype)
     ncols = out.shape[1]
-    coeffs = basis.vectors.array
     shift_cols = np.arange(he, dtype=np.int64)[:, None]
     for j in range(g):
         flat = positions * ncols + (j * he + shift_cols)
         out.flat[flat.ravel()] = np.broadcast_to(coeffs[:, j], flat.shape).ravel()
+    return out
+
+
+def macaulay_matrix(basis: GradedBasis, e: int) -> ModMatrix:
+    """The Macaulay matrix of the basis forms at degree d+e over F_p (see
+    ``macaulay_array``)."""
+    if e < 0:
+        raise ValueError(f"need e >= 0, got {e}")
+    out = macaulay_array(basis.n, basis.degree, basis.vectors.array, e)
     return ModMatrix(basis.vectors.field, out, _trusted=True)
 
 
 def chopped_hf(config: PointConfig, d: int, t: int) -> int:
     """Hilbert function of the quotient by the ideal generated in degree d,
-    evaluated at degree t >= d."""
+    evaluated at degree t >= d.
+
+    No caller outside the tests: it is kept because acceptance criterion 3
+    evaluates single degrees of the chopped quotient through it.
+    """
     if t < d:
         raise ValueError(f"chopped quotient is only computed from degree d={d} up")
     basis = ideal_component(config, d)
@@ -306,21 +324,6 @@ def observed_gap(
                     )
             return e
     return None
-
-
-def h_vector(config: PointConfig, t_max: int) -> HilbertTable:
-    """First difference of the observed Hilbert function of the points.
-
-    The underlying Hilbert function at degree t is the rank of the
-    evaluation matrix.  If it has stabilized at r by t_max the result is a
-    complete h-vector (trailing zero tail); otherwise the table is left
-    open-ended.
-    """
-    values = tuple(
-        rank(evaluation_matrix(config, t)) for t in range(t_max + 1)
-    )
-    tail = config.r if values[-1] == config.r else None
-    return first_difference(HilbertTable(config.n, values, tail))
 
 
 def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedProfile:

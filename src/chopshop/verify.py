@@ -25,6 +25,7 @@ from .grading import Exponent, hs, monomials, product_index_map
 from .modlinalg import PrimeField, in_span, rank
 from .pointideals import (
     RETRY_BUDGET,
+    ChoppedProfile,
     GenericityError,
     PointConfig,
     chopped_profile,
@@ -125,6 +126,10 @@ class Certificate:
         )
 
 
+def _verdict(profile: ChoppedProfile) -> str:
+    return "PASS" if profile.verdict == "match" else "FAIL"
+
+
 def verify_case(
     n: int, r: int, prime: PrimeField, seed: int, e_max: int | None = None
 ) -> Certificate:
@@ -172,7 +177,7 @@ def verify_case(
         expected_quotient=profile.expected.values,
         observed_gap=profile.observed_gap,
         expected_gap=prediction.gap,
-        verdict="PASS" if profile.verdict == "match" else "FAIL",
+        verdict=_verdict(profile),
         first_mismatch_degree=profile.first_mismatch_degree,
         tool_version=__version__,
         wall_ms=wall,
@@ -183,7 +188,9 @@ def replay_certificate(cert: Certificate) -> bool:
     """Recompute a certificate from its stored points and compare.
 
     True when the stored coordinates reproduce the observed quotient table
-    and gap exactly.  Certificates without points cannot be replayed.
+    and gap exactly, and the closed-form prediction reproduces the stored
+    degree d, expected table and gap, verdict and first mismatch degree.
+    Certificates without points cannot be replayed.
     """
     if not cert.points:
         raise ValueError("certificate carries no points to replay")
@@ -199,6 +206,11 @@ def replay_certificate(cert: Certificate) -> bool:
     return (
         profile.observed.values == cert.observed_quotient
         and profile.observed_gap == cert.observed_gap
+        and profile.params.d == cert.d
+        and profile.expected.values == cert.expected_quotient
+        and predicted_gap(profile.params).gap == cert.expected_gap
+        and _verdict(profile) == cert.verdict
+        and profile.first_mismatch_degree == cert.first_mismatch_degree
     )
 
 

@@ -18,7 +18,9 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+from .formulas import expected_gap_and_table
 from .grading import hs, mono_index, monomials, product_index_map
+from .pointideals import evaluation_array, macaulay_array
 
 DEFAULT_TOL = 1e-8
 RESIDUAL_LIMIT = 1e-6
@@ -88,26 +90,6 @@ class DecompositionResult:
     diagnostics: dict
 
 
-def _exponent_rows(n: int, t: int) -> np.ndarray:
-    return np.array([list(m) for m in monomials(n, t)], dtype=np.int64)
-
-
-def _power_matrix(points: np.ndarray, t: int) -> np.ndarray:
-    """Evaluations z^alpha: row per point, column per degree-t monomial."""
-    pts = np.asarray(points, dtype=np.complex128)
-    r, width = pts.shape
-    n = width - 1
-    exps = _exponent_rows(n, t)
-    powers = np.empty((r, width, t + 1), dtype=np.complex128)
-    powers[:, :, 0] = 1.0
-    for k in range(1, t + 1):
-        powers[:, :, k] = powers[:, :, k - 1] * pts
-    out = np.ones((r, exps.shape[0]), dtype=np.complex128)
-    for j in range(width):
-        out *= powers[:, j, exps[:, j]]
-    return out
-
-
 def _multinomials(n: int, D: int) -> np.ndarray:
     """Multinomial coefficients D!/(b_0! ... b_n!) per degree-D monomial."""
     out = np.empty(hs(n, D), dtype=np.float64)
@@ -132,7 +114,7 @@ def form_from_points(points, coefficients, D: int) -> SymmetricForm:
         raise ValueError("zero rows cannot carry a linear form")
     n = pts.shape[1] - 1
     c = np.asarray(coefficients, dtype=np.complex128)
-    coeffs = _multinomials(n, D) * (c @ _power_matrix(pts, D))
+    coeffs = _multinomials(n, D) * (c @ evaluation_array(pts, D))
     return SymmetricForm(n, D, coeffs)
 
 
@@ -148,7 +130,7 @@ def catalecticant(form: SymmetricForm, a: int) -> np.ndarray:
     n, D = form.n, form.D
     if not 0 <= a <= D:
         raise ValueError(f"need 0 <= a <= {D}, got {a}")
-    rows = _exponent_rows(n, D - a)
+    rows = np.asarray(monomials(n, D - a), dtype=np.int64)
     cols = monomials(n, a)
     positions = product_index_map(n, D - a, a)
     out = np.empty((rows.shape[0], len(cols)), dtype=np.complex128)
@@ -215,42 +197,6 @@ def apolarity_check(f, form: SymmetricForm, tol: float = DEFAULT_TOL) -> bool:
     return float(np.linalg.norm(image)) <= bound
 
 
-def _macaulay_complex(n: int, d: int, basis: np.ndarray, e: int) -> np.ndarray:
-    """Degree-e monomial shifts of the basis forms, columns in degree d+e.
-
-    Same layout as the exact Macaulay matrix over a prime field: columns
-    basis-form-major, shift-monomial-minor.
-    """
-    g = basis.shape[1]
-    he = hs(n, e)
-    positions = product_index_map(n, d, e)
-    out = np.zeros((hs(n, d + e), g * he), dtype=np.complex128)
-    ncols = out.shape[1]
-    shift_cols = np.arange(he, dtype=np.int64)[:, None]
-    for j in range(g):
-        flat = positions * ncols + (j * he + shift_cols)
-        out.flat[flat.ravel()] = np.broadcast_to(basis[:, j], flat.shape).ravel()
-    return out
-
-
-def _gap_at(n: int, d: int, r: int) -> int:
-    """Least e > 0 where the syzygy count meets hs(n, d+e) - r.
-
-    Same alternating sum as the expected chopped dimension, evaluated at
-    an explicit generation degree d rather than the minimal one.
-    """
-    g = hs(n, d) - r
-    e = 1
-    while True:
-        raw, k = 0, 1
-        while d + e - k * d >= 0:
-            raw += (-1) ** (k + 1) * hs(n, d + e - k * d) * math.comb(g, k)
-            k += 1
-        if hs(n, d + e) - r <= raw:
-            return e
-        e += 1
-
-
 def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
     """Smallest usable generation degree d <= D/2 and its gap e.
 
@@ -262,7 +208,7 @@ def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
     for d in range(1, D // 2 + 1):
         slack = hs(n, d) - n - r
         if slack > 0:
-            return d, _gap_at(n, d, r)
+            return d, expected_gap_and_table(n, d, r)[0]
         if slack == 0 and d**n == r:
             return d, max(1, n * (d - 1) - d)
     raise UnsupportedRankError(
@@ -271,20 +217,29 @@ def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
     )
 
 
-def _normalized_points(points: np.ndarray) -> np.ndarray:
+def _normalized_points(points) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row to unit norm with its leading sizable entry real
-    positive, the declared representative of the projective class."""
+    positive, the declared representative of the projective class.
+
+    Returns the normalized rows and, per row, the scale that maps the
+    normalized row back to the given one.  A zero row has no
+    representative and raises ValueError.
+    """
     out = np.array(points, dtype=np.complex128)
-    for row in out:
-        norm = np.linalg.norm(row)
-        if norm == 0:
-            raise DecompositionError("recovered a zero coordinate row")
-        row /= norm
+    scales = np.empty(out.shape[0], dtype=np.complex128)
+    for i, row in enumerate(out):
+        scale = np.linalg.norm(row)
+        if scale == 0:
+            raise ValueError(f"point row {i} is zero and names no projective point")
+        row /= scale
         for entry in row:
             if abs(entry) > _PHASE_FLOOR:
-                row *= entry.conjugate() / abs(entry)
+                phase = entry.conjugate() / abs(entry)
+                row *= phase
+                scale /= phase
                 break
-    return out
+        scales[i] = scale
+    return out, scales
 
 
 def decompose(
@@ -305,6 +260,8 @@ def decompose(
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    if not np.any(form.coeffs):
+        raise ValueError("the zero form has no Waring decomposition")
     n, D = form.n, form.D
     d, e = _working_parameters(n, r, D)
 
@@ -323,7 +280,7 @@ def decompose(
     # Cokernel under the bilinear pairing: vectors x with x^T M = 0.  For
     # the true ideal these are spanned by the evaluation functionals
     # f -> f(z_i), unconjugated, which is what the eigenvalue step needs.
-    macaulay = _macaulay_complex(n, d, kernel, e)
+    macaulay = macaulay_array(n, d, kernel, e)
     cokernel, _, _ = numerical_kernel(macaulay.T, tol=tol)
     if cokernel.shape[1] != r:
         raise DecompositionError(
@@ -374,9 +331,12 @@ def decompose(
         offdiag_max = max(offdiag_max, float(np.max(np.abs(off))))
     diagnostics["eigen_offdiag_max"] = offdiag_max
 
-    points = _normalized_points(coords)
+    try:
+        points, _ = _normalized_points(coords)
+    except ValueError as exc:
+        raise DecompositionError(f"eigenvalue step: {exc}", diagnostics) from exc
     weights = _multinomials(n, D)
-    system = (weights * _power_matrix(points, D)).T
+    system = (weights * evaluation_array(points, D)).T
     coefficients, *_ = np.linalg.lstsq(system, form.coeffs, rcond=None)
     residual = float(
         np.linalg.norm(system @ coefficients - form.coeffs) / form.norm
@@ -410,20 +370,15 @@ def recovery_error(
     Both sides are reduced to the normalized representatives (unit rows,
     leading entry real positive, coefficients rescaled to compensate),
     then matched by minimum-cost assignment on pairwise point distances.
+    A zero point row on either side raises ValueError.
     """
 
     def reduce(points, coefficients):
-        pts = np.array(points, dtype=np.complex128)
+        pts, scales = _normalized_points(points)
         cs = np.array(coefficients, dtype=np.complex128)
-        for i, row in enumerate(pts):
-            scale = np.linalg.norm(row)
-            row /= scale
-            for entry in row:
-                if abs(entry) > _PHASE_FLOOR:
-                    phase = entry.conjugate() / abs(entry)
-                    row *= phase
-                    scale /= phase
-                    break
+        # scalar powers, one row at a time: numpy's vectorized complex
+        # power rounds differently
+        for i, scale in enumerate(scales):
             cs[i] *= scale**D
         return pts, cs
 

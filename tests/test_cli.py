@@ -235,6 +235,13 @@ class TestWaringCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_decompose_zero_form(self, tmp_path, capsys):
+        src = tmp_path / "zero.json"
+        src.write_text(json.dumps({"schema_version": 1, "n": 2, "D": 10, "terms": []}))
+        code = run(["decompose", str(src), "--r", "18"])
+        assert code == 1
+        assert "the zero form has no Waring decomposition" in capsys.readouterr().err
+
     def test_unsupported_rank_error(self, tmp_path):
         points = random_unit_points(2, 30, 1)
         form = form_from_points(points, [1.0] * 30, 10)

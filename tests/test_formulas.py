@@ -14,18 +14,17 @@ from chopshop.formulas import (
     CaseParams,
     GapPrediction,
     RangeError,
-    betti_p2,
     ci_hf,
     ci_socle,
     ci_table,
     expected_chopped_hf,
     froberg,
-    froberg_meets_hypothesis,
     gap_upper_bound,
     generic_hf,
     generic_table,
     igc_gens_d1,
     interesting_range,
+    koszul_sum,
     lex_lower_bound_table,
     liaison_delta,
     predicted_gap,
@@ -128,6 +127,26 @@ class TestExpectedChopped:
                 assert (predicted_gap(p).gap == 1) == (igc_gens_d1(p) == 0)
 
 
+class TestKoszulSum:
+    @staticmethod
+    def series_oracle(n, d, s, t_max):
+        # Coefficients of (1 - T^d)^s / (1 - T)^(n+1), by multiplying out
+        # the truncated power series one factor at a time.
+        coeffs = [1] + [0] * t_max
+        for _ in range(s):
+            coeffs = [c - (coeffs[t - d] if t >= d else 0) for t, c in enumerate(coeffs)]
+        for _ in range(n + 1):
+            coeffs = list(itertools.accumulate(coeffs))
+        return coeffs
+
+    def test_matches_series_expansion(self):
+        for n in (1, 2, 3, 4):
+            for d in (1, 2, 3, 5):
+                for s in range(0, 12):
+                    want = self.series_oracle(n, d, s, 20)
+                    assert [koszul_sum(n, d, s, t) for t in range(21)] == want, (n, d, s)
+
+
 class TestFroberg:
     def test_plane_values(self):
         assert froberg(2, 5, 3, 6) == 19
@@ -140,10 +159,6 @@ class TestFroberg:
         assert froberg(2, 2, 5, 2) == 1
         assert froberg(2, 2, 5, 3) == 0
         assert froberg(2, 2, 5, 6) == 0
-
-    def test_hypothesis_flag(self):
-        assert froberg_meets_hypothesis(2, 3)
-        assert not froberg_meets_hypothesis(4, 3)
 
     def test_capped_table_matches_expected_for_18_points(self):
         p = CaseParams(2, 18)
@@ -192,51 +207,6 @@ class TestRanges:
         for d in range(5, 10):
             _, r_max = r_extremes_plane(d)
             assert igc_gens_d1(CaseParams(2, r_max)) == d - 4
-
-
-class TestBetti:
-    @staticmethod
-    def resolution_hf(r, b, t):
-        d = CaseParams(2, r).d
-        b1d, b1d1, b2d1, b2d2 = b
-        return (
-            hs(2, t)
-            - b1d * hs(2, t - d)
-            - b1d1 * hs(2, t - d - 1)
-            + b2d1 * hs(2, t - d - 1)
-            + b2d2 * hs(2, t - d - 2)
-        )
-
-    def test_known_splits(self):
-        assert betti_p2(18) == (3, 1, 0, 3)
-        assert betti_p2(17) == (4, 0, 1, 2)
-
-    def test_rmax_family(self):
-        for d in range(5, 10):
-            _, r_max = r_extremes_plane(d)
-            assert betti_p2(r_max) == (3, d - 4, 0, d - 2)
-
-    def test_split_is_the_unique_exact_one(self):
-        # Oracle: enumerate all nonnegative splits consistent with the rank
-        # count and the orthogonality constraint; keep those whose length-two
-        # resolution reproduces min(hs, r) at large degrees.
-        for r in range(10, 60):
-            d = CaseParams(2, r).d
-            got = betti_p2(r)
-            b1d = hs(2, d) - r
-            b1d1 = max(0, hs(2, d + 1) - 3 * b1d - r)
-            total = b1d + b1d1 - 1
-            valid = []
-            for b2d1 in range(total + 1):
-                if b1d1 > 0 and b2d1 > 0:
-                    continue
-                cand = (b1d, b1d1, b2d1, total - b2d1)
-                if all(
-                    self.resolution_hf(r, cand, t) == min(hs(2, t), r)
-                    for t in range(d + 3, d + 9)
-                ):
-                    valid.append(cand)
-            assert valid == [got]
 
 
 class TestCompleteIntersections:

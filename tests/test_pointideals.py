@@ -14,7 +14,6 @@ from chopshop.formulas import (
     CaseParams,
     ci_hf,
     lex_lower_bound_table,
-    liaison_delta,
     predicted_gap,
 )
 from chopshop.grading import LexOrder, hs, lex_compare_hf, monomials
@@ -26,9 +25,10 @@ from chopshop.pointideals import (
     PointConfig,
     chopped_hf,
     chopped_profile,
+    evaluation_array,
     evaluation_matrix,
-    h_vector,
     ideal_component,
+    macaulay_array,
     macaulay_matrix,
     observed_gap,
     sample_points,
@@ -141,6 +141,21 @@ class TestEvaluationMatrix:
             for j, (a, b, c) in enumerate(monomials(2, 2)):
                 assert e2.array[i, j] == pow(x, a, P.p) * pow(y, b, P.p) * pow(z, c, P.p) % P.p
 
+    def test_builder_with_and_without_modulus_agrees(self):
+        # Small integer points keep every unreduced product exact, so the
+        # reduced table is the plain one taken mod p, and the complex table
+        # holds the same integers.
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 3):
+            coords = rng.integers(0, 6, size=(5, n + 1), dtype=np.int64)
+            for t in range(5):
+                plain = evaluation_array(coords, t)
+                for p in (7, 101, P.p):
+                    assert (evaluation_array(coords, t, p) == plain % p).all()
+                as_complex = evaluation_array(coords.astype(np.complex128), t)
+                assert as_complex.dtype == np.complex128
+                assert (as_complex == plain).all()
+
 
 class TestIdealComponent:
     def test_quintics_through_18_points(self):
@@ -227,6 +242,20 @@ class TestMacaulayMatrix:
         assert r_mac == rank(ModMatrix(P, oracle, _trusted=True))
         assert r_mac == rank(stacked)
 
+    def test_complex_builder_splits_into_real_and_imaginary(self):
+        # The builder only places coefficients, so on a complex basis it is
+        # exactly the builds on the real and imaginary parts recombined.
+        rng = np.random.default_rng(2)
+        for n, d, e in ((1, 3, 2), (2, 3, 2), (3, 2, 3), (4, 2, 1)):
+            coeffs = rng.normal(size=(hs(n, d), 3)) + 1j * rng.normal(size=(hs(n, d), 3))
+            whole = macaulay_array(n, d, coeffs, e)
+            assert whole.dtype == np.complex128
+            parts = (
+                macaulay_array(n, d, coeffs.real, e)
+                + 1j * macaulay_array(n, d, coeffs.imag, e)
+            )
+            assert (whole == parts).all()
+
     def test_basis_change_invariance(self):
         cfg = sample_points(2, 18, P, SEED)
         basis = ideal_component(cfg, 5)
@@ -276,41 +305,6 @@ class TestChoppedHilbertFunction:
                 value = chopped_hf(cfg, d, t)
                 assert value == ci_hf(n, degrees, t) == d**n
             assert observed_gap(cfg, d) is None
-
-
-class TestHVector:
-    def test_18_plane_points(self):
-        cfg = sample_points(2, 18, P, SEED)
-        hv = h_vector(cfg, 5)
-        assert hv.values[:6] == (1, 2, 3, 4, 5, 3)
-        assert hv.tail == 0
-
-    def test_single_point(self):
-        cfg = sample_points(2, 1, P, 1)
-        assert h_vector(cfg, 0).values[0] == 1
-
-    def test_121_points_in_p4(self):
-        cfg = sample_points(4, 121, P, SEED)
-        hv = h_vector(cfg, 5)
-        assert hv.values[5] == 51
-        assert sum(hv.values) == 121
-
-    def test_sums_recover_hilbert_function(self):
-        cfg = sample_points(3, 16, P, SEED)
-        hv = h_vector(cfg, 3)
-        partial = 0
-        for t, delta in enumerate(hv.values):
-            partial += delta
-            assert partial == rank(evaluation_matrix(cfg, t))
-
-    def test_liaison_identity_for_18_points(self):
-        # Degree-5 curves through the points link them inside a [5,5]
-        # complete intersection; the complement's h-vector comes from the
-        # reversed difference and really is (1, 2, 3, 1).
-        cfg = sample_points(2, 18, P, SEED)
-        hv = h_vector(cfg, 5)
-        trimmed = hv.values[:6]
-        assert liaison_delta(2, [5, 5], trimmed) == (1, 2, 3, 1)
 
 
 class TestChoppedProfile:

@@ -134,6 +134,36 @@ class TestVerifyCase:
         )
         assert not replay_certificate(tampered)
 
+    def test_replay_recomputes_the_verdict(self):
+        cert = verify_case(2, 18, P, seed=7)
+        data = cert.to_dict()
+        forged = {
+            **data,
+            "d": 3,
+            "expected_quotient": [9, 9, 9],
+            "expected_gap": 99,
+            "verdict": "FAIL",
+        }
+        assert not replay_certificate(Certificate.from_dict(forged))
+        for key, value in (
+            ("d", 3),
+            ("expected_quotient", [9, 9, 9]),
+            ("expected_gap", 99),
+            ("verdict", "FAIL"),
+            ("first_mismatch_degree", 6),
+        ):
+            tampered = Certificate.from_dict({**data, key: value})
+            assert not replay_certificate(tampered), key
+
+    def test_replay_accepts_an_honest_fail(self):
+        cert = verify_case(2, 7, PrimeField(3), seed=1)
+        assert cert.verdict == "FAIL"
+        assert replay_certificate(cert)
+        passed = Certificate.from_dict(
+            {**cert.to_dict(), "verdict": "PASS", "first_mismatch_degree": None}
+        )
+        assert not replay_certificate(passed)
+
     def test_replay_recomputes_the_degree_d_kernel(self, monkeypatch):
         # The replayed configuration is built from the stored points alone;
         # it has no basis kept from sampling, so the kernel is eliminated anew.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chopshop.formulas import CaseParams, predicted_gap
+from chopshop.formulas import CaseParams, expected_gap_and_table, predicted_gap
 from chopshop.grading import hs, monomials
 from chopshop.waring import (
     AmbiguousRankError,
@@ -20,7 +20,6 @@ from chopshop.waring import (
     SymmetricForm,
     UnsupportedRankError,
     WaringError,
-    _gap_at,
     apolarity_check,
     catalecticant,
     decompose,
@@ -194,6 +193,23 @@ class TestApolarity:
         assert not apolarity_check(f, form)
 
 
+def gap_at_oracle(n, d, r):
+    """Least e > 0 where the syzygy count of the chopped ideal's dimension,
+    sum over k >= 1 of (-1)^(k+1) hs(n, t-kd) C(g, k) with g = hs(n,d) - r
+    generators, reaches hs(n, d+e) - r."""
+    g = hs(n, d) - r
+    e = 1
+    while True:
+        t = d + e
+        dim = sum(
+            (-1) ** (k + 1) * hs(n, t - k * d) * math.comb(g, k)
+            for k in range(1, t // d + 1)
+        )
+        if hs(n, t) - r <= dim:
+            return e
+        e += 1
+
+
 class TestGapAtDegree:
     def test_matches_minimal_degree_prediction(self):
         for n in (2, 3, 4):
@@ -202,7 +218,21 @@ class TestGapAtDegree:
                 d = params.d
                 if r >= hs(n, d) - n:
                     continue
-                assert _gap_at(n, d, r) == predicted_gap(params).gap
+                gap, table = expected_gap_and_table(n, d, r)
+                assert gap == predicted_gap(params).gap
+                assert table == predicted_gap(params).table.values
+
+    def test_non_minimal_working_degrees(self):
+        # Every admissible r at every d, most of them far below the least
+        # degree of their points' ideal, as decompose's working degrees are.
+        for n in (1, 2, 3, 4):
+            for d in range(1, 9):
+                for r in range(1, hs(n, d) - n):
+                    gap, table = expected_gap_and_table(n, d, r)
+                    assert gap == gap_at_oracle(n, d, r), (n, d, r)
+                    assert len(table) == d + gap + 1
+                    assert table[d] == table[-1] == r
+                    assert all(v > r for v in table[d + 1:-1])
 
 
 def roundtrip_case(n, D, r, seed, decompose_seed=0):
@@ -290,6 +320,11 @@ class TestDecompose:
         with pytest.raises(UnsupportedRankError):
             decompose(form, 30)
 
+    def test_zero_form_rejected(self):
+        form = SymmetricForm(2, 10, np.zeros(hs(2, 10)))
+        with pytest.raises(ValueError, match="zero form"):
+            decompose(form, 18)
+
     def test_wrong_rank_fails_loudly(self):
         Z = random_unit_points(2, 18, seed=9)
         form = form_from_points(Z, np.ones(18), 10)
@@ -351,3 +386,11 @@ class TestRecoveryError:
         other = random_unit_points(2, 5, seed=17)
         point_err, _ = recovery_error(Z, np.ones(5), other, np.ones(5), 4)
         assert point_err > 1e-3
+
+    def test_zero_point_row_rejected(self):
+        Z = random_unit_points(2, 4, seed=18)
+        broken = Z.copy()
+        broken[2] = 0
+        for a, b in ((Z, broken), (broken, Z)):
+            with pytest.raises(ValueError, match="row 2 is zero"):
+                recovery_error(a, np.ones(4), b, np.ones(4), 4)
