@@ -1,11 +1,15 @@
 """Exact dense linear algebra over a prime field F_p with p < 2**31.
 
 Matrices are immutable int64 arrays with entries reduced to [0, p).  The
-workhorse is a blocked Gaussian elimination: panels are eliminated with
-vectorized row operations and the trailing block is updated by an exact
-modular matrix product (16-bit limb split, so every float64 dot product
-stays below 2**53 and BLAS can be used).  Pivoting is deterministic: the
-first row with a nonzero entry, columns left to right.
+workhorse is a recursive Gaussian elimination that halves the columns:
+eliminate the left half, replay it on the right half (a triangular solve
+on the new pivot rows, itself recursive, then one update of the rows
+below), and recurse on the right half below the new pivots.  Only blocks
+of at most 32 columns are eliminated one pivot at a time; the rest of the
+work is exact modular matrix products (16-bit limb split, so every float64
+dot product stays below 2**53 and BLAS can be used).  Pivoting is
+deterministic: the first row with a nonzero entry, columns left to right,
+so the pivot columns are the column rank profile.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 _LIMB = 1 << 16
 _MUL_CHUNK = 1 << 18  # inner-dimension chunk keeping limb products exact
-_PANEL = 128
+_LEAF = 32  # widest column block eliminated one pivot at a time
 
 
 def _is_prime(p: int) -> bool:
@@ -118,83 +122,113 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _solve_lower(t: np.ndarray, b: np.ndarray, inv: np.ndarray, p: int,
+                 leaf: int) -> None:
+    """In place, b <- t^-1 b for a lower-triangular t whose diagonal entries
+    have the inverses ``inv`` (t's own diagonal is not read).
+
+    Halves t recursively: solve the top rows, subtract their contribution
+    from the bottom rows with one modular product, solve the bottom rows.
+    Blocks of at most ``leaf`` rows are solved one row at a time.
+    """
+    k = t.shape[0]
+    if k <= leaf:
+        for j in range(k):
+            if inv[j] != 1:
+                b[j] = b[j] * int(inv[j]) % p
+            f = t[j + 1:, j]
+            hit = f.nonzero()[0]
+            if hit.size:
+                rows = hit + j + 1
+                b[rows] = (b[rows] - f[hit, None] * b[j]) % p
+        return
+    h = k // 2
+    _solve_lower(t[:h, :h], b[:h], inv[:h], p, leaf)
+    lower = t[h:, :h]
+    if lower.any():
+        b[h:] = (b[h:] - _mul_mod(lower, b[:h], p)) % p
+    _solve_lower(t[h:, h:], b[h:], inv[h:], p, leaf)
+
+
+def _replay(a: np.ndarray, p: int, row0: int, piv: list[int], c0: int, c1: int,
+            inv: np.ndarray, leaf: int) -> None:
+    """Apply the eliminations of the pivots ``piv`` (pivot rows row0, row0+1,
+    ...) to columns c0:c1: a triangular solve on the pivot rows, then one
+    modular product for the rows below."""
+    k = len(piv)
+    top = a[row0:row0 + k, c0:c1]
+    _solve_lower(np.tril(a[row0:row0 + k, piv]), top, inv[row0:row0 + k], p, leaf)
+    lower = a[row0 + k:, piv]
+    if lower.any():
+        a[row0 + k:, c0:c1] = (a[row0 + k:, c0:c1] - _mul_mod(lower, top, p)) % p
+
+
+def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int,
+               inv: np.ndarray, leaf: int) -> list[int]:
+    """Eliminate columns c0:c1 of the rows from row0 down; returns the pivot
+    columns.
+
+    Pivot rows keep their pivot value on the diagonal (its inverse goes to
+    ``inv``) and are scaled right of it; the multipliers stay parked below
+    each pivot.  Row swaps move whole rows of ``a``.  Columns past c1 are
+    not touched.
+    """
+    m = a.shape[0]
+    if row0 == m:
+        return []
+    if c1 - c0 > leaf:
+        mid = (c0 + c1) // 2
+        left = _eliminate(a, p, row0, c0, mid, inv, leaf)
+        if left:
+            _replay(a, p, row0, left, mid, c1, inv, leaf)
+        return left + _eliminate(a, p, row0 + len(left), mid, c1, inv, leaf)
+    block = a[:, c0:c1]
+    piv: list[int] = []
+    row = row0
+    for lc in range(c1 - c0):
+        if row == m:
+            break
+        nz = block[row:, lc].nonzero()[0]
+        if nz.size == 0:
+            continue
+        rpiv = row + int(nz[0])
+        if rpiv != row:
+            a[[row, rpiv]] = a[[rpiv, row]]
+        pinv = inv[row] = pow(int(block[row, lc]), p - 2, p)
+        if pinv != 1:
+            block[row, lc + 1:] = block[row, lc + 1:] * pinv % p
+        f = block[row + 1:, lc]
+        hit = f.nonzero()[0]
+        if hit.size and lc + 1 < block.shape[1]:
+            rows = hit + row + 1
+            block[rows, lc + 1:] = (
+                block[rows, lc + 1:] - f[hit, None] * block[row, lc + 1:]
+            ) % p
+        piv.append(c0 + lc)
+        row += 1
+    return piv
+
+
 def _echelon(a: np.ndarray, p: int, *, pivot_limit: int | None = None,
-             panel: int = _PANEL) -> list[int]:
+             leaf: int = _LEAF) -> list[int]:
     """In-place forward elimination to row echelon form with unit pivots.
 
     Only the first ``pivot_limit`` columns are eligible as pivot columns;
     later columns are carried along (used for span membership).  Returns
     the pivot columns.  Identical to one-pivot-at-a-time elimination; the
-    panel structure only batches the trailing-block work into one modular
-    matrix product per panel.
+    recursion only batches the work on columns right of a half into
+    modular products.  ``leaf`` is the widest block eliminated one pivot at
+    a time (an argument for the tests, which shrink it to run many levels).
     """
     m, ncols = a.shape
     limit = ncols if pivot_limit is None else pivot_limit
-    piv_cols: list[int] = []
-    row = 0
-    col0 = 0
-    while col0 < limit and row < m:
-        col1 = min(col0 + panel, limit)
-        block = a[:, col0:col1]
-        r0 = row
-        inv_list: list[int] = []
-        local_cols: list[int] = []
-        for lc in range(col1 - col0):
-            if row == m:
-                break
-            nz = block[row:, lc].nonzero()[0]
-            if nz.size == 0:
-                continue
-            rpiv = row + int(nz[0])
-            if rpiv != row:
-                a[[row, rpiv]] = a[[rpiv, row]]
-            inv = pow(int(block[row, lc]), p - 2, p)
-            if inv != 1:
-                block[row, lc + 1:] = block[row, lc + 1:] * inv % p
-            f = block[row + 1:, lc]
-            hit = f.nonzero()[0]
-            if hit.size and lc + 1 < block.shape[1]:
-                rows = hit + row + 1
-                block[rows, lc + 1:] = (
-                    block[rows, lc + 1:] - f[hit, None] * block[row, lc + 1:]
-                ) % p
-            # the multipliers stay parked in the pivot column; together they
-            # are the L factor replayed on the trailing columns below
-            inv_list.append(inv)
-            local_cols.append(lc)
-            piv_cols.append(col0 + lc)
-            row += 1
-        q = row - r0
-        if q and col1 < ncols:
-            trail = a[r0:, col1:]
-            for j in range(q):
-                if inv_list[j] != 1:
-                    trail[j] = trail[j] * inv_list[j] % p
-                g = block[r0 + j + 1: r0 + q, local_cols[j]]
-                hit = g.nonzero()[0]
-                if hit.size:
-                    rows = hit + j + 1
-                    trail[rows] = (trail[rows] - g[hit, None] * trail[j]) % p
-            if r0 + q < m:
-                lcols = [col0 + lc for lc in local_cols]
-                lower = a[r0 + q:, lcols]
-                if lower.any():
-                    trail[q:] = (trail[q:] - _mul_mod(lower, trail[:q], p)) % p
-        for j, lc in enumerate(local_cols):
-            block[r0 + j + 1:, lc] = 0
-            block[r0 + j, lc] = 1
-        col0 = col1
-    return piv_cols
-
-
-def _back_eliminate(a: np.ndarray, p: int, piv_cols: list[int]) -> None:
-    """Clear the entries above each pivot, turning echelon into reduced form."""
-    for j in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[j]
-        col = a[:j, c]
-        hit = col.nonzero()[0]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - col[hit, None] * a[j, c:]) % p
+    inv = np.ones(m, dtype=np.int64)
+    piv = _eliminate(a, p, 0, 0, limit, inv, leaf)
+    if piv:
+        if limit < ncols:
+            _replay(a, p, 0, piv, limit, ncols, inv, leaf)
+        a[:, piv] = np.triu(a[:, piv], 1) + np.eye(m, len(piv), dtype=np.int64)
+    return piv
 
 
 def rank(m: ModMatrix) -> int:
@@ -213,15 +247,19 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
     p = m.field.p
     a = m.array.copy()
     piv = _echelon(a, p)
-    _back_eliminate(a, p, piv)
-    r = len(piv)
-    piv_arr = np.asarray(piv, dtype=np.int64)
-    free = np.setdiff1d(np.arange(m.cols, dtype=np.int64), piv_arr)
+    free = np.setdiff1d(np.arange(m.cols, dtype=np.int64), piv)
     basis = np.zeros((m.cols, free.size), dtype=np.int64)
-    for idx, fcol in enumerate(free):
-        basis[fcol, idx] = 1
-        if r:
-            basis[piv_arr, idx] = (p - a[:r, fcol]) % p
+    basis[free, np.arange(free.size)] = 1
+    r = len(piv)
+    if r and free.size:
+        # reduced echelon form on the free columns: U11^-1 times them, for
+        # the unit upper triangle U11 on the pivot columns, solved as the
+        # lower triangle it becomes with rows and columns reversed
+        reduced = a[:r, free]
+        u11 = a[:r, piv]
+        _solve_lower(u11[::-1, ::-1], reduced[::-1], np.ones(r, dtype=np.int64),
+                     p, _LEAF)
+        basis[piv] = (p - reduced) % p
     return ModMatrix(m.field, basis, _trusted=True)
 
 

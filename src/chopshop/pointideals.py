@@ -18,7 +18,7 @@ import numpy as np
 
 from .formulas import CaseParams, gap_upper_bound, predicted_gap
 from .grading import HilbertTable, hs, monomials, product_index_map
-from .modlinalg import ModMatrix, PrimeField, kernel_basis, rank
+from .modlinalg import ModMatrix, PrimeField, _echelon, kernel_basis, rank
 
 
 class GenericityError(RuntimeError):
@@ -326,6 +326,21 @@ def observed_gap(
     return None
 
 
+def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:
+    """Chopped quotient at degrees d+1, ..., d+top from one elimination of
+    the Macaulay matrix at degree d+top (see ``chopped_profile``)."""
+    n, d = basis.n, basis.degree
+    x0 = np.array([m[0] for m in monomials(n, top)], dtype=np.int64)
+    key = np.tile(x0, basis.dim)  # x0-exponent of each column's shift
+    order = np.argsort(-key, kind="stable")
+    a = macaulay_matrix(basis, top).array[:, order]
+    piv = _echelon(a, basis.vectors.field.p)
+    per_key = np.bincount(key[order][piv], minlength=top + 1)
+    # rank of the columns with key >= top - e, for e = 0 .. top
+    ranks = np.cumsum(per_key[::-1])
+    return [hs(n, d + e) - int(ranks[e]) for e in range(1, top + 1)]
+
+
 def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedProfile:
     """Scan the chopped quotient degree by degree and compare it with the
     closed-form prediction.
@@ -334,6 +349,17 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
     or at e_max.  Values are compared as they appear; the first divergence
     is recorded and the verdict becomes "mismatch".  e_max defaults to the
     proven gap bound plus two and may not be set below the predicted gap.
+
+    Every degree up to the predicted gap G comes from one elimination, of
+    the Macaulay matrix M_G at degree d+G with its columns stably sorted by
+    the x0-exponent of their shift monomial, largest first.  The columns
+    whose exponent is at least G-e are exactly x0^(G-e) times the columns
+    of M_e, and multiplying by x0^(G-e) is injective, so that column prefix
+    has the rank of M_e.  Elimination from left to right picks pivots in
+    column rank-profile order, so the pivots in a prefix count its rank:
+    the quotient at d+e is hs(n,d+e) minus the pivots whose exponent is at
+    least G-e.  When the quotient has not returned to r by G, one more
+    elimination, at e_max, gives the rest of the scan the same way.
     """
     params = CaseParams(config.n, config.r)
     d = params.d
@@ -346,15 +372,13 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
         )
 
     basis = ideal_component(config, d)
+    quotients = _graded_quotients(basis, prediction.gap)
+    if config.r not in quotients and e_max > prediction.gap:
+        quotients = _graded_quotients(basis, e_max)
+    gap_seen = quotients.index(config.r) + 1 if config.r in quotients else None
     observed_values = [hs(config.n, t) for t in range(d)]
     observed_values.append(hs(config.n, d) - basis.dim)
-    gap_seen: int | None = None
-    for e in range(1, e_max + 1):
-        q = _chopped_quotient(basis, e)
-        observed_values.append(q)
-        if q == config.r:
-            gap_seen = e
-            break
+    observed_values += quotients[:gap_seen]
 
     first_mismatch: int | None = None
     for t, value in enumerate(observed_values):

@@ -191,9 +191,16 @@ def replay_certificate(cert: Certificate) -> bool:
     and gap exactly, and the closed-form prediction reproduces the stored
     degree d, expected table and gap, verdict and first mismatch degree.
     Certificates without points cannot be replayed.
+
+    The rescan runs to the horizon the stored table shows: its last degree
+    past d, and never less than the predicted gap.  A scan stops at its gap
+    or at its horizon, so this reproduces the table of any honest run,
+    whatever ``e_max`` it was made with.
     """
     if not cert.points:
         raise ValueError("certificate carries no points to replay")
+    params = CaseParams(cert.n, cert.r)
+    e_max = max(len(cert.observed_quotient) - params.d - 1, predicted_gap(params).gap)
     config = PointConfig(
         cert.n,
         cert.r,
@@ -202,7 +209,7 @@ def replay_certificate(cert: Certificate) -> bool:
         cert.seed,
         retries=cert.retries,
     )
-    profile = chopped_profile(config)
+    profile = chopped_profile(config, e_max=e_max)
     return (
         profile.observed.values == cert.observed_quotient
         and profile.observed_gap == cert.observed_gap

@@ -6,6 +6,7 @@ and PASS verdicts, 1 for failed verdicts and computational errors, 2 for
 usage errors.
 """
 
+import hashlib
 import io
 import json
 import subprocess
@@ -194,6 +195,45 @@ class TestVerifyRange:
         )
         assert code == 1
         assert data["summary"]["fail"] >= 1
+
+
+def _without_tool_version(data):
+    if isinstance(data, dict):
+        return {k: _without_tool_version(v) for k, v in data.items() if k != "tool_version"}
+    if isinstance(data, list):
+        return [_without_tool_version(v) for v in data]
+    return data
+
+
+class TestGoldenExactOutputs:
+    """Exact results pinned by hash: any change to sampling or to the exact
+    elimination must leave these certificates byte-identical.  The hash is
+    over the ``--no-timing`` JSON with ``tool_version`` dropped, serialized
+    with sorted keys and no whitespace."""
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["verify", "--n", "3", "--r", "161"], 0,
+             "c98e4e8bd32f80b77315811c73d20a07643eb36dd8001f340fc76b19942fbced"),
+            (["verify", "--n", "4", "--r", "120"], 0,
+             "2cce89edeb4cedc0ad83e8df5d2f8c3be61a8297e0730b10a8b359d591792e35"),
+            (["verify-range", "--n", "2", "--r-from", "277", "--r-to", "299",
+              "--workers", "1"], 0,
+             "6d472e52aec4d9e1b7700f7196639eb0631191c45ee46b9620a77fe1e06503e6"),
+            (["verify", "--n", "2", "--r", "7", "--prime", "3", "--seed", "1",
+              "--e-max", "6"], 1,
+             "021c7628f88fb687ae35977a37d47919dc6ceddfb9b505ac501661c1caba766e"),
+        ],
+        ids=["verify-3-161", "verify-4-120", "verify-range-2-277-299", "verify-fail-2-7-F3"],
+    )
+    def test_certificates_are_unchanged(self, argv, code, digest):
+        got_code, data = invoke_json(argv + ["--no-timing"])
+        assert got_code == code
+        canonical = json.dumps(
+            _without_tool_version(data), sort_keys=True, separators=(",", ":")
+        )
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
 class TestWaringCommands:

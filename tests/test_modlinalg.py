@@ -1,7 +1,8 @@
 """Tests for exact linear algebra over F_p.
 
-The blocked elimination is checked entry-for-entry against a one-pivot
-reference implementation coded here, and rank/kernel/span agree with
+The recursive elimination is checked entry-for-entry against a one-pivot
+reference implementation coded here, the kernel against the one-pivot
+back-elimination it replaced, and rank/kernel/span agree with
 constructions whose answers are known by design.
 """
 
@@ -46,6 +47,44 @@ def reference_echelon(a, p, pivot_limit=None):
         piv.append(col)
         row += 1
     return a, piv
+
+
+def reference_back_eliminate(a, p, piv):
+    """Clear the entries above each pivot, one pivot at a time: the reduced
+    echelon form kernel_basis must reproduce."""
+    for j in range(len(piv) - 1, -1, -1):
+        c = piv[j]
+        col = a[:j, c]
+        hit = col.nonzero()[0]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - col[hit, None] * a[j, c:]) % p
+
+
+def reference_kernel(a, p):
+    """kernel_basis as it was built from the one-pivot reduced form."""
+    a, piv = reference_echelon(a, p)
+    reference_back_eliminate(a, p, piv)
+    r = len(piv)
+    free = [c for c in range(a.shape[1]) if c not in piv]
+    basis = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for idx, fcol in enumerate(free):
+        basis[fcol, idx] = 1
+        if r:
+            basis[piv, idx] = (p - a[:r, fcol]) % p
+    return basis
+
+
+def product_with_zeros(rng, p, m, n, k):
+    """m x n product of random m x k and k x n factors over F_p (rank at most
+    k), with a few rows and columns zeroed."""
+    a = _mul_mod(
+        rng.integers(0, p, size=(m, k), dtype=np.int64),
+        rng.integers(0, p, size=(k, n), dtype=np.int64),
+        p,
+    )
+    a[rng.integers(0, m, size=m // 10 + 1)] = 0
+    a[:, rng.integers(0, n, size=n // 10 + 1)] = 0
+    return a
 
 
 def random_matrix(rng, field, m, n):
@@ -128,9 +167,9 @@ class TestEchelon:
         if n > 2:
             a[:, rng.integers(0, n)] = 0
         want, piv_want = reference_echelon(a, p)
-        for panel in (1, 3, 8, 128):
+        for leaf in (1, 3, 8, 32):
             got = a.copy()
-            piv = _echelon(got, p, panel=panel)
+            piv = _echelon(got, p, leaf=leaf)
             assert piv == piv_want
             assert (got == want).all()
 
@@ -139,9 +178,37 @@ class TestEchelon:
         a = rng.integers(0, 1009, size=(12, 9), dtype=np.int64)
         want, piv_want = reference_echelon(a, 1009, pivot_limit=6)
         got = a.copy()
-        piv = _echelon(got, 1009, pivot_limit=6, panel=4)
+        piv = _echelon(got, 1009, pivot_limit=6, leaf=4)
         assert piv == piv_want
         assert (got == want).all()
+
+    @pytest.mark.parametrize("p", [3, 5, 101, 2147483647])
+    @pytest.mark.parametrize(
+        "m, n, k",
+        [(200, 200, 200), (200, 200, 137), (190, 120, 90), (120, 190, 120),
+         (64, 200, 17), (200, 1, 1), (1, 200, 1), (97, 101, 0)],
+    )
+    def test_recursion_levels_match_reference(self, p, m, n, k):
+        rng = np.random.default_rng(m * 1000 + n + k + p % 1000)
+        a = product_with_zeros(rng, p, m, n, k)
+        want, piv_want = reference_echelon(a, p)
+        for leaf in (1, 3, 8, 32):
+            got = a.copy()
+            piv = _echelon(got, p, leaf=leaf)
+            assert piv == piv_want
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("p", [3, 101, 2147483647])
+    def test_pivot_limit_below_width_carries_the_rest(self, p):
+        rng = np.random.default_rng(p % 1000)
+        a = product_with_zeros(rng, p, 150, 180, 120)
+        for limit in (0, 1, 40, 99, 179):
+            want, piv_want = reference_echelon(a, p, pivot_limit=limit)
+            for leaf in (1, 8, 32):
+                got = a.copy()
+                piv = _echelon(got, p, pivot_limit=limit, leaf=leaf)
+                assert piv == piv_want
+                assert (got == want).all()
 
 
 class TestRank:
@@ -192,6 +259,15 @@ class TestKernel:
         k1 = kernel_basis(mat).array
         k2 = kernel_basis(mat).array
         assert (k1 == k2).all()
+
+    @pytest.mark.parametrize("p", [3, 5, 101, 2147483647])
+    def test_matches_one_pivot_back_elimination(self, p):
+        rng = np.random.default_rng(p % 997)
+        for m, n, k in [(290, 300, 290), (150, 200, 90), (60, 80, 80), (40, 30, 12),
+                        (5, 9, 0)]:
+            a = product_with_zeros(rng, p, m, n, k)
+            got = kernel_basis(ModMatrix(PrimeField(p), a, _trusted=True)).array
+            assert (got == reference_kernel(a, p)).all()
 
     def test_echelon_complement_shape(self):
         # One relation among three columns: kernel has the free-coordinate 1.

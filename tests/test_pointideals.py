@@ -307,7 +307,53 @@ class TestChoppedHilbertFunction:
             assert observed_gap(cfg, d) is None
 
 
+def reference_profile(config):
+    """chopped_profile spelled out degree by degree: one Macaulay rank per
+    e until the quotient returns to r or the default horizon runs out.
+    Returns the observed values, gap, verdict and first mismatch degree."""
+    params = CaseParams(config.n, config.r)
+    prediction = predicted_gap(params)
+    basis = ideal_component(config, params.d)
+    values = [hs(config.n, t) for t in range(params.d)]
+    values.append(hs(config.n, params.d) - basis.dim)
+    gap = None
+    for e in range(1, max(prediction.bound, prediction.gap) + 3):
+        values.append(hs(config.n, params.d + e) - rank(macaulay_matrix(basis, e)))
+        if values[-1] == config.r:
+            gap = e
+            break
+    mismatch = next(
+        (t for t, v in enumerate(values) if v != prediction.table.value_at(t)),
+        None if gap is not None else len(values),
+    )
+    verdict = "match" if mismatch is None else "mismatch"
+    return tuple(values), gap, verdict, mismatch
+
+
 class TestChoppedProfile:
+    def test_graded_elimination_matches_degree_by_degree_scan(self):
+        past_prediction = 0
+        for p in (7, 11, 101, P.p):
+            for n, r_max in ((2, 60), (3, 40)):
+                for r in range(1, r_max + 1):
+                    params = CaseParams(n, r)
+                    if r >= hs(n, params.d) - n:
+                        continue
+                    for seed in range(3):
+                        try:
+                            cfg = sample_points(n, r, PrimeField(p), seed)
+                        except GenericityError:
+                            continue
+                        prof = chopped_profile(cfg)
+                        got = (prof.observed.values, prof.observed_gap,
+                               prof.verdict, prof.first_mismatch_degree)
+                        assert got == reference_profile(cfg), (p, n, r, seed)
+                        if prof.observed_gap != predicted_gap(params).gap:
+                            past_prediction += 1
+        # FAILs whose quotient has not returned to r by the predicted gap,
+        # which take the second elimination at e_max
+        assert past_prediction > 0
+
     def test_match_for_18_points(self):
         prof = chopped_profile(sample_points(2, 18, P, SEED))
         assert prof.verdict == "match"

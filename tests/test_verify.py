@@ -164,6 +164,28 @@ class TestVerifyCase:
         )
         assert not replay_certificate(passed)
 
+    @pytest.mark.parametrize("e_max", [1, 2, 3, 4, 6])
+    def test_replay_uses_the_certificates_horizon(self, e_max):
+        # (2,7) over F_3, seed 1: the quotient never returns to r, so the
+        # table runs to the horizon it was made with (the predicted gap is
+        # 1; the default horizon is 3).
+        cert = verify_case(2, 7, PrimeField(3), seed=1, e_max=e_max)
+        assert cert.verdict == "FAIL" and cert.observed_gap is None
+        assert len(cert.observed_quotient) == cert.d + 1 + e_max
+        assert replay_certificate(cert)
+
+        def with_table(values):
+            return Certificate.from_dict({**cert.to_dict(), "observed_quotient": values})
+
+        table = list(cert.observed_quotient)
+        longer = verify_case(2, 7, PrimeField(3), seed=1, e_max=e_max + 1)
+        assert list(longer.observed_quotient[:-1]) == table
+        # one more degree with a value the points do not have
+        assert not replay_certificate(with_table(table + [longer.observed_quotient[-1] + 1]))
+        # one degree less is the honest table of the next shorter horizon,
+        # unless that horizon falls below the predicted gap
+        assert replay_certificate(with_table(table[:-1])) == (e_max > cert.expected_gap)
+
     def test_replay_recomputes_the_degree_d_kernel(self, monkeypatch):
         # The replayed configuration is built from the stored points alone;
         # it has no basis kept from sampling, so the kernel is eliminated anew.
