@@ -6,6 +6,9 @@ monomial search, the missing-sextic demonstration, and Waring
 decomposition (decompose, waring-demo).  Output is a human table by
 default or JSON with --format json; exit status is 0 for success or PASS,
 1 for failed verdicts and computational errors, 2 for usage errors.
+
+`_FLAGS` is the only place a flag is declared, with its type, default and
+check; `_COMMANDS` names the flags each subcommand takes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .formulas import (
@@ -57,181 +61,94 @@ _COMPUTATION_FAILURES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments for a single invocation."""
+def _at_least(low: int):
+    def check(flag, value, args):
+        return None if value >= low else f"{flag} must be >= {low}, got {value}"
 
-    command: str
-    n: int | None = None
-    r: int | None = None
-    r_from: int | None = None
-    r_to: int | None = None
-    d: int | None = None
-    D: int | None = None
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
-    trials: int = 1
-    e_max: int | None = None
-    tol: float = 1e-8
-    workers: int = 1
-    out: str | None = None
-    format: str = "table"
-    no_timing: bool = False
-    form_path: str | None = None
+    return check
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
+def _not_below_r_from(flag, value, args):
+    # --r-from is checked first, so it is at least 1
+    return None if args.r_from <= value else "--r-from must not exceed --r-to"
+
+
+def _in_open_unit_interval(flag, value, args):
+    return None if 0 < value < 1 else f"{flag} must lie in (0, 1), got {value}"
+
+
+def _prime(flag, value, args):
     try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"error: environment variable {name}={raw!r} is not an integer")
+        PrimeField(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chopshop",
-        description="Chopped ideals of point configurations: formulas, "
-        "verification certificates, monomial search, and Waring decomposition.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+@dataclass(frozen=True)
+class Flag:
+    """One command-line argument, for every subcommand that takes it.
 
-    def add_common(p, *, timing=True):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        if timing:
-            p.add_argument("--no-timing", action="store_true")
+    `env` names an environment variable whose integer value, when set,
+    replaces `default`; `check` returns what is wrong with a value, or None.
+    """
 
-    p = sub.add_parser("hf", help="generic, expected-chopped, and lex-floor tables")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    add_common(p, timing=False)
+    type: type = int
+    default: object = None
+    env: str | None = None
+    required: bool = False
+    choices: tuple | None = None
+    help: str | None = None
+    check: Callable[[str, object, argparse.Namespace], str | None] | None = None
 
-    p = sub.add_parser("gap", help="predicted saturation gap and proven ceiling")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    add_common(p, timing=False)
-
-    p = sub.add_parser("verify", help="run one case and emit a certificate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--e-max", type=int, default=None)
-    p.add_argument("--out", default=None)
-    add_common(p)
-
-    p = sub.add_parser("verify-range", help="verify every admissible r in a range")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r-from", type=int, required=True)
-    p.add_argument("--r-to", type=int, required=True)
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--e-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None)
-    add_common(p)
-
-    p = sub.add_parser("liaison", help="difference tables inside a complete intersection")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True, help="degree of each of the n cutting forms")
-    p.add_argument("--r", type=int, required=True)
-    add_common(p, timing=False)
-
-    p = sub.add_parser("decompose", help="decompose a form file into powers of linear forms")
-    p.add_argument("form", help="path to a form JSON file")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    add_common(p)
-
-    p = sub.add_parser("waring-demo", help="round-trip a random rank-r form")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("search-monomial", help="monomial certificate search")
-    p.add_argument("--r", type=int, required=True)
-    add_common(p)
-
-    p = sub.add_parser("sextic-demo", help="the sextic missing from the quintic-generated ideal")
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    add_common(p)
-
-    return parser
+    def add_to(self, parser: argparse.ArgumentParser, name: str) -> None:
+        if self.type is bool:
+            parser.add_argument(name, action="store_true")
+            return
+        options = {"required": self.required} if name.startswith("--") else {}
+        parser.add_argument(
+            name,
+            type=self.type,
+            default=None if self.env else self.default,
+            choices=self.choices,
+            help=self.help,
+            **options,
+        )
 
 
-def _validated(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    prime = getattr(args, "prime", None)
-    if prime is None:
-        prime = _env_int("CHOPSHOP_PRIME", DEFAULT_PRIME)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _env_int("CHOPSHOP_SEED", 0)
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = os.cpu_count() or 1
-
-    config = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        r=getattr(args, "r", None),
-        r_from=getattr(args, "r_from", None),
-        r_to=getattr(args, "r_to", None),
-        d=getattr(args, "d", None),
-        D=getattr(args, "D", None),
-        prime=prime,
-        seed=seed,
-        trials=getattr(args, "trials", 1),
-        e_max=getattr(args, "e_max", None),
-        tol=getattr(args, "tol", 1e-8),
-        workers=workers,
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "table"),
-        no_timing=getattr(args, "no_timing", False),
-        form_path=getattr(args, "form", None),
-    )
-
-    def check(ok: bool, message: str) -> None:
-        if not ok:
-            parser.error(message)
-
-    for name in ("n", "r", "r_from", "r_to", "d", "D", "trials", "workers"):
-        value = getattr(config, name)
-        if value is not None:
-            check(value >= 1, f"--{name.replace('_', '-')} must be >= 1, got {value}")
-    if config.r_from is not None and config.r_to is not None:
-        check(config.r_from <= config.r_to, "--r-from must not exceed --r-to")
-    if config.e_max is not None:
-        check(config.e_max >= 1, f"--e-max must be >= 1, got {config.e_max}")
-    check(0 < config.tol < 1, f"--tol must lie in (0, 1), got {config.tol}")
-    if config.command in ("verify", "verify-range", "sextic-demo"):
-        try:
-            PrimeField(config.prime)
-        except ValueError as exc:
-            parser.error(str(exc))
-    return config
+_FLAGS = {
+    "form": Flag(str, help="path to a form JSON file"),
+    "--n": Flag(required=True, check=_at_least(1)),
+    "--D": Flag(required=True, check=_at_least(1)),
+    "--d": Flag(
+        required=True, help="degree of each of the n cutting forms", check=_at_least(1)
+    ),
+    "--r": Flag(required=True, check=_at_least(1)),
+    "--r-from": Flag(required=True, check=_at_least(1)),
+    "--r-to": Flag(required=True, check=_not_below_r_from),
+    "--tol": Flag(float, 1e-8, check=_in_open_unit_interval),
+    "--prime": Flag(default=DEFAULT_PRIME, env="CHOPSHOP_PRIME", check=_prime),
+    "--seed": Flag(default=0, env="CHOPSHOP_SEED", check=_at_least(0)),
+    "--trials": Flag(default=1, check=_at_least(1)),
+    "--e-max": Flag(check=_at_least(1)),
+    "--workers": Flag(default=os.cpu_count() or 1, check=_at_least(1)),
+    "--out": Flag(str),
+    "--format": Flag(str, "table", choices=("table", "json")),
+    "--no-timing": Flag(bool),
+}
 
 
-def _emit(config: RunConfig, payload: dict, table_lines: list[str]) -> None:
-    if config.format == "json":
+def _emit(args: argparse.Namespace, payload: dict, table_lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         for line in table_lines:
             print(line)
 
 
-def _write_out(config: RunConfig, payload: dict) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _write_out(args: argparse.Namespace, payload: dict) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
@@ -274,8 +191,8 @@ def _ceiling(bound: int) -> int | None:
     return bound if bound >= 1 else None
 
 
-def _cmd_hf(config: RunConfig) -> int:
-    params = CaseParams(config.n, config.r)
+def _cmd_hf(args: argparse.Namespace) -> int:
+    params = CaseParams(args.n, args.r)
     prediction = predicted_gap(params)
     ceiling = _ceiling(prediction.bound)
     top = params.d + prediction.gap
@@ -306,12 +223,12 @@ def _cmd_hf(config: RunConfig) -> int:
         f"d={params.d}  predicted gap={prediction.gap}  "
         + ("no proven ceiling" if ceiling is None else f"upper bound={ceiling}")
     )
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def _cmd_gap(config: RunConfig) -> int:
-    params = CaseParams(config.n, config.r)
+def _cmd_gap(args: argparse.Namespace) -> int:
+    params = CaseParams(args.n, args.r)
     prediction = predicted_gap(params)
     ceiling = _ceiling(prediction.bound)
     payload = {
@@ -326,7 +243,7 @@ def _cmd_gap(config: RunConfig) -> int:
         f"predicted gap: {prediction.gap}",
         "no proven ceiling" if ceiling is None else f"proven upper bound: {ceiling}",
     ]
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -356,36 +273,36 @@ def _certificate_lines(data: dict) -> list[str]:
     return lines
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     certificate = verify_case(
-        config.n, config.r, PrimeField(config.prime), config.seed, config.e_max
+        args.n, args.r, PrimeField(args.prime), args.seed, args.e_max
     )
     data = certificate.to_dict()
-    if config.no_timing:
+    if args.no_timing:
         data = _strip_timing_cert(data)
-    _write_out(config, data)
-    _emit(config, data, _certificate_lines(data))
+    _write_out(args, data)
+    _emit(args, data, _certificate_lines(data))
     return 0 if certificate.verdict == "PASS" else 1
 
 
-def _cmd_verify_range(config: RunConfig) -> int:
+def _cmd_verify_range(args: argparse.Namespace) -> int:
     report = verify_grid(
-        config.n,
-        config.r_from,
-        config.r_to,
-        PrimeField(config.prime),
-        config.seed,
-        trials_per_case=config.trials,
-        workers=config.workers,
-        e_max=config.e_max,
+        args.n,
+        args.r_from,
+        args.r_to,
+        PrimeField(args.prime),
+        args.seed,
+        trials_per_case=args.trials,
+        workers=args.workers,
+        e_max=args.e_max,
     )
     data = report.to_dict()
-    if config.no_timing:
+    if args.no_timing:
         data["certificates"] = [
             _strip_timing_cert(c) for c in data["certificates"]
         ]
         data["summary"] = dict(data["summary"], total_wall_ms=0)
-    _write_out(config, data)
+    _write_out(args, data)
     summary = data["summary"]
     lines = []
     for cert in data["certificates"]:
@@ -399,19 +316,19 @@ def _cmd_verify_range(config: RunConfig) -> int:
         f"pass={summary['pass']} fail={summary['fail']} skip={summary['skip']} "
         f"wall_ms={summary['total_wall_ms']}"
     )
-    _emit(config, data, lines)
+    _emit(args, data, lines)
     return 0 if summary["fail"] == 0 else 1
 
 
-def _cmd_liaison(config: RunConfig) -> int:
-    params = CaseParams(config.n, config.r)
-    degrees = (config.d,) * config.n
+def _cmd_liaison(args: argparse.Namespace) -> int:
+    params = CaseParams(args.n, args.r)
+    degrees = (args.d,) * args.n
     delta_z = first_difference(generic_table(params))
-    delta_ci = first_difference(ci_table(config.n, degrees))
-    residual = liaison_delta(config.n, degrees, delta_z.values)
+    delta_ci = first_difference(ci_table(args.n, degrees))
+    residual = liaison_delta(args.n, degrees, delta_z.values)
     payload = {
-        "n": config.n,
-        "r": config.r,
+        "n": args.n,
+        "r": args.r,
         "degrees": list(degrees),
         "delta_z": list(delta_z.values),
         "delta_ci": list(delta_ci.values),
@@ -430,15 +347,8 @@ def _cmd_liaison(config: RunConfig) -> int:
             ("delta residual", row(residual)),
         ],
     )
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0
-
-
-def _decomposition_payload(result, extra: dict | None = None) -> dict:
-    payload = result_to_dict(result)
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def _decomposition_lines(payload: dict) -> list[str]:
@@ -458,78 +368,155 @@ def _decomposition_lines(payload: dict) -> list[str]:
     return lines
 
 
-def _cmd_decompose(config: RunConfig) -> int:
-    with open(config.form_path, encoding="utf-8") as fh:
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    with open(args.form, encoding="utf-8") as fh:
         form = form_from_dict(json.load(fh))
-    result = decompose(form, config.r, tol=config.tol, seed=config.seed)
-    payload = _decomposition_payload(result)
-    _write_out(config, payload)
-    _emit(config, payload, _decomposition_lines(payload))
+    result = decompose(form, args.r, tol=args.tol, seed=args.seed)
+    payload = result_to_dict(result)
+    _write_out(args, payload)
+    _emit(args, payload, _decomposition_lines(payload))
     return 0
 
 
-def _cmd_waring_demo(config: RunConfig) -> int:
-    points = random_unit_points(config.n, config.r, config.seed)
-    coefficients = [1.0] * config.r
-    form = form_from_points(points, coefficients, config.D)
-    result = decompose(form, config.r, tol=config.tol, seed=config.seed)
+def _cmd_waring_demo(args: argparse.Namespace) -> int:
+    points = random_unit_points(args.n, args.r, args.seed)
+    coefficients = [1.0] * args.r
+    form = form_from_points(points, coefficients, args.D)
+    result = decompose(form, args.r, tol=args.tol, seed=args.seed)
     point_err, coeff_err = recovery_error(
-        points, coefficients, result.points, result.coefficients, config.D
+        points, coefficients, result.points, result.coefficients, args.D
     )
-    payload = _decomposition_payload(
-        result,
-        {"point_recovery": point_err, "coefficient_recovery": coeff_err},
+    payload = dict(
+        result_to_dict(result), point_recovery=point_err, coefficient_recovery=coeff_err
     )
-    _emit(config, payload, _decomposition_lines(payload))
+    _emit(args, payload, _decomposition_lines(payload))
     return 0
 
 
-def _cmd_search_monomial(config: RunConfig) -> int:
-    found = search_monomial_ideals(config.r)
+def _cmd_search_monomial(args: argparse.Namespace) -> int:
+    found = search_monomial_ideals(args.r)
     ideals = [
         [list(gen) for gen in ideal.sorted_generators()] for ideal in found
     ]
-    payload = {"r": config.r, "count": len(found), "ideals": ideals}
-    lines = [f"r={config.r}: {len(found)} ideal(s)"]
+    payload = {"r": args.r, "count": len(found), "ideals": ideals}
+    lines = [f"r={args.r}: {len(found)} ideal(s)"]
     for gens in ideals:
         lines.append("  " + ", ".join(str(tuple(g)) for g in gens))
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def _cmd_sextic_demo(config: RunConfig) -> int:
-    record = missing_sextic_demo(PrimeField(config.prime), config.seed)
-    payload = dict(record, prime=config.prime, seed=config.seed)
+def _cmd_sextic_demo(args: argparse.Namespace) -> int:
+    record = missing_sextic_demo(PrimeField(args.prime), args.seed)
+    payload = dict(record, prime=args.prime, seed=args.seed)
     lines = [
         f"sextic in full degree-6 component: {record['g_in_I6']}",
         f"sextic in quintic-generated component: {record['g_in_chopped6']}",
         f"dimensions: chopped {record['chopped6_dim']}, full {record['I6_dim']}",
     ]
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-_HANDLERS = {
-    "hf": _cmd_hf,
-    "gap": _cmd_gap,
-    "verify": _cmd_verify,
-    "verify-range": _cmd_verify_range,
-    "liaison": _cmd_liaison,
-    "decompose": _cmd_decompose,
-    "waring-demo": _cmd_waring_demo,
-    "search-monomial": _cmd_search_monomial,
-    "sextic-demo": _cmd_sextic_demo,
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, its handler and the flags it takes."""
+
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    flags: tuple[str, ...]
+
+
+# The table holds the _cmd_* handlers, never library functions: the handlers
+# look those up as module globals when called, so a caller that replaces one
+# in this module (as benchmarks/tracing.py does) sees every call.
+_COMMANDS = {
+    "hf": Command(
+        "generic, expected-chopped, and lex-floor tables",
+        _cmd_hf,
+        ("--n", "--r", "--format"),
+    ),
+    "gap": Command(
+        "predicted saturation gap and proven ceiling",
+        _cmd_gap,
+        ("--n", "--r", "--format"),
+    ),
+    "verify": Command(
+        "run one case and emit a certificate",
+        _cmd_verify,
+        ("--n", "--r", "--prime", "--seed", "--e-max", "--out", "--format", "--no-timing"),
+    ),
+    "verify-range": Command(
+        "verify every admissible r in a range",
+        _cmd_verify_range,
+        ("--n", "--r-from", "--r-to", "--prime", "--seed", "--trials", "--e-max",
+         "--workers", "--out", "--format", "--no-timing"),
+    ),
+    "liaison": Command(
+        "difference tables inside a complete intersection",
+        _cmd_liaison,
+        ("--n", "--d", "--r", "--format"),
+    ),
+    "decompose": Command(
+        "decompose a form file into powers of linear forms",
+        _cmd_decompose,
+        ("form", "--r", "--tol", "--seed", "--out", "--format", "--no-timing"),
+    ),
+    "waring-demo": Command(
+        "round-trip a random rank-r form",
+        _cmd_waring_demo,
+        ("--n", "--D", "--r", "--tol", "--seed", "--format", "--no-timing"),
+    ),
+    "search-monomial": Command(
+        "monomial certificate search",
+        _cmd_search_monomial,
+        ("--r", "--format", "--no-timing"),
+    ),
+    "sextic-demo": Command(
+        "the sextic missing from the quintic-generated ideal",
+        _cmd_sextic_demo,
+        ("--prime", "--seed", "--format", "--no-timing"),
+    ),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="chopshop",
+        description="Chopped ideals of point configurations: formulas, "
+        "verification certificates, monomial search, and Waring decomposition.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            _FLAGS[flag].add_to(p, flag)
+    return parser
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _validated(parser, args)
+    command = _COMMANDS[args.command]
+    for name in command.flags:
+        flag = _FLAGS[name]
+        dest = name.lstrip("-").replace("-", "_")
+        if flag.env and getattr(args, dest) is None:
+            raw = os.environ.get(flag.env)
+            try:
+                setattr(args, dest, flag.default if raw is None else int(raw))
+            except ValueError:
+                parser.error(f"environment variable {flag.env}={raw!r} is not an integer")
+        value = getattr(args, dest)
+        if value is not None and flag.check is not None:
+            complaint = flag.check(name, value, args)
+            if complaint is not None:
+                parser.error(complaint)
     try:
-        return _HANDLERS[config.command](config)
+        return command.handler(args)
     except _COMPUTATION_FAILURES as exc:
-        if config.format == "json":
+        if args.format == "json":
             print(
                 json.dumps(
                     {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -3,11 +3,13 @@
 ``benchmarks/tracing.py`` lists (module, name) pairs and ``Tracer.install``
 fetches each with a bare ``getattr``, so a refactor that drops one of those
 imports breaks ``benchmarks/run.py --trace 1`` without failing anything
-else.  This test resolves every pair.
+else.  The first test resolves every pair; the second checks that the
+command reaches each name it patches in ``chopshop.cli``.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -29,3 +31,45 @@ def test_every_traced_name_resolves():
     ]
     assert missing == []
 
+
+
+# The smallest invocation of the command that reaches each name the tracer
+# patches in ``chopshop.cli``.  "FORM" stands for a form file.
+CLI_REACHES = {
+    "verify_case": ["verify", "--n", "2", "--r", "18"],
+    "verify_grid": ["verify-range", "--n", "2", "--r-from", "16", "--r-to", "16",
+                    "--workers", "1"],
+    "search_monomial_ideals": ["search-monomial", "--r", "18"],
+    "decompose": ["waring-demo", "--n", "2", "--D", "6", "--r", "7", "--seed", "1"],
+    "form_from_dict": ["decompose", "FORM", "--r", "7"],
+    "predicted_gap": ["gap", "--n", "2", "--r", "18"],
+}
+
+
+def test_every_traced_cli_name_is_looked_up_at_call_time(monkeypatch, tmp_path, capsys):
+    """The tracer replaces names in ``chopshop.cli``'s namespace.  A command
+    that held the library function itself (in a table built at import, say)
+    would bypass the replacement, and traced runs would lose their spans."""
+    from chopshop import cli
+    from chopshop.waring import form_from_points, form_to_dict, random_unit_points
+
+    tracing = load_tracing()
+    assert {name for module, name in tracing.TARGETS if module == "cli"} == set(CLI_REACHES)
+    form = tmp_path / "form.json"
+    points = random_unit_points(2, 7, 11)
+    form.write_text(json.dumps(form_to_dict(form_from_points(points, [1.0] * 7, 6))))
+
+    for name, argv in CLI_REACHES.items():
+        calls = []
+        original = getattr(cli, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        argv = [str(form) if word == "FORM" else word for word in argv]
+        assert cli.run(argv) == 0, argv
+        monkeypatch.setattr(cli, name, original)
+        assert calls, f"{' '.join(argv)} did not call cli.{name}"
+    capsys.readouterr()

@@ -205,6 +205,36 @@ def _without_tool_version(data):
     return data
 
 
+# The whole stdout, as printed, of the commands whose output no other test
+# pins byte for byte.
+GOLDEN_STDOUT = [
+    (["hf", "--n", "2", "--r", "18", "--format", "table"],
+     "e922fd8baf73109098225419b7d3808a52eb1b70193b7fae1aac555cc4fa17d7"),
+    (["hf", "--n", "2", "--r", "18", "--format", "json"],
+     "be13c77a473207b6f8db94555c0bdcf35c225bc8fa09d6c427acbee914e2e211"),
+    (["hf", "--n", "2", "--r", "7", "--format", "table"],
+     "01d814d9a08ccb311996a86f8bcdf1ad840c07db980702e28035fd2fdb650f2e"),
+    (["hf", "--n", "2", "--r", "7", "--format", "json"],
+     "85c6e881c7d9604f91b8540b9d5abcb0f97fc9f733828ac04b2e4e9b8b49b338"),
+    (["gap", "--n", "3", "--r", "161", "--format", "table"],
+     "2f94e4fdb39344ee02cc470c615dd678179f98eed2a9abcb492b86f144abe5e6"),
+    (["gap", "--n", "3", "--r", "161", "--format", "json"],
+     "4a0e33cd2a90c58dc1dfaf11a0bbbf072f1154c801e0242185f53a72cc3cabdf"),
+    (["liaison", "--n", "2", "--d", "5", "--r", "18", "--format", "table"],
+     "88dde4e356a9e7c1bbe19984883c4baf9fde37fe3cec0ed92dd5d816db793654"),
+    (["liaison", "--n", "2", "--d", "5", "--r", "18", "--format", "json"],
+     "465870c77474cbd6ad7fe388b831ad055ebf06e1599fd359a3e4884d2e9ae3ce"),
+    (["search-monomial", "--r", "18", "--format", "table"],
+     "daad4fda7a23561e1401ad4bbc213672b49279a75f9662fb975ccb1be4acd38f"),
+    (["search-monomial", "--r", "18", "--format", "json"],
+     "028f02a4c5521362d47f37bed4895fe1ee9a3862f807eb35d7fb2c3755d5af74"),
+    (["sextic-demo", "--seed", "3", "--format", "table"],
+     "c089d60ab73368dd6d6359966d1ac52f7ad11868c3462f580afefcc6d1462eff"),
+    (["sextic-demo", "--seed", "3", "--format", "json"],
+     "d182a418110949a64aa1b465cd3fc09c5b2d3033e08327bb1d515440ce20c964"),
+]
+
+
 class TestGoldenExactOutputs:
     """Exact results pinned by hash: any change to sampling or to the exact
     elimination must leave these certificates byte-identical.  The hash is
@@ -234,6 +264,14 @@ class TestGoldenExactOutputs:
             _without_tool_version(data), sort_keys=True, separators=(",", ":")
         )
         assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest", GOLDEN_STDOUT, ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT]
+    )
+    def test_stdout_is_unchanged(self, argv, digest):
+        code, out = invoke(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestWaringCommands:
@@ -309,6 +347,78 @@ class TestCombinatorialCommands:
         assert data["chopped6_dim"] == 9
 
 
+# A valid invocation of every subcommand, the flags with a range check that
+# each one takes, and flags each of some subcommands does not take.  Usage
+# errors are caught before any computation, so the form file of `decompose`
+# need not exist.
+_VALID_ARGV = {
+    "hf": ["--n", "2", "--r", "18"],
+    "gap": ["--n", "2", "--r", "18"],
+    "verify": ["--n", "2", "--r", "18"],
+    "verify-range": ["--n", "2", "--r-from", "16", "--r-to", "18"],
+    "liaison": ["--n", "2", "--d", "5", "--r", "18"],
+    "decompose": ["form.json", "--r", "7"],
+    "waring-demo": ["--n", "2", "--D", "6", "--r", "7"],
+    "search-monomial": ["--r", "18"],
+    "sextic-demo": [],
+}
+_CHECKED_FLAGS = {
+    "hf": {"--n", "--r"},
+    "gap": {"--n", "--r"},
+    "verify": {"--n", "--r", "--e-max", "--seed", "--prime"},
+    "verify-range": {"--n", "--r-from", "--r-to", "--trials", "--workers", "--e-max",
+                     "--seed", "--prime"},
+    "liaison": {"--n", "--d", "--r"},
+    "decompose": {"--r", "--tol", "--seed"},
+    "waring-demo": {"--n", "--D", "--r", "--tol", "--seed"},
+    "search-monomial": {"--r"},
+    "sextic-demo": {"--seed", "--prime"},
+}
+_INTEGER_FLAGS = ("--n", "--r", "--r-from", "--r-to", "--d", "--D", "--trials", "--workers",
+                  "--e-max")
+_FOREIGN_FLAGS = {
+    "hf": ["--no-timing"],
+    "liaison": ["--prime", "7"],
+    "waring-demo": ["--out", "x"],
+    "search-monomial": ["--seed", "1"],
+}
+
+
+def _with(argv, flag, value):
+    """`argv` with `flag` set to `value`, replaced in place or appended."""
+    if flag in argv:
+        i = argv.index(flag)
+        return argv[:i + 1] + [value] + argv[i + 2:]
+    return argv + [flag, value]
+
+
+def _usage_error_cases():
+    for command, argv in _VALID_ARGV.items():
+        checked = _CHECKED_FLAGS[command]
+        bad = [(flag, "0") for flag in _INTEGER_FLAGS if flag in checked]
+        if "--tol" in checked:
+            bad += [("--tol", "0"), ("--tol", "1")]
+        if "--seed" in checked:
+            bad.append(("--seed", "-1"))
+        if "--prime" in checked:
+            bad.append(("--prime", "4"))
+        for flag, value in bad:
+            yield pytest.param(
+                [command] + _with(argv, flag, value), id=f"{command} {flag} {value}"
+            )
+        if command in _FOREIGN_FLAGS:
+            yield pytest.param(
+                [command] + argv + _FOREIGN_FLAGS[command],
+                id=f"{command} {_FOREIGN_FLAGS[command][0]}",
+            )
+        for i, word in enumerate(argv):
+            if word.startswith("--"):
+                yield pytest.param(
+                    [command] + argv[:i] + argv[i + 2:], id=f"{command} without {word}"
+                )
+    yield pytest.param(["decompose", "--r", "7"], id="decompose without form")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -327,10 +437,24 @@ class TestUsageErrors:
             run(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", list(_usage_error_cases()))
+    def test_every_flag_is_checked(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("CHOPSHOP_PRIME", "not-a-number")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run(["verify", "--n", "2", "--r", "18"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["not-a-number", "-1"])
+    def test_bad_seed_env_value(self, monkeypatch, value):
+        monkeypatch.setenv("CHOPSHOP_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--n", "2", "--r", "18"])
+        assert exc.value.code == 2
 
 
 class TestConsoleScript:
