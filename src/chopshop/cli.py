@@ -81,7 +81,7 @@ def _prime(flag, value, args):
     try:
         PrimeField(value)
     except ValueError as exc:
-        return str(exc)
+        return f"{flag}: {exc}"
     return None
 
 
@@ -90,7 +90,8 @@ class Flag:
     """One command-line argument, for every subcommand that takes it.
 
     `env` names an environment variable whose integer value, when set,
-    replaces `default`; `check` returns what is wrong with a value, or None.
+    replaces `default`; `check` returns what is wrong with a value, or None,
+    naming the flag or, for a value read from `env`, the variable.
     """
 
     type: type = int
@@ -460,22 +461,22 @@ _COMMANDS = {
     "decompose": Command(
         "decompose a form file into powers of linear forms",
         _cmd_decompose,
-        ("form", "--r", "--tol", "--seed", "--out", "--format", "--no-timing"),
+        ("form", "--r", "--tol", "--seed", "--out", "--format"),
     ),
     "waring-demo": Command(
         "round-trip a random rank-r form",
         _cmd_waring_demo,
-        ("--n", "--D", "--r", "--tol", "--seed", "--format", "--no-timing"),
+        ("--n", "--D", "--r", "--tol", "--seed", "--format"),
     ),
     "search-monomial": Command(
         "monomial certificate search",
         _cmd_search_monomial,
-        ("--r", "--format", "--no-timing"),
+        ("--r", "--format"),
     ),
     "sextic-demo": Command(
         "the sextic missing from the quintic-generated ideal",
         _cmd_sextic_demo,
-        ("--prime", "--seed", "--format", "--no-timing"),
+        ("--prime", "--seed", "--format"),
     ),
 }
 
@@ -502,15 +503,18 @@ def run(argv=None) -> int:
     for name in command.flags:
         flag = _FLAGS[name]
         dest = name.lstrip("-").replace("-", "_")
+        source = name
         if flag.env and getattr(args, dest) is None:
             raw = os.environ.get(flag.env)
+            if raw is not None:
+                source = flag.env
             try:
                 setattr(args, dest, flag.default if raw is None else int(raw))
             except ValueError:
                 parser.error(f"environment variable {flag.env}={raw!r} is not an integer")
         value = getattr(args, dest)
         if value is not None and flag.check is not None:
-            complaint = flag.check(name, value, args)
+            complaint = flag.check(source, value, args)
             if complaint is not None:
                 parser.error(complaint)
     try:

@@ -67,8 +67,15 @@ def gap_upper_bound(n: int, d: int) -> int:
     return (n - 1) * d - (n + 1)
 
 
-def _admissible(params: CaseParams) -> None:
-    if params.r >= hs(params.n, params.d) - params.n:
+def admissible(n: int, d: int, r: int) -> bool:
+    """Whether r points chopped at degree d lie in the range the formulas
+    cover: r < hs(n,d) - n.  From hs(n,d) - n on, the degree-d forms
+    number at most n and need not cut out the configuration."""
+    return r < hs(n, d) - n
+
+
+def _require_admissible(params: CaseParams) -> None:
+    if not admissible(params.n, params.d, params.r):
         raise RangeError(
             f"r={params.r} is not below hs({params.n},{params.d}) - {params.n}; "
             "the chopped ideal need not cut out the configuration"
@@ -121,7 +128,7 @@ def expected_chopped_hf(params: CaseParams, t: int) -> tuple[int, int]:
     """
     if t < params.d:
         raise RangeError(f"degree {t} is below the generation degree {params.d}")
-    _admissible(params)
+    _require_admissible(params)
     gap, quotient = expected_gap_and_table(params.n, params.d, params.r)
     if t <= params.d + gap:
         q = quotient[t]
@@ -145,7 +152,7 @@ class GapPrediction:
 
 def predicted_gap(params: CaseParams) -> GapPrediction:
     """Least e > 0 at which the expected chopped quotient returns to r."""
-    _admissible(params)
+    _require_admissible(params)
     gap, quotient = expected_gap_and_table(params.n, params.d, params.r)
     table = HilbertTable(params.n, quotient, params.r)
     return GapPrediction(gap, table, gap_upper_bound(params.n, params.d))
@@ -179,7 +186,11 @@ def lex_lower_bound_table(params: CaseParams, t_max: int) -> HilbertTable:
 
 def interesting_range(n: int, d: int) -> tuple[Fraction, int]:
     """Exclusive bounds on r between which the chopped ideal gains a
-    degree-(d+1) generator but still cuts out the configuration."""
+    degree-(d+1) generator but still cuts out the configuration.
+
+    No caller outside the tests: it is kept as the definition that
+    ``r_extremes_plane`` is tested against.
+    """
     lower = Fraction((n + 1) * hs(n, d) - hs(n, d + 1), n)
     upper = hs(n, d) - n
     return lower, upper

@@ -166,11 +166,6 @@ class HilbertTable:
         return len(self.values) - 1
 
 
-def ring_table(n: int, t_max: int) -> HilbertTable:
-    """Hilbert table of the full polynomial ring up to degree t_max."""
-    return HilbertTable(n, tuple(hs(n, t) for t in range(t_max + 1)), None)
-
-
 def first_difference(h: HilbertTable) -> HilbertTable:
     """Difference table Dh(t) = h(t) - h(t-1), with h(-1) = 0.
 
@@ -185,16 +180,6 @@ def first_difference(h: HilbertTable) -> HilbertTable:
     if h.tail is None:
         return HilbertTable(h.n, tuple(vals), None)
     return HilbertTable(h.n, tuple(vals) + (0,), 0)
-
-
-def hilbert_regularity(h: HilbertTable) -> int:
-    """Least degree from which the table equals its tail value onward."""
-    if h.tail is None:
-        raise ValueError("regularity needs a stabilized table")
-    t = len(h.values)
-    while t > 0 and h.values[t - 1] == h.tail:
-        t -= 1
-    return t
 
 
 class LexOrder(enum.Enum):

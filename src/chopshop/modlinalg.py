@@ -209,24 +209,19 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int,
     return piv
 
 
-def _echelon(a: np.ndarray, p: int, *, pivot_limit: int | None = None,
-             leaf: int = _LEAF) -> list[int]:
+def _echelon(a: np.ndarray, p: int, *, leaf: int = _LEAF) -> list[int]:
     """In-place forward elimination to row echelon form with unit pivots.
 
-    Only the first ``pivot_limit`` columns are eligible as pivot columns;
-    later columns are carried along (used for span membership).  Returns
-    the pivot columns.  Identical to one-pivot-at-a-time elimination; the
-    recursion only batches the work on columns right of a half into
-    modular products.  ``leaf`` is the widest block eliminated one pivot at
-    a time (an argument for the tests, which shrink it to run many levels).
+    Returns the pivot columns.  Identical to one-pivot-at-a-time
+    elimination; the recursion only batches the work on columns right of a
+    half into modular products.  ``leaf`` is the widest block eliminated one
+    pivot at a time (an argument for the tests, which shrink it to run many
+    levels).
     """
     m, ncols = a.shape
-    limit = ncols if pivot_limit is None else pivot_limit
     inv = np.ones(m, dtype=np.int64)
-    piv = _eliminate(a, p, 0, 0, limit, inv, leaf)
+    piv = _eliminate(a, p, 0, 0, ncols, inv, leaf)
     if piv:
-        if limit < ncols:
-            _replay(a, p, 0, piv, limit, ncols, inv, leaf)
         a[:, piv] = np.triu(a[:, piv], 1) + np.eye(m, len(piv), dtype=np.int64)
     return piv
 
@@ -266,18 +261,16 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
 def in_span(m: ModMatrix, v) -> bool:
     """Whether v lies in the column span of m.
 
-    One elimination pass over the augmented matrix, with the appended
-    column barred from pivoting; membership holds exactly when that column
-    is annihilated below the pivot rows.
+    One elimination of the augmented matrix [m | v]: the pivots are the
+    column rank profile, so the appended column is a pivot exactly when v
+    lies outside the span.
     """
     vec = np.mod(np.asarray(v, dtype=np.int64), m.field.p)
     if vec.ndim == 1:
         vec = vec[:, None]
     if vec.shape != (m.rows, 1):
         raise ValueError(f"vector shape {vec.shape} does not match {m.rows} rows")
-    aug = np.hstack([m.array, vec])
-    piv = _echelon(aug, m.field.p, pivot_limit=m.cols)
-    return not aug[len(piv):, -1].any()
+    return m.cols not in _echelon(np.hstack([m.array, vec]), m.field.p)
 
 
 def matmul(a: ModMatrix, b: ModMatrix) -> ModMatrix:

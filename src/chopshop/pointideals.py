@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulas import CaseParams, gap_upper_bound, predicted_gap
+from .formulas import CaseParams, predicted_gap
+# unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
+from .formulas import gap_upper_bound  # noqa: F401
 from .grading import HilbertTable, hs, monomials, product_index_map
 from .modlinalg import ModMatrix, PrimeField, _echelon, kernel_basis, rank
 
@@ -289,41 +291,9 @@ def chopped_hf(config: PointConfig, d: int, t: int) -> int:
     if t < d:
         raise ValueError(f"chopped quotient is only computed from degree d={d} up")
     basis = ideal_component(config, d)
-    return _chopped_quotient(basis, t - d)
-
-
-def _chopped_quotient(basis: GradedBasis, e: int) -> int:
-    return hs(basis.n, basis.degree + e) - rank(macaulay_matrix(basis, e))
-
-
-def observed_gap(
-    config: PointConfig,
-    d: int,
-    e_max: int | None = None,
-    *,
-    check_stability: bool = False,
-) -> int | None:
-    """First e > 0 at which the chopped quotient drops back to r, or None
-    if that never happens by e_max.
-
-    The default horizon is the proven gap bound plus two degrees of slack,
-    so a None return flags something anomalous rather than a short scan.
-    With ``check_stability`` the quotient is also computed one degree past
-    the hit and asserted to stay at r.
-    """
-    if e_max is None:
-        e_max = max(gap_upper_bound(config.n, d), 1) + 2
-    basis = ideal_component(config, d)
-    for e in range(1, e_max + 1):
-        if _chopped_quotient(basis, e) == config.r:
-            if check_stability:
-                following = _chopped_quotient(basis, e + 1)
-                if following != config.r:
-                    raise AssertionError(
-                        f"quotient hit r at e={e} but moved to {following} next"
-                    )
-            return e
-    return None
+    if t == d:
+        return hs(basis.n, d) - basis.dim
+    return _graded_quotients(basis, t - d)[-1]
 
 
 def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:

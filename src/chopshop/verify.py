@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .formulas import CaseParams, expected_chopped_hf, predicted_gap
+from .formulas import CaseParams, admissible, expected_chopped_hf, predicted_gap
 from .grading import Exponent, hs, monomials, product_index_map
 from .modlinalg import PrimeField, in_span, rank
 from .pointideals import (
@@ -64,7 +64,8 @@ class Certificate:
 
     ``points`` are the exact sampled coordinates; feeding them back through
     the same computation must reproduce ``observed_quotient`` bit for bit.
-    Quotient arrays are indexed by degree starting at 0.
+    Quotient arrays are indexed by degree starting at 0.  The JSON form
+    holds ``schema_version`` and then the fields in declaration order.
     """
 
     n: int
@@ -84,46 +85,26 @@ class Certificate:
     wall_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "r": self.r,
-            "d": self.d,
-            "prime": self.prime,
-            "seed": self.seed,
-            "retries": self.retries,
-            "points": [list(row) for row in self.points],
-            "observed_quotient": list(self.observed_quotient),
-            "expected_quotient": list(self.expected_quotient),
-            "observed_gap": self.observed_gap,
-            "expected_gap": self.expected_gap,
-            "verdict": self.verdict,
-            "first_mismatch_degree": self.first_mismatch_degree,
-            "tool_version": self.tool_version,
-            "wall_ms": self.wall_ms,
-        }
+        data = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            data[f.name] = _lists(getattr(self, f.name))
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {data.get('schema_version')}")
-        return Certificate(
-            n=data["n"],
-            r=data["r"],
-            d=data["d"],
-            prime=data["prime"],
-            seed=data["seed"],
-            retries=data["retries"],
-            points=tuple(tuple(row) for row in data["points"]),
-            observed_quotient=tuple(data["observed_quotient"]),
-            expected_quotient=tuple(data["expected_quotient"]),
-            observed_gap=data["observed_gap"],
-            expected_gap=data["expected_gap"],
-            verdict=data["verdict"],
-            first_mismatch_degree=data["first_mismatch_degree"],
-            tool_version=data["tool_version"],
-            wall_ms=data["wall_ms"],
-        )
+        return Certificate(**{f.name: _tuples(data[f.name]) for f in fields(Certificate)})
+
+
+def _lists(value):
+    """JSON form of a certificate field: tuples, nested too, become lists."""
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _tuples(value):
+    """Certificate field from its JSON form: lists become tuples."""
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 def _verdict(profile: ChoppedProfile) -> str:
@@ -145,42 +126,35 @@ def verify_case(
     try:
         config = sample_points(n, r, prime, seed)
     except GenericityError:
-        wall = int((time.perf_counter() - start) * 1000)
-        return Certificate(
-            n=n,
-            r=r,
-            d=params.d,
-            prime=prime.p,
-            seed=seed,
+        outcome = dict(
             retries=RETRY_BUDGET,
             points=(),
             observed_quotient=(),
-            expected_quotient=prediction.table.values,
             observed_gap=None,
-            expected_gap=prediction.gap,
             verdict="GENERICITY_FAIL",
             first_mismatch_degree=None,
-            tool_version=__version__,
-            wall_ms=wall,
         )
-    profile = chopped_profile(config, e_max=e_max)
-    wall = int((time.perf_counter() - start) * 1000)
+    else:
+        profile = chopped_profile(config, e_max=e_max)
+        outcome = dict(
+            retries=config.retries,
+            points=tuple(tuple(int(v) for v in row) for row in config.coords),
+            observed_quotient=profile.observed.values,
+            observed_gap=profile.observed_gap,
+            verdict=_verdict(profile),
+            first_mismatch_degree=profile.first_mismatch_degree,
+        )
     return Certificate(
         n=n,
         r=r,
         d=params.d,
         prime=prime.p,
         seed=seed,
-        retries=config.retries,
-        points=tuple(tuple(int(v) for v in row) for row in config.coords),
-        observed_quotient=profile.observed.values,
-        expected_quotient=profile.expected.values,
-        observed_gap=profile.observed_gap,
+        expected_quotient=prediction.table.values,
         expected_gap=prediction.gap,
-        verdict=_verdict(profile),
-        first_mismatch_degree=profile.first_mismatch_degree,
         tool_version=__version__,
-        wall_ms=wall,
+        wall_ms=int((time.perf_counter() - start) * 1000),
+        **outcome,
     )
 
 
@@ -263,11 +237,10 @@ def verify_grid(
 ) -> GridReport:
     """Verify every admissible r in [r_from, r_to].
 
-    Inadmissible sizes (r at or above hs(n,d) - n for their degree) are
-    recorded as skips with the reason spelled out.  Every admissible size
-    runs, including the ones whose predicted gap is 1.  Per-case seeds come
-    from derive_seed, so reports are reproducible and independent of the
-    worker count.
+    Inadmissible sizes (see ``formulas.admissible``) are recorded as skips
+    with the reason spelled out.  Every admissible size runs, including the
+    ones whose predicted gap is 1.  Per-case seeds come from derive_seed, so
+    reports are reproducible and independent of the worker count.
     """
     start = time.perf_counter()
     jobs: list[tuple[int, int, int, int, int | None]] = []
@@ -275,7 +248,7 @@ def verify_grid(
     for r in range(r_from, r_to + 1):
         params = CaseParams(n, r)
         d = params.d
-        if r >= hs(n, d) - n:
+        if not admissible(n, d, r):
             skipped.append(
                 SkippedCase(
                     n, r, f"r >= hs({n},{d}) - {n}: chopped ideal cannot cut out Z"
@@ -345,20 +318,6 @@ def _multiples_of(generators, n: int, t: int) -> set:
         for shift in monomials(n, room):
             out.add(tuple(g + s for g, s in zip(gen, shift)))
     return out
-
-
-def monomial_hf(ideal: MonomialIdeal, t: int) -> int:
-    """Quotient Hilbert function: degree-t monomials outside the ideal."""
-    return hs(ideal.n, t) - len(_multiples_of(ideal.generators, ideal.n, t))
-
-
-def monomial_chopped_hf(ideal: MonomialIdeal, t: int) -> int:
-    """Degree-t monomials inside the ideal (the graded piece it spans).
-
-    For a monomial ideal the generated ideal is monomial again, so the
-    dimension count is pure divisibility marking.
-    """
-    return len(_multiples_of(ideal.generators, ideal.n, t))
 
 
 _PERMS3 = tuple(itertools.permutations(range(3)))

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .formulas import expected_gap_and_table
+from .formulas import admissible, expected_gap_and_table
 from .grading import hs, mono_index, monomials, product_index_map
 from .pointideals import evaluation_array, macaulay_array
 
@@ -182,21 +182,6 @@ def numerical_kernel(mat, rank_hint: int | None = None, tol: float = DEFAULT_TOL
     return basis, rank, gap
 
 
-def apolarity_check(f, form: SymmetricForm, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the polynomial with coefficient vector f annihilates the form."""
-    vec = np.asarray(f, dtype=np.complex128)
-    degree = next(
-        (t for t in range(form.D + 1) if hs(form.n, t) == vec.shape[0]), None
-    )
-    if degree is None:
-        raise ValueError(
-            f"coefficient length {vec.shape[0]} matches no degree <= {form.D}"
-        )
-    image = catalecticant(form, degree) @ vec
-    bound = tol * form.norm * float(np.linalg.norm(vec))
-    return float(np.linalg.norm(image)) <= bound
-
-
 def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
     """Smallest usable generation degree d <= D/2 and its gap e.
 
@@ -206,10 +191,9 @@ def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
     degree n(d-1), giving the gap formula below.
     """
     for d in range(1, D // 2 + 1):
-        slack = hs(n, d) - n - r
-        if slack > 0:
+        if admissible(n, d, r):
             return d, expected_gap_and_table(n, d, r)[0]
-        if slack == 0 and d**n == r:
+        if d**n == r == hs(n, d) - n:
             return d, max(1, n * (d - 1) - d)
     raise UnsupportedRankError(
         f"rank {r} needs a generation degree past {D // 2}; "

@@ -377,10 +377,12 @@ _CHECKED_FLAGS = {
 _INTEGER_FLAGS = ("--n", "--r", "--r-from", "--r-to", "--d", "--D", "--trials", "--workers",
                   "--e-max")
 _FOREIGN_FLAGS = {
-    "hf": ["--no-timing"],
-    "liaison": ["--prime", "7"],
-    "waring-demo": ["--out", "x"],
-    "search-monomial": ["--seed", "1"],
+    "hf": [["--no-timing"]],
+    "liaison": [["--prime", "7"]],
+    "decompose": [["--no-timing"]],
+    "waring-demo": [["--out", "x"], ["--no-timing"]],
+    "search-monomial": [["--seed", "1"], ["--no-timing"]],
+    "sextic-demo": [["--no-timing"]],
 }
 
 
@@ -406,11 +408,8 @@ def _usage_error_cases():
             yield pytest.param(
                 [command] + _with(argv, flag, value), id=f"{command} {flag} {value}"
             )
-        if command in _FOREIGN_FLAGS:
-            yield pytest.param(
-                [command] + argv + _FOREIGN_FLAGS[command],
-                id=f"{command} {_FOREIGN_FLAGS[command][0]}",
-            )
+        for foreign in _FOREIGN_FLAGS.get(command, []):
+            yield pytest.param([command] + argv + foreign, id=f"{command} {foreign[0]}")
         for i, word in enumerate(argv):
             if word.startswith("--"):
                 yield pytest.param(
@@ -449,12 +448,31 @@ class TestUsageErrors:
             run(["verify", "--n", "2", "--r", "18"])
         assert exc.value.code == 2
 
+    # A bad value read from the environment is reported under the name of
+    # the variable, not of the flag the user did not pass.
+    _ENV_COMPLAINTS = {
+        "not-a-number": "environment variable CHOPSHOP_SEED='not-a-number' is not an integer",
+        "-1": "CHOPSHOP_SEED must be >= 0, got -1",
+    }
+
     @pytest.mark.parametrize("value", ["not-a-number", "-1"])
-    def test_bad_seed_env_value(self, monkeypatch, value):
+    def test_bad_seed_env_value(self, monkeypatch, capsys, value):
         monkeypatch.setenv("CHOPSHOP_SEED", value)
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--n", "2", "--r", "18"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert self._ENV_COMPLAINTS[value] in err
+        assert "--seed" not in err
+
+    def test_bad_prime_env_value_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("CHOPSHOP_PRIME", "4")
+        with pytest.raises(SystemExit) as exc:
+            run(["sextic-demo"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "CHOPSHOP_PRIME: 4 is not prime" in err
+        assert "--prime" not in err
 
 
 class TestConsoleScript:

@@ -11,14 +11,12 @@ from chopshop.grading import (
     HilbertTable,
     LexOrder,
     first_difference,
-    hilbert_regularity,
     hs,
     lex_compare_hf,
     mono_index,
     mono_mul,
     monomials,
     product_index_map,
-    ring_table,
 )
 
 
@@ -122,6 +120,11 @@ class TestMonomials:
                 assert idx.tolist() == expected, (n, d, e)
 
 
+def ring_table(n, t_max):
+    """The full polynomial ring's table through t_max: a growing table."""
+    return HilbertTable(n, tuple(hs(n, t) for t in range(t_max + 1)), None)
+
+
 class TestHilbertTable:
     def test_value_at_and_tail(self):
         h = HilbertTable(2, (1, 3, 6, 10, 15, 18), 18)
@@ -158,14 +161,6 @@ class TestHilbertTable:
         for t in range(len(h.values) + 3):
             acc += d.value_at(t)
             assert acc == h.value_at(t)
-
-    def test_regularity(self):
-        h = HilbertTable(2, (1, 3, 6, 10, 15, 18, 19, 18), 18)
-        assert hilbert_regularity(h) == 7
-        assert hilbert_regularity(HilbertTable(2, (1, 2, 3, 3), 3)) == 2
-        assert hilbert_regularity(HilbertTable(2, (1,), 1)) == 0
-        with pytest.raises(ValueError):
-            hilbert_regularity(ring_table(2, 4))
 
 
 class TestLexCompare:

@@ -25,14 +25,13 @@ F = PrimeField(2147483647)
 FSMALL = PrimeField(1009)
 
 
-def reference_echelon(a, p, pivot_limit=None):
+def reference_echelon(a, p):
     """One pivot at a time, no blocking: the semantics _echelon must match."""
     a = a.copy()
     m, ncols = a.shape
-    limit = ncols if pivot_limit is None else pivot_limit
     piv = []
     row = 0
-    for col in range(limit):
+    for col in range(ncols):
         if row == m:
             break
         nz = a[row:, col].nonzero()[0]
@@ -173,15 +172,6 @@ class TestEchelon:
             assert piv == piv_want
             assert (got == want).all()
 
-    def test_pivot_limit_matches_reference(self):
-        rng = np.random.default_rng(7)
-        a = rng.integers(0, 1009, size=(12, 9), dtype=np.int64)
-        want, piv_want = reference_echelon(a, 1009, pivot_limit=6)
-        got = a.copy()
-        piv = _echelon(got, 1009, pivot_limit=6, leaf=4)
-        assert piv == piv_want
-        assert (got == want).all()
-
     @pytest.mark.parametrize("p", [3, 5, 101, 2147483647])
     @pytest.mark.parametrize(
         "m, n, k",
@@ -197,18 +187,6 @@ class TestEchelon:
             piv = _echelon(got, p, leaf=leaf)
             assert piv == piv_want
             assert (got == want).all()
-
-    @pytest.mark.parametrize("p", [3, 101, 2147483647])
-    def test_pivot_limit_below_width_carries_the_rest(self, p):
-        rng = np.random.default_rng(p % 1000)
-        a = product_with_zeros(rng, p, 150, 180, 120)
-        for limit in (0, 1, 40, 99, 179):
-            want, piv_want = reference_echelon(a, p, pivot_limit=limit)
-            for leaf in (1, 8, 32):
-                got = a.copy()
-                piv = _echelon(got, p, pivot_limit=limit, leaf=leaf)
-                assert piv == piv_want
-                assert (got == want).all()
 
 
 class TestRank:

@@ -30,7 +30,6 @@ from chopshop.pointideals import (
     ideal_component,
     macaulay_array,
     macaulay_matrix,
-    observed_gap,
     sample_points,
 )
 
@@ -269,17 +268,16 @@ class TestMacaulayMatrix:
 class TestChoppedHilbertFunction:
     def test_18_points_quotient_sequence(self):
         cfg = sample_points(2, 18, P, SEED)
-        assert [chopped_hf(cfg, 5, t) for t in (5, 6, 7)] == [18, 19, 18]
-        assert observed_gap(cfg, 5, check_stability=True) == 2
+        # the gap is 2, and the quotient stays at r one degree past it
+        assert [chopped_hf(cfg, 5, t) for t in (5, 6, 7, 8)] == [18, 19, 18, 18]
 
     def test_17_points_gap_one(self):
         cfg = sample_points(2, 17, P, SEED)
-        assert observed_gap(cfg, 5) == 1
+        assert [chopped_hf(cfg, 5, t) for t in (6, 7)] == [17, 17]
 
     def test_41_points_gap_three(self):
         cfg = sample_points(2, 41, P, SEED)
-        assert [chopped_hf(cfg, 8, t) for t in (9, 10, 11)] == [43, 42, 41]
-        assert observed_gap(cfg, 8) == 3
+        assert [chopped_hf(cfg, 8, t) for t in (9, 10, 11, 12)] == [43, 42, 41, 41]
 
     def test_rejects_degrees_below_d(self):
         cfg = sample_points(2, 7, P, 1)
@@ -304,7 +302,9 @@ class TestChoppedHilbertFunction:
             for t in (start, start + 1):
                 value = chopped_hf(cfg, d, t)
                 assert value == ci_hf(n, degrees, t) == d**n
-            assert observed_gap(cfg, d) is None
+            # so no degree past d returns to r
+            for t in range(d + 1, n * (d - 1) + 2):
+                assert chopped_hf(cfg, d, t) != r
 
 
 def reference_profile(config):

@@ -20,7 +20,6 @@ from chopshop.waring import (
     SymmetricForm,
     UnsupportedRankError,
     WaringError,
-    apolarity_check,
     catalecticant,
     decompose,
     form_from_dict,
@@ -174,23 +173,9 @@ class TestApolarity:
         form = form_from_points(Z, np.ones(18), 10)
         kernel, _, _ = numerical_kernel(catalecticant(form, 5), rank_hint=18)
         assert kernel.shape[1] == 3
-        for j in range(3):
-            assert apolarity_check(kernel[:, j], form)
-
-    def test_random_quintic_fails(self):
-        Z = random_unit_points(2, 18, seed=5)
-        form = form_from_points(Z, np.ones(18), 10)
-        rng = np.random.default_rng(7)
-        f = rng.standard_normal(hs(2, 5)) + 1j * rng.standard_normal(hs(2, 5))
-        assert not apolarity_check(f, form)
-
-    def test_power_against_power(self):
-        coeffs = np.zeros(hs(2, 6), dtype=complex)
-        coeffs[0] = 1.0
-        form = SymmetricForm(2, 6, coeffs)
-        f = np.zeros(hs(2, 3))
-        f[0] = 1.0  # x0^3 differentiates y0^6 to a multiple of y0^3
-        assert not apolarity_check(f, form)
+        # the kernel's orthonormal columns differentiate the form to zero
+        image = catalecticant(form, 5) @ kernel
+        assert np.linalg.norm(image) <= 1e-8 * form.norm
 
 
 def gap_at_oracle(n, d, r):
