@@ -481,7 +481,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="chopshop",
         description="Chopped ideals of point configurations: formulas, "
@@ -489,17 +490,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = subparsers[name] = sub.add_parser(name, help=command.help)
         for flag in command.flags:
             _FLAGS[flag].add_to(p, flag)
-    return parser
+    return parser, subparsers
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     command = _COMMANDS[args.command]
+    # range errors print the subcommand's usage, as argparse's own do
+    usage = subparsers[args.command]
     for name in command.flags:
         flag = _FLAGS[name]
         dest = name.lstrip("-").replace("-", "_")
@@ -511,12 +515,12 @@ def run(argv=None) -> int:
             try:
                 setattr(args, dest, flag.default if raw is None else int(raw))
             except ValueError:
-                parser.error(f"environment variable {flag.env}={raw!r} is not an integer")
+                usage.error(f"environment variable {flag.env}={raw!r} is not an integer")
         value = getattr(args, dest)
         if value is not None and flag.check is not None:
             complaint = flag.check(source, value, args)
             if complaint is not None:
-                parser.error(complaint)
+                usage.error(complaint)
     try:
         return command.handler(args)
     except _COMPUTATION_FAILURES as exc:

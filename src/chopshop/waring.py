@@ -6,7 +6,8 @@ catalecticant matrix recovers the degree-d equations of those points, and
 eigenvalue computations on multiplication matrices built from a Macaulay
 matrix at the gap degree d+e extract the points themselves.  Everything
 here works over the complex numbers in floating point; exactness is
-replaced by singular-value thresholds and residual checks.
+replaced by rank thresholds on the R diagonal of column-pivoted QR
+factorizations and by residual checks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class UnsupportedRankError(WaringError, ValueError):
 
 
 class AmbiguousRankError(WaringError):
-    """The singular spectrum has no clear cutoff at the requested scale."""
+    """The ratios of consecutive |diag(R)| entries of a pivoted QR show
+    no clear cutoff at the requested scale."""
 
 
 class DecompositionError(WaringError):
@@ -149,37 +151,75 @@ def _row_equilibrated(mat: np.ndarray) -> np.ndarray:
     return mat / scale[:, None]
 
 
-def numerical_kernel(mat, rank_hint: int | None = None, tol: float = DEFAULT_TOL):
-    """Orthonormal basis of the right null space by SVD.
+def _diagonal_rank(diag: np.ndarray, tol: float) -> int:
+    """Count of the non-increasing |diag(R)| entries above tol relative
+    to the first."""
+    if diag.shape[0] == 0 or diag[0] == 0:
+        return 0
+    return int(np.count_nonzero(diag > tol * diag[0]))
 
-    Returns (basis, rank, spectral_gap).  The rank is rank_hint when
-    given, otherwise the count of singular values above tol relative to
-    the largest; in the latter case a spectral gap under 10 means the
-    cutoff is a guess, and that is reported as an error rather than a
-    silent choice.
+
+def numerical_kernel(mat, rank_hint: int | None = None, tol: float = DEFAULT_TOL):
+    """Orthonormal basis of the right null space by column-pivoted QR.
+
+    Factors mat^H P = Q R with LAPACK geqp3.  Pivoting makes |diag(R)|
+    non-increasing, and it stands in for the singular values: the rank
+    is rank_hint when given, otherwise the count of diagonal entries
+    above tol relative to |R_00|.  The gap is the ratio of the last kept
+    to the first dropped diagonal entry; without a hint, a gap under 10
+    means the cutoff is a guess, and that is reported as an error rather
+    than a silent choice.  The basis is the trailing columns of Q, the
+    orthogonal complement of the leading pivoted rows of mat; they are
+    got by applying the reflectors to unit vectors, never forming Q.
+
+    Returns (basis, rank, gap).
     """
     if not 0 < tol < 1:
         raise ValueError(f"need tol in (0, 1), got {tol}")
     arr = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
-    _, sigma, vh = np.linalg.svd(arr, full_matrices=True)
+    cols = arr.shape[1]
+    (qr, tau), _, _ = scipy.linalg.qr(
+        arr.conj().T, overwrite_a=True, pivoting=True, mode="raw"
+    )
+    diag = np.abs(np.diagonal(qr))
     if rank_hint is not None:
-        if not 0 <= rank_hint <= sigma.shape[0]:
+        if not 0 <= rank_hint <= diag.shape[0]:
             raise ValueError(f"rank_hint {rank_hint} out of range")
         rank = rank_hint
-    elif sigma.shape[0] == 0 or sigma[0] == 0:
-        rank = 0
     else:
-        rank = int(np.count_nonzero(sigma > tol * sigma[0]))
-    if rank < sigma.shape[0] and sigma[rank] > 0:
-        gap = float(sigma[rank - 1] / sigma[rank]) if rank > 0 else 1.0
+        rank = _diagonal_rank(diag, tol)
+    if rank < diag.shape[0] and diag[rank] > 0:
+        gap = float(diag[rank - 1] / diag[rank]) if rank > 0 else 1.0
     else:
         gap = math.inf
     if rank_hint is None and math.isfinite(gap) and gap < _SPECTRAL_GAP_FLOOR:
         raise AmbiguousRankError(
-            f"singular values give no clear rank: gap {gap:.2f} at index {rank}"
+            f"R-diagonal ratios give no clear rank: gap {gap:.2f} at index {rank}"
         )
-    basis = vh[rank:, :].conj().T
+    basis = np.zeros((cols, cols - rank), dtype=np.complex128, order="F")
+    basis[rank:, :] = np.eye(cols - rank)
+    if tau.shape[0] == 0:  # mat has no rows: Q is the identity
+        return basis, rank, gap
+    # When mat has more rows than columns, mat^H is wide and has fewer
+    # reflectors than columns; unmqr takes only the columns that hold one.
+    reflectors = qr[:, : tau.shape[0]]
+    unmqr = scipy.linalg.get_lapack_funcs("unmqr", (qr,))
+    *_, work, _ = unmqr(b"L", b"N", reflectors, tau, basis, -1)
+    basis, _, info = unmqr(
+        b"L", b"N", reflectors, tau, basis, int(work[0].real), overwrite_c=1
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"unmqr failed with info {info}")
     return basis, rank, gap
+
+
+def _quotient_dim(n: int, d: int, kernel: np.ndarray, t: int, tol: float) -> int:
+    """hs(n,t) minus the numerical rank of the degree-t Macaulay matrix of
+    the kernel forms, read from |diag(R)| as numerical_kernel reads it."""
+    r_factor, _ = scipy.linalg.qr(
+        macaulay_array(n, d, kernel, t - d), mode="r", pivoting=True
+    )
+    return hs(n, t) - _diagonal_rank(np.abs(np.diagonal(r_factor)), tol)
 
 
 def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
@@ -267,9 +307,18 @@ def decompose(
     macaulay = macaulay_array(n, d, kernel, e)
     cokernel, _, _ = numerical_kernel(macaulay.T, tol=tol)
     if cokernel.shape[1] != r:
+        # Failure path only: the quotient at every degree up to d+e, read
+        # from the same pivoted QR, beside the formulas' expected table.
+        observed = [
+            _quotient_dim(n, d, kernel, t, tol) for t in range(d + 1, d + e)
+        ] + [cokernel.shape[1]]
+        expected = list(expected_gap_and_table(n, d, r)[1][d + 1 : d + e + 1])
+        diagnostics["numerical_quotient"] = observed
+        diagnostics["expected_quotient"] = expected
         raise DecompositionError(
             f"cokernel dimension {cokernel.shape[1]}, expected {r}; the gap "
-            f"prediction e={e} failed for this form",
+            f"prediction e={e} failed for this form: quotient dimensions at "
+            f"degrees {d + 1}..{d + e} are {observed}, expected {expected}",
             diagnostics,
         )
 
@@ -281,7 +330,7 @@ def decompose(
     stacked = np.concatenate(
         [cokernel[shifts[k], :].T for k in range(n + 1)], axis=0
     )
-    _, _, pivots = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
+    _, pivots = scipy.linalg.qr(stacked, mode="r", pivoting=True)
     chosen = np.sort(pivots[:r])
     blocks = np.stack([cokernel[shifts[k][chosen], :] for k in range(n + 1)])
 

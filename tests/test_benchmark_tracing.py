@@ -4,7 +4,8 @@
 fetches each with a bare ``getattr``, so a refactor that drops one of those
 imports breaks ``benchmarks/run.py --trace 1`` without failing anything
 else.  The first test resolves every pair; the second checks that the
-command reaches each name it patches in ``chopshop.cli``.
+command reaches each name it patches in ``chopshop.cli``; the third pins
+the ``numerical_kernel`` call order the tracer's kernel split relies on.
 """
 
 import importlib
@@ -73,3 +74,29 @@ def test_every_traced_cli_name_is_looked_up_at_call_time(monkeypatch, tmp_path, 
         monkeypatch.setattr(cli, name, original)
         assert calls, f"{' '.join(argv)} did not call cli.{name}"
     capsys.readouterr()
+
+
+def test_two_numerical_kernels_per_decompose(monkeypatch, capsys):
+    """The tracer books a decompose's first ``numerical_kernel`` call as the
+    catalecticant kernel and every later one as the Macaulay cokernel, so
+    a successful decompose must make exactly those two calls, in that
+    order: the catalecticant's with the rank hint, the cokernel's without."""
+    from chopshop import cli, waring
+
+    kernel_hints, decompositions = [], []
+    kernel, decompose = waring.numerical_kernel, cli.decompose
+
+    def counting_kernel(mat, rank_hint=None, **kwargs):
+        kernel_hints.append(rank_hint)
+        return kernel(mat, rank_hint, **kwargs)
+
+    def counting_decompose(*args, **kwargs):
+        decompositions.append(1)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(waring, "numerical_kernel", counting_kernel)
+    monkeypatch.setattr(cli, "decompose", counting_decompose)
+    assert cli.run(["waring-demo", "--n", "2", "--D", "6", "--r", "7", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert decompositions == [1]
+    assert kernel_hints == [7, None]

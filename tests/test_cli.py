@@ -461,18 +461,44 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--n", "2", "--r", "18"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert self._ENV_COMPLAINTS[value] in err
-        assert "--seed" not in err
+        # the usage lines above the complaint list every flag
+        complaint = capsys.readouterr().err.strip().splitlines()[-1]
+        assert self._ENV_COMPLAINTS[value] in complaint
+        assert "--seed" not in complaint
 
     def test_bad_prime_env_value_names_the_variable(self, monkeypatch, capsys):
         monkeypatch.setenv("CHOPSHOP_PRIME", "4")
         with pytest.raises(SystemExit) as exc:
             run(["sextic-demo"])
         assert exc.value.code == 2
+        complaint = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "CHOPSHOP_PRIME: 4 is not prime" in complaint
+        assert "--prime" not in complaint
+
+    # A check that fails after parsing prints the same usage as argparse's
+    # own errors for that subcommand, then the unchanged complaint.
+    @pytest.mark.parametrize(
+        "argv, env, complaint",
+        [
+            (["verify", "--n", "0", "--r", "5"], {}, "--n must be >= 1, got 0"),
+            (["verify", "--n", "2", "--r", "18"], {"CHOPSHOP_SEED": "-1"},
+             "CHOPSHOP_SEED must be >= 0, got -1"),
+            (["verify", "--n", "2", "--r", "18"], {"CHOPSHOP_PRIME": "x"},
+             "environment variable CHOPSHOP_PRIME='x' is not an integer"),
+            (["sextic-demo", "--prime", "4"], {}, "--prime: 4 is not prime"),
+        ],
+    )
+    def test_range_error_prints_the_subcommand_usage(
+        self, monkeypatch, capsys, argv, env, complaint
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "CHOPSHOP_PRIME: 4 is not prime" in err
-        assert "--prime" not in err
+        assert err.startswith(f"usage: chopshop {argv[0]} ")
+        assert err.strip().splitlines()[-1] == f"chopshop {argv[0]}: error: {complaint}"
 
 
 class TestConsoleScript:

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from chopshop.formulas import CaseParams, expected_gap_and_table, predicted_gap
 from chopshop.grading import hs, monomials
+from chopshop import waring
+from chopshop.pointideals import macaulay_array
 from chopshop.waring import (
     AmbiguousRankError,
     DecompositionError,
@@ -51,6 +53,30 @@ def catalecticant_oracle(form, a):
                 weight *= math.factorial(b) // math.factorial(rem)
             out[row_pos[remainder], j] += coeff * weight
     return out
+
+
+def reference_kernel(mat, tol=1e-8):
+    """Null space by a plain full SVD: the right singular vectors past the
+    count of singular values above tol relative to the largest."""
+    arr = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
+    _, sigma, vh = np.linalg.svd(arr, full_matrices=True)
+    rank = int(np.count_nonzero(sigma > tol * sigma[0])) if sigma.size else 0
+    return vh[rank:, :].conj().T, rank
+
+
+def min_principal_cosine(a, b):
+    """Cosine of the largest principal angle between two orthonormal bases
+    of equal dimension: 1 when they span the same subspace."""
+    assert a.shape == b.shape
+    if a.shape[1] == 0:
+        return 1.0
+    return float(np.linalg.svd(a.conj().T @ b, compute_uv=False).min())
+
+
+def planted_rank(rng, rows, cols, k):
+    left = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+    right = rng.standard_normal((k, cols)) + 1j * rng.standard_normal((k, cols))
+    return left @ right
 
 
 def random_form(n, D, seed):
@@ -149,6 +175,60 @@ class TestNumericalKernel:
         assert gap > 1e6
         assert np.allclose(mat @ basis, 0, atol=1e-10)
         assert np.allclose(basis.conj().T @ basis, np.eye(7 - k), atol=1e-12)
+
+    # tall (fewer reflectors than rows), wide and square, each at a rank
+    # below both dimensions and at full rank
+    @pytest.mark.parametrize("rows, cols, k", [
+        (9, 6, 3), (9, 6, 6), (5, 9, 2), (5, 9, 5), (7, 7, 4), (7, 7, 7),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_kernel(self, rows, cols, k, seed):
+        mat = planted_rank(np.random.default_rng(seed), rows, cols, k)
+        expected, expected_rank = reference_kernel(mat)
+        basis, rank_found, _ = numerical_kernel(mat)
+        assert rank_found == expected_rank == k
+        assert basis.shape == expected.shape == (cols, cols - k)
+        assert min_principal_cosine(basis, expected) >= 1 - 1e-10
+        assert np.allclose(basis.conj().T @ basis, np.eye(cols - k), atol=1e-12)
+
+    @pytest.mark.parametrize("rows, cols, k", [(9, 6, 3), (5, 9, 2), (7, 7, 4)])
+    def test_rank_hint_matches_reference_kernel(self, rows, cols, k):
+        mat = planted_rank(np.random.default_rng(rows * cols + k), rows, cols, k)
+        expected, _ = reference_kernel(mat)
+        basis, rank_found, gap = numerical_kernel(mat, rank_hint=k)
+        assert rank_found == k
+        assert gap > 1e6
+        assert min_principal_cosine(basis, expected) >= 1 - 1e-10
+        with pytest.raises(ValueError, match="rank_hint"):
+            numerical_kernel(mat, rank_hint=min(rows, cols) + 1)
+
+    def test_ambiguous_rotated_diagonal_raises(self):
+        # orthogonal rows of norms 1, 2e-8 and 0.9e-8 in a random unitary
+        # frame: |diag(R)| reads those norms, only a factor 2.2 apart
+        # across the cutoff
+        rng = np.random.default_rng(3)
+        frame, _ = np.linalg.qr(
+            rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        )
+        mat = np.diag([1.0, 2e-8, 0.9e-8]) @ frame
+        with pytest.raises(AmbiguousRankError, match="R-diagonal"):
+            numerical_kernel(mat, tol=1e-8)
+        # a hint takes the cutoff as given and still reports the gap there
+        basis, rank_found, gap = numerical_kernel(mat, rank_hint=2)
+        assert rank_found == 2 and 2 < gap < 3
+        assert basis.shape == (3, 1)
+
+    def test_macaulay_cokernel_matches_reference(self):
+        Z = random_unit_points(3, 50, seed=4)
+        form = form_from_points(Z, np.ones(50), 10)
+        d, e = waring._working_parameters(3, 50, 10)
+        kernel, _, _ = numerical_kernel(catalecticant(form, d), rank_hint=50)
+        macaulay = macaulay_array(3, d, kernel, e)
+        expected, expected_rank = reference_kernel(macaulay.T)
+        cokernel, rank_found, _ = numerical_kernel(macaulay.T)
+        assert rank_found == expected_rank
+        assert cokernel.shape == expected.shape == (hs(3, d + e), 50)
+        assert min_principal_cosine(cokernel, expected) >= 1 - 1e-10
 
     def test_rank_hint_overrides(self):
         mat = np.diag([1.0, 1e-3, 1e-12])
@@ -315,6 +395,38 @@ class TestDecompose:
         form = form_from_points(Z, np.ones(18), 10)
         with pytest.raises(WaringError):
             decompose(form, 17, seed=1)
+
+    def test_cokernel_failure_reports_quotient_table(self):
+        # r one below the form's true rank 50: the forms past the true
+        # kernel cut the quotient below r at the working degree d+e
+        Z = random_unit_points(3, 50, seed=0)
+        form = form_from_points(Z, np.ones(50), 10)
+        d, e = waring._working_parameters(3, 49, 10)
+        with pytest.raises(DecompositionError) as exc:
+            decompose(form, 49, seed=0)
+        diag = exc.value.diagnostics
+        expected = list(expected_gap_and_table(3, d, 49)[1][d + 1:])
+        assert diag["expected_quotient"] == expected
+        assert len(diag["numerical_quotient"]) == len(expected) == e
+        assert diag["numerical_quotient"][:-1] == expected[:-1]
+        assert diag["numerical_quotient"][-1] < 49
+        message = str(exc.value)
+        assert f"cokernel dimension {diag['numerical_quotient'][-1]}, expected 49" in message
+        assert f"degrees {d + 1}..{d + e} are {diag['numerical_quotient']}" in message
+        assert f"expected {expected}" in message
+
+    def test_quotient_table_only_on_failure(self, monkeypatch):
+        calls = []
+        build = waring.macaulay_array
+
+        def counting(*args):
+            calls.append(args[3])
+            return build(*args)
+
+        monkeypatch.setattr(waring, "macaulay_array", counting)
+        result, _, _ = roundtrip_case(3, 10, 50, seed=0)
+        assert "numerical_quotient" not in result.diagnostics
+        assert len(calls) == 1
 
     def test_points_distinct_and_normalized(self):
         result, _, _ = roundtrip_case(2, 10, 18, seed=14)
