@@ -10,10 +10,19 @@ work is exact modular matrix products (16-bit limb split, so every float64
 dot product stays below 2**53 and BLAS can be used).  Pivoting is
 deterministic: the first row with a nonzero entry, columns left to right,
 so the pivot columns are the column rank profile.
+
+Two devices from delayed-reduction linear algebra (FFLAS-FFPACK) keep the
+work in BLAS.  A product's three limb sums are recombined and reduced in
+float64, by Horner steps of 2**16, each reduction a floored multiply by
+1/p with one correction; only the result is converted to int64.  A
+triangular solve's leaves of at most 32 rows are inverted on the identity
+by forward substitution, and the inverse is applied to the whole
+right-hand side as one modular product.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +32,7 @@ _MUL_CHUNK = 1 << 18  # inner-dimension chunk keeping limb products exact
 _LEAF = 32  # widest column block eliminated one pivot at a time
 
 
+@functools.cache
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -54,7 +64,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
 
 class ModMatrix:
@@ -90,17 +100,39 @@ class ModMatrix:
         return f"ModMatrix(p={self.field.p}, shape={self.shape})"
 
 
+def _reduce(x: np.ndarray, p: int, pinv: float) -> np.ndarray:
+    """In place, x <- x mod p for float64 integers 0 <= x < 2**53.
+
+    The floored quotient x * (1/p) is off by at most one for p >= 3 (its
+    relative error is below 2**-52, so its absolute error is below 2/p),
+    and q * p and x - q * p stay exact; one correction each way fixes it.
+    """
+    q = x * pinv
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
+
+
 def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for reduced int64 operands."""
+    """Exact (a @ b) mod p for reduced int64 operands.
+
+    Entries split into 16-bit limbs (high limbs below 2**15 since p <
+    2**31), and the three limb products run in float64: each dot product
+    over at most ``_MUL_CHUNK`` terms stays below 2**52.  The limb sums
+    are recombined as ((hh mod p) * 2**16 + mid mod p) * 2**16 + ll mod p,
+    every partial sum below 2**53, so only the result is converted.
+    """
     m, k = a.shape
     k2, n = b.shape
     if k != k2:
         raise ValueError(f"inner dimensions differ: {k} vs {k2}")
-    out = np.zeros((m, n), dtype=np.int64)
     if k == 0:
-        return out
-    c32 = (1 << 32) % p
-    c16 = _LIMB % p
+        return np.zeros((m, n), dtype=np.int64)
+    pinv = 1.0 / p
+    out = None
     for start in range(0, k, _MUL_CHUNK):
         stop = min(start + _MUL_CHUNK, k)
         ah, al = np.divmod(a[:, start:stop], _LIMB)
@@ -111,15 +143,38 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         bl = bl.astype(np.float64)
         hh = ah @ bh
         ll = al @ bl
-        mid = (ah + al) @ (bh + bl) - hh - ll
-        term = (
-            hh.astype(np.int64) % p * c32
-            + mid.astype(np.int64) % p * c16
-            + ll.astype(np.int64) % p
-        ) % p
-        out += term
-        out %= p
-    return out
+        mid = (ah + al) @ (bh + bl)
+        mid -= hh
+        mid -= ll
+        term = _reduce(hh, p, pinv)
+        term *= _LIMB
+        term += mid
+        _reduce(term, p, pinv)
+        term *= _LIMB
+        term += ll
+        _reduce(term, p, pinv)
+        if out is None:
+            out = term
+        else:
+            out += term
+            np.subtract(out, p, out=out, where=out >= p)
+    return out.astype(np.int64)
+
+
+def _lower_inverse(t: np.ndarray, inv: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of the lower-triangular matrix with t's strictly lower part
+    and diagonal entries whose inverses are ``inv``: forward substitution
+    on the identity, one row at a time.  Row j of the result is zero right
+    of column j, so only columns up to j are touched."""
+    k = t.shape[0]
+    x = np.eye(k, dtype=np.int64)
+    for j in range(k):
+        if inv[j] != 1:
+            x[j, :j + 1] = x[j, :j + 1] * int(inv[j]) % p
+        f = t[j + 1:, j]
+        if f.any():
+            x[j + 1:, :j + 1] = (x[j + 1:, :j + 1] - f[:, None] * x[j, :j + 1]) % p
+    return x
 
 
 def _solve_lower(t: np.ndarray, b: np.ndarray, inv: np.ndarray, p: int,
@@ -129,18 +184,12 @@ def _solve_lower(t: np.ndarray, b: np.ndarray, inv: np.ndarray, p: int,
 
     Halves t recursively: solve the top rows, subtract their contribution
     from the bottom rows with one modular product, solve the bottom rows.
-    Blocks of at most ``leaf`` rows are solved one row at a time.
+    A block of at most ``leaf`` rows is inverted and applied to b as one
+    modular product.
     """
     k = t.shape[0]
     if k <= leaf:
-        for j in range(k):
-            if inv[j] != 1:
-                b[j] = b[j] * int(inv[j]) % p
-            f = t[j + 1:, j]
-            hit = f.nonzero()[0]
-            if hit.size:
-                rows = hit + j + 1
-                b[rows] = (b[rows] - f[hit, None] * b[j]) % p
+        b[...] = _mul_mod(_lower_inverse(t, inv, p), b, p)
         return
     h = k // 2
     _solve_lower(t[:h, :h], b[:h], inv[:h], p, leaf)
@@ -194,7 +243,7 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int,
         rpiv = row + int(nz[0])
         if rpiv != row:
             a[[row, rpiv]] = a[[rpiv, row]]
-        pinv = inv[row] = pow(int(block[row, lc]), p - 2, p)
+        pinv = inv[row] = pow(int(block[row, lc]), -1, p)
         if pinv != 1:
             block[row, lc + 1:] = block[row, lc + 1:] * pinv % p
         f = block[row + 1:, lc]

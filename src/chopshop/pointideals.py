@@ -59,18 +59,20 @@ def _evaluation(coords: np.ndarray, prime: PrimeField, t: int) -> ModMatrix:
     return ModMatrix(prime, evaluation_array(coords, t, prime.p), _trusted=True)
 
 
-def _normalized_rows(coords: np.ndarray, p: int) -> list[tuple[int, ...]] | None:
-    """Scale each row so its first nonzero entry is 1, or None if some row
+def _normalized_rows(coords: np.ndarray, p: int) -> np.ndarray | None:
+    """Each row scaled so its first nonzero entry is 1, or None if some row
     is zero.  Two rows are the same projective point iff they normalize to
-    the same tuple."""
-    result = []
-    for row in coords:
-        nz = row.nonzero()[0]
-        if nz.size == 0:
-            return None
-        inv = pow(int(row[nz[0]]), p - 2, p)
-        result.append(tuple(int(v) * inv % p for v in row))
-    return result
+    the same row."""
+    nonzero = coords != 0
+    if not nonzero.any(axis=1).all():
+        return None
+    lead = coords[np.arange(coords.shape[0]), nonzero.argmax(axis=1)]
+    inverses = np.array([pow(int(v), -1, p) for v in lead], dtype=np.int64)
+    return coords * inverses[:, None] % p
+
+
+def _distinct(normalized: np.ndarray) -> bool:
+    return len(np.unique(normalized, axis=0)) == normalized.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +108,7 @@ class PointConfig:
         normalized = _normalized_rows(arr, self.prime.p)
         if normalized is None:
             raise ValueError("every point needs a nonzero coordinate row")
-        if len(set(normalized)) != self.r:
+        if not _distinct(normalized):
             raise ValueError("rows must be pairwise distinct projective points")
         if arr.base is not None:
             arr = arr.copy()
@@ -186,7 +188,7 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
     repeated points, deficient ranks) are redrawn from the same seeded
     stream, so the output is a pure function of its arguments.
 
-    Two lemmas let one rank and one kernel per draw decide all d+1 degrees:
+    Three lemmas let one kernel per draw decide all d+1 degrees:
 
     * Full column rank hs(n,d-1) at degree d-1 implies full column rank at
       every lower degree t: if a nonzero form f of degree t vanished on the
@@ -199,11 +201,23 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
       F_p itself such an l exists when r <= p, since r hyperplanes of
       linear forms cannot cover all p^(n+1) of them; past that the
       extension is needed.)
+    * Full column rank at degree d-1 can be read off the degree-d kernel
+      K.  Take a variable x_i that vanishes at none of the points.  A form
+      f of degree d-1 vanishes on them iff x_i f does, so ker E_{d-1} is
+      isomorphic to the degree-d forms in the ideal that are divisible by
+      x_i.  Those are the vectors Kc whose coefficients vanish at the
+      hs(n-1,d) monomials not divisible by x_i, and c -> Kc is injective, so
+      ker E_{d-1} is isomorphic to the kernel of K restricted to those
+      rows.  Degree d-1 has full column rank iff that small matrix (at
+      most hs(n-1,d) x dim K) has full column rank.
 
-    So the check ranks degree d-1 (when d >= 2) and takes the kernel at
-    degree d, whose size gives the rank there; degree d+1 needs no matrix.
-    The kernel is kept with the accepted configuration as the degree-d
-    component of its ideal.
+    So the check takes the kernel at degree d, whose size gives the rank
+    there, then ranks K's rows off x_i (when d >= 2); degree d+1 needs no
+    matrix.  When every variable vanishes at some point, which needs a
+    small prime, the check ranks the degree-(d-1) evaluation matrix
+    itself instead.  Either way a draw is accepted exactly when the three
+    ranks are full.  The kernel is kept with the accepted configuration as
+    the degree-d component of its ideal.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
@@ -214,12 +228,12 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
     for attempt in range(budget):
         coords = rng.integers(0, p, size=(r, n + 1), dtype=np.int64)
         normalized = _normalized_rows(coords, p)
-        if normalized is None or len(set(normalized)) != r:
-            continue
-        if d >= 2 and rank(_evaluation(coords, prime, d - 1)) != hs(n, d - 1):
+        if normalized is None or not _distinct(normalized):
             continue
         kernel = kernel_basis(_evaluation(coords, prime, d))
         if hs(n, d) - kernel.cols != r:
+            continue
+        if d >= 2 and not _full_rank_below(coords, prime, d, kernel):
             continue
         config = PointConfig(n, r, coords, prime, seed, retries=attempt)
         object.__setattr__(config, "_degree_d_basis", GradedBasis(n, d, kernel))
@@ -227,6 +241,19 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
     raise GenericityError(
         f"no generic configuration for n={n}, r={r}, p={p} in {budget} draws"
     )
+
+
+def _full_rank_below(coords: np.ndarray, prime: PrimeField, d: int,
+                     kernel: ModMatrix) -> bool:
+    """Whether the points impose hs(n,d-1) conditions in degree d-1, given
+    the degree-d kernel (the third lemma of ``sample_points``)."""
+    n = coords.shape[1] - 1
+    nonvanishing = np.flatnonzero(coords.all(axis=0))
+    if nonvanishing.size == 0:
+        return rank(_evaluation(coords, prime, d - 1)) == hs(n, d - 1)
+    i = int(nonvanishing[0])
+    off_xi = [m[i] == 0 for m in monomials(n, d)]
+    return rank(ModMatrix(prime, kernel.array[off_xi], _trusted=True)) == kernel.cols
 
 
 def evaluation_matrix(config: PointConfig, t: int) -> ModMatrix:

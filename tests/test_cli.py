@@ -254,12 +254,53 @@ class TestGoldenExactOutputs:
             (["verify", "--n", "2", "--r", "7", "--prime", "3", "--seed", "1",
               "--e-max", "6"], 1,
              "021c7628f88fb687ae35977a37d47919dc6ceddfb9b505ac501661c1caba766e"),
+            (["verify", "--n", "2", "--r", "18", "--prime", "7"], 1,
+             "95bb11cc46d8bd418fae82707e1c91844d725a03dd17dcc21e7c0d4431f0dc9d"),
         ],
-        ids=["verify-3-161", "verify-4-120", "verify-range-2-277-299", "verify-fail-2-7-F3"],
+        ids=["verify-3-161", "verify-4-120", "verify-range-2-277-299", "verify-fail-2-7-F3",
+             "verify-fail-2-18-F7"],
     )
     def test_certificates_are_unchanged(self, argv, code, digest):
         got_code, data = invoke_json(argv + ["--no-timing"])
         assert got_code == code
+        canonical = json.dumps(
+            _without_tool_version(data), sort_keys=True, separators=(",", ":")
+        )
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest, draws",
+        [
+            (["--n", "2", "--r-to", "60", "--prime", "7"],
+             "1e79c832ec065bdc0c2448a2fa6dbb1a1f1296e905d0363d62dd90ce623ee070",
+             "7:0P 11:8P 12:2P 16:8P 17:16G 18:16G 22:16G 23:16G 24:16G 25:16G "
+             "29:16G 30:16G 31:16G 32:16G 33:16G 37:16G 38:16G 39:16G 40:16G 41:16G "
+             "42:16G 46:16G 47:16G 48:16G 49:16G 50:16G 51:16G 52:16G 56:16G 57:16G "
+             "58:16G 59:16G 60:16G"),
+            (["--n", "3", "--r-to", "40", "--prime", "11"],
+             "bc4298331e9aef5cb1b485effada7f018855b5fbcd7afbd91d027b33168430fb",
+             "5:0P 6:0P 11:0P 12:0P 13:0P 14:0P 15:0P 16:1P 21:1P 22:0P 23:0P 24:0P "
+             "25:0P 26:0P 27:0P 28:0F 29:0P 30:0P 31:0P 36:0P 37:2P 38:0P 39:0P 40:0P"),
+            (["--n", "4", "--r-to", "40", "--prime", "5", "--seed", "2"],
+             "21d5c2e0a04ff492696bc6cf6e33be5c09dba316887ea0bfbbb1da2212ee412f",
+             "6:0P 7:0P 8:0F 9:0F 10:0F 16:0P 17:0P 18:0P 19:0P 20:0P 21:0P 22:0P "
+             "23:0F 24:1P 25:1F 26:0F 27:0P 28:0P 29:1F 30:2F 36:1P 37:1P 38:0P "
+             "39:10P 40:1P"),
+        ],
+        ids=["F7-n2", "F11-n3", "F5-n4"],
+    )
+    def test_small_prime_grids_keep_their_draws(self, argv, digest, draws):
+        # small fields make redraws, exhausted budgets (GENERICITY_FAIL) and
+        # the genericity check's fallback common; "r:retries" and the
+        # verdict's initial for each certificate
+        code, data = invoke_json(
+            ["verify-range", "--r-from", "1", "--workers", "1", "--no-timing"] + argv
+        )
+        assert code == 1
+        got = " ".join(
+            f"{c['r']}:{c['retries']}{c['verdict'][0]}" for c in data["certificates"]
+        )
+        assert got == draws
         canonical = json.dumps(
             _without_tool_version(data), sort_keys=True, separators=(",", ":")
         )

@@ -14,7 +14,9 @@ from chopshop.modlinalg import (
     ModMatrix,
     PrimeField,
     _echelon,
+    _lower_inverse,
     _mul_mod,
+    _reduce,
     in_span,
     kernel_basis,
     matmul,
@@ -150,6 +152,40 @@ class TestMulMod:
         a = np.zeros((3, 0), dtype=np.int64)
         b = np.zeros((0, 4), dtype=np.int64)
         assert _mul_mod(a, b, 7).tolist() == np.zeros((3, 4)).tolist()
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 1009, 1000003, 2147483629, 2147483647])
+    def test_float_reduction_near_multiples_of_p(self, p):
+        # the floored quotient x * (1/p) misses by one just below or at a
+        # multiple of p for some p (5 and 1000003 one way, 2147483629 the
+        # other), so both corrections are reached
+        rng = np.random.default_rng(p)
+        k = rng.integers(1, 2**53 // p - 1, size=4000, dtype=np.int64)
+        x = np.concatenate([k * p + off for off in (-1, 0, 1, p - 1)])
+        x = np.concatenate([x, rng.integers(0, 2**53, size=4000, dtype=np.int64)])
+        got = _reduce(x.astype(np.float64), p, 1.0 / p)
+        assert (got.astype(np.int64) == x % p).all()
+
+    @pytest.mark.parametrize("p", [5, 2147483629, 2147483647])
+    def test_largest_sums_across_chunks(self, p):
+        # every limb sum at its largest, over more than one inner chunk
+        k = (1 << 18) + 3
+        a = np.full((2, k), p - 1, dtype=np.int64)
+        b = np.full((k, 3), p - 1, dtype=np.int64)
+        assert (_mul_mod(a, b, p) == k % p).all()
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("p", [3, 101, 2147483647])
+    def test_inverts_the_leaf_triangle(self, p):
+        rng = np.random.default_rng(p)
+        for k in (1, 2, 7, 32):
+            t = rng.integers(0, p, size=(k, k), dtype=np.int64)
+            inv = rng.integers(1, p, size=k, dtype=np.int64)
+            inv[::3] = 1
+            lower = np.tril(t, -1) + np.diag([pow(int(v), -1, p) for v in inv])
+            got = _lower_inverse(t, inv, p)
+            assert not np.triu(got, 1).any()
+            assert (_mul_mod(lower, got, p) == np.eye(k, dtype=np.int64)).all()
 
 
 class TestEchelon:

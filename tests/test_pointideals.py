@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from chopshop import pointideals
 from chopshop.formulas import (
     CaseParams,
     ci_hf,
@@ -23,6 +24,7 @@ from chopshop.pointideals import (
     GenericityError,
     GradedBasis,
     PointConfig,
+    _full_rank_below,
     chopped_hf,
     chopped_profile,
     evaluation_array,
@@ -114,6 +116,27 @@ class TestSampling:
                 seen["r_above_p"] += r > p
         assert min(seen.values()) > 0, seen
 
+    def test_one_kernel_and_no_rank_of_degree_d_minus_1_per_draw(self, monkeypatch):
+        calls = []
+        kernel, rank_of = pointideals.kernel_basis, pointideals.rank
+
+        def counted(kind, fn):
+            def wrapper(m):
+                calls.append((kind, m.shape))
+                return fn(m)
+            return wrapper
+
+        monkeypatch.setattr(pointideals, "kernel_basis", counted("kernel", kernel))
+        monkeypatch.setattr(pointideals, "rank", counted("rank", rank_of))
+        for n, r in ((2, 290), (3, 100), (4, 119)):
+            calls.clear()
+            cfg = sample_points(n, r, P, SEED)
+            d = CaseParams(n, r).d
+            assert cfg.retries == 0
+            # the degree-d kernel, then the rank of its rows off one variable
+            assert calls == [("kernel", (r, hs(n, d))),
+                             ("rank", (hs(n - 1, d), hs(n, d) - r))]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PointConfig(2, 2, np.array([[1, 2, 3], [2, 4, 6]]), P, 0)  # same point
@@ -192,6 +215,59 @@ class TestIdealComponent:
         basis = ideal_component(cfg, 3)
         prod = matmul(evaluation_matrix(cfg, 3), basis.vectors)
         assert not prod.array.any()
+
+
+def direct_full_rank_below(coords, prime, d):
+    n = coords.shape[1] - 1
+    return rank(ModMatrix(prime, evaluation_array(coords, d - 1, prime.p))) == hs(n, d - 1)
+
+
+def points_on_hyperplanes(rng, r, n, p, count):
+    """r points, none with a zero coordinate, spread over ``count`` random
+    hyperplanes, so on the degree-``count`` hypersurface of their union."""
+    planes = rng.integers(1, p, size=(count, n + 1))
+    rows = []
+    while len(rows) < r:
+        c = planes[len(rows) % count]
+        x = rng.integers(1, p, size=n + 1)
+        lead = pow(int(c[0]), -1, p)
+        x[0] = -sum(int(a) * int(b) for a, b in zip(c[1:], x[1:])) * lead % p
+        if x[0]:
+            rows.append(x)
+    return np.array(rows, dtype=np.int64)
+
+
+class TestDegreeBelowFromKernel:
+    """The degree-(d-1) genericity condition read off the degree-d kernel
+    agrees with the rank of the degree-(d-1) evaluation matrix."""
+
+    def test_agrees_with_direct_rank(self):
+        rng = np.random.default_rng(SEED)
+        seen = {"full": 0, "deficient": 0, "fallback": 0, "hypersurface": 0}
+        for p in (5, 7, 11, 101, 2147483647):
+            prime = PrimeField(p)
+            for n in (2, 3, 4):
+                for r in rng.integers(n + 2, 3 * hs(n, 2), size=12):
+                    d = CaseParams(n, int(r)).d
+                    uniform = rng.integers(0, p, size=(r, n + 1))
+                    # every variable vanishes at some point: the fallback
+                    fallback = rng.integers(1, p, size=(r, n + 1))
+                    fallback[np.arange(n + 1), np.arange(n + 1)] = 0
+                    on_surface = points_on_hyperplanes(rng, r, n, p, d - 1)
+                    for kind, coords in (("uniform", uniform), ("fallback", fallback),
+                                         ("hypersurface", on_surface)):
+                        kernel = kernel_basis(ModMatrix(prime, evaluation_array(coords, d, p)))
+                        got = _full_rank_below(coords, prime, d, kernel)
+                        assert got == direct_full_rank_below(coords, prime, d), (p, n, r, kind)
+                        if kind == "hypersurface":
+                            assert not got
+                            seen["hypersurface"] += 1
+                        elif kind == "fallback":
+                            assert not coords.all(axis=0).any()
+                            seen["fallback"] += 1
+                        elif coords.all(axis=0).any():
+                            seen["full" if got else "deficient"] += 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestMacaulayMatrix:

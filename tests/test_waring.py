@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chopshop.formulas import CaseParams, expected_gap_and_table, predicted_gap
 from chopshop.grading import hs, monomials
@@ -300,6 +300,18 @@ class TestGapAtDegree:
                     assert all(v > r for v in table[d + 1:-1])
 
 
+def coefficient_condition(points, D):
+    """Condition number of the system the coefficients of a degree-D
+    decomposition solve at the given points: one column per point, its
+    multinomial-weighted degree-D monomial values."""
+    exps = np.array(monomials(points.shape[1] - 1, D))
+    weights = np.array([
+        math.factorial(D) / math.prod(math.factorial(b) for b in e) for e in exps
+    ])
+    values = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
+    return float(np.linalg.cond((weights * values).T))
+
+
 def roundtrip_case(n, D, r, seed, decompose_seed=0):
     Z = random_unit_points(n, r, seed)
     c = np.ones(r)
@@ -343,11 +355,16 @@ class TestDecompose:
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
+    @example(206)  # two of its 12 points lie 0.003 apart: kappa 2.9e3
     def test_random_roundtrips(self, seed):
         result, point_err, coeff_err = roundtrip_case(2, 8, 12, seed=seed)
         assert result.residual <= 1e-8
         assert point_err <= 1e-6
-        assert coeff_err <= 1e-6
+        # the coefficients solve a least-squares system at the points, so a
+        # draw with nearly coincident points may lose the digits its
+        # condition number costs; typical draws have kappa 5-30
+        kappa = coefficient_condition(random_unit_points(2, 12, seed), 8)
+        assert coeff_err <= 1e-6 * max(1.0, kappa / 100)
 
     def test_commutation_residue_small(self):
         result, _, _ = roundtrip_case(3, 8, 25, seed=12)
