@@ -161,10 +161,6 @@ class HilbertTable:
             raise ValueError(f"table does not determine degree {t}")
         return self.tail
 
-    @property
-    def last_degree(self) -> int:
-        return len(self.values) - 1
-
 
 def first_difference(h: HilbertTable) -> HilbertTable:
     """Difference table Dh(t) = h(t) - h(t-1), with h(-1) = 0.

@@ -1,15 +1,19 @@
 """Exact dense linear algebra over a prime field F_p with p < 2**31.
 
 Matrices are immutable int64 arrays with entries reduced to [0, p).  The
-workhorse is a recursive Gaussian elimination that halves the columns:
-eliminate the left half, replay it on the right half (a triangular solve
-on the new pivot rows, itself recursive, then one update of the rows
-below), and recurse on the right half below the new pivots.  Only blocks
-of at most 32 columns are eliminated one pivot at a time; the rest of the
-work is exact modular matrix products (16-bit limb split, so every float64
-dot product stays below 2**53 and BLAS can be used).  Pivoting is
-deterministic: the first row with a nonzero entry, columns left to right,
-so the pivot columns are the column rank profile.
+workhorse is a recursive in-place LU factorization in LAPACK getrf's
+convention: each multiplier (entry times pivot inverse) is parked below
+its pivot, a unit-lower L, and the pivot rows stay unscaled, U.  It halves
+the columns: eliminate the left half, replay it on the right half (a unit
+lower-triangular solve on the new pivot rows, itself recursive, then one
+update of the rows below), and recurse on the right half below the new
+pivots.  Only blocks of at most 32 columns are eliminated one pivot at a
+time; the rest of the work is exact modular matrix products (16-bit limb
+split, so every float64 dot product stays below 2**53 and BLAS can be
+used).  Pivoting is deterministic: the first row with a nonzero entry,
+columns left to right, so the pivot columns are the column rank profile.
+Only ``kernel_basis`` scales pivot rows to unit pivots; callers that need
+only a rank or the pivot columns skip that pass.
 
 Two devices from delayed-reduction linear algebra (FFLAS-FFPACK) keep the
 work in BLAS.  A product's three limb sums are recombined and reduced in
@@ -59,12 +63,6 @@ class PrimeField:
             raise ValueError(f"modulus must satisfy 2 < p < 2**31, got {p}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, -1, self.p)
 
 
 class ModMatrix:
@@ -161,26 +159,23 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def _lower_inverse(t: np.ndarray, inv: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of the lower-triangular matrix with t's strictly lower part
-    and diagonal entries whose inverses are ``inv``: forward substitution
-    on the identity, one row at a time.  Row j of the result is zero right
-    of column j, so only columns up to j are touched."""
+def _lower_inverse(t: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of the unit lower-triangular matrix with t's strictly lower
+    part: forward substitution on the identity, one column at a time.  Row
+    j of the result is zero right of column j, so only columns up to j are
+    touched."""
     k = t.shape[0]
     x = np.eye(k, dtype=np.int64)
     for j in range(k):
-        if inv[j] != 1:
-            x[j, :j + 1] = x[j, :j + 1] * int(inv[j]) % p
         f = t[j + 1:, j]
         if f.any():
             x[j + 1:, :j + 1] = (x[j + 1:, :j + 1] - f[:, None] * x[j, :j + 1]) % p
     return x
 
 
-def _solve_lower(t: np.ndarray, b: np.ndarray, inv: np.ndarray, p: int,
-                 leaf: int) -> None:
-    """In place, b <- t^-1 b for a lower-triangular t whose diagonal entries
-    have the inverses ``inv`` (t's own diagonal is not read).
+def _solve_lower(t: np.ndarray, b: np.ndarray, p: int, leaf: int) -> None:
+    """In place, b <- L^-1 b for the unit lower-triangular L whose strictly
+    lower part is t's (t's diagonal and upper part are not read).
 
     Halves t recursively: solve the top rows, subtract their contribution
     from the bottom rows with one modular product, solve the bottom rows.
@@ -189,48 +184,49 @@ def _solve_lower(t: np.ndarray, b: np.ndarray, inv: np.ndarray, p: int,
     """
     k = t.shape[0]
     if k <= leaf:
-        b[...] = _mul_mod(_lower_inverse(t, inv, p), b, p)
+        b[...] = _mul_mod(_lower_inverse(t, p), b, p)
         return
     h = k // 2
-    _solve_lower(t[:h, :h], b[:h], inv[:h], p, leaf)
+    _solve_lower(t[:h, :h], b[:h], p, leaf)
     lower = t[h:, :h]
     if lower.any():
         b[h:] = (b[h:] - _mul_mod(lower, b[:h], p)) % p
-    _solve_lower(t[h:, h:], b[h:], inv[h:], p, leaf)
+    _solve_lower(t[h:, h:], b[h:], p, leaf)
 
 
 def _replay(a: np.ndarray, p: int, row0: int, piv: list[int], c0: int, c1: int,
-            inv: np.ndarray, leaf: int) -> None:
+            leaf: int) -> None:
     """Apply the eliminations of the pivots ``piv`` (pivot rows row0, row0+1,
-    ...) to columns c0:c1: a triangular solve on the pivot rows, then one
-    modular product for the rows below."""
+    ...) to columns c0:c1: a triangular solve on the pivot rows with the
+    multipliers parked below the pivots, then one modular product for the
+    rows below."""
     k = len(piv)
     top = a[row0:row0 + k, c0:c1]
-    _solve_lower(np.tril(a[row0:row0 + k, piv]), top, inv[row0:row0 + k], p, leaf)
+    _solve_lower(a[row0:row0 + k, piv], top, p, leaf)
     lower = a[row0 + k:, piv]
     if lower.any():
         a[row0 + k:, c0:c1] = (a[row0 + k:, c0:c1] - _mul_mod(lower, top, p)) % p
 
 
 def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int,
-               inv: np.ndarray, leaf: int) -> list[int]:
-    """Eliminate columns c0:c1 of the rows from row0 down; returns the pivot
-    columns.
+               leaf: int) -> list[int]:
+    """LU-factor columns c0:c1 of the rows from row0 down in place; returns
+    the pivot columns.
 
-    Pivot rows keep their pivot value on the diagonal (its inverse goes to
-    ``inv``) and are scaled right of it; the multipliers stay parked below
-    each pivot.  Row swaps move whole rows of ``a``.  Columns past c1 are
-    not touched.
+    Each pivot row keeps its values, pivot included (U); the multiplier of
+    each row below, its entry times the pivot's inverse, is parked in the
+    pivot's column (the unit-lower L).  Row swaps move whole rows of ``a``,
+    parked multipliers included.  Columns past c1 are not touched.
     """
     m = a.shape[0]
     if row0 == m:
         return []
     if c1 - c0 > leaf:
         mid = (c0 + c1) // 2
-        left = _eliminate(a, p, row0, c0, mid, inv, leaf)
+        left = _eliminate(a, p, row0, c0, mid, leaf)
         if left:
-            _replay(a, p, row0, left, mid, c1, inv, leaf)
-        return left + _eliminate(a, p, row0 + len(left), mid, c1, inv, leaf)
+            _replay(a, p, row0, left, mid, c1, leaf)
+        return left + _eliminate(a, p, row0 + len(left), mid, c1, leaf)
     block = a[:, c0:c1]
     piv: list[int] = []
     row = row0
@@ -243,15 +239,13 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int,
         rpiv = row + int(nz[0])
         if rpiv != row:
             a[[row, rpiv]] = a[[rpiv, row]]
-        pinv = inv[row] = pow(int(block[row, lc]), -1, p)
-        if pinv != 1:
-            block[row, lc + 1:] = block[row, lc + 1:] * pinv % p
         f = block[row + 1:, lc]
         hit = f.nonzero()[0]
-        if hit.size and lc + 1 < block.shape[1]:
+        if hit.size:
             rows = hit + row + 1
+            mult = block[rows, lc] = f[hit] * pow(int(block[row, lc]), -1, p) % p
             block[rows, lc + 1:] = (
-                block[rows, lc + 1:] - f[hit, None] * block[row, lc + 1:]
+                block[rows, lc + 1:] - mult[:, None] * block[row, lc + 1:]
             ) % p
         piv.append(c0 + lc)
         row += 1
@@ -259,26 +253,25 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int,
 
 
 def _echelon(a: np.ndarray, p: int, *, leaf: int = _LEAF) -> list[int]:
-    """In-place forward elimination to row echelon form with unit pivots.
+    """In-place LU factorization with row swaps; returns the pivot columns.
 
-    Returns the pivot columns.  Identical to one-pivot-at-a-time
-    elimination; the recursion only batches the work on columns right of a
-    half into modular products.  ``leaf`` is the widest block eliminated one
-    pivot at a time (an argument for the tests, which shrink it to run many
-    levels).
+    Afterwards the first len(pivots) rows are U, an echelon form that keeps
+    its pivot values, and L's multipliers sit below the pivots.  Identical
+    to one-pivot-at-a-time elimination; the recursion only batches the work
+    on columns right of a half into modular products.  ``leaf`` is the
+    widest block eliminated one pivot at a time (an argument for the tests,
+    which shrink it to run many levels).
+
+    Row swaps, pivots and D^-1 U (D the pivot values) match elimination with
+    unit pivot rows: a row below a pivot is updated by (entry / pivot) times
+    the unscaled row, the same numbers as the entry times the scaled row.
     """
-    m, ncols = a.shape
-    inv = np.ones(m, dtype=np.int64)
-    piv = _eliminate(a, p, 0, 0, ncols, inv, leaf)
-    if piv:
-        a[:, piv] = np.triu(a[:, piv], 1) + np.eye(m, len(piv), dtype=np.int64)
-    return piv
+    return _eliminate(a, p, 0, 0, a.shape[1], leaf)
 
 
 def rank(m: ModMatrix) -> int:
     """Rank via forward elimination."""
-    a = m.array.copy()
-    return len(_echelon(a, m.field.p))
+    return len(_echelon(m.array.copy(), m.field.p))
 
 
 def kernel_basis(m: ModMatrix) -> ModMatrix:
@@ -286,7 +279,8 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
 
     The basis is in echelon-complement form: each vector has a 1 in its
     free coordinate, the pivot coordinates filled from the reduced echelon
-    form, and zeros in the other free coordinates.  Deterministic.
+    form, and zeros in the other free coordinates.  Deterministic.  The
+    only place that scales U's pivot rows to unit pivots.
     """
     p = m.field.p
     a = m.array.copy()
@@ -297,12 +291,13 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
     r = len(piv)
     if r and free.size:
         # reduced echelon form on the free columns: U11^-1 times them, for
-        # the unit upper triangle U11 on the pivot columns, solved as the
-        # lower triangle it becomes with rows and columns reversed
-        reduced = a[:r, free]
-        u11 = a[:r, piv]
-        _solve_lower(u11[::-1, ::-1], reduced[::-1], np.ones(r, dtype=np.int64),
-                     p, _LEAF)
+        # U11 the pivot columns with rows scaled to unit pivots, solved as
+        # the lower triangle it becomes with rows and columns reversed
+        scale = np.array([pow(int(v), -1, p) for v in a[np.arange(r), piv]],
+                         dtype=np.int64)[:, None]
+        reduced = a[:r, free] * scale % p
+        u11 = a[:r, piv] * scale % p
+        _solve_lower(u11[::-1, ::-1], reduced[::-1], p, _LEAF)
         basis[piv] = (p - reduced) % p
     return ModMatrix(m.field, basis, _trusted=True)
 
@@ -323,7 +318,9 @@ def in_span(m: ModMatrix, v) -> bool:
 
 
 def matmul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
-    """Exact modular matrix product."""
+    """Exact modular matrix product.  No caller outside the tests: kept
+    because acceptance criterion 12 changes bases of degree-d components
+    through it."""
     if a.field.p != b.field.p:
         raise ValueError("mixed moduli")
     if a.cols != b.rows:

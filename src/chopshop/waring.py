@@ -67,6 +67,8 @@ class SymmetricForm:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        if self.D < 0:
+            raise ValueError(f"need degree D >= 0, got {self.D}")
         arr = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.shape[0] != hs(self.n, self.D):
             raise ValueError(
@@ -435,14 +437,30 @@ def form_to_dict(form: SymmetricForm) -> dict:
     return {"schema_version": SCHEMA_VERSION, "n": form.n, "D": form.D, "terms": terms}
 
 
+def _checked(value, kinds, name: str):
+    """``value`` when it has one of the types ``kinds`` (bools excluded);
+    otherwise ValueError naming the form field it was read from."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"form field {name} is missing or malformed: {value!r}")
+    return value
+
+
 def form_from_dict(data: dict) -> SymmetricForm:
+    """Inverse of ``form_to_dict``.  A malformed document raises ValueError
+    naming the bad field."""
+    data = _checked(data, dict, "<document>")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported form schema {data.get('schema_version')}")
-    n, D = int(data["n"]), int(data["D"])
+    n, D = (_checked(data.get(key), int, key) for key in ("n", "D"))
     coeffs = np.zeros(hs(n, D), dtype=np.complex128)
-    for term in data["terms"]:
-        idx = mono_index(n, D, term["exponent"])
-        coeffs[idx] = complex(term["re"], term["im"])
+    for i, term in enumerate(_checked(data.get("terms"), list, "terms")):
+        where = f"terms[{i}]"
+        term = _checked(term, dict, where)
+        exponent = _checked(term.get("exponent"), list, f"{where}.exponent")
+        for v in exponent:
+            _checked(v, int, f"{where}.exponent")
+        parts = (_checked(term.get(k), (int, float), f"{where}.{k}") for k in ("re", "im"))
+        coeffs[mono_index(n, D, exponent)] = complex(*parts)
     return SymmetricForm(n, D, coeffs)
 
 

@@ -361,6 +361,33 @@ class TestWaringCommands:
         assert code == 1
         assert "the zero form has no Waring decomposition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ([1, 2], "document"),
+            ({"schema_version": 1, "n": 2, "terms": []}, "D"),
+            ({"schema_version": 1, "n": 2, "D": 2}, "terms"),
+            ({"schema_version": 1, "D": 2, "terms": []}, "n"),
+            ({"schema_version": 1, "n": 2, "D": 2,
+              "terms": [{"exponent": [2, 0, 0], "re": 1.0}]}, "terms[0].im"),
+            ({"schema_version": 1, "n": 2, "D": 2,
+              "terms": [{"exponent": [2, 0, 0], "re": "1", "im": 0.0}]}, "terms[0].re"),
+            ({"schema_version": 1, "n": 2, "D": 2,
+              "terms": [{"exponent": [2, None, 0], "re": 1.0, "im": 0.0}]},
+             "terms[0].exponent"),
+            ({"schema_version": 1, "n": 2, "D": 2, "terms": [[2, 0, 0]]}, "terms[0]"),
+            ({"schema_version": 1, "n": 2, "D": -1, "terms": []}, "D"),
+        ],
+    )
+    def test_malformed_form_is_a_clean_error(self, tmp_path, document, field):
+        src = tmp_path / "form.json"
+        src.write_text(json.dumps(document))
+        code, data = invoke_json(["decompose", str(src), "--r", "3"])
+        assert code == 1
+        assert data["error"]["type"] == "ValueError"
+        assert field in data["error"]["message"]
+        assert "zero form" not in data["error"]["message"]
+
     def test_unsupported_rank_error(self, tmp_path):
         points = random_unit_points(2, 30, 1)
         form = form_from_points(points, [1.0] * 30, 10)

@@ -154,6 +154,15 @@ class TestVerifyCase:
             tampered = Certificate.from_dict({**data, key: value})
             assert not replay_certificate(tampered), key
 
+    def test_replay_rejects_points_stored_unreduced(self):
+        # the same projective points, one coordinate shifted by p: the
+        # chopped quotient is unchanged, but sampling never writes it so
+        cert = verify_case(2, 18, P, seed=7)
+        points = [list(row) for row in cert.points]
+        points[0][0] += P.p
+        tampered = Certificate.from_dict({**cert.to_dict(), "points": points})
+        assert not replay_certificate(tampered)
+
     def test_replay_accepts_an_honest_fail(self):
         cert = verify_case(2, 7, PrimeField(3), seed=1)
         assert cert.verdict == "FAIL"
