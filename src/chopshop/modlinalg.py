@@ -173,43 +173,41 @@ def _lower_inverse(t: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _solve_lower(t: np.ndarray, b: np.ndarray, p: int, leaf: int) -> None:
+def _solve_lower(t: np.ndarray, b: np.ndarray, p: int) -> None:
     """In place, b <- L^-1 b for the unit lower-triangular L whose strictly
     lower part is t's (t's diagonal and upper part are not read).
 
     Halves t recursively: solve the top rows, subtract their contribution
     from the bottom rows with one modular product, solve the bottom rows.
-    A block of at most ``leaf`` rows is inverted and applied to b as one
+    A block of at most ``_LEAF`` rows is inverted and applied to b as one
     modular product.
     """
     k = t.shape[0]
-    if k <= leaf:
+    if k <= _LEAF:
         b[...] = _mul_mod(_lower_inverse(t, p), b, p)
         return
     h = k // 2
-    _solve_lower(t[:h, :h], b[:h], p, leaf)
+    _solve_lower(t[:h, :h], b[:h], p)
     lower = t[h:, :h]
     if lower.any():
         b[h:] = (b[h:] - _mul_mod(lower, b[:h], p)) % p
-    _solve_lower(t[h:, h:], b[h:], p, leaf)
+    _solve_lower(t[h:, h:], b[h:], p)
 
 
-def _replay(a: np.ndarray, p: int, row0: int, piv: list[int], c0: int, c1: int,
-            leaf: int) -> None:
+def _replay(a: np.ndarray, p: int, row0: int, piv: list[int], c0: int, c1: int) -> None:
     """Apply the eliminations of the pivots ``piv`` (pivot rows row0, row0+1,
     ...) to columns c0:c1: a triangular solve on the pivot rows with the
     multipliers parked below the pivots, then one modular product for the
     rows below."""
     k = len(piv)
     top = a[row0:row0 + k, c0:c1]
-    _solve_lower(a[row0:row0 + k, piv], top, p, leaf)
+    _solve_lower(a[row0:row0 + k, piv], top, p)
     lower = a[row0 + k:, piv]
     if lower.any():
         a[row0 + k:, c0:c1] = (a[row0 + k:, c0:c1] - _mul_mod(lower, top, p)) % p
 
 
-def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int,
-               leaf: int) -> list[int]:
+def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[int]:
     """LU-factor columns c0:c1 of the rows from row0 down in place; returns
     the pivot columns.
 
@@ -221,12 +219,12 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int,
     m = a.shape[0]
     if row0 == m:
         return []
-    if c1 - c0 > leaf:
+    if c1 - c0 > _LEAF:
         mid = (c0 + c1) // 2
-        left = _eliminate(a, p, row0, c0, mid, leaf)
+        left = _eliminate(a, p, row0, c0, mid)
         if left:
-            _replay(a, p, row0, left, mid, c1, leaf)
-        return left + _eliminate(a, p, row0 + len(left), mid, c1, leaf)
+            _replay(a, p, row0, left, mid, c1)
+        return left + _eliminate(a, p, row0 + len(left), mid, c1)
     block = a[:, c0:c1]
     piv: list[int] = []
     row = row0
@@ -252,21 +250,21 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int,
     return piv
 
 
-def _echelon(a: np.ndarray, p: int, *, leaf: int = _LEAF) -> list[int]:
+def _echelon(a: np.ndarray, p: int) -> list[int]:
     """In-place LU factorization with row swaps; returns the pivot columns.
 
     Afterwards the first len(pivots) rows are U, an echelon form that keeps
     its pivot values, and L's multipliers sit below the pivots.  Identical
     to one-pivot-at-a-time elimination; the recursion only batches the work
-    on columns right of a half into modular products.  ``leaf`` is the
-    widest block eliminated one pivot at a time (an argument for the tests,
-    which shrink it to run many levels).
+    on columns right of a half into modular products.  ``_LEAF`` is the
+    widest block eliminated one pivot at a time (the tests shrink it to run
+    many levels).
 
     Row swaps, pivots and D^-1 U (D the pivot values) match elimination with
     unit pivot rows: a row below a pivot is updated by (entry / pivot) times
     the unscaled row, the same numbers as the entry times the scaled row.
     """
-    return _eliminate(a, p, 0, 0, a.shape[1], leaf)
+    return _eliminate(a, p, 0, 0, a.shape[1])
 
 
 def rank(m: ModMatrix) -> int:
@@ -297,7 +295,7 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
                          dtype=np.int64)[:, None]
         reduced = a[:r, free] * scale % p
         u11 = a[:r, piv] * scale % p
-        _solve_lower(u11[::-1, ::-1], reduced[::-1], p, _LEAF)
+        _solve_lower(u11[::-1, ::-1], reduced[::-1], p)
         basis[piv] = (p - reduced) % p
     return ModMatrix(m.field, basis, _trusted=True)
 
@@ -318,9 +316,7 @@ def in_span(m: ModMatrix, v) -> bool:
 
 
 def matmul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
-    """Exact modular matrix product.  No caller outside the tests: kept
-    because acceptance criterion 12 changes bases of degree-d components
-    through it."""
+    """Exact modular matrix product."""
     if a.field.p != b.field.p:
         raise ValueError("mixed moduli")
     if a.cols != b.rows:

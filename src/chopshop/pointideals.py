@@ -71,10 +71,6 @@ def _normalized_rows(coords: np.ndarray, p: int) -> np.ndarray | None:
     return coords * inverses[:, None] % p
 
 
-def _distinct(normalized: np.ndarray) -> bool:
-    return len(np.unique(normalized, axis=0)) == normalized.shape[0]
-
-
 @dataclass(frozen=True, eq=False)
 class PointConfig:
     """r projective points in n-space with coordinates in F_p.
@@ -108,7 +104,7 @@ class PointConfig:
         normalized = _normalized_rows(arr, self.prime.p)
         if normalized is None:
             raise ValueError("every point needs a nonzero coordinate row")
-        if not _distinct(normalized):
+        if len(np.unique(normalized, axis=0)) != self.r:
             raise ValueError("rows must be pairwise distinct projective points")
         if arr.base is not None:
             arr = arr.copy()
@@ -227,15 +223,15 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
     rng = np.random.default_rng(seed)
     for attempt in range(budget):
         coords = rng.integers(0, p, size=(r, n + 1), dtype=np.int64)
-        normalized = _normalized_rows(coords, p)
-        if normalized is None or not _distinct(normalized):
+        try:
+            config = PointConfig(n, r, coords, prime, seed, retries=attempt)
+        except ValueError:  # a zero row or a repeated point
             continue
-        kernel = kernel_basis(_evaluation(coords, prime, d))
+        kernel = kernel_basis(_evaluation(config.coords, prime, d))
         if hs(n, d) - kernel.cols != r:
             continue
-        if d >= 2 and not _full_rank_below(coords, prime, d, kernel):
+        if d >= 2 and not _full_rank_below(config.coords, prime, d, kernel):
             continue
-        config = PointConfig(n, r, coords, prime, seed, retries=attempt)
         object.__setattr__(config, "_degree_d_basis", GradedBasis(n, d, kernel))
         return config
     raise GenericityError(

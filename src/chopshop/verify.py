@@ -13,6 +13,7 @@ the missing-sextic membership demonstration for 18 plane points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,8 +23,8 @@ import numpy as np
 
 from .formulas import (CaseParams, GapPrediction, admissible, expected_chopped_hf,
                        predicted_gap)
-from .grading import Exponent, hs, monomials, product_index_map
-from .modlinalg import PrimeField, in_span, rank
+from .grading import Exponent, hs, mono_index, monomials, product_index_map
+from .modlinalg import PrimeField, in_span, matmul, rank
 from .pointideals import (
     RETRY_BUDGET,
     GenericityError,
@@ -284,62 +285,35 @@ class MonomialIdeal:
         return tuple(sorted(self.generators))
 
     def permuted(self, perm: tuple[int, ...]) -> "MonomialIdeal":
-        """The ideal with its variables reordered by ``perm``.  No caller
-        outside the tests: kept because acceptance criterion 7 closes the
-        search results under variable permutations through it."""
+        """The ideal with its variables reordered by ``perm``."""
         moved = frozenset(
             Exponent(tuple(g[i] for i in perm)) for g in self.generators
         )
         return MonomialIdeal(self.n, moved)
 
 
-def _multiples_of(generators, n: int, t: int) -> set:
-    """Degree-t monomials divisible by at least one generator."""
-    out: set = set()
-    for gen in generators:
-        room = t - sum(gen)
-        if room < 0:
-            continue
-        for shift in monomials(n, room):
-            out.add(tuple(g + s for g, s in zip(gen, shift)))
-    return out
-
-
-_PERMS3 = tuple(itertools.permutations(range(3)))
-
-
-def _canonical_form(exps: frozenset) -> frozenset:
-    images = [
-        frozenset(tuple(e[i] for i in perm) for e in exps) for perm in _PERMS3
-    ]
-    return min(images, key=lambda s: tuple(sorted(s)))
-
-
 SEARCH_SIZES = (18, 25, 32, 33)
 
 
-def _is_saturated(generators, n: int, d: int, horizon: int) -> bool:
-    """No monomial outside the ideal may have every variable shift inside.
+@functools.cache
+def _multiple_masks(n: int, d: int, t: int) -> dict[Exponent, int]:
+    """The degree-t multiples of each degree-d monomial as a bitmask whose
+    bit j stands for monomials(n, t)[j]: the monomial's column of
+    product_index_map(n, d, t - d).  Keys run in monomial order; below
+    degree d every mask is 0."""
+    if t < d:
+        return dict.fromkeys(monomials(n, d), 0)
+    columns = product_index_map(n, d, t - d).T.tolist()
+    return {m: sum(1 << j for j in col) for m, col in zip(monomials(n, d), columns)}
 
-    Such a socle monomial would mean the ideal differs from its saturation,
-    so it could not be the ideal of a zero-dimensional scheme, let alone a
-    degeneration of distinct points.  Generators all live in degrees d and
-    d+1 here, so degrees below d-1 cannot produce socle elements and the
-    quotient is eventually pure; scanning through the horizon suffices.
-    """
-    for t in range(max(d - 1, 0), horizon + 1):
-        inside = _multiples_of(generators, n, t)
-        inside_next = _multiples_of(generators, n, t + 1)
-        for mono in monomials(n, t):
-            if mono in inside:
-                continue
-            shifts = (
-                tuple(m + (j == i) for j, m in enumerate(mono))
-                for i in range(n + 1)
-            )
-            if all(s in inside_next for s in shifts):
-                return False
-    return True
+
+def _multiples(n: int, t: int, gens) -> int:
+    """The degree-t monomials divisible by some generator, as one bitmask
+    (see ``_multiple_masks``); its ``bit_count()`` is their number."""
+    mask = 0
+    for g in gens:
+        mask |= _multiple_masks(n, sum(g), t)[g]
+    return mask
 
 
 def search_monomial_ideals(r: int) -> tuple[MonomialIdeal, ...]:
@@ -347,75 +321,64 @@ def search_monomial_ideals(r: int) -> tuple[MonomialIdeal, ...]:
     the generic Hilbert function of r points and whose chopped ideal
     matches the conjectured table.
 
-    The enumeration picks the degree-d generator set (up to variable
-    permutation), requires its multiples to hit the conjectured chopped
-    dimensions through degree 3d, extends in degree d+1 to the generic
-    dimension, demands the quotient stay at r through 3d, and finally keeps
-    only saturated ideals.  Saturation is what ties the combinatorial
-    object back to configurations of r points: a plane ideal with constant
-    quotient dimension r defines a length-r scheme exactly when it is
-    saturated, and such schemes deform to r distinct points.  The returned
-    list is the full permutation closure of the satisfiers, sorted.
+    The enumeration picks the degree-d generator set, one per orbit of the
+    variable permutations (the set whose sorted monomial positions come
+    first among its images), requires its multiples to hit the conjectured
+    chopped dimensions through degree 3d, extends in degree d+1 to the
+    generic dimension, demands the quotient stay at r through 3d, and
+    finally keeps only saturated ideals.  Multiples are counted as
+    bitmasks read off the shared ``product_index_map`` table.
+
+    Saturation is what ties the combinatorial object back to configurations
+    of r points: a plane ideal with constant quotient dimension r defines a
+    length-r scheme exactly when it is saturated, and such schemes deform
+    to r distinct points.  An ideal is saturated when no monomial outside
+    it has every variable shift inside (such a socle monomial lies in the
+    saturation).  Generators all live in degrees d and d+1, so degrees
+    below d-1 hold no socle monomials and the quotient is eventually pure;
+    scanning degrees d-1 through the horizon suffices.  The returned list
+    is the full permutation closure of the satisfiers, sorted.
     """
     if r not in SEARCH_SIZES:
         raise ValueError(f"supported sizes are {SEARCH_SIZES}, got {r}")
     n = 2
     params = CaseParams(n, r)
     d = params.d
-    g = hs(n, d) - r
     horizon = 3 * d
-
-    chopped_targets = {
-        t: expected_chopped_hf(params, t)[0] for t in range(d + 1, horizon + 1)
-    }
+    chopped = {t: expected_chopped_hf(params, t)[0] for t in range(d + 1, horizon + 1)}
     degree_d = monomials(n, d)
-    extension_pool_size = hs(n, d + 1) - r
+    perms = tuple(itertools.permutations(range(n + 1)))
+    images = [[mono_index(n, d, [m[i] for i in perm]) for m in degree_d] for perm in perms]
 
-    satisfiers: set = set()
-    for gens in itertools.combinations(degree_d, g):
-        gen_set = frozenset(gens)
-        if _canonical_form(gen_set) != gen_set:
+    satisfiers = []
+    for picked in itertools.combinations(range(len(degree_d)), hs(n, d) - r):
+        if any(tuple(sorted(image[i] for i in picked)) < picked for image in images):
             continue
-        if not all(
-            len(_multiples_of(gen_set, n, t)) == chopped_targets[t]
-            for t in range(d + 1, horizon + 1)
-        ):
+        gens = [degree_d[i] for i in picked]
+        if any(_multiples(n, t, gens).bit_count() != target for t, target in chopped.items()):
             continue
-        multiples_d1 = _multiples_of(gen_set, n, d + 1)
-        missing = extension_pool_size - len(multiples_d1)
-        if missing < 0:
+        below = _multiples(n, d + 1, gens)
+        pool = [m for j, m in enumerate(monomials(n, d + 1)) if not below >> j & 1]
+        if len(pool) < r:
             continue
-        pool = [m for m in monomials(n, d + 1) if m not in multiples_d1]
-        for extension in itertools.combinations(pool, missing):
-            full = gen_set | frozenset(extension)
-            if all(
-                hs(n, t) - len(_multiples_of(full, n, t)) == r
-                for t in range(d + 2, horizon + 1)
-            ) and _is_saturated(full, n, d, horizon):
-                satisfiers.add(full)
+        for extension in itertools.combinations(pool, len(pool) - r):
+            full = gens + list(extension)
+            if any(hs(n, t) - _multiples(n, t, full).bit_count() != r
+                   for t in range(d + 2, horizon + 1)):
+                continue
+            # saturated: no monomial outside with every variable shift inside
+            inside = [_multiples(n, t, full) for t in range(d - 1, horizon + 2)]
+            if not any(not here >> j & 1 and not shifts & ~above
+                       for t, here, above in zip(range(d - 1, horizon + 1), inside, inside[1:])
+                       for j, shifts in enumerate(_multiple_masks(n, t, t + 1).values())):
+                satisfiers.append(MonomialIdeal(n, frozenset(full)))
 
-    closure: set = set()
-    for gens in satisfiers:
-        for perm in _PERMS3:
-            closure.add(frozenset(tuple(e[i] for i in perm) for e in gens))
-    ideals = [MonomialIdeal(n, gens) for gens in closure]
-    ideals.sort(key=lambda ideal: ideal.sorted_generators())
-    return tuple(ideals)
+    closure = {ideal.permuted(perm) for ideal in satisfiers for perm in perms}
+    return tuple(sorted(closure, key=MonomialIdeal.sorted_generators))
 
 
 # ---------------------------------------------------------------------------
 # Membership demonstration: the sextic outside the chopped ideal
-
-
-def _poly_mul(n: int, deg_a: int, a_coeffs, deg_b: int, b_coeffs, p: int):
-    """Coefficient vector of the product of two homogeneous polynomials."""
-    positions = product_index_map(n, deg_a, deg_b)
-    a = np.asarray(a_coeffs, dtype=np.int64) % p
-    b = np.asarray(b_coeffs, dtype=np.int64) % p
-    terms = b[:, None] * a[None, :] % p
-    out = np.zeros(hs(n, deg_a + deg_b), dtype=np.int64)
-    np.add.at(out, positions.ravel(), terms.ravel())
-    return out % p
 
 
 def missing_sextic_demo(prime: PrimeField, seed: int) -> dict:
@@ -428,16 +391,12 @@ def missing_sextic_demo(prime: PrimeField, seed: int) -> dict:
     record is g_in_I6 true, g_in_chopped6 false, dimensions 10 and 9.
     """
     config = sample_points(2, 18, prime, seed)
-    halves = []
-    for rows in (config.coords[:9], config.coords[9:]):
-        half = PointConfig(2, 9, rows, prime, seed)
-        cubics = ideal_component(half, 3)
-        if cubics.dim != 1:
-            raise GenericityError(
-                f"a 9-point half admits {cubics.dim} cubics instead of 1"
-            )
-        halves.append(cubics.vectors.array[:, 0])
-    g = _poly_mul(2, 3, halves[0], 3, halves[1], prime.p)
+    cubics = [ideal_component(PointConfig(2, 9, rows, prime, seed), 3)
+              for rows in (config.coords[:9], config.coords[9:])]
+    for half in cubics:
+        if half.dim != 1:
+            raise GenericityError(f"a 9-point half admits {half.dim} cubics instead of 1")
+    g = matmul(macaulay_matrix(cubics[0], 3), cubics[1].vectors).array
 
     full6 = ideal_component(config, 6)
     quintics = ideal_component(config, 5)

@@ -452,6 +452,8 @@ def form_from_dict(data: dict) -> SymmetricForm:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported form schema {data.get('schema_version')}")
     n, D = (_checked(data.get(key), int, key) for key in ("n", "D"))
+    if D < 0:
+        raise ValueError(f"form field D must be >= 0, got {D}")
     coeffs = np.zeros(hs(n, D), dtype=np.complex128)
     for i, term in enumerate(_checked(data.get("terms"), list, "terms")):
         where = f"terms[{i}]"

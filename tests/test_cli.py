@@ -228,6 +228,10 @@ GOLDEN_STDOUT = [
      "daad4fda7a23561e1401ad4bbc213672b49279a75f9662fb975ccb1be4acd38f"),
     (["search-monomial", "--r", "18", "--format", "json"],
      "028f02a4c5521362d47f37bed4895fe1ee9a3862f807eb35d7fb2c3755d5af74"),
+    (["search-monomial", "--r", "32", "--format", "table"],
+     "8dd824e6d56a3829029a8a36f7623356e681adf2e30b9fbe78b7951da940ed68"),
+    (["search-monomial", "--r", "32", "--format", "json"],
+     "af91aa05fb9c73e760e7a1ee561fe2d60f9ebdd9ff5d24fe0cb98c82b6530354"),
     (["sextic-demo", "--seed", "3", "--format", "table"],
      "c089d60ab73368dd6d6359966d1ac52f7ad11868c3462f580afefcc6d1462eff"),
     (["sextic-demo", "--seed", "3", "--format", "json"],
@@ -377,6 +381,8 @@ class TestWaringCommands:
              "terms[0].exponent"),
             ({"schema_version": 1, "n": 2, "D": 2, "terms": [[2, 0, 0]]}, "terms[0]"),
             ({"schema_version": 1, "n": 2, "D": -1, "terms": []}, "D"),
+            ({"schema_version": 1, "n": 2, "D": -1,
+              "terms": [{"exponent": [2, 0, 0], "re": 1.0, "im": 0.0}]}, "D"),
         ],
     )
     def test_malformed_form_is_a_clean_error(self, tmp_path, document, field):

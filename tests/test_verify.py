@@ -19,7 +19,8 @@ from chopshop.modlinalg import PrimeField
 from chopshop.verify import (
     Certificate,
     MonomialIdeal,
-    _multiples_of,
+    _multiple_masks,
+    _multiples,
     derive_seed,
     missing_sextic_demo,
     replay_certificate,
@@ -264,18 +265,22 @@ class TestMonomialHilbert:
         for t in range(16):
             assert hs(2, t) - count_multiples_oracle(THEOREM_IDEAL, 2, t) == min(hs(2, t), 18)
 
-    # The search counts multiples with the set algebra of _multiples_of.
+    # The search counts multiples as bitmasks read off product_index_map.
     def test_single_generator(self):
         for t in range(4, 9):
-            assert len(_multiples_of([(4, 0, 0)], 2, t)) == hs(2, t - 4)
+            mask = _multiple_masks(2, 4, t)[(4, 0, 0)]
+            assert mask == _multiples(2, t, [(4, 0, 0)])
+            assert mask.bit_count() == hs(2, t - 4)
+            multiples = {m for j, m in enumerate(monomials(2, t)) if mask >> j & 1}
+            assert multiples == {m for m in monomials(2, t) if m[0] >= 4}
 
     def test_empty_generators(self):
-        assert _multiples_of([], 2, 5) == set()
+        assert _multiples(2, 5, []) == 0
 
     def test_counts_match_bruteforce(self):
         gens = frozenset([(2, 1, 0), (0, 3, 1), (1, 0, 3)])
         for t in range(3, 10):
-            assert len(_multiples_of(gens, 2, t)) == count_multiples_oracle(gens, 2, t)
+            assert _multiples(2, t, gens).bit_count() == count_multiples_oracle(gens, 2, t)
 
     def test_minimality_enforced(self):
         with pytest.raises(ValueError):
