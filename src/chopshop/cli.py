@@ -5,7 +5,8 @@ verification runs (verify, verify-range), liaison difference tables,
 monomial search, the missing-sextic demonstration, and Waring
 decomposition (decompose, waring-demo).  Output is a human table by
 default or JSON with --format json; exit status is 0 for success or PASS,
-1 for failed verdicts and computational errors, 2 for usage errors.
+1 for failed verdicts and computational errors, 2 for usage errors, 3 for
+an internal error (a failed self-check, which is a bug).
 
 `_FLAGS` is the only place a flag is declared, with its type, default and
 check; `_COMMANDS` names the flags each subcommand takes.
@@ -33,6 +34,7 @@ from .grading import CapacityError, first_difference
 from .modlinalg import PrimeField
 from .pointideals import GenericityError
 from .verify import (
+    SelfCheckError,
     missing_sextic_demo,
     search_monomial_ideals,
     verify_case,
@@ -523,7 +525,7 @@ def run(argv=None) -> int:
                 usage.error(complaint)
     try:
         return command.handler(args)
-    except _COMPUTATION_FAILURES as exc:
+    except (*_COMPUTATION_FAILURES, SelfCheckError) as exc:
         if args.format == "json":
             print(
                 json.dumps(
@@ -532,7 +534,7 @@ def run(argv=None) -> int:
             )
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, SelfCheckError) else 1
 
 
 def main() -> int:

@@ -18,10 +18,22 @@ only a rank or the pivot columns skip that pass.
 Two devices from delayed-reduction linear algebra (FFLAS-FFPACK) keep the
 work in BLAS.  A product's three limb sums are recombined and reduced in
 float64, by Horner steps of 2**16, each reduction a floored multiply by
-1/p with one correction; only the result is converted to int64.  A
-triangular solve's leaves of at most 32 rows are inverted on the identity
-by forward substitution, and the inverse is applied to the whole
-right-hand side as one modular product.
+1/p with one correction; only the result is converted to int64.  The
+pivots a leaf finds form a diagonal block of every later triangular solve
+over them; the block is inverted on the identity by forward substitution
+once, when first needed, kept for the rest of the elimination, and applied
+to the whole right-hand side as one modular product.
+
+The elimination works only on live rows, read off the data: a leaf on the
+rows down to the last one nonzero in its columns, and each update on the
+rows down to the last one with a nonzero multiplier.  This costs one scan
+on a dense matrix and changes nothing else.  On a staircase, where each
+column's nonzero rows lie within a top block that grows from left to
+right, it is what makes the work shrink: a pivot row is the first nonzero
+row at or below the current one, so it lies inside the block, row swaps
+stay inside it, and multipliers are nonzero only inside it, so the
+columns not yet eliminated stay a staircase.  The graded Macaulay matrix of
+``pointideals.chopped_profile`` is built as one.
 """
 
 from __future__ import annotations
@@ -173,71 +185,113 @@ def _lower_inverse(t: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _solve_lower(t: np.ndarray, b: np.ndarray, p: int) -> None:
+def _live_rows(x: np.ndarray) -> int:
+    """Number of rows of x down to its last nonzero one (0 if x is zero)."""
+    nonzero = np.flatnonzero(x.any(axis=1))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+class _Leaf:
+    """The pivots one leaf of the elimination found, as a diagonal block of
+    a unit lower-triangular solve: their columns, and the inverse of their
+    triangle (L on their pivot rows and columns) once a solve has needed it.
+
+    Later row swaps only move rows below a leaf's pivot rows and later
+    updates only touch columns right of its pivots, so the triangle is fixed
+    for the rest of the elimination and each leaf is inverted at most once.
+    """
+
+    __slots__ = ("cols", "inverse")
+
+    def __init__(self, cols):
+        self.cols = cols
+        self.inverse: np.ndarray | None = None
+
+
+def _solve_lower(t: np.ndarray, b: np.ndarray, p: int, leaves: list[_Leaf]) -> None:
     """In place, b <- L^-1 b for the unit lower-triangular L whose strictly
     lower part is t's (t's diagonal and upper part are not read).
 
-    Halves t recursively: solve the top rows, subtract their contribution
-    from the bottom rows with one modular product, solve the bottom rows.
-    A block of at most ``_LEAF`` rows is inverted and applied to b as one
-    modular product.
+    ``leaves`` cut t into diagonal blocks, in order.  Halves them
+    recursively: solve the top rows, subtract their contribution from the
+    bottom rows down to the last one with a nonzero multiplier with one
+    modular product, solve the bottom rows.  A single block is inverted
+    (once per leaf) and applied to b as one modular product.
     """
-    k = t.shape[0]
-    if k <= _LEAF:
-        b[...] = _mul_mod(_lower_inverse(t, p), b, p)
+    if len(leaves) == 1:
+        leaf = leaves[0]
+        if leaf.inverse is None:
+            leaf.inverse = _lower_inverse(t, p)
+        b[...] = _mul_mod(leaf.inverse, b, p)
         return
-    h = k // 2
-    _solve_lower(t[:h, :h], b[:h], p)
+    half = len(leaves) // 2
+    h = sum(len(leaf.cols) for leaf in leaves[:half])
+    _solve_lower(t[:h, :h], b[:h], p, leaves[:half])
     lower = t[h:, :h]
-    if lower.any():
-        b[h:] = (b[h:] - _mul_mod(lower, b[:h], p)) % p
-    _solve_lower(t[h:, h:], b[h:], p)
+    live = _live_rows(lower)
+    if live:
+        b[h:h + live] = (b[h:h + live] - _mul_mod(lower[:live], b[:h], p)) % p
+    _solve_lower(t[h:, h:], b[h:], p, leaves[half:])
 
 
-def _replay(a: np.ndarray, p: int, row0: int, piv: list[int], c0: int, c1: int) -> None:
-    """Apply the eliminations of the pivots ``piv`` (pivot rows row0, row0+1,
-    ...) to columns c0:c1: a triangular solve on the pivot rows with the
-    multipliers parked below the pivots, then one modular product for the
-    rows below."""
+def _replay(a: np.ndarray, p: int, row0: int, leaves: list[_Leaf], c0: int, c1: int) -> None:
+    """Apply the eliminations of the pivots of ``leaves`` (pivot rows row0,
+    row0+1, ...) to columns c0:c1: a triangular solve on the pivot rows with
+    the multipliers parked below the pivots, then one modular product for
+    the rows below, down to the last one with a nonzero multiplier.
+
+    Between the first and last pivot column every entry below the pivot rows
+    is a multiplier or zero (a column without a pivot is zero there), so
+    the live rows are read off that slice without gathering the pivot
+    columns in full.
+    """
+    piv = [c for leaf in leaves for c in leaf.cols]
     k = len(piv)
     top = a[row0:row0 + k, c0:c1]
-    _solve_lower(a[row0:row0 + k, piv], top, p)
-    lower = a[row0 + k:, piv]
-    if lower.any():
-        a[row0 + k:, c0:c1] = (a[row0 + k:, c0:c1] - _mul_mod(lower, top, p)) % p
+    _solve_lower(a[row0:row0 + k, piv], top, p, leaves)
+    below = row0 + k
+    live = _live_rows(a[below:, piv[0]:piv[-1] + 1])
+    if live:
+        rows = slice(below, below + live)
+        a[rows, c0:c1] = (a[rows, c0:c1] - _mul_mod(a[rows, piv], top, p)) % p
 
 
-def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[int]:
+def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[_Leaf]:
     """LU-factor columns c0:c1 of the rows from row0 down in place; returns
-    the pivot columns.
+    the pivots, grouped by the leaf that found them.
 
     Each pivot row keeps its values, pivot included (U); the multiplier of
     each row below, its entry times the pivot's inverse, is parked in the
     pivot's column (the unit-lower L).  Row swaps move whole rows of ``a``,
     parked multipliers included.  Columns past c1 are not touched.
+
+    A leaf works only on the rows down to the last one that is nonzero in
+    its columns: a pivot is the first nonzero entry at or below the current
+    row, and a row changes only when its multiplier is nonzero, so rows
+    below stay zero in the leaf's columns throughout.
     """
-    m = a.shape[0]
-    if row0 == m:
+    if row0 == a.shape[0]:
         return []
     if c1 - c0 > _LEAF:
         mid = (c0 + c1) // 2
         left = _eliminate(a, p, row0, c0, mid)
         if left:
             _replay(a, p, row0, left, mid, c1)
-        return left + _eliminate(a, p, row0 + len(left), mid, c1)
+        return left + _eliminate(a, p, row0 + sum(len(leaf.cols) for leaf in left), mid, c1)
     block = a[:, c0:c1]
+    end = row0 + _live_rows(block[row0:])
     piv: list[int] = []
     row = row0
     for lc in range(c1 - c0):
-        if row == m:
+        if row == end:
             break
-        nz = block[row:, lc].nonzero()[0]
+        nz = block[row:end, lc].nonzero()[0]
         if nz.size == 0:
             continue
         rpiv = row + int(nz[0])
         if rpiv != row:
             a[[row, rpiv]] = a[[rpiv, row]]
-        f = block[row + 1:, lc]
+        f = block[row + 1:end, lc]
         hit = f.nonzero()[0]
         if hit.size:
             rows = hit + row + 1
@@ -247,7 +301,7 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[int]:
             ) % p
         piv.append(c0 + lc)
         row += 1
-    return piv
+    return [_Leaf(piv)] if piv else []
 
 
 def _echelon(a: np.ndarray, p: int) -> list[int]:
@@ -264,7 +318,7 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
     unit pivot rows: a row below a pivot is updated by (entry / pivot) times
     the unscaled row, the same numbers as the entry times the scaled row.
     """
-    return _eliminate(a, p, 0, 0, a.shape[1])
+    return [c for leaf in _eliminate(a, p, 0, 0, a.shape[1]) for c in leaf.cols]
 
 
 def rank(m: ModMatrix) -> int:
@@ -295,7 +349,9 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
                          dtype=np.int64)[:, None]
         reduced = a[:r, free] * scale % p
         u11 = a[:r, piv] * scale % p
-        _solve_lower(u11[::-1, ::-1], reduced[::-1], p)
+        # diagonal blocks of at most _LEAF rows; a block's size is all they tell
+        leaves = [_Leaf(range(i, min(i + _LEAF, r))) for i in range(0, r, _LEAF)]
+        _solve_lower(u11[::-1, ::-1], reduced[::-1], p, leaves)
         basis[piv] = (p - reduced) % p
     return ModMatrix(m.field, basis, _trusted=True)
 

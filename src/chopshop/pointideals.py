@@ -319,19 +319,27 @@ def chopped_hf(config: PointConfig, d: int, t: int) -> int:
     return _graded_quotients(basis, t - d)[-1]
 
 
-def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:
-    """Chopped quotient at degrees d+1, ..., d+top from one elimination of
-    the Macaulay matrix at degree d+top (see ``chopped_profile``)."""
+def _staircase(basis: GradedBasis, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Macaulay matrix at degree d+top with its columns and its rows
+    stably sorted by x0-exponent, largest first (see ``chopped_profile``),
+    and the x0-exponent of each sorted column's shift."""
     n, d = basis.n, basis.degree
     x0 = np.array([m[0] for m in monomials(n, top)], dtype=np.int64)
     key = np.tile(x0, basis.dim)  # x0-exponent of each column's shift
     order = np.argsort(-key, kind="stable")
-    a = macaulay_matrix(basis, top).array[:, order]
+    rows = np.argsort([-m[0] for m in monomials(n, d + top)], kind="stable")
+    return macaulay_matrix(basis, top).array[np.ix_(rows, order)], key[order]
+
+
+def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:
+    """Chopped quotient at degrees d+1, ..., d+top from one elimination of
+    the Macaulay matrix at degree d+top (see ``chopped_profile``)."""
+    a, key = _staircase(basis, top)
     piv = _echelon(a, basis.vectors.field.p)
-    per_key = np.bincount(key[order][piv], minlength=top + 1)
+    per_key = np.bincount(key[piv], minlength=top + 1)
     # rank of the columns with key >= top - e, for e = 0 .. top
     ranks = np.cumsum(per_key[::-1])
-    return [hs(n, d + e) - int(ranks[e]) for e in range(1, top + 1)]
+    return [hs(basis.n, basis.degree + e) - int(ranks[e]) for e in range(1, top + 1)]
 
 
 def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedProfile:
@@ -353,6 +361,14 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
     the quotient at d+e is hs(n,d+e) minus the pivots whose exponent is at
     least G-e.  When the quotient has not returned to r by G, one more
     elimination, at e_max, gives the rest of the scan the same way.
+
+    The rows are stably sorted by x0-exponent too, largest first.  A column
+    whose shift has exponent k is nonzero only in rows divisible by x0^k,
+    which after the sort are the top hs(n,d+G-k) rows, a block that only
+    grows from left to right: the matrix is a staircase, and elimination
+    keeps it one (see ``modlinalg``).  Row order does not change the column
+    rank profile, so the pivots, and with them the quotients, are those of
+    the column-sorted matrix.
     """
     params = CaseParams(config.n, config.r)
     d = params.d

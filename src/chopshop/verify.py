@@ -27,6 +27,7 @@ from .grading import Exponent, hs, mono_index, monomials, product_index_map
 from .modlinalg import PrimeField, in_span, matmul, rank
 from .pointideals import (
     RETRY_BUDGET,
+    ChoppedProfile,
     GenericityError,
     PointConfig,
     chopped_profile,
@@ -108,17 +109,47 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
+class SelfCheckError(RuntimeError):
+    """An observed quotient fell below its lower bound, the expected value:
+    a bug in chopshop's arithmetic, never a verdict about the case."""
+
+
+def _check_lower_bound(profile: ChoppedProfile) -> None:
+    """Observed >= expected at every scanned degree, or SelfCheckError.
+
+    Up to the predicted gap the expected table is max(Froeberg coefficient,
+    r), and both bound the chopped quotient from below.  The Froeberg
+    coefficient (Math. Scand. 56, 1985) is hs(n,t) less the Macaulay
+    matrix's s*hs(n,t-d) columns, plus, from degree 2d on, the Koszul
+    syzygies f_i*f_j = f_j*f_i among them, counted as independent.  And the
+    chopped ideal lies in the ideal of the points, whose quotient the
+    genericity check makes r from degree d on.  Past the gap the expected
+    value is r.  So a genuine FAIL is a rank deficit, observed above
+    expected, and a value below is taken for a bug.
+    """
+    for t, value in enumerate(profile.observed.values):
+        bound = profile.expected.value_at(t)
+        if value < bound:
+            raise SelfCheckError(
+                f"internal error, a bug in chopshop and not a FAIL: the observed "
+                f"quotient {value} at degree {t} of (n={profile.params.n}, "
+                f"r={profile.params.r}) is below the expected {bound}, its lower bound"
+            )
+
+
 def _certificate(params: CaseParams, prediction: GapPrediction, config: PointConfig | None,
                  e_max: int | None, prime: int, seed: int) -> Certificate:
     """The certificate of one case: the chopped quotient of ``config`` scanned
     up to ``e_max`` against ``prediction``, or GENERICITY_FAIL when sampling
-    gave no configuration.  ``wall_ms`` is left at 0 for the caller to time."""
+    gave no configuration.  ``wall_ms`` is left at 0 for the caller to time.
+    The scan is checked against its lower bound first (``_check_lower_bound``)."""
     if config is None:
         outcome = dict(retries=RETRY_BUDGET, points=(), observed_quotient=(),
                        observed_gap=None, verdict="GENERICITY_FAIL",
                        first_mismatch_degree=None)
     else:
         profile = chopped_profile(config, e_max=e_max)
+        _check_lower_bound(profile)
         outcome = dict(
             retries=config.retries,
             points=tuple(tuple(int(v) for v in row) for row in config.coords),
@@ -348,7 +379,8 @@ def search_monomial_ideals(r: int) -> tuple[MonomialIdeal, ...]:
     chopped = {t: expected_chopped_hf(params, t)[0] for t in range(d + 1, horizon + 1)}
     degree_d = monomials(n, d)
     perms = tuple(itertools.permutations(range(n + 1)))
-    images = [[mono_index(n, d, [m[i] for i in perm]) for m in degree_d] for perm in perms]
+    # perms[0] is the identity: a set is never smaller than itself
+    images = [[mono_index(n, d, [m[i] for i in perm]) for m in degree_d] for perm in perms[1:]]
 
     satisfiers = []
     for picked in itertools.combinations(range(len(degree_d)), hs(n, d) - r):

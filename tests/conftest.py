@@ -5,7 +5,11 @@ hook replays those lines after the run so they are visible even with
 output capture on.
 """
 
+from unittest import mock
+
 import pytest
+
+from chopshop import modlinalg, pointideals, verify
 
 _acceptance_lines = []
 
@@ -26,6 +30,26 @@ def acceptance():
         assert ok, line
 
     return record
+
+
+def _replay_without_update(a, p, row0, leaves, c0, c1):
+    """modlinalg._replay with its Schur update skipped: the pivot rows are
+    solved, the rows below them keep their stale entries."""
+    piv = [c for leaf in leaves for c in leaf.cols]
+    rows = slice(row0, row0 + len(piv))
+    modlinalg._solve_lower(a[rows, piv], a[rows, c0:c1], p, leaves)
+
+
+@pytest.fixture
+def skipped_schur_update(monkeypatch):
+    """Certificates scan their chopped quotient with a broken elimination
+    that skips the Schur update; sampling stays honest."""
+
+    def profile(config, e_max=None):
+        with mock.patch.object(modlinalg, "_replay", _replay_without_update):
+            return pointideals.chopped_profile(config, e_max=e_max)
+
+    monkeypatch.setattr(verify, "chopped_profile", profile)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -114,6 +114,14 @@ class TestVerifyCommand:
         assert code == 1
         assert data["verdict"] == "GENERICITY_FAIL"
 
+    def test_failed_self_check_exits_three(self, skipped_schur_update, capsys):
+        code, _ = invoke(["verify", "--n", "2", "--r", "41"])
+        assert code == 3
+        assert "a bug in chopshop and not a FAIL" in capsys.readouterr().err
+        code, data = invoke_json(["verify", "--n", "2", "--r", "41"])
+        assert code == 3
+        assert data["error"]["type"] == "SelfCheckError"
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "cert.json"
         code, _ = invoke(["verify", "--n", "2", "--r", "18", "--out", str(path)])

@@ -105,6 +105,19 @@ def product_with_zeros(rng, p, m, n, k):
     return a
 
 
+def staircase(rng, p, m, n):
+    """m x n matrix whose column j is nonzero only in its top heights[j]
+    rows, the heights nondecreasing: the shape of the graded Macaulay
+    matrix.  Every third column is a multiple of an earlier one, so the rank
+    falls short and some leaves find fewer pivots than columns."""
+    heights = np.sort(rng.integers(0, m + 1, size=n))
+    a = rng.integers(0, p, size=(m, n), dtype=np.int64)
+    a[np.arange(m)[:, None] >= heights] = 0
+    for j in range(2, n, 3):
+        a[:, j] = a[:, int(rng.integers(0, j))] * int(rng.integers(0, p)) % p
+    return a
+
+
 def random_matrix(rng, field, m, n):
     return ModMatrix(field, rng.integers(0, field.p, size=(m, n), dtype=np.int64))
 
@@ -199,6 +212,31 @@ class TestLowerInverse:
             assert (_mul_mod(lower, got, p) == np.eye(k, dtype=np.int64)).all()
 
 
+class TestLeafInverses:
+    def test_each_leaf_triangle_is_inverted_once(self):
+        # 200 columns at leaf 8 make five levels of replays, each solving on
+        # the pivot rows of all the leaves of its left half
+        rng = np.random.default_rng(4)
+        p = F.p
+        a = product_with_zeros(rng, p, 200, 200, 150)
+        want, piv_want = reference_lu(a, p)
+        inverted = []
+        real = modlinalg._lower_inverse
+
+        def recording(t, p):
+            inverted.append(t.tobytes())
+            return real(t, p)
+
+        with mock.patch.object(modlinalg, "_LEAF", 8), \
+                mock.patch.object(modlinalg, "_lower_inverse", recording):
+            assert _echelon(a, p) == piv_want
+        assert (a == want).all()
+        assert len(inverted) == len(set(inverted))
+        # at most one inverse per leaf (halving 200 columns down to at most
+        # 8 makes 32 leaves), and the last leaf is never replayed
+        assert 0 < len(inverted) < 32
+
+
 class TestEchelon:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -236,6 +274,32 @@ class TestEchelon:
                 piv = _echelon(got, p)
             assert piv == piv_want
             assert (got == want).all()
+
+
+    @pytest.mark.parametrize("p", [3, 101, 2147483647])
+    @pytest.mark.parametrize("m, n", [(120, 150), (200, 90), (60, 200)])
+    def test_staircase_matches_reference(self, p, m, n):
+        # on a staircase the leaves and updates trim rows, which a dense
+        # matrix never lets them do
+        rng = np.random.default_rng(m * 1000 + n + p % 1000)
+        a = staircase(rng, p, m, n)
+        want, piv_want = reference_lu(a, p)
+        real = modlinalg._live_rows
+        for leaf in (1, 3, 8, 32):
+            got = a.copy()
+            trims = []
+
+            def recording(x):
+                live = real(x)
+                trims.append(live < x.shape[0])
+                return live
+
+            with mock.patch.object(modlinalg, "_LEAF", leaf), \
+                    mock.patch.object(modlinalg, "_live_rows", recording):
+                piv = _echelon(got, p)
+            assert piv == piv_want
+            assert (got == want).all()
+            assert any(trims)
 
 
 class TestRank:

@@ -18,13 +18,15 @@ from chopshop.formulas import (
     predicted_gap,
 )
 from chopshop.grading import LexOrder, hs, lex_compare_hf, monomials
-from chopshop.modlinalg import ModMatrix, PrimeField, kernel_basis, matmul, rank
+from chopshop.modlinalg import ModMatrix, PrimeField, _echelon, kernel_basis, matmul, rank
 from chopshop.pointideals import (
     RETRY_BUDGET,
     GenericityError,
     GradedBasis,
     PointConfig,
     _full_rank_below,
+    _graded_quotients,
+    _staircase,
     chopped_hf,
     chopped_profile,
     evaluation_array,
@@ -460,3 +462,34 @@ class TestChoppedProfile:
         cfg = sample_points(2, 18, P, SEED)
         with pytest.raises(ValueError):
             chopped_profile(cfg, e_max=1)
+
+
+class TestStaircase:
+    CASES = [(2, 41, 3), (2, 290, 1), (3, 30, 4), (3, 100, 2), (4, 60, 5)]
+
+    @pytest.mark.parametrize("n, r, seed", CASES)
+    def test_each_column_lives_in_its_top_block(self, n, r, seed):
+        # a column whose shift has x0-exponent k is x0^k times a column of
+        # M_(G-k), so it lives in the hs(n, d+G-k) rows divisible by x0^k
+        basis = ideal_component(sample_points(n, r, P, seed), CaseParams(n, r).d)
+        top = predicted_gap(CaseParams(n, r)).gap
+        a, key = _staircase(basis, top)
+        last = a.shape[0] - np.argmax(a[::-1] != 0, axis=0)
+        block = np.array([hs(n, basis.degree + top - k) for k in key])
+        assert (np.diff(key) <= 0).all()
+        assert (last <= block).all()
+        assert (last == block).any()
+
+    @pytest.mark.parametrize("n, r, seed", CASES)
+    def test_row_sort_keeps_pivots_and_quotients(self, n, r, seed):
+        basis = ideal_component(sample_points(n, r, P, seed), CaseParams(n, r).d)
+        top = predicted_gap(CaseParams(n, r)).gap
+        a, key = _staircase(basis, top)
+        shift_x0 = np.tile([m[0] for m in monomials(n, top)], basis.dim)
+        columns_only = macaulay_matrix(basis, top).array[
+            :, np.argsort(-shift_x0, kind="stable")]
+        piv = _echelon(columns_only, P.p)
+        assert _echelon(a, P.p) == piv
+        quotients = [hs(n, basis.degree + e) - int((key[piv] >= top - e).sum())
+                     for e in range(1, top + 1)]
+        assert _graded_quotients(basis, top) == quotients

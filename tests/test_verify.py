@@ -19,6 +19,7 @@ from chopshop.modlinalg import PrimeField
 from chopshop.verify import (
     Certificate,
     MonomialIdeal,
+    SelfCheckError,
     _multiple_masks,
     _multiples,
     derive_seed,
@@ -213,6 +214,14 @@ class TestVerifyCase:
         table[5] -= 1
         tampered = Certificate.from_dict({**cert.to_dict(), "observed_quotient": table})
         assert not replay_certificate(tampered)
+
+
+class TestSelfCheck:
+    def test_skipped_schur_update_trips_it(self, skipped_schur_update):
+        # stale rows give spurious pivots, so the observed quotient falls
+        # below the proven lower bound: an internal error, not a FAIL
+        with pytest.raises(SelfCheckError, match="a bug in chopshop and not a FAIL"):
+            verify_case(2, 41, P, seed=0)
 
 
 class TestVerifyGrid:
