@@ -60,6 +60,7 @@ _COMPUTATION_FAILURES = (
     WaringError,
     ValueError,
     OSError,
+    MemoryError,
 )
 
 

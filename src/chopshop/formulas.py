@@ -290,6 +290,9 @@ def theorem_oracle(family: str, t: int, *, d: int, n: int = 2) -> int:
     family "rmax_p2": largest interesting r in the plane (d >= 5).
     family "rmin_p2_odd": smallest interesting r in the plane, odd d >= 5.
     family "rmax_general": r = hs(n,d) - (n+1) in any dimension.
+
+    No caller outside the tests: kept because acceptance criteria 3, 4 and
+    12 compare against it.
     """
     if family == "rmax_p2":
         if n != 2:

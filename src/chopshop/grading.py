@@ -17,7 +17,8 @@ _INT64_LIMIT = 2**63
 
 
 class CapacityError(OverflowError):
-    """A count exceeds the exact 64-bit integer range."""
+    """A count exceeds the exact 64-bit integer range, or a matrix would
+    need more bytes than the machine's physical memory."""
 
 
 def hs(n: int, t: int) -> int:

@@ -12,6 +12,7 @@ Waring pipeline builds its matrices with them too.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .formulas import CaseParams, predicted_gap
 # unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .formulas import gap_upper_bound  # noqa: F401
-from .grading import HilbertTable, hs, monomials, product_index_map
+from .grading import CapacityError, HilbertTable, hs, monomials, product_index_map
 from .modlinalg import ModMatrix, PrimeField, _echelon, kernel_basis, rank
 
 
@@ -278,20 +279,25 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int) -> np.ndarray:
     d+e.
 
     ``coeffs`` holds one form per column (hs(n,d) rows, any dtype; the
-    result has the same dtype).  Column (j, m) holds the coefficients of
-    (monomial m) * (form j); the columns come form-major, monomial-minor,
-    so the matrix is byte-for-byte reproducible.  Its column span is the
-    degree-(d+e) component of the ideal generated by the forms.
+    result has the same dtype).  Column m*g + j holds (monomial m) * (form
+    j), for the g forms and the degree-e monomials in ``monomials`` order:
+    monomial-major, form-minor.  Rows and shifts both ascend in the last
+    variable's exponent, so read backwards the matrix is a staircase (see
+    ``chopped_profile``).  Its column span is the degree-(d+e) component of
+    the ideal generated by the forms.  A matrix larger than physical memory
+    raises ``CapacityError`` instead of being allocated.
     """
     g = coeffs.shape[1]
     he = hs(n, e)
+    shape = (hs(n, d + e), he * g)
+    need = shape[0] * shape[1] * coeffs.itemsize
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise CapacityError(f"a {shape[0]} x {shape[1]} Macaulay matrix needs {need} "
+                            f"bytes, more than the {have} bytes of physical memory")
     positions = product_index_map(n, d, e)
-    out = np.zeros((hs(n, d + e), g * he), dtype=coeffs.dtype)
-    ncols = out.shape[1]
-    shift_cols = np.arange(he, dtype=np.int64)[:, None]
-    for j in range(g):
-        flat = positions * ncols + (j * he + shift_cols)
-        out.flat[flat.ravel()] = np.broadcast_to(coeffs[:, j], flat.shape).ravel()
+    out = np.zeros(shape, dtype=coeffs.dtype)
+    out[positions[:, :, None], np.arange(he * g).reshape(he, 1, g)] = coeffs[None]
     return out
 
 
@@ -319,22 +325,12 @@ def chopped_hf(config: PointConfig, d: int, t: int) -> int:
     return _graded_quotients(basis, t - d)[-1]
 
 
-def _staircase(basis: GradedBasis, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Macaulay matrix at degree d+top with its columns and its rows
-    stably sorted by x0-exponent, largest first (see ``chopped_profile``),
-    and the x0-exponent of each sorted column's shift."""
-    n, d = basis.n, basis.degree
-    x0 = np.array([m[0] for m in monomials(n, top)], dtype=np.int64)
-    key = np.tile(x0, basis.dim)  # x0-exponent of each column's shift
-    order = np.argsort(-key, kind="stable")
-    rows = np.argsort([-m[0] for m in monomials(n, d + top)], kind="stable")
-    return macaulay_matrix(basis, top).array[np.ix_(rows, order)], key[order]
-
-
 def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:
     """Chopped quotient at degrees d+1, ..., d+top from one elimination of
-    the Macaulay matrix at degree d+top (see ``chopped_profile``)."""
-    a, key = _staircase(basis, top)
+    the Macaulay matrix at degree d+top, read backwards (see ``chopped_profile``)."""
+    a = macaulay_matrix(basis, top).array[::-1, ::-1].copy()
+    # x_n-exponent of each reversed column's shift, non-increasing
+    key = np.repeat([m[-1] for m in monomials(basis.n, top)], basis.dim)[::-1]
     piv = _echelon(a, basis.vectors.field.p)
     per_key = np.bincount(key[piv], minlength=top + 1)
     # rank of the columns with key >= top - e, for e = 0 .. top
@@ -352,23 +348,25 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
     proven gap bound plus two and may not be set below the predicted gap.
 
     Every degree up to the predicted gap G comes from one elimination, of
-    the Macaulay matrix M_G at degree d+G with its columns stably sorted by
-    the x0-exponent of their shift monomial, largest first.  The columns
-    whose exponent is at least G-e are exactly x0^(G-e) times the columns
-    of M_e, and multiplying by x0^(G-e) is injective, so that column prefix
-    has the rank of M_e.  Elimination from left to right picks pivots in
-    column rank-profile order, so the pivots in a prefix count its rank:
-    the quotient at d+e is hs(n,d+e) minus the pivots whose exponent is at
-    least G-e.  When the quotient has not returned to r by G, one more
-    elimination, at e_max, gives the rest of the scan the same way.
+    the Macaulay matrix M_G at degree d+G read backwards on both axes.  Its
+    columns come shift by shift, and the shifts ascend in the exponent of
+    the last variable x_n, so the reversed columns descend in it.  The
+    columns whose exponent is at least G-e are exactly x_n^(G-e) times the
+    columns of M_e, and multiplying by x_n^(G-e) is injective, so that
+    column prefix has the rank of M_e.  Elimination from left to right
+    picks pivots in column rank-profile order, so the pivots in a prefix
+    count its rank: the quotient at d+e is hs(n,d+e) minus the pivots whose
+    exponent is at least G-e.  When the quotient has not returned to r by
+    G, one more elimination, at e_max, gives the rest of the scan the same
+    way.
 
-    The rows are stably sorted by x0-exponent too, largest first.  A column
-    whose shift has exponent k is nonzero only in rows divisible by x0^k,
-    which after the sort are the top hs(n,d+G-k) rows, a block that only
-    grows from left to right: the matrix is a staircase, and elimination
-    keeps it one (see ``modlinalg``).  Row order does not change the column
-    rank profile, so the pivots, and with them the quotients, are those of
-    the column-sorted matrix.
+    The rows ascend in the exponent of x_n too, so the reversed rows
+    descend in it.  A column whose shift has exponent k is nonzero only in
+    rows divisible by x_n^k, the top hs(n,d+G-k) rows after the reversal,
+    a block that only grows from left to right: the matrix is a staircase,
+    and elimination keeps it one (see ``modlinalg``).  Row order does not
+    change the column rank profile, so the pivots, and with them the
+    quotients, are those of the matrix with only its columns reversed.
     """
     params = CaseParams(config.n, config.r)
     d = params.d

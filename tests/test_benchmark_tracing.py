@@ -5,13 +5,17 @@ fetches each with a bare ``getattr``, so a refactor that drops one of those
 imports breaks ``benchmarks/run.py --trace 1`` without failing anything
 else.  The first test resolves every pair; the second checks that the
 command reaches each name it patches in ``chopshop.cli``; the third pins
-the ``numerical_kernel`` call order the tracer's kernel split relies on.
+the ``numerical_kernel`` call order the tracer's kernel split relies on;
+the fourth checks that a graded elimination still shows up as one traced
+Macaulay build.
 """
 
 import importlib
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -100,3 +104,30 @@ def test_two_numerical_kernels_per_decompose(monkeypatch, capsys):
     capsys.readouterr()
     assert decompositions == [1]
     assert kernel_hints == [7, None]
+
+
+@pytest.mark.parametrize("n, r", [(3, 30), (4, 60)])
+def test_a_pass_builds_one_macaulay_matrix(n, r, capsys):
+    """A PASS reads every degree off one Macaulay matrix at degree d+G, and
+    the tracer books it under ``pointideals.macaulay_matrix``: a refactor
+    that built the matrix some other way would zero that metric's calls
+    and size on the hard-regime workload without failing anything else."""
+    from chopshop import cli, formulas, grading
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    modules = {m: importlib.import_module(f"chopshop.{m}") for m, _ in tracing.TARGETS}
+    tracer.install(modules)
+    try:
+        assert cli.run(["verify", "--n", str(n), "--r", str(r), "--format", "json"]) == 0
+    finally:
+        tracer.uninstall()
+    assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
+    params = formulas.CaseParams(n, r)
+    d, gap = params.d, formulas.predicted_gap(params).gap
+    g = grading.hs(n, d) - r
+    shape = (grading.hs(n, d + gap), g * grading.hs(n, gap))
+    assert [s[5] for s in tracer.spans if s[0] == "pointideals.macaulay_matrix"] == [shape]
+    metrics = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
+    assert metrics["pointideals.macaulay_matrix_calls"] == 1
+    assert metrics["pointideals.macaulay_matrix.max_mb"] == shape[0] * shape[1] * 8 / 1e6

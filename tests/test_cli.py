@@ -122,6 +122,29 @@ class TestVerifyCommand:
         assert code == 3
         assert data["error"]["type"] == "SelfCheckError"
 
+    def test_oversized_case_is_a_capacity_error(self):
+        # the Macaulay matrix at (6, 917) would take 43 TB: the builder
+        # refuses it after sampling, before allocating anything that size
+        code, data = invoke_json(["verify", "--n", "6", "--r", "917"])
+        assert code == 1
+        assert data["error"]["type"] == "CapacityError"
+        assert "physical memory" in data["error"]["message"]
+
+    def test_memory_error_exits_one(self, monkeypatch, capsys):
+        from chopshop import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 179. GiB")
+
+        monkeypatch.setattr(cli, "verify_case", exhausted)
+        code, data = invoke_json(["verify", "--n", "2", "--r", "18"])
+        assert code == 1
+        assert data["error"] == {"type": "MemoryError",
+                                 "message": "Unable to allocate 179. GiB"}
+        code, _ = invoke(["verify", "--n", "2", "--r", "18"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 179. GiB\n"
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "cert.json"
         code, _ = invoke(["verify", "--n", "2", "--r", "18", "--out", str(path)])

@@ -26,7 +26,6 @@ from chopshop.pointideals import (
     PointConfig,
     _full_rank_below,
     _graded_quotients,
-    _staircase,
     chopped_hf,
     chopped_profile,
     evaluation_array,
@@ -298,7 +297,7 @@ class TestMacaulayMatrix:
                 want = poly_mul_oracle(
                     2, basis.vectors.array[:, j], 3, unit, 2, P.p
                 )
-                got = mac.array[:, j * len(shifts) + m_idx]
+                got = mac.array[:, m_idx * basis.dim + j]
                 assert got.tolist() == want
 
     def test_span_matches_bruteforce_products(self):
@@ -465,15 +464,18 @@ class TestChoppedProfile:
 
 
 class TestStaircase:
+    # the Macaulay matrix read backwards on both axes, as _graded_quotients
+    # eliminates it, keyed by the x_n-exponent of each reversed column's shift
     CASES = [(2, 41, 3), (2, 290, 1), (3, 30, 4), (3, 100, 2), (4, 60, 5)]
 
     @pytest.mark.parametrize("n, r, seed", CASES)
     def test_each_column_lives_in_its_top_block(self, n, r, seed):
-        # a column whose shift has x0-exponent k is x0^k times a column of
-        # M_(G-k), so it lives in the hs(n, d+G-k) rows divisible by x0^k
+        # a column whose shift has x_n-exponent k is x_n^k times a column of
+        # M_(G-k), so it lives in the hs(n, d+G-k) rows divisible by x_n^k
         basis = ideal_component(sample_points(n, r, P, seed), CaseParams(n, r).d)
         top = predicted_gap(CaseParams(n, r)).gap
-        a, key = _staircase(basis, top)
+        a = macaulay_matrix(basis, top).array[::-1, ::-1]
+        key = np.repeat([m[-1] for m in monomials(n, top)], basis.dim)[::-1]
         last = a.shape[0] - np.argmax(a[::-1] != 0, axis=0)
         block = np.array([hs(n, basis.degree + top - k) for k in key])
         assert (np.diff(key) <= 0).all()
@@ -482,14 +484,13 @@ class TestStaircase:
 
     @pytest.mark.parametrize("n, r, seed", CASES)
     def test_row_sort_keeps_pivots_and_quotients(self, n, r, seed):
+        # reversing the rows as well as the columns keeps the pivots
         basis = ideal_component(sample_points(n, r, P, seed), CaseParams(n, r).d)
         top = predicted_gap(CaseParams(n, r)).gap
-        a, key = _staircase(basis, top)
-        shift_x0 = np.tile([m[0] for m in monomials(n, top)], basis.dim)
-        columns_only = macaulay_matrix(basis, top).array[
-            :, np.argsort(-shift_x0, kind="stable")]
-        piv = _echelon(columns_only, P.p)
-        assert _echelon(a, P.p) == piv
+        mac = macaulay_matrix(basis, top).array
+        key = np.repeat([m[-1] for m in monomials(n, top)], basis.dim)[::-1]
+        piv = _echelon(mac[:, ::-1].copy(), P.p)
+        assert _echelon(mac[::-1, ::-1].copy(), P.p) == piv
         quotients = [hs(n, basis.degree + e) - int((key[piv] >= top - e).sum())
                      for e in range(1, top + 1)]
         assert _graded_quotients(basis, top) == quotients
