@@ -8,21 +8,24 @@ the columns: eliminate the left half, replay it on the right half (a unit
 lower-triangular solve on the new pivot rows, itself recursive, then one
 update of the rows below), and recurse on the right half below the new
 pivots.  Only blocks of at most 32 columns are eliminated one pivot at a
-time; the rest of the work is exact modular matrix products (16-bit limb
-split, so every float64 dot product stays below 2**53 and BLAS can be
-used).  Pivoting is deterministic: the first row with a nonzero entry,
-columns left to right, so the pivot columns are the column rank profile.
-Only ``kernel_basis`` scales pivot rows to unit pivots; callers that need
-only a rank or the pivot columns skip that pass.
+time; the rest of the work is exact modular matrix products, one float64
+BLAS product for each chunk of their inner dimension.  Pivoting is
+deterministic: the first row with a nonzero entry, columns left to right,
+so the pivot columns are the column rank profile.  Only ``kernel_basis``
+scales pivot rows to unit pivots; callers that need only a rank or the
+pivot columns skip that pass.
 
 Two devices from delayed-reduction linear algebra (FFLAS-FFPACK) keep the
-work in BLAS.  A product's three limb sums are recombined and reduced in
-float64, by Horner steps of 2**16, each reduction a floored multiply by
-1/p with one correction; only the result is converted to int64.  The
-pivots a leaf finds form a diagonal block of every later triangular solve
-over them; the block is inverted on the identity by forward substitution
-once, when first needed, kept for the rest of the elimination, and applied
-to the whole right-hand side as one modular product.
+work in BLAS.  A product balances both operands to residues of least
+absolute value and splits only the left one into 16-bit limbs, so a single
+float64 product over up to 170 inner indices is exact (``_mul_mod``) and
+the reduction mod p waits until it is done; an update subtracts the
+product from its rows before that one reduction, and only the result is
+converted to int64.  The pivots a leaf finds form a diagonal block of
+every later triangular solve over them; the block is inverted on the
+identity by forward substitution once, when first needed, kept for the
+rest of the elimination, and applied to the whole right-hand side as one
+modular product.
 
 The elimination works only on live rows, read off the data: a leaf on the
 rows down to the last one nonzero in its columns, and each update on the
@@ -44,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_LIMB = 1 << 16
-_MUL_CHUNK = 1 << 18  # inner-dimension chunk keeping limb products exact
+_LIMB = float(1 << 16)  # limb base of the split left operand
 _LEAF = 32  # widest column block eliminated one pivot at a time
 
 
@@ -111,65 +113,81 @@ class ModMatrix:
         return f"ModMatrix(p={self.field.p}, shape={self.shape})"
 
 
-def _reduce(x: np.ndarray, p: int, pinv: float) -> np.ndarray:
-    """In place, x <- x mod p for float64 integers 0 <= x < 2**53.
+def _balanced(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """out <- x - p * rint(x / p), the residues of least absolute value of
+    the integers x (int64 or float64, |x| <= 2**53 - p) as float64.  For
+    large x one may be off by p, where x / p lies within the rounding
+    error of x * (1/p) of a half-integer; operands below 2**47 never are."""
+    np.multiply(x, 1.0 / p, out=out)
+    np.rint(out, out=out)
+    out *= -p
+    out += x
+    return out
 
-    The floored quotient x * (1/p) is off by at most one for p >= 3 (its
-    relative error is below 2**-52, so its absolute error is below 2/p),
-    and q * p and x - q * p stay exact; one correction each way fixes it.
-    """
-    q = x * pinv
+
+def _residues(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x mod p in [0, p) as int64, for float64 integers |x| <= 2**53 - p,
+    written to ``out`` when given; x is overwritten.  The floored quotient
+    x * (1/p) is off by at most one (its absolute error is below 2/p), and
+    q * p and x - q * p stay exact; one correction each way fixes it."""
+    q = np.multiply(x, 1.0 / p)
     np.floor(q, out=q)
     q *= p
     x -= q
     np.add(x, p, out=x, where=x < 0)
     np.subtract(x, p, out=x, where=x >= p)
-    return x
+    if out is None:
+        return x.astype(np.int64)
+    out[...] = x
+    return out
 
 
-def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for reduced int64 operands.
+def _mul_chunk(p: int) -> int:
+    """Longest inner dimension whose split product (see ``_mul_mod``) sums
+    within 2**53 with a slack of 2p, for a minuend and ``_residues``."""
+    half = (p - 1) // 2
+    return ((1 << 53) - 2 * p) // (((half >> 16) + 1 + min(half, 1 << 15)) * half)
 
-    Entries split into 16-bit limbs (high limbs below 2**15 since p <
-    2**31), and the three limb products run in float64: each dot product
-    over at most ``_MUL_CHUNK`` terms stays below 2**52.  The limb sums
-    are recombined as ((hh mod p) * 2**16 + mid mod p) * 2**16 + ll mod p,
-    every partial sum below 2**53, so only the result is converted.
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) -> np.ndarray:
+    """Exact (a @ b) mod p for reduced int64 operands; given a reduced
+    minuend c, c <- (c - a @ b) mod p in place instead, and c is returned.
+
+    Both operands are balanced to residues of least absolute value, at most
+    (p - 1) / 2 < 2**30, and only a is split, a = ah * 2**16 + al with
+    |ah| <= 2**14 and |al| <= 2**15, so the one float64 product
+    [ah | al] @ [(2**16 b mod p) ; b] is a @ b up to multiples of p.  Each
+    of its terms is below 2**14 * 2**30 + 2**15 * 2**30 = 3 * 2**44, and a
+    chunk of 170 inner indices sums below 170 * 3 * 2**44 < 2**53, so every
+    dot product is exact; the chunk is derived from p, longer for smaller
+    p.  Over several chunks each product is balanced before it is added.
+    Only the sum is reduced to [0, p) and converted to int64.
     """
     m, k = a.shape
     k2, n = b.shape
     if k != k2:
         raise ValueError(f"inner dimensions differ: {k} vs {k2}")
-    if k == 0:
-        return np.zeros((m, n), dtype=np.int64)
-    pinv = 1.0 / p
-    out = None
-    for start in range(0, k, _MUL_CHUNK):
-        stop = min(start + _MUL_CHUNK, k)
-        ah, al = np.divmod(a[:, start:stop], _LIMB)
-        bh, bl = np.divmod(b[start:stop, :], _LIMB)
-        ah = ah.astype(np.float64)
-        al = al.astype(np.float64)
-        bh = bh.astype(np.float64)
-        bl = bl.astype(np.float64)
-        hh = ah @ bh
-        ll = al @ bl
-        mid = (ah + al) @ (bh + bl)
-        mid -= hh
-        mid -= ll
-        term = _reduce(hh, p, pinv)
-        term *= _LIMB
-        term += mid
-        _reduce(term, p, pinv)
-        term *= _LIMB
-        term += ll
-        _reduce(term, p, pinv)
-        if out is None:
-            out = term
-        else:
-            out += term
-            np.subtract(out, p, out=out, where=out >= p)
-    return out.astype(np.int64)
+    chunk = _mul_chunk(p)
+    acc = None
+    for start in range(0, k or 1, chunk):  # k = 0 makes one zero product
+        w = min(chunk, k - start)
+        split = np.empty((m, 2 * w))
+        ah, al = split[:, :w], split[:, w:]
+        _balanced(a[:, start:start + w], p, al)
+        np.rint(np.multiply(al, 1.0 / _LIMB, out=ah), out=ah)
+        al -= ah * _LIMB
+        stack = np.empty((2 * w, n))
+        _balanced(b[start:start + w], p, stack[w:])
+        _balanced(stack[w:] * _LIMB, p, stack[:w])
+        prod = split @ stack
+        if w < k:
+            prod = _balanced(prod, p, np.empty_like(prod))
+        if acc is not None:
+            prod += acc
+        acc = prod
+    if c is not None:
+        np.subtract(c, acc, out=acc)
+    return _residues(acc, p, c)
 
 
 def _lower_inverse(t: np.ndarray, p: int) -> np.ndarray:
@@ -231,7 +249,7 @@ def _solve_lower(t: np.ndarray, b: np.ndarray, p: int, leaves: list[_Leaf]) -> N
     lower = t[h:, :h]
     live = _live_rows(lower)
     if live:
-        b[h:h + live] = (b[h:h + live] - _mul_mod(lower[:live], b[:h], p)) % p
+        _mul_mod(lower[:live], b[:h], p, b[h:h + live])
     _solve_lower(t[h:, h:], b[h:], p, leaves[half:])
 
 
@@ -254,7 +272,7 @@ def _replay(a: np.ndarray, p: int, row0: int, leaves: list[_Leaf], c0: int, c1: 
     live = _live_rows(a[below:, piv[0]:piv[-1] + 1])
     if live:
         rows = slice(below, below + live)
-        a[rows, c0:c1] = (a[rows, c0:c1] - _mul_mod(a[rows, piv], top, p)) % p
+        _mul_mod(a[rows, piv], top, p, a[rows, c0:c1])
 
 
 def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[_Leaf]:
@@ -293,13 +311,11 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[_Leaf
         if rpiv != row:
             a[[row, rpiv]] = a[[rpiv, row]]
         f = block[row + 1:end, lc]
-        hit = f.nonzero()[0]
-        if hit.size:
-            rows = hit + row + 1
-            mult = block[rows, lc] = f[hit] * pow(int(block[row, lc]), -1, p) % p
-            block[rows, lc + 1:] = (
-                block[rows, lc + 1:] - mult[:, None] * block[row, lc + 1:]
-            ) % p
+        f *= pow(int(block[row, lc]), -1, p)
+        f %= p
+        sub = block[row + 1:end, lc + 1:]
+        sub -= f[:, None] * block[row, lc + 1:]
+        sub %= p
         piv.append(c0 + lc)
         row += 1
     return [_Leaf(piv)] if piv else []

@@ -9,9 +9,11 @@ usage errors.
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -607,20 +609,25 @@ class TestUsageErrors:
 
 
 class TestConsoleScript:
-    def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "chopshop.cli", "gap", "--n", "2", "--r", "18"],
+    @staticmethod
+    def run_module(*args):
+        # the subprocess imports chopshop from this checkout's src/, as the
+        # suite itself does (see tests/test_checkout.py)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "chopshop.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_module_entry_point(self):
+        proc = self.run_module("gap", "--n", "2", "--r", "18")
         assert proc.returncode == 0
         assert "predicted gap: 2" in proc.stdout
 
     def test_version_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "chopshop.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = self.run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"

@@ -18,8 +18,9 @@ from chopshop.modlinalg import (
     PrimeField,
     _echelon,
     _lower_inverse,
+    _mul_chunk,
     _mul_mod,
-    _reduce,
+    _residues,
     in_span,
     kernel_basis,
     matmul,
@@ -159,6 +160,27 @@ class TestModMatrix:
             ModMatrix(FSMALL, [1, 2, 3])
 
 
+def largest_split_terms(p, k):
+    """2 x k and k x 3 factors over F_p (p > 2**31 - 2**16) whose terms in
+    _mul_mod's split product are all within 2**33 of 3 * 2**44, of one sign,
+    and every other one odd: a = 2**30 - 2**15 + 1 splits into ah = 2**14,
+    al = 1 - 2**15, and b = 2**14 - 2 - (p - 1) / 2, or one less, has
+    2**16 b = 2**30 - 3 * 2**15 (or - 5 * 2**15) mod p.  A chunk of 170 sums
+    to just below 2**53; one of 171 would round."""
+    a = np.full((2, k), 2**30 - 2**15 + 1, dtype=np.int64)
+    b = (2**14 - 2 - (p - 1) // 2 - np.arange(k) % 2) % p
+    return a, np.repeat(b[:, None], 3, axis=1)
+
+
+def assert_products(a, b, c, p):
+    """_mul_mod's a @ b and fused c - a @ b against Python integers."""
+    a_obj, b_obj = a.astype(object), b.astype(object)
+    assert (_mul_mod(a, b, p) == (a_obj @ b_obj) % p).all()
+    got = c.copy()
+    assert _mul_mod(a, b, p, got) is got
+    assert (got == (c.astype(object) - a_obj @ b_obj) % p).all()
+
+
 class TestMulMod:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -166,36 +188,76 @@ class TestMulMod:
         rng = np.random.default_rng(seed)
         p = int(rng.choice([3, 97, 1009, 65537, 2147483647]))
         m, k, n = (int(v) for v in rng.integers(1, 9, size=3))
-        a = rng.integers(0, p, size=(m, k), dtype=np.int64)
-        b = rng.integers(0, p, size=(k, n), dtype=np.int64)
-        got = _mul_mod(a, b, p)
-        want = (a.astype(object) @ b.astype(object)) % p
-        assert (got == want.astype(np.int64)).all()
+        assert_products(rng.integers(0, p, size=(m, k), dtype=np.int64),
+                        rng.integers(0, p, size=(k, n), dtype=np.int64),
+                        rng.integers(0, p, size=(m, n), dtype=np.int64), p)
 
     def test_empty_inner_dimension(self):
         a = np.zeros((3, 0), dtype=np.int64)
         b = np.zeros((0, 4), dtype=np.int64)
         assert _mul_mod(a, b, 7).tolist() == np.zeros((3, 4)).tolist()
+        c = np.arange(12, dtype=np.int64).reshape(3, 4) % 7
+        assert (_mul_mod(a, b, 7, c.copy()) == c).all()
+
+    def test_chunk_is_derived_from_p(self):
+        assert _mul_chunk(2147483647) == _mul_chunk(2147483629) == 170
+        assert _mul_chunk(65537) > 2**22
+        assert _mul_chunk(3) > 2**50
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 65537, 2147483629, 2147483647])
+    @pytest.mark.parametrize("k", [169, 170, 171, 3 * 170 + 7])
+    def test_balancing_edges_around_the_chunk(self, p, k):
+        # (p - 1) / 2 and (p + 1) / 2 balance to the two extremes, p - 1 to -1;
+        # k sits at the chunk size and past it for the large primes (for the
+        # small ones every k fits one chunk)
+        rng = np.random.default_rng(p + k)
+        edges = np.array([(p - 1) // 2, (p + 1) // 2, p - 1], dtype=np.int64)
+        assert_products(rng.choice(edges, size=(5, k)), rng.choice(edges, size=(k, 4)),
+                        rng.choice(edges, size=(5, 4)), p)
+
+    @pytest.mark.parametrize("p", [2147483629, 2147483647])
+    def test_top_residues_are_balanced(self, p):
+        # p - 1 and p - 2 balance to -1 and -2; unbalanced, their terms would
+        # be near 2**46 and a chunk of them would round
+        k = 3 * 170 + 7
+        a = p - 1 - np.arange(2 * k).reshape(2, k) % 2
+        b = p - 1 - np.arange(3 * k).reshape(k, 3) % 2
+        assert_products(a, b, a[:, :3], p)
+
+    @pytest.mark.parametrize("p", [2147483629, 2147483647])
+    @pytest.mark.parametrize("k", [169, 170, 171, 4 * 170 + 3])
+    def test_largest_terms_around_the_chunk(self, p, k):
+        a, b = largest_split_terms(p, k)
+        assert_products(a, b, np.full((2, 3), p - 1, dtype=np.int64), p)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 1009, 1000003, 2147483629, 2147483647])
     def test_float_reduction_near_multiples_of_p(self, p):
         # the floored quotient x * (1/p) misses by one just below or at a
         # multiple of p for some p (5 and 1000003 one way, 2147483629 the
-        # other), so both corrections are reached
+        # other), so both corrections are reached, on either sign
         rng = np.random.default_rng(p)
-        k = rng.integers(1, 2**53 // p - 1, size=4000, dtype=np.int64)
+        top = 2**53 - p
+        k = rng.integers(1, top // p - 1, size=4000, dtype=np.int64)
+        k = np.concatenate([k, -k])
         x = np.concatenate([k * p + off for off in (-1, 0, 1, p - 1)])
-        x = np.concatenate([x, rng.integers(0, 2**53, size=4000, dtype=np.int64)])
-        got = _reduce(x.astype(np.float64), p, 1.0 / p)
-        assert (got.astype(np.int64) == x % p).all()
+        x = np.concatenate([x, rng.integers(-top, top + 1, size=4000, dtype=np.int64)])
+        got = _residues(x.astype(np.float64), p)
+        assert got.dtype == np.int64
+        assert (got == x % p).all()
 
     @pytest.mark.parametrize("p", [5, 2147483629, 2147483647])
     def test_largest_sums_across_chunks(self, p):
-        # every limb sum at its largest, over more than one inner chunk
+        # every chunk's sum at its largest, over about 1540 chunks at the
+        # large primes (one chunk at p = 5, where (p - 1) / 2 is the largest)
         k = (1 << 18) + 3
-        a = np.full((2, k), p - 1, dtype=np.int64)
-        b = np.full((k, 3), p - 1, dtype=np.int64)
-        assert (_mul_mod(a, b, p) == k % p).all()
+        if p > 2**31 - 2**16:
+            a, b = largest_split_terms(p, k)
+        else:
+            a, b = np.full((2, k), (p - 1) // 2), np.full((k, 3), (p - 1) // 2)
+        want = int(a[0] @ b[:, 0].astype(object)) % p
+        assert (_mul_mod(a, b, p) == want).all()
+        c = np.ones((2, 3), dtype=np.int64)
+        assert (_mul_mod(a, b, p, c) == (1 - want) % p).all()
 
 
 class TestLowerInverse:
