@@ -1,6 +1,12 @@
 """Exact dense linear algebra over a prime field F_p with p < 2**31.
 
-Matrices are immutable int64 arrays with entries reduced to [0, p).  The
+Matrices are immutable int32 arrays with entries reduced to [0, p), and
+the elimination works on int32 arrays too: every residue fits, in half the
+bytes of int64.  Arithmetic is widened only where a product needs it, as
+FFLAS-FFPACK does: a leaf copies its few columns to int64 for its
+one-pivot-at-a-time loop, and products run in float64.  Under NumPy 2 an
+int32 array times a Python int stays int32 and wraps without a warning, so
+no product of two residues is ever formed in int32.  The
 workhorse is a recursive in-place LU factorization in LAPACK getrf's
 convention: each multiplier (entry times pivot inverse) is parked below
 its pivot, a unit-lower L, and the pivot rows stay unscaled, U.  It halves
@@ -21,11 +27,11 @@ absolute value and splits only the left one into 16-bit limbs, so a single
 float64 product over up to 170 inner indices is exact (``_mul_mod``) and
 the reduction mod p waits until it is done; an update subtracts the
 product from its rows before that one reduction, and only the result is
-converted to int64.  The pivots a leaf finds form a diagonal block of
-every later triangular solve over them; the block is inverted on the
-identity by forward substitution once, when first needed, kept for the
-rest of the elimination, and applied to the whole right-hand side as one
-modular product.
+converted back, straight into the int32 rows.  The pivots a leaf finds
+form a diagonal block of every later triangular solve over them; the
+block is inverted on the identity by forward substitution once, when
+first needed, kept for the rest of the elimination, and applied to the
+whole right-hand side as one modular product.
 
 The elimination works only on live rows, read off the data: a leaf on the
 rows down to the last one nonzero in its columns, and each update on the
@@ -81,17 +87,23 @@ class PrimeField:
 
 
 class ModMatrix:
-    """Immutable matrix over a prime field."""
+    """Immutable matrix over a prime field, held as int32 residues in [0, p).
+
+    Untrusted input is reduced mod p in int64 before it is narrowed, so
+    entries of any size or sign land on their residues; ``_trusted`` input
+    is already reduced and is only narrowed (a copy unless it is an int32
+    array that owns its data).
+    """
 
     __slots__ = ("field", "array")
 
     def __init__(self, field: PrimeField, array, *, _trusted: bool = False):
-        arr = np.asarray(array, dtype=np.int64)
+        if not _trusted:
+            array = np.mod(np.asarray(array, dtype=np.int64), field.p)
+        arr = np.asarray(array, dtype=np.int32)
         if arr.ndim != 2:
             raise ValueError(f"need a 2-d array, got shape {arr.shape}")
-        if not _trusted:
-            arr = np.mod(arr, field.p)
-        elif arr.base is not None:
+        if arr.base is not None:
             arr = arr.copy()
         arr.setflags(write=False)
         self.field = field
@@ -126,10 +138,11 @@ def _balanced(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
 
 
 def _residues(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
-    """x mod p in [0, p) as int64, for float64 integers |x| <= 2**53 - p,
-    written to ``out`` when given; x is overwritten.  The floored quotient
-    x * (1/p) is off by at most one (its absolute error is below 2/p), and
-    q * p and x - q * p stay exact; one correction each way fixes it."""
+    """x mod p in [0, p) as int32, for float64 integers |x| <= 2**53 - p,
+    written straight into ``out`` (the int32 minuend of an update) when
+    given; x is overwritten.  The floored quotient x * (1/p) is off by at
+    most one (its absolute error is below 2/p), and q * p and x - q * p
+    stay exact; one correction each way fixes it."""
     q = np.multiply(x, 1.0 / p)
     np.floor(q, out=q)
     q *= p
@@ -137,7 +150,7 @@ def _residues(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarra
     np.add(x, p, out=x, where=x < 0)
     np.subtract(x, p, out=x, where=x >= p)
     if out is None:
-        return x.astype(np.int64)
+        return x.astype(np.int32)
     out[...] = x
     return out
 
@@ -150,8 +163,9 @@ def _mul_chunk(p: int) -> int:
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) -> np.ndarray:
-    """Exact (a @ b) mod p for reduced int64 operands; given a reduced
-    minuend c, c <- (c - a @ b) mod p in place instead, and c is returned.
+    """Exact (a @ b) mod p, as int32, for reduced integer operands; given a
+    reduced minuend c, c <- (c - a @ b) mod p in place instead, and c is
+    returned.
 
     Both operands are balanced to residues of least absolute value, at most
     (p - 1) / 2 < 2**30, and only a is split, a = ah * 2**16 + al with
@@ -161,7 +175,7 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) 
     chunk of 170 inner indices sums below 170 * 3 * 2**44 < 2**53, so every
     dot product is exact; the chunk is derived from p, longer for smaller
     p.  Over several chunks each product is balanced before it is added.
-    Only the sum is reduced to [0, p) and converted to int64.
+    Only the sum is reduced to [0, p) and converted to int32.
     """
     m, k = a.shape
     k2, n = b.shape
@@ -287,7 +301,10 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[_Leaf
     A leaf works only on the rows down to the last one that is nonzero in
     its columns: a pivot is the first nonzero entry at or below the current
     row, and a row changes only when its multiplier is nonzero, so rows
-    below stay zero in the leaf's columns throughout.
+    below stay zero in the leaf's columns throughout.  It copies that panel
+    (live rows by at most ``_LEAF`` columns) to int64, where a product of
+    two residues fits, eliminates it one pivot at a time, swapping whole
+    rows in both the panel and ``a``, and writes the reduced panel back.
     """
     if row0 == a.shape[0]:
         return []
@@ -297,27 +314,29 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[_Leaf
         if left:
             _replay(a, p, row0, left, mid, c1)
         return left + _eliminate(a, p, row0 + sum(len(leaf.cols) for leaf in left), mid, c1)
-    block = a[:, c0:c1]
-    end = row0 + _live_rows(block[row0:])
+    end = row0 + _live_rows(a[row0:, c0:c1])
+    panel = a[row0:end, c0:c1].astype(np.int64)
     piv: list[int] = []
-    row = row0
+    row = 0
     for lc in range(c1 - c0):
-        if row == end:
+        if row == len(panel):
             break
-        nz = block[row:end, lc].nonzero()[0]
+        nz = panel[row:, lc].nonzero()[0]
         if nz.size == 0:
             continue
         rpiv = row + int(nz[0])
         if rpiv != row:
-            a[[row, rpiv]] = a[[rpiv, row]]
-        f = block[row + 1:end, lc]
-        f *= pow(int(block[row, lc]), -1, p)
+            panel[[row, rpiv]] = panel[[rpiv, row]]
+            a[[row0 + row, row0 + rpiv]] = a[[row0 + rpiv, row0 + row]]
+        f = panel[row + 1:, lc]
+        f *= pow(int(panel[row, lc]), -1, p)
         f %= p
-        sub = block[row + 1:end, lc + 1:]
-        sub -= f[:, None] * block[row, lc + 1:]
+        sub = panel[row + 1:, lc + 1:]
+        sub -= f[:, None] * panel[row, lc + 1:]
         sub %= p
         piv.append(c0 + lc)
         row += 1
+    a[row0:end, c0:c1] = panel
     return [_Leaf(piv)] if piv else []
 
 
@@ -355,7 +374,7 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
     a = m.array.copy()
     piv = _echelon(a, p)
     free = np.setdiff1d(np.arange(m.cols, dtype=np.int64), piv)
-    basis = np.zeros((m.cols, free.size), dtype=np.int64)
+    basis = np.zeros((m.cols, free.size), dtype=np.int32)
     basis[free, np.arange(free.size)] = 1
     r = len(piv)
     if r and free.size:
@@ -364,8 +383,8 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
         # the lower triangle it becomes with rows and columns reversed
         scale = np.array([pow(int(v), -1, p) for v in a[np.arange(r), piv]],
                          dtype=np.int64)[:, None]
-        reduced = a[:r, free] * scale % p
-        u11 = a[:r, piv] * scale % p
+        reduced = (a[:r, free] * scale % p).astype(np.int32)
+        u11 = (a[:r, piv] * scale % p).astype(np.int32)
         # diagonal blocks of at most _LEAF rows; a block's size is all they tell
         leaves = [_Leaf(range(i, min(i + _LEAF, r))) for i in range(0, r, _LEAF)]
         _solve_lower(u11[::-1, ::-1], reduced[::-1], p, leaves)
@@ -380,7 +399,7 @@ def in_span(m: ModMatrix, v) -> bool:
     column rank profile, so the appended column is a pivot exactly when v
     lies outside the span.
     """
-    vec = np.mod(np.asarray(v, dtype=np.int64), m.field.p)
+    vec = np.mod(np.asarray(v, dtype=np.int64), m.field.p).astype(np.int32)
     if vec.ndim == 1:
         vec = vec[:, None]
     if vec.shape != (m.rows, 1):

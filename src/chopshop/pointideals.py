@@ -36,8 +36,10 @@ def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.nda
 
     Entry (i, alpha) is the alpha-th monomial of degree t evaluated at row
     i, in the dtype of ``coords``: int64 coordinates over F_p for the exact
-    pipeline, complex points for the Waring one.  Built from per-variable
-    power tables so each entry costs n+1 multiplications instead of t.
+    pipeline (a product of two residues needs int64; ``ModMatrix`` narrows
+    the reduced result to int32), complex points for the Waring one.  Built
+    from per-variable power tables so each entry costs n+1 multiplications
+    instead of t.
     With a modulus p every product is reduced mod p.
     """
     r, nvars = coords.shape
@@ -284,8 +286,10 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int) -> np.ndarray:
     monomial-major, form-minor.  Rows and shifts both ascend in the last
     variable's exponent, so read backwards the matrix is a staircase (see
     ``chopped_profile``).  Its column span is the degree-(d+e) component of
-    the ideal generated by the forms.  A matrix larger than physical memory
-    raises ``CapacityError`` instead of being allocated.
+    the ideal generated by the forms.  A matrix larger than physical memory,
+    counted at the coefficients' item size (4 bytes a cell for the int32
+    residues of the exact pipeline), raises ``CapacityError`` instead of
+    being allocated.
     """
     g = coeffs.shape[1]
     he = hs(n, e)
@@ -327,7 +331,8 @@ def chopped_hf(config: PointConfig, d: int, t: int) -> int:
 
 def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:
     """Chopped quotient at degrees d+1, ..., d+top from one elimination of
-    the Macaulay matrix at degree d+top, read backwards (see ``chopped_profile``)."""
+    the Macaulay matrix at degree d+top, read backwards (see ``chopped_profile``).
+    The built matrix and its reversed working copy are both int32."""
     a = macaulay_matrix(basis, top).array[::-1, ::-1].copy()
     # x_n-exponent of each reversed column's shift, non-increasing
     key = np.repeat([m[-1] for m in monomials(basis.n, top)], basis.dim)[::-1]

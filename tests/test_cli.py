@@ -125,8 +125,9 @@ class TestVerifyCommand:
         assert data["error"]["type"] == "SelfCheckError"
 
     def test_oversized_case_is_a_capacity_error(self):
-        # the Macaulay matrix at (6, 917) would take 43 TB: the builder
-        # refuses it after sampling, before allocating anything that size
+        # the Macaulay matrix at (6, 917) would take 21.6 TB at 4 bytes a
+        # cell: the builder refuses it after sampling, before allocating
+        # anything that size
         code, data = invoke_json(["verify", "--n", "6", "--r", "917"])
         assert code == 1
         assert data["error"]["type"] == "CapacityError"

@@ -35,8 +35,9 @@ def reference_lu(a, p):
     """One pivot at a time, no blocking: the in-place LU _echelon must match.
 
     Rows swap whole; each multiplier (entry / pivot) is parked below its
-    pivot and the pivot rows stay unscaled."""
-    a = a.copy()
+    pivot and the pivot rows stay unscaled.  Works in int64 whatever the
+    input dtype, so no product of two residues wraps."""
+    a = a.astype(np.int64)
     m, ncols = a.shape
     piv = []
     row = 0
@@ -106,17 +107,33 @@ def product_with_zeros(rng, p, m, n, k):
     return a
 
 
-def staircase(rng, p, m, n):
-    """m x n matrix whose column j is nonzero only in its top heights[j]
-    rows, the heights nondecreasing: the shape of the graded Macaulay
-    matrix.  Every third column is a multiple of an earlier one, so the rank
-    falls short and some leaves find fewer pivots than columns."""
+def uniform_residues(rng, p, shape):
+    return rng.integers(0, p, size=shape, dtype=np.int64)
+
+
+def edge_residues(rng, p, shape):
+    """Residues drawn evenly from p - 1, (p - 1) / 2, (p + 1) / 2 (the ones
+    that balance to -1 and to the two extremes) and uniform ones; (p - 1)**2
+    overflows int32 for every p above 2**16."""
+    edges = np.array([p - 1, (p - 1) // 2, (p + 1) // 2], dtype=np.int64)
+    out = uniform_residues(rng, p, shape)
+    pick = rng.integers(0, 4, size=shape)
+    out[pick < 3] = edges[pick[pick < 3]]
+    return out
+
+
+def staircase(rng, p, m, n, draw=uniform_residues):
+    """m x n int32 matrix whose column j is nonzero only in its top
+    heights[j] rows, the heights nondecreasing: the shape of the graded
+    Macaulay matrix.  Every third column is a multiple of an earlier one, so
+    the rank falls short and some leaves find fewer pivots than columns.
+    Built in int64, where a product of two residues fits."""
     heights = np.sort(rng.integers(0, m + 1, size=n))
-    a = rng.integers(0, p, size=(m, n), dtype=np.int64)
+    a = draw(rng, p, (m, n))
     a[np.arange(m)[:, None] >= heights] = 0
     for j in range(2, n, 3):
-        a[:, j] = a[:, int(rng.integers(0, j))] * int(rng.integers(0, p)) % p
-    return a
+        a[:, j] = a[:, int(rng.integers(0, j))] * int(draw(rng, p, ())) % p
+    return a.astype(np.int32)
 
 
 def random_matrix(rng, field, m, n):
@@ -158,6 +175,31 @@ class TestModMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             ModMatrix(FSMALL, [1, 2, 3])
+
+    @pytest.mark.parametrize("field", [F, FSMALL])
+    def test_reduces_wide_and_negative_inputs_before_narrowing(self, field):
+        # narrowed first, 2**31 would wrap to -2**31 and 2**32 + 5 to 5
+        p = field.p
+        wide = np.array([[2**31, 2**32 + 5, 2**62 + 3, p],
+                         [-1, -p, -(2**40) - 1, -(2**63)]], dtype=np.int64)
+        m = ModMatrix(field, wide)
+        assert m.array.dtype == np.int32
+        assert m.array.tolist() == [[v % p for v in row] for row in wide.tolist()]
+
+    def test_trusted_residues_are_narrowed(self):
+        residues = np.array([[0, F.p - 1], [(F.p - 1) // 2, (F.p + 1) // 2]], dtype=np.int64)
+        m = ModMatrix(F, residues, _trusted=True)
+        assert m.array.dtype == np.int32
+        assert m.array.tolist() == residues.tolist()
+        view = residues.astype(np.int32)[:, ::-1]
+        assert ModMatrix(F, view, _trusted=True).array.base is None
+
+    def test_every_operation_returns_int32(self):
+        rng = np.random.default_rng(12)
+        mat = random_of_rank(rng, F, 9, 12, 5)
+        assert mat.array.dtype == np.int32
+        assert kernel_basis(mat).array.dtype == np.int32
+        assert matmul(mat, random_matrix(rng, F, 12, 4)).array.dtype == np.int32
 
 
 def largest_split_terms(p, k):
@@ -225,6 +267,17 @@ class TestMulMod:
         assert_products(a, b, a[:, :3], p)
 
     @pytest.mark.parametrize("p", [2147483629, 2147483647])
+    def test_int32_minuend_at_top_residues(self, p):
+        # the update form: int32 operands and an int32 minuend, which the
+        # reduced result is written straight into
+        k = 3 * 170 + 7
+        a = (p - 1 - np.arange(2 * k).reshape(2, k) % 2).astype(np.int32)
+        b = (p - 1 - np.arange(3 * k).reshape(k, 3) % 2).astype(np.int32)
+        c = np.array([[p - 1, p - 2, (p - 1) // 2], [(p + 1) // 2, 0, p - 1]], dtype=np.int32)
+        assert_products(a, b, c, p)
+        assert _mul_mod(a, b, p).dtype == np.int32
+
+    @pytest.mark.parametrize("p", [2147483629, 2147483647])
     @pytest.mark.parametrize("k", [169, 170, 171, 4 * 170 + 3])
     def test_largest_terms_around_the_chunk(self, p, k):
         a, b = largest_split_terms(p, k)
@@ -242,7 +295,7 @@ class TestMulMod:
         x = np.concatenate([k * p + off for off in (-1, 0, 1, p - 1)])
         x = np.concatenate([x, rng.integers(-top, top + 1, size=4000, dtype=np.int64)])
         got = _residues(x.astype(np.float64), p)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert (got == x % p).all()
 
     @pytest.mark.parametrize("p", [5, 2147483629, 2147483647])
@@ -306,7 +359,7 @@ class TestEchelon:
         rng = np.random.default_rng(seed)
         p = int(rng.choice([101, 1009, 2147483647]))
         m, n = (int(v) for v in rng.integers(1, 40, size=2))
-        a = rng.integers(0, p, size=(m, n), dtype=np.int64)
+        a = rng.integers(0, p, size=(m, n), dtype=np.int64).astype(np.int32)
         # sprinkle zero columns/rows to exercise pivot skips
         if m > 2:
             a[rng.integers(0, m)] = 0
@@ -362,6 +415,48 @@ class TestEchelon:
             assert piv == piv_want
             assert (got == want).all()
             assert any(trims)
+
+
+class TestInt32Overflow:
+    # int32 matrices whose entries sit at the residues where a product of
+    # two of them is largest: every leaf product must be formed in int64
+    PRIMES = [2147483647, 2147483629, 65537, 7]
+
+    @staticmethod
+    def assert_matches_reference(a, p):
+        want, piv_want = reference_lu(a, p)
+        for leaf in (1, 3, 8, 32):
+            got = a.copy()
+            with mock.patch.object(modlinalg, "_LEAF", leaf):
+                assert _echelon(got, p) == piv_want
+            assert got.dtype == np.int32
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("m, n", [(70, 90), (120, 80)])
+    def test_edge_residues_match_reference(self, p, m, n):
+        # every fourth column a multiple of the column three before it, and
+        # a zero row, so leaves also skip columns and stop short
+        rng = np.random.default_rng(m * 1000 + n + p % 1000)
+        a = edge_residues(rng, p, (m, n))
+        repeated = np.arange(3, n, 4)
+        a[:, repeated] = a[:, repeated - 3] * ((p + 1) // 2) % p
+        a[m // 2] = 0
+        self.assert_matches_reference(a.astype(np.int32), p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("m, n", [(120, 150), (200, 90)])
+    def test_edge_staircase_matches_reference(self, p, m, n):
+        rng = np.random.default_rng(m * 1000 + n + p % 1000)
+        self.assert_matches_reference(staircase(rng, p, m, n, edge_residues), p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_edge_kernel_matches_reference(self, p):
+        rng = np.random.default_rng(p % 1000)
+        a = staircase(rng, p, 60, 90, edge_residues)
+        got = kernel_basis(ModMatrix(PrimeField(p), a, _trusted=True)).array
+        assert got.dtype == np.int32
+        assert (got == reference_kernel(a, p)).all()
 
 
 class TestRank:

@@ -6,6 +6,9 @@ coefficient arithmetic, no Macaulay indexing shared with the implementation.
 """
 
 import itertools
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from chopshop.formulas import (
     lex_lower_bound_table,
     predicted_gap,
 )
-from chopshop.grading import LexOrder, hs, lex_compare_hf, monomials
+from chopshop.grading import CapacityError, LexOrder, hs, lex_compare_hf, monomials
 from chopshop.modlinalg import ModMatrix, PrimeField, _echelon, kernel_basis, matmul, rank
 from chopshop.pointideals import (
     RETRY_BUDGET,
@@ -332,6 +335,17 @@ class TestMacaulayMatrix:
             )
             assert (whole == parts).all()
 
+    def test_capacity_counts_four_bytes_a_cell(self):
+        # with 6 bytes of memory a cell, the int32 build fits and an int64
+        # build of the same forms would not
+        basis = ideal_component(sample_points(2, 18, P, SEED), 5)
+        cells = hs(2, 5 + 3) * hs(2, 3) * basis.dim
+        memory = {"SC_PHYS_PAGES": cells, "SC_PAGE_SIZE": 6}
+        with mock.patch.object(os, "sysconf", memory.__getitem__):
+            assert macaulay_matrix(basis, 3).array.dtype == np.int32
+            with pytest.raises(CapacityError, match=str(8 * cells)):
+                macaulay_array(2, 5, basis.vectors.array.astype(np.int64), 3)
+
     def test_basis_change_invariance(self):
         cfg = sample_points(2, 18, P, SEED)
         basis = ideal_component(cfg, 5)
@@ -461,6 +475,27 @@ class TestChoppedProfile:
         cfg = sample_points(2, 18, P, SEED)
         with pytest.raises(ValueError):
             chopped_profile(cfg, e_max=1)
+
+    def test_graded_elimination_peaks_near_two_int32_matrices(self):
+        # at (3,161) the matrix at d+G is 1771 x 1820; the built matrix and
+        # its reversed copy take 2x its int32 bytes, and the elimination's
+        # peak, the working matrix plus the float64 temporaries of its
+        # largest products, 2.13x.  An int64 copy anywhere on the path adds
+        # 2x (the int64 code peaked at 4x)
+        cfg = sample_points(3, 161, P, SEED)
+        params = CaseParams(3, 161)
+        mac = macaulay_matrix(ideal_component(cfg, params.d), predicted_gap(params).gap)
+        assert mac.array.dtype == np.int32
+        matrix_bytes = mac.array.nbytes
+        del mac
+        tracemalloc.start()
+        try:
+            prof = chopped_profile(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.verdict == "match"
+        assert peak < 3 * matrix_bytes
 
 
 class TestStaircase:
