@@ -261,12 +261,20 @@ def liaison_delta(n: int, degrees, delta_z) -> tuple[int, ...]:
     complete intersection:  Dh_res(t) = Dh_ci(rho - t) - Dh_z(rho - t).
 
     ``delta_z`` lists the configuration's difference table from degree 0;
-    entries past its end are zero.  Trailing zeros are trimmed.
+    entries past its end are zero.  Trailing zeros are trimmed.  A nonzero
+    entry past the socle degree rho cannot fit inside the complete
+    intersection and raises RangeError.
     """
     rho = ci_socle(n, degrees)
     ci = ci_table(n, degrees)
     dci = first_difference(ci)
     dz = list(delta_z)
+    beyond = [t for t in range(rho + 1, len(dz)) if dz[t]]
+    if beyond:
+        raise RangeError(
+            f"difference table is nonzero at degree {beyond[0]}, past the socle "
+            f"degree {rho} of the complete intersection"
+        )
 
     def dz_at(t: int) -> int:
         return dz[t] if 0 <= t < len(dz) else 0

@@ -58,10 +58,6 @@ def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.nda
     return out
 
 
-def _evaluation(coords: np.ndarray, prime: PrimeField, t: int) -> ModMatrix:
-    return ModMatrix(prime, evaluation_array(coords, t, prime.p), _trusted=True)
-
-
 def _normalized_rows(coords: np.ndarray, p: int) -> np.ndarray | None:
     """Each row scaled so its first nonzero entry is 1, or None if some row
     is zero.  Two rows are the same projective point iff they normalize to
@@ -156,24 +152,17 @@ class GradedBasis:
 
 @dataclass(frozen=True)
 class ChoppedProfile:
-    """Observed versus expected Hilbert data of one chopped quotient.
+    """The chopped quotient of one configuration, as scanned.
 
-    Both tables run from degree 0 through d plus the relevant gap, with
-    full polynomial-ring values below d.  ``verdict`` is "match" when the
-    tables agree on the whole scanned range (which forces the gaps to
-    agree too), otherwise "mismatch" with the first differing degree.
+    ``observed`` runs from degree 0 through the last scanned degree, with
+    full polynomial-ring values below d.  When the quotient came back to r,
+    at degree d + ``observed_gap``, the table ends there with tail r;
+    otherwise ``observed_gap`` is None and the table has no tail.  Nothing
+    here is compared with the prediction: ``verify`` judges the profile.
     """
 
-    params: CaseParams
     observed: HilbertTable
     observed_gap: int | None
-    expected: HilbertTable
-    verdict: str
-    first_mismatch_degree: int | None = None
-
-    def __post_init__(self):
-        if self.verdict == "match" and self.observed.values[-1] != self.params.r:
-            raise ValueError("a matching profile must end at the point count")
 
 
 def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
@@ -230,7 +219,7 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
             config = PointConfig(n, r, coords, prime, seed, retries=attempt)
         except ValueError:  # a zero row or a repeated point
             continue
-        kernel = kernel_basis(_evaluation(config.coords, prime, d))
+        kernel = kernel_basis(evaluation_matrix(config, d))
         if hs(n, d) - kernel.cols != r:
             continue
         if d >= 2 and not _full_rank_below(config.coords, prime, d, kernel):
@@ -245,11 +234,13 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
 def _full_rank_below(coords: np.ndarray, prime: PrimeField, d: int,
                      kernel: ModMatrix) -> bool:
     """Whether the points impose hs(n,d-1) conditions in degree d-1, given
-    the degree-d kernel (the third lemma of ``sample_points``)."""
+    the degree-d kernel (the third lemma of ``sample_points``).  It takes
+    bare coordinates, not a ``PointConfig``, so any matrix can test it."""
     n = coords.shape[1] - 1
     nonvanishing = np.flatnonzero(coords.all(axis=0))
     if nonvanishing.size == 0:
-        return rank(_evaluation(coords, prime, d - 1)) == hs(n, d - 1)
+        below = evaluation_array(coords, d - 1, prime.p)
+        return rank(ModMatrix(prime, below, _trusted=True)) == hs(n, d - 1)
     i = int(nonvanishing[0])
     off_xi = [m[i] == 0 for m in monomials(n, d)]
     return rank(ModMatrix(prime, kernel.array[off_xi], _trusted=True)) == kernel.cols
@@ -260,7 +251,8 @@ def evaluation_matrix(config: PointConfig, t: int) -> ModMatrix:
     exponent alpha, over all degree-t monomials in order."""
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
-    return _evaluation(config.coords, config.prime, t)
+    values = evaluation_array(config.coords, t, config.prime.p)
+    return ModMatrix(config.prime, values, _trusted=True)
 
 
 def ideal_component(config: PointConfig, t: int) -> GradedBasis:
@@ -344,13 +336,11 @@ def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:
 
 
 def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedProfile:
-    """Scan the chopped quotient degree by degree and compare it with the
-    closed-form prediction.
+    """Scan the chopped quotient degree by degree.
 
     The scan starts at d and stops as soon as the quotient returns to r,
-    or at e_max.  Values are compared as they appear; the first divergence
-    is recorded and the verdict becomes "mismatch".  e_max defaults to the
-    proven gap bound plus two and may not be set below the predicted gap.
+    or at e_max.  e_max defaults to the proven gap bound plus two and may
+    not be set below the predicted gap.
 
     Every degree up to the predicted gap G comes from one elimination, of
     the Macaulay matrix M_G at degree d+G read backwards on both axes.  Its
@@ -391,25 +381,5 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
     observed_values = [hs(config.n, t) for t in range(d)]
     observed_values.append(hs(config.n, d) - basis.dim)
     observed_values += quotients[:gap_seen]
-
-    first_mismatch: int | None = None
-    for t, value in enumerate(observed_values):
-        if value != prediction.table.value_at(t):
-            first_mismatch = t
-            break
-    if first_mismatch is None and gap_seen is None:
-        # Every scanned value matched yet the quotient never returned to r:
-        # flag the first unscanned degree so the verdict cannot be "match".
-        first_mismatch = len(observed_values)
-
     tail = config.r if gap_seen is not None else None
-    observed = HilbertTable(config.n, tuple(observed_values), tail)
-    verdict = "match" if first_mismatch is None else "mismatch"
-    return ChoppedProfile(
-        params=params,
-        observed=observed,
-        observed_gap=gap_seen,
-        expected=prediction.table,
-        verdict=verdict,
-        first_mismatch_degree=first_mismatch,
-    )
+    return ChoppedProfile(HilbertTable(config.n, tuple(observed_values), tail), gap_seen)

@@ -27,7 +27,6 @@ from .grading import Exponent, hs, mono_index, monomials, product_index_map
 from .modlinalg import PrimeField, in_span, matmul, rank
 from .pointideals import (
     RETRY_BUDGET,
-    ChoppedProfile,
     GenericityError,
     PointConfig,
     chopped_profile,
@@ -96,6 +95,9 @@ class Certificate:
     def from_dict(data: dict) -> "Certificate":
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {data.get('schema_version')}")
+        missing = [f.name for f in fields(Certificate) if f.name not in data]
+        if missing:
+            raise ValueError(f"certificate is missing {', '.join(missing)}")
         return Certificate(**{f.name: _tuples(data[f.name]) for f in fields(Certificate)})
 
 
@@ -114,49 +116,50 @@ class SelfCheckError(RuntimeError):
     a bug in chopshop's arithmetic, never a verdict about the case."""
 
 
-def _check_lower_bound(profile: ChoppedProfile) -> None:
-    """Observed >= expected at every scanned degree, or SelfCheckError.
-
-    Up to the predicted gap the expected table is max(Froeberg coefficient,
-    r), and both bound the chopped quotient from below.  The Froeberg
-    coefficient (Math. Scand. 56, 1985) is hs(n,t) less the Macaulay
-    matrix's s*hs(n,t-d) columns, plus, from degree 2d on, the Koszul
-    syzygies f_i*f_j = f_j*f_i among them, counted as independent.  And the
-    chopped ideal lies in the ideal of the points, whose quotient the
-    genericity check makes r from degree d on.  Past the gap the expected
-    value is r.  So a genuine FAIL is a rank deficit, observed above
-    expected, and a value below is taken for a bug.
-    """
-    for t, value in enumerate(profile.observed.values):
-        bound = profile.expected.value_at(t)
-        if value < bound:
-            raise SelfCheckError(
-                f"internal error, a bug in chopshop and not a FAIL: the observed "
-                f"quotient {value} at degree {t} of (n={profile.params.n}, "
-                f"r={profile.params.r}) is below the expected {bound}, its lower bound"
-            )
-
-
 def _certificate(params: CaseParams, prediction: GapPrediction, config: PointConfig | None,
                  e_max: int | None, prime: int, seed: int) -> Certificate:
     """The certificate of one case: the chopped quotient of ``config`` scanned
-    up to ``e_max`` against ``prediction``, or GENERICITY_FAIL when sampling
-    gave no configuration.  ``wall_ms`` is left at 0 for the caller to time.
-    The scan is checked against its lower bound first (``_check_lower_bound``)."""
+    up to ``e_max`` and judged against ``prediction``, or GENERICITY_FAIL
+    when sampling gave no configuration.  ``wall_ms`` is left at 0 for the
+    caller to time.  This is the one place a verdict is decided."""
     if config is None:
         outcome = dict(retries=RETRY_BUDGET, points=(), observed_quotient=(),
                        observed_gap=None, verdict="GENERICITY_FAIL",
                        first_mismatch_degree=None)
     else:
         profile = chopped_profile(config, e_max=e_max)
-        _check_lower_bound(profile)
+        observed = profile.observed.values
+        # The expected value bounds the observed one from below at every
+        # degree.  Up to the predicted gap it is max(Froeberg coefficient, r).
+        # The Froeberg coefficient (Math. Scand. 56, 1985) is hs(n,t) less the
+        # Macaulay matrix's s*hs(n,t-d) columns, plus, from degree 2d on, the
+        # Koszul syzygies f_i*f_j = f_j*f_i among them, counted as
+        # independent.  And the chopped ideal lies in the ideal of the points,
+        # whose quotient the genericity check makes r from degree d on.  Past
+        # the gap the expected value is r.  So a genuine FAIL is a rank
+        # deficit, observed above expected, and a value below is a bug.
+        mismatch = None
+        for t, value in enumerate(observed):
+            expected = prediction.table.value_at(t)
+            if value < expected:
+                raise SelfCheckError(
+                    f"internal error, a bug in chopshop and not a FAIL: the observed "
+                    f"quotient {value} at degree {t} of (n={params.n}, r={params.r}) "
+                    f"is below the expected {expected}, its lower bound"
+                )
+            if value != expected and mismatch is None:
+                mismatch = t
+        if mismatch is None and profile.observed_gap is None:
+            # every scanned value matched, yet the quotient never came back
+            # to r: the first unscanned degree is the mismatch
+            mismatch = len(observed)
         outcome = dict(
             retries=config.retries,
             points=tuple(tuple(int(v) for v in row) for row in config.coords),
-            observed_quotient=profile.observed.values,
+            observed_quotient=observed,
             observed_gap=profile.observed_gap,
-            verdict="PASS" if profile.verdict == "match" else "FAIL",
-            first_mismatch_degree=profile.first_mismatch_degree,
+            verdict="PASS" if mismatch is None else "FAIL",
+            first_mismatch_degree=mismatch,
         )
     return Certificate(n=params.n, r=params.r, d=params.d, prime=prime, seed=seed,
                        expected_quotient=prediction.table.values,

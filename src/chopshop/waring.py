@@ -455,6 +455,7 @@ def form_from_dict(data: dict) -> SymmetricForm:
     if D < 0:
         raise ValueError(f"form field D must be >= 0, got {D}")
     coeffs = np.zeros(hs(n, D), dtype=np.complex128)
+    seen = set()
     for i, term in enumerate(_checked(data.get("terms"), list, "terms")):
         where = f"terms[{i}]"
         term = _checked(term, dict, where)
@@ -462,7 +463,11 @@ def form_from_dict(data: dict) -> SymmetricForm:
         for v in exponent:
             _checked(v, int, f"{where}.exponent")
         parts = (_checked(term.get(k), (int, float), f"{where}.{k}") for k in ("re", "im"))
-        coeffs[mono_index(n, D, exponent)] = complex(*parts)
+        index = mono_index(n, D, exponent)
+        if index in seen:
+            raise ValueError(f"{where}.exponent {exponent} is a duplicate of an earlier term")
+        seen.add(index)
+        coeffs[index] = complex(*parts)
     return SymmetricForm(n, D, coeffs)
 
 

@@ -96,6 +96,12 @@ class TestFormulaCommands:
         assert data["delta_residual"] == [1, 2, 3, 1]
         assert data["delta_ci"] == [1, 2, 3, 4, 5, 4, 3, 2, 1, 0]
 
+    def test_liaison_past_the_socle_is_clean_failure(self):
+        # two points cannot lie in the complete intersection of two lines
+        code, data = invoke_json(["liaison", "--n", "2", "--d", "1", "--r", "2"])
+        assert code == 1
+        assert data["error"]["type"] == "RangeError"
+
 
 class TestVerifyCommand:
     def test_pass_case(self):
@@ -417,6 +423,10 @@ class TestWaringCommands:
             ({"schema_version": 1, "n": 2, "D": -1, "terms": []}, "D"),
             ({"schema_version": 1, "n": 2, "D": -1,
               "terms": [{"exponent": [2, 0, 0], "re": 1.0, "im": 0.0}]}, "D"),
+            ({"schema_version": 1, "n": 1, "D": 2,
+              "terms": [{"exponent": [2, 0], "re": 1.0, "im": 0.0},
+                        {"exponent": [2, 0], "re": 5.0, "im": 0.0}]},
+             "terms[1].exponent"),
         ],
     )
     def test_malformed_form_is_a_clean_error(self, tmp_path, document, field):
@@ -607,6 +617,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: chopshop {argv[0]} ")
         assert err.strip().splitlines()[-1] == f"chopshop {argv[0]}: error: {complaint}"
+
+
+class TestReadmeExamples:
+    """The README's exact examples print what the README shows, line for
+    line (each without its ``--out``)."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    @pytest.mark.parametrize("command", ["hf --n 2 --r 18", "verify --n 2 --r 41"])
+    def test_stdout_matches_the_readme(self, command, monkeypatch):
+        for name in ("CHOPSHOP_PRIME", "CHOPSHOP_SEED"):
+            monkeypatch.delenv(name, raising=False)
+        blocks = [b.strip("\n").splitlines() for b in self.README.read_text().split("```")]
+        shown = [b[1:] for b in blocks
+                 if b and b[0].split(" --out ")[0] == f"$ chopshop {command}"]
+        assert len(shown) == 1, command
+        code, out = invoke(command.split())
+        assert code == 0
+        assert out.splitlines() == shown[0]
 
 
 class TestConsoleScript:

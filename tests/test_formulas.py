@@ -283,6 +283,12 @@ class TestLiaison:
         with pytest.raises(RangeError):
             liaison_delta(2, (5, 5), (1, 2, 3, 4, 5, 6))
 
+    def test_entry_past_the_socle_rejected(self):
+        # two conics meet in a complete intersection with socle degree 2;
+        # a table still nonzero at degree 3 cannot lie inside it
+        with pytest.raises(RangeError, match="nonzero at degree 3"):
+            liaison_delta(2, (2, 2), (1, 2, 1, 1))
+
     def test_fig2_style_case_in_p4(self):
         # 121 generic points inside four quintics: the difference tables
         # split at degree 5 by exactly one.

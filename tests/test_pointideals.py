@@ -38,6 +38,7 @@ from chopshop.pointideals import (
     macaulay_matrix,
     sample_points,
 )
+from chopshop.verify import _certificate
 
 P = PrimeField(2147483647)
 SEED = 20260815
@@ -399,9 +400,10 @@ class TestChoppedHilbertFunction:
 
 
 def reference_profile(config):
-    """chopped_profile spelled out degree by degree: one Macaulay rank per
-    e until the quotient returns to r or the default horizon runs out.
-    Returns the observed values, gap, verdict and first mismatch degree."""
+    """chopped_profile and its verdict spelled out degree by degree: one
+    Macaulay rank per e until the quotient returns to r or the default
+    horizon runs out.  Returns the observed values, gap, verdict and first
+    mismatch degree, as a certificate states them."""
     params = CaseParams(config.n, config.r)
     prediction = predicted_gap(params)
     basis = ideal_component(config, params.d)
@@ -417,8 +419,16 @@ def reference_profile(config):
         (t for t, v in enumerate(values) if v != prediction.table.value_at(t)),
         None if gap is not None else len(values),
     )
-    verdict = "match" if mismatch is None else "mismatch"
+    verdict = "PASS" if mismatch is None else "FAIL"
     return tuple(values), gap, verdict, mismatch
+
+
+def certify(config):
+    """The certificate ``verify`` makes of a sampled configuration, whose
+    verdict judges ``chopped_profile``'s scan at the default horizon."""
+    params = CaseParams(config.n, config.r)
+    return _certificate(params, predicted_gap(params), config, None,
+                        config.prime.p, config.seed)
 
 
 class TestChoppedProfile:
@@ -435,33 +445,33 @@ class TestChoppedProfile:
                             cfg = sample_points(n, r, PrimeField(p), seed)
                         except GenericityError:
                             continue
-                        prof = chopped_profile(cfg)
-                        got = (prof.observed.values, prof.observed_gap,
-                               prof.verdict, prof.first_mismatch_degree)
+                        cert = certify(cfg)
+                        got = (cert.observed_quotient, cert.observed_gap,
+                               cert.verdict, cert.first_mismatch_degree)
                         assert got == reference_profile(cfg), (p, n, r, seed)
-                        if prof.observed_gap != predicted_gap(params).gap:
+                        if cert.observed_gap != cert.expected_gap:
                             past_prediction += 1
         # FAILs whose quotient has not returned to r by the predicted gap,
         # which take the second elimination at e_max
         assert past_prediction > 0
 
     def test_match_for_18_points(self):
-        prof = chopped_profile(sample_points(2, 18, P, SEED))
-        assert prof.verdict == "match"
-        assert prof.observed_gap == 2
-        assert prof.first_mismatch_degree is None
-        assert prof.observed.values == prof.expected.values
-        assert prof.observed.values[5:] == (18, 19, 18)
+        cert = certify(sample_points(2, 18, P, SEED))
+        assert cert.verdict == "PASS"
+        assert cert.observed_gap == 2
+        assert cert.first_mismatch_degree is None
+        assert cert.observed_quotient == cert.expected_quotient
+        assert cert.observed_quotient[5:] == (18, 19, 18)
 
     def test_match_for_16_points_in_p3(self):
-        prof = chopped_profile(sample_points(3, 16, P, SEED))
-        assert prof.verdict == "match" and prof.observed_gap == 2
+        cert = certify(sample_points(3, 16, P, SEED))
+        assert cert.verdict == "PASS" and cert.observed_gap == 2
 
     def test_observed_gap_agrees_with_prediction(self):
         for n, r, seed in ((2, 17, 1), (2, 22, 2), (2, 41, 3), (3, 30, 4)):
-            prof = chopped_profile(sample_points(n, r, P, seed))
-            assert prof.verdict == "match"
-            assert prof.observed_gap == predicted_gap(prof.params).gap
+            cert = certify(sample_points(n, r, P, seed))
+            assert cert.verdict == "PASS"
+            assert cert.observed_gap == predicted_gap(CaseParams(n, r)).gap
 
     def test_lex_lower_bound_respected(self):
         for n, r, seed in ((2, 18, 1), (2, 41, 2), (3, 16, 3)):
@@ -494,7 +504,7 @@ class TestChoppedProfile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert prof.verdict == "match"
+        assert prof.observed.values == predicted_gap(params).table.values
         assert peak < 3 * matrix_bytes
 
 

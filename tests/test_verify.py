@@ -127,6 +127,12 @@ class TestVerifyCase:
         decoded = Certificate.from_dict(json.loads(json.dumps(data)))
         assert decoded == cert
 
+    def test_missing_field_is_named(self):
+        data = verify_case(2, 18, P, seed=5).to_dict()
+        del data["wall_ms"]
+        with pytest.raises(ValueError, match="missing wall_ms"):
+            Certificate.from_dict(data)
+
     def test_replay(self):
         cert = verify_case(2, 18, P, seed=7)
         assert replay_certificate(cert)

@@ -467,6 +467,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             form_from_dict({"schema_version": 99, "n": 2, "D": 2, "terms": []})
 
+    def test_form_dict_rejects_a_repeated_exponent(self):
+        # the second term would silently overwrite the first
+        terms = [{"exponent": [2, 0], "re": re, "im": 0.0} for re in (1.0, 5.0)]
+        with pytest.raises(ValueError, match=r"terms\[1\]\.exponent .* duplicate"):
+            form_from_dict({"schema_version": 1, "n": 1, "D": 2, "terms": terms})
+
     def test_result_dict_keys(self):
         result, _, _ = roundtrip_case(2, 6, 7, seed=2)
         data = result_to_dict(result)
