@@ -268,7 +268,7 @@ def ideal_component(config: PointConfig, t: int) -> GradedBasis:
     return GradedBasis(config.n, t, kernel_basis(evaluation_matrix(config, t)))
 
 
-def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int) -> np.ndarray:
+def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C") -> np.ndarray:
     """All degree-e monomial shifts of degree-d forms, as columns in degree
     d+e.
 
@@ -278,10 +278,11 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int) -> np.ndarray:
     monomial-major, form-minor.  Rows and shifts both ascend in the last
     variable's exponent, so read backwards the matrix is a staircase (see
     ``chopped_profile``).  Its column span is the degree-(d+e) component of
-    the ideal generated by the forms.  A matrix larger than physical memory,
-    counted at the coefficients' item size (4 bytes a cell for the int32
-    residues of the exact pipeline), raises ``CapacityError`` instead of
-    being allocated.
+    the ideal generated by the forms.  ``order`` is the result's memory
+    layout, "C" or "F"; the Waring side builds column-major, the layout
+    LAPACK factors in place.  A matrix larger than physical memory, counted
+    at the coefficients' item size (4 bytes a cell for the int32 residues of
+    the exact pipeline), raises ``CapacityError`` instead of being allocated.
     """
     g = coeffs.shape[1]
     he = hs(n, e)
@@ -292,7 +293,7 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int) -> np.ndarray:
         raise CapacityError(f"a {shape[0]} x {shape[1]} Macaulay matrix needs {need} "
                             f"bytes, more than the {have} bytes of physical memory")
     positions = product_index_map(n, d, e)
-    out = np.zeros(shape, dtype=coeffs.dtype)
+    out = np.zeros(shape, dtype=coeffs.dtype, order=order)
     out[positions[:, :, None], np.arange(he * g).reshape(he, 1, g)] = coeffs[None]
     return out
 

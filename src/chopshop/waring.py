@@ -8,6 +8,13 @@ matrix at the gap degree d+e extract the points themselves.  Everything
 here works over the complex numbers in floating point; exactness is
 replaced by rank thresholds on the R diagonal of column-pivoted QR
 factorizations and by residual checks.
+
+Every pivoted QR runs LAPACK geqp3 in place on a column-major buffer
+(``_pivoted_qr``).  ``decompose`` builds the cokernel's Macaulay matrix
+column-major and factors it in its own storage, so it holds one copy of
+the largest matrix of the pipeline.  scipy is imported inside
+the functions that call it: the exact pipeline imports this module
+through the package and never loads scipy.
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .formulas import admissible, expected_gap_and_table
 from .grading import hs, mono_index, monomials, product_index_map
@@ -148,7 +153,16 @@ def catalecticant(form: SymmetricForm, a: int) -> np.ndarray:
 
 
 def _row_equilibrated(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1)
+    """mat with each nonzero row scaled to unit norm.  A row norm that is
+    not a finite float (a non-finite entry, or squares that overflow)
+    raises ValueError instead of zeroing its row or filling it with NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(mat, axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError(
+            "the catalecticant has rows of non-finite norm: the form's "
+            "coefficients are not finite, or overflow once weighted"
+        )
     scale = np.where(norms > 0, norms, 1.0)
     return mat / scale[:, None]
 
@@ -161,28 +175,64 @@ def _diagonal_rank(diag: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(diag > tol * diag[0]))
 
 
-def numerical_kernel(mat, rank_hint: int | None = None, tol: float = DEFAULT_TOL):
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-pivoted QR of ``a`` in place: LAPACK geqp3 after a workspace
+    query, the call ``scipy.linalg.qr(a, pivoting=True, mode="raw")`` makes.
+
+    ``a`` must be Fortran-ordered and the caller's to spend: its storage
+    becomes the factor, R on and above the diagonal and the Householder
+    reflectors below it.  No separate R is formed.  Returns (factor, tau,
+    pivots), the pivots 0-based.
+    """
+    import scipy.linalg
+
+    if not a.flags.f_contiguous:
+        raise ValueError("the pivoted QR factors a Fortran-ordered array in place")
+    if not np.isfinite(a).all():
+        raise ValueError("the pivoted QR needs finite entries")
+    if a.size == 0:
+        return a, np.zeros(min(a.shape), dtype=a.dtype), np.arange(a.shape[1], dtype=np.int32)
+    geqp3 = scipy.linalg.get_lapack_funcs("geqp3", (a,))
+    *_, work, _ = geqp3(a, lwork=-1, overwrite_a=1)
+    factor, pivots, tau, _, info = geqp3(a, lwork=int(work[0].real), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"geqp3 failed with info {info}")
+    pivots -= 1
+    return factor, tau, pivots
+
+
+def numerical_kernel(
+    mat, rank_hint: int | None = None, tol: float = DEFAULT_TOL, overwrite_a: bool = False
+):
     """Orthonormal basis of the right null space by column-pivoted QR.
 
-    Factors mat^H P = Q R with LAPACK geqp3.  Pivoting makes |diag(R)|
-    non-increasing, and it stands in for the singular values: the rank
-    is rank_hint when given, otherwise the count of diagonal entries
-    above tol relative to |R_00|.  The gap is the ratio of the last kept
-    to the first dropped diagonal entry; without a hint, a gap under 10
-    means the cutoff is a guess, and that is reported as an error rather
-    than a silent choice.  The basis is the trailing columns of Q, the
-    orthogonal complement of the leading pivoted rows of mat; they are
+    Factors mat^H P = Q R with LAPACK geqp3, in place (``_pivoted_qr``).
+    mat^H is conjugated into a column-major copy of mat, and mat is left
+    unchanged.  With ``overwrite_a``, a row-major complex128 mat, whose
+    transpose is column-major, is conjugated in its own storage instead,
+    which then holds the factor: the caller gives mat up.  Pivoting makes
+    |diag(R)| non-increasing, and it stands in for the singular values:
+    the rank is rank_hint when given, otherwise the count of diagonal
+    entries above tol relative to |R_00|.  The gap is the ratio of the
+    last kept to the first dropped diagonal entry; without a hint, a gap
+    under 10 means the cutoff is a guess, and that is reported as an error
+    rather than a silent choice.  The basis is the trailing columns of Q,
+    the orthogonal complement of the leading pivoted rows of mat; they are
     got by applying the reflectors to unit vectors, never forming Q.
 
     Returns (basis, rank, gap).
     """
+    import scipy.linalg
+
     if not 0 < tol < 1:
         raise ValueError(f"need tol in (0, 1), got {tol}")
     arr = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
     cols = arr.shape[1]
-    (qr, tau), _, _ = scipy.linalg.qr(
-        arr.conj().T, overwrite_a=True, pivoting=True, mode="raw"
-    )
+    adjoint = arr.T
+    if not (overwrite_a and adjoint.flags.f_contiguous and adjoint.flags.writeable):
+        adjoint = np.array(adjoint, order="F")
+    np.conjugate(adjoint, out=adjoint)
+    qr, tau, _ = _pivoted_qr(adjoint)
     diag = np.abs(np.diagonal(qr))
     if rank_hint is not None:
         if not 0 <= rank_hint <= diag.shape[0]:
@@ -218,10 +268,8 @@ def numerical_kernel(mat, rank_hint: int | None = None, tol: float = DEFAULT_TOL
 def _quotient_dim(n: int, d: int, kernel: np.ndarray, t: int, tol: float) -> int:
     """hs(n,t) minus the numerical rank of the degree-t Macaulay matrix of
     the kernel forms, read from |diag(R)| as numerical_kernel reads it."""
-    r_factor, _ = scipy.linalg.qr(
-        macaulay_array(n, d, kernel, t - d), mode="r", pivoting=True
-    )
-    return hs(n, t) - _diagonal_rank(np.abs(np.diagonal(r_factor)), tol)
+    factor, _, _ = _pivoted_qr(macaulay_array(n, d, kernel, t - d, order="F"))
+    return hs(n, t) - _diagonal_rank(np.abs(np.diagonal(factor)), tol)
 
 
 def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
@@ -291,8 +339,11 @@ def decompose(
     n, D = form.n, form.D
     d, e = _working_parameters(n, r, D)
 
-    cat = catalecticant(form, d)
-    kernel, cat_rank, _ = numerical_kernel(_row_equilibrated(cat), rank_hint=r, tol=tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cat = catalecticant(form, d)
+    kernel, cat_rank, _ = numerical_kernel(
+        _row_equilibrated(cat), rank_hint=r, tol=tol, overwrite_a=True
+    )
     diagnostics = {
         "catalecticant_rank": cat_rank,
         "kernel_dim": kernel.shape[1],
@@ -306,8 +357,11 @@ def decompose(
     # Cokernel under the bilinear pairing: vectors x with x^T M = 0.  For
     # the true ideal these are spanned by the evaluation functionals
     # f -> f(z_i), unconjugated, which is what the eigenvalue step needs.
-    macaulay = macaulay_array(n, d, kernel, e)
-    cokernel, _, _ = numerical_kernel(macaulay.T, tol=tol)
+    # The matrix is built column-major, so its transpose is row-major and
+    # numerical_kernel factors it in this one buffer, which is spent then.
+    macaulay = macaulay_array(n, d, kernel, e, order="F")
+    cokernel, _, _ = numerical_kernel(macaulay.T, tol=tol, overwrite_a=True)
+    del macaulay
     if cokernel.shape[1] != r:
         # Failure path only: the quotient at every degree up to d+e, read
         # from the same pivoted QR, beside the formulas' expected table.
@@ -329,10 +383,11 @@ def decompose(
     # shifts[k, b]: position in degree d+e of x_k times the b-th monomial
     # of degree d+e-1 (monomials(n, 1)[k] is x_k)
     shifts = product_index_map(n, d + e - 1, 1)
-    stacked = np.concatenate(
-        [cokernel[shifts[k], :].T for k in range(n + 1)], axis=0
-    )
-    _, pivots = scipy.linalg.qr(stacked, mode="r", pivoting=True)
+    stacked = np.empty(((n + 1) * r, shifts.shape[1]), dtype=np.complex128, order="F")
+    for k in range(n + 1):
+        stacked[k * r : (k + 1) * r] = cokernel[shifts[k], :].T
+    _, _, pivots = _pivoted_qr(stacked)
+    del stacked
     chosen = np.sort(pivots[:r])
     blocks = np.stack([cokernel[shifts[k][chosen], :] for k in range(n + 1)])
 
@@ -377,7 +432,7 @@ def decompose(
         np.linalg.norm(system @ coefficients - form.coeffs) / form.norm
     )
     diagnostics["residual"] = residual
-    if residual > RESIDUAL_LIMIT:
+    if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
         raise DecompositionError(
             f"FAILED_RESIDUAL: relative error {residual:.3e} exceeds "
             f"{RESIDUAL_LIMIT:.0e}",
@@ -407,6 +462,7 @@ def recovery_error(
     then matched by minimum-cost assignment on pairwise point distances.
     A zero point row on either side raises ValueError.
     """
+    import scipy.optimize
 
     def reduce(points, coefficients):
         pts, scales = _normalized_points(points)
@@ -445,6 +501,19 @@ def _checked(value, kinds, name: str):
     return value
 
 
+def _finite(value, name: str) -> float:
+    """``value`` as a finite float; otherwise ValueError naming the form
+    field it was read from (JSON admits Infinity and NaN)."""
+    value = _checked(value, (int, float), name)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"form field {name} must be finite, got {value!r}")
+    return value
+
+
 def form_from_dict(data: dict) -> SymmetricForm:
     """Inverse of ``form_to_dict``.  A malformed document raises ValueError
     naming the bad field."""
@@ -462,7 +531,7 @@ def form_from_dict(data: dict) -> SymmetricForm:
         exponent = _checked(term.get("exponent"), list, f"{where}.exponent")
         for v in exponent:
             _checked(v, int, f"{where}.exponent")
-        parts = (_checked(term.get(k), (int, float), f"{where}.{k}") for k in ("re", "im"))
+        parts = [_finite(term.get(k), f"{where}.{k}") for k in ("re", "im")]
         index = mono_index(n, D, exponent)
         if index in seen:
             raise ValueError(f"{where}.exponent {exponent} is a duplicate of an earlier term")

@@ -9,6 +9,7 @@ usage errors.
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -427,6 +428,17 @@ class TestWaringCommands:
               "terms": [{"exponent": [2, 0], "re": 1.0, "im": 0.0},
                         {"exponent": [2, 0], "re": 5.0, "im": 0.0}]},
              "terms[1].exponent"),
+            # json writes and reads Infinity and NaN
+            ({"schema_version": 1, "n": 2, "D": 2,
+              "terms": [{"exponent": [2, 0, 0], "re": math.inf, "im": 0.0}]},
+             "terms[0].re must be finite"),
+            ({"schema_version": 1, "n": 2, "D": 2,
+              "terms": [{"exponent": [2, 0, 0], "re": 1.0, "im": math.nan}]},
+             "terms[0].im must be finite"),
+            # finite, but it overflows once the catalecticant weights it
+            ({"schema_version": 1, "n": 2, "D": 6,
+              "terms": [{"exponent": [6, 0, 0], "re": 1e308, "im": 0.0}]},
+             "catalecticant"),
         ],
     )
     def test_malformed_form_is_a_clean_error(self, tmp_path, document, field):
@@ -640,17 +652,32 @@ class TestReadmeExamples:
 
 class TestConsoleScript:
     @staticmethod
-    def run_module(*args):
+    def run_python(*args):
         # the subprocess imports chopshop from this checkout's src/, as the
         # suite itself does (see tests/test_checkout.py)
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "chopshop.cli", *args],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def run_module(self, *args):
+        return self.run_python("-m", "chopshop.cli", *args)
+
+    def test_exact_pipeline_loads_no_scipy(self):
+        # only the Waring side calls scipy, and importing it costs a fresh
+        # process about 0.7 s and 40 MB
+        proc = self.run_python("-c", (
+            "import sys, chopshop.cli\n"
+            "code = chopshop.cli.run(['verify', '--n', '2', '--r', '41'])\n"
+            "print(code, 'scipy' in sys.modules)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_module_entry_point(self):
         proc = self.run_module("gap", "--n", "2", "--r", "18")

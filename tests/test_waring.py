@@ -7,6 +7,7 @@ the output back with optimal assignment.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,58 @@ class TestNumericalKernel:
         with pytest.raises(ValueError):
             numerical_kernel(np.eye(2), tol=2.0)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0)])
+    def test_empty_matrix_has_the_whole_space_as_kernel(self, rows, cols):
+        # LAPACK rejects a geqp3 with no rows, so these never reach it
+        basis, rank_found, gap = numerical_kernel(np.zeros((rows, cols)))
+        assert rank_found == 0 and math.isinf(gap)
+        assert np.array_equal(basis, np.eye(cols))
+
+    @pytest.mark.parametrize("given", [
+        lambda mat: mat.copy(),  # row-major: spent only when allowed
+        lambda mat: np.asfortranarray(mat),  # its transpose is row-major
+        lambda mat: mat.real.copy(),  # converted to complex first
+    ])
+    def test_argument_unchanged_unless_it_may_be_overwritten(self, given):
+        mat = planted_rank(np.random.default_rng(5), 7, 9, 4)
+        arg = given(mat)
+        before = arg.copy()
+        expected = numerical_kernel(arg)
+        assert np.array_equal(arg, before)
+        found = numerical_kernel(arg, overwrite_a=True)
+        if arg.dtype == np.complex128 and arg.flags.c_contiguous:
+            assert not np.array_equal(arg, before)  # it holds the factor now
+        else:
+            assert np.array_equal(arg, before)  # no buffer to factor in place
+        assert found[0].tobytes() == expected[0].tobytes()
+        assert found[1:] == expected[1:]
+
+
+class TestPivotedQR:
+    # waring._pivoted_qr runs geqp3 in place; scipy.linalg.qr runs the same
+    # routine, with the same workspace, on a copy
+    @pytest.mark.parametrize("rows, cols, k", [(9, 6, 3), (5, 9, 2), (7, 7, 4)])
+    def test_matches_scipy_bit_for_bit(self, rows, cols, k):
+        import scipy.linalg
+
+        mat = planted_rank(np.random.default_rng(rows * cols + k), rows, cols, k)
+        (expected, expected_tau), _, expected_pivots = scipy.linalg.qr(
+            mat, pivoting=True, mode="raw"
+        )
+        buffer = np.array(mat, order="F")
+        factor, tau, pivots = waring._pivoted_qr(buffer)
+        assert np.shares_memory(factor, buffer)
+        assert factor.tobytes() == expected.tobytes()
+        assert tau.tobytes() == expected_tau.tobytes()
+        assert pivots.dtype == expected_pivots.dtype
+        assert np.array_equal(pivots, expected_pivots)
+
+    def test_needs_a_finite_fortran_ordered_array(self):
+        with pytest.raises(ValueError, match="Fortran"):
+            waring._pivoted_qr(np.ones((3, 2), dtype=np.complex128))
+        with pytest.raises(ValueError, match="finite"):
+            waring._pivoted_qr(np.full((3, 2), np.nan, dtype=np.complex128, order="F"))
+
 
 class TestApolarity:
     def test_kernel_vectors_annihilate(self):
@@ -432,13 +485,44 @@ class TestDecompose:
         assert f"degrees {d + 1}..{d + e} are {diag['numerical_quotient']}" in message
         assert f"expected {expected}" in message
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308, 1e200])
+    def test_non_finite_catalecticant_rejected(self, value):
+        # 1e308 overflows in the catalecticant's weights, 1e200 in its row
+        # norms; neither may reach the equilibration or the QR
+        form = form_from_points(random_unit_points(2, 7, seed=1), np.ones(7), 6)
+        coeffs = form.coeffs.copy()
+        coeffs[0] = value
+        with pytest.raises(ValueError, match="catalecticant"):
+            decompose(SymmetricForm(2, 6, coeffs), 7)
+
+    def test_cokernel_peaks_near_one_macaulay_matrix(self):
+        # at (3,12,80) the Macaulay matrix at d+e is 680 x 660 complex,
+        # 6.85 MiB, and the cokernel is found by factoring it in place: the
+        # peak is that buffer, the cokernel basis and LAPACK's workspace,
+        # 1.3x.  A conjugated copy, a Fortran copy and an R took it to 4.1x
+        import scipy.linalg  # noqa: F401  (decompose imports it on first use)
+
+        n, D, r = 3, 12, 80
+        form = form_from_points(random_unit_points(n, r, seed=0), np.ones(r), D)
+        d, e = waring._working_parameters(n, r, D)
+        matrix_bytes = hs(n, d + e) * hs(n, e) * (hs(n, d) - r) * 16
+        assert matrix_bytes == 680 * 660 * 16
+        tracemalloc.start()
+        try:
+            result = decompose(form, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.residual <= 1e-8
+        assert peak < 2 * matrix_bytes
+
     def test_quotient_table_only_on_failure(self, monkeypatch):
         calls = []
         build = waring.macaulay_array
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args[3])
-            return build(*args)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr(waring, "macaulay_array", counting)
         result, _, _ = roundtrip_case(3, 10, 50, seed=0)
@@ -466,6 +550,15 @@ class TestSerialization:
     def test_form_dict_rejects_bad_schema(self):
         with pytest.raises(ValueError):
             form_from_dict({"schema_version": 99, "n": 2, "D": 2, "terms": []})
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400],
+                             ids=["inf", "-inf", "nan", "10**400"])
+    def test_form_dict_rejects_non_finite_coefficients(self, part, value):
+        terms = [{"exponent": e, "re": 1.0, "im": 0.0} for e in ([2, 0], [1, 1])]
+        terms[1][part] = value
+        with pytest.raises(ValueError, match=rf"terms\[1\]\.{part} must be finite"):
+            form_from_dict({"schema_version": 1, "n": 1, "D": 2, "terms": terms})
 
     def test_form_dict_rejects_a_repeated_exponent(self):
         # the second term would silently overwrite the first
