@@ -28,10 +28,11 @@ float64 product over up to 170 inner indices is exact (``_mul_mod``) and
 the reduction mod p waits until it is done; an update subtracts the
 product from its rows before that one reduction, and only the result is
 converted back, straight into the int32 rows.  The pivots a leaf finds
-form a diagonal block of every later triangular solve over them; the
-block is inverted on the identity by forward substitution once, when
-first needed, kept for the rest of the elimination, and applied to the
-whole right-hand side as one modular product.
+form a diagonal block of every later triangular solve over them; the leaf
+inverts it on the identity by forward substitution as soon as it has found
+them, and each solve applies that inverse to the whole right-hand side as
+one modular product, reading L's off-diagonal blocks where the elimination
+parked them.
 
 The elimination works only on live rows, read off the data: a leaf on the
 rows down to the last one nonzero in its columns, and each update on the
@@ -224,74 +225,52 @@ def _live_rows(x: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
-class _Leaf:
-    """The pivots one leaf of the elimination found, as a diagonal block of
-    a unit lower-triangular solve: their columns, and the inverse of their
-    triangle (L on their pivot rows and columns) once a solve has needed it.
-
-    Later row swaps only move rows below a leaf's pivot rows and later
-    updates only touch columns right of its pivots, so the triangle is fixed
-    for the rest of the elimination and each leaf is inverted at most once.
-    """
-
-    __slots__ = ("cols", "inverse")
-
-    def __init__(self, cols):
-        self.cols = cols
-        self.inverse: np.ndarray | None = None
+def _update(a: np.ndarray, p: int, row: int, piv: list[int], x: np.ndarray,
+            c: np.ndarray) -> None:
+    """c <- (c - L x) mod p for L the multipliers parked in columns ``piv``
+    of c's rows of ``a``, from ``row`` on: one modular product on the rows
+    down to the last one with a nonzero multiplier.  Between the first and
+    last pivot column those rows hold only multipliers and zeros (a column
+    without a pivot is zero below its pivot rows), so the live rows are read
+    off that slice, and only they are gathered."""
+    live = _live_rows(a[row:row + len(c), piv[0]:piv[-1] + 1])
+    if live:
+        _mul_mod(a[row:row + live, piv], x, p, c[:live])
 
 
-def _solve_lower(t: np.ndarray, b: np.ndarray, p: int, leaves: list[_Leaf]) -> None:
-    """In place, b <- L^-1 b for the unit lower-triangular L whose strictly
-    lower part is t's (t's diagonal and upper part are not read).
-
-    ``leaves`` cut t into diagonal blocks, in order.  Halves them
-    recursively: solve the top rows, subtract their contribution from the
-    bottom rows down to the last one with a nonzero multiplier with one
-    modular product, solve the bottom rows.  A single block is inverted
-    (once per leaf) and applied to b as one modular product.
-    """
+def _solve_lower(a: np.ndarray, p: int, row0: int, leaves: list, b: np.ndarray) -> None:
+    """In place, b <- L^-1 b for the unit lower-triangular L that ``leaves``
+    (pivot columns, inverse of their triangle: L's diagonal blocks, in
+    order) found on their pivot rows row0, row0+1, ... of ``a``.  Halves
+    the leaves recursively: solve the top rows, ``_update`` the bottom rows
+    with the block of L parked below the top ones, solve the bottom rows.
+    A single leaf applies its inverse to b as one modular product."""
     if len(leaves) == 1:
-        leaf = leaves[0]
-        if leaf.inverse is None:
-            leaf.inverse = _lower_inverse(t, p)
-        b[...] = _mul_mod(leaf.inverse, b, p)
+        b[...] = _mul_mod(leaves[0][1], b, p)
         return
     half = len(leaves) // 2
-    h = sum(len(leaf.cols) for leaf in leaves[:half])
-    _solve_lower(t[:h, :h], b[:h], p, leaves[:half])
-    lower = t[h:, :h]
-    live = _live_rows(lower)
-    if live:
-        _mul_mod(lower[:live], b[:h], p, b[h:h + live])
-    _solve_lower(t[h:, h:], b[h:], p, leaves[half:])
+    piv = [c for cols, _ in leaves[:half] for c in cols]
+    h = len(piv)
+    _solve_lower(a, p, row0, leaves[:half], b[:h])
+    _update(a, p, row0 + h, piv, b[:h], b[h:])
+    _solve_lower(a, p, row0 + h, leaves[half:], b[h:])
 
 
-def _replay(a: np.ndarray, p: int, row0: int, leaves: list[_Leaf], c0: int, c1: int) -> None:
+def _replay(a: np.ndarray, p: int, row0: int, leaves: list, c0: int, c1: int) -> None:
     """Apply the eliminations of the pivots of ``leaves`` (pivot rows row0,
-    row0+1, ...) to columns c0:c1: a triangular solve on the pivot rows with
-    the multipliers parked below the pivots, then one modular product for
-    the rows below, down to the last one with a nonzero multiplier.
-
-    Between the first and last pivot column every entry below the pivot rows
-    is a multiplier or zero (a column without a pivot is zero there), so
-    the live rows are read off that slice without gathering the pivot
-    columns in full.
-    """
-    piv = [c for leaf in leaves for c in leaf.cols]
-    k = len(piv)
-    top = a[row0:row0 + k, c0:c1]
-    _solve_lower(a[row0:row0 + k, piv], top, p, leaves)
-    below = row0 + k
-    live = _live_rows(a[below:, piv[0]:piv[-1] + 1])
-    if live:
-        rows = slice(below, below + live)
-        _mul_mod(a[rows, piv], top, p, a[rows, c0:c1])
+    row0+1, ...) to columns c0:c1: a triangular solve on the pivot rows,
+    then one update of the rows below."""
+    piv = [c for cols, _ in leaves for c in cols]
+    below = row0 + len(piv)
+    top = a[row0:below, c0:c1]
+    _solve_lower(a, p, row0, leaves, top)
+    _update(a, p, below, piv, top, a[below:, c0:c1])
 
 
-def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[_Leaf]:
+def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list:
     """LU-factor columns c0:c1 of the rows from row0 down in place; returns
-    the pivots, grouped by the leaf that found them.
+    one (pivot columns, inverse of their triangle) pair per leaf that found
+    a pivot, in order.
 
     Each pivot row keeps its values, pivot included (U); the multiplier of
     each row below, its entry times the pivot's inverse, is parked in the
@@ -305,6 +284,9 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[_Leaf
     (live rows by at most ``_LEAF`` columns) to int64, where a product of
     two residues fits, eliminates it one pivot at a time, swapping whole
     rows in both the panel and ``a``, and writes the reduced panel back.
+    Then it inverts its pivots' triangle (L on their rows and columns), which
+    is final: later row swaps move only rows below its pivot rows, and later
+    updates touch only columns right of its pivots.
     """
     if row0 == a.shape[0]:
         return []
@@ -313,10 +295,10 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[_Leaf
         left = _eliminate(a, p, row0, c0, mid)
         if left:
             _replay(a, p, row0, left, mid, c1)
-        return left + _eliminate(a, p, row0 + sum(len(leaf.cols) for leaf in left), mid, c1)
+        return left + _eliminate(a, p, row0 + sum(len(cols) for cols, _ in left), mid, c1)
     end = row0 + _live_rows(a[row0:, c0:c1])
     panel = a[row0:end, c0:c1].astype(np.int64)
-    piv: list[int] = []
+    piv: list[int] = []  # local pivot columns
     row = 0
     for lc in range(c1 - c0):
         if row == len(panel):
@@ -334,10 +316,12 @@ def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list[_Leaf
         sub = panel[row + 1:, lc + 1:]
         sub -= f[:, None] * panel[row, lc + 1:]
         sub %= p
-        piv.append(c0 + lc)
+        piv.append(lc)
         row += 1
     a[row0:end, c0:c1] = panel
-    return [_Leaf(piv)] if piv else []
+    if not piv:
+        return []
+    return [([c0 + lc for lc in piv], _lower_inverse(panel[:row, piv], p))]
 
 
 def _echelon(a: np.ndarray, p: int) -> list[int]:
@@ -354,7 +338,7 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
     unit pivot rows: a row below a pivot is updated by (entry / pivot) times
     the unscaled row, the same numbers as the entry times the scaled row.
     """
-    return [c for leaf in _eliminate(a, p, 0, 0, a.shape[1]) for c in leaf.cols]
+    return [c for cols, _ in _eliminate(a, p, 0, 0, a.shape[1]) for c in cols]
 
 
 def rank(m: ModMatrix) -> int:
@@ -385,9 +369,11 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
                          dtype=np.int64)[:, None]
         reduced = (a[:r, free] * scale % p).astype(np.int32)
         u11 = (a[:r, piv] * scale % p).astype(np.int32)
-        # diagonal blocks of at most _LEAF rows; a block's size is all they tell
-        leaves = [_Leaf(range(i, min(i + _LEAF, r))) for i in range(0, r, _LEAF)]
-        _solve_lower(u11[::-1, ::-1], reduced[::-1], p, leaves)
+        # diagonal blocks of at most _LEAF rows, each with its inverse
+        t = u11[::-1, ::-1]
+        leaves = [(range(i, min(i + _LEAF, r)), _lower_inverse(t[i:i + _LEAF, i:i + _LEAF], p))
+                  for i in range(0, r, _LEAF)]
+        _solve_lower(t, p, 0, leaves, reduced[::-1])
         basis[piv] = (p - reduced) % p
     return ModMatrix(m.field, basis, _trusted=True)
 

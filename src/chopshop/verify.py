@@ -93,12 +93,38 @@ class Certificate:
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {data.get('schema_version')}")
+        if not isinstance(data, dict):
+            raise ValueError(f"a certificate is a JSON object, got {data!r}")
+        version = data.get("schema_version")
+        if not _is_int(version) or version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {version}")
         missing = [f.name for f in fields(Certificate) if f.name not in data]
         if missing:
             raise ValueError(f"certificate is missing {', '.join(missing)}")
+        for f in fields(Certificate):
+            if not _FIELD_CHECKS.get(f.name, _is_int)(data[f.name]):
+                raise ValueError(f"certificate field {f.name} is malformed: {data[f.name]!r}")
         return Certificate(**{f.name: _tuples(data[f.name]) for f in fields(Certificate)})
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+# JSON types of the certificate fields that are not plain integers
+_FIELD_CHECKS = {
+    "points": lambda v: isinstance(v, list) and all(map(_is_int_list, v)),
+    "observed_quotient": _is_int_list,
+    "expected_quotient": _is_int_list,
+    "observed_gap": lambda v: v is None or _is_int(v),
+    "first_mismatch_degree": lambda v: v is None or _is_int(v),
+    "verdict": lambda v: v in ("PASS", "FAIL", "GENERICITY_FAIL"),
+    "tool_version": lambda v: isinstance(v, str),
+}
 
 
 def _lists(value):

@@ -341,7 +341,7 @@ def decompose(
 
     with np.errstate(over="ignore", invalid="ignore"):
         cat = catalecticant(form, d)
-    kernel, cat_rank, _ = numerical_kernel(
+    kernel, cat_rank, cat_gap = numerical_kernel(
         _row_equilibrated(cat), rank_hint=r, tol=tol, overwrite_a=True
     )
     diagnostics = {
@@ -371,10 +371,16 @@ def decompose(
         expected = list(expected_gap_and_table(n, d, r)[1][d + 1 : d + e + 1])
         diagnostics["numerical_quotient"] = observed
         diagnostics["expected_quotient"] = expected
+        diagnostics["catalecticant_gap"] = cat_gap
+        if cat_gap < _SPECTRAL_GAP_FLOOR:
+            # the hint r, not the gap prediction, is what does not fit
+            cause = (f"the catalecticant shows no clear rank-{r} cutoff (R-diagonal "
+                     f"gap {cat_gap:.2f}), so the form's rank is probably not {r}")
+        else:
+            cause = f"the gap prediction e={e} failed for this form"
         raise DecompositionError(
-            f"cokernel dimension {cokernel.shape[1]}, expected {r}; the gap "
-            f"prediction e={e} failed for this form: quotient dimensions at "
-            f"degrees {d + 1}..{d + e} are {observed}, expected {expected}",
+            f"cokernel dimension {cokernel.shape[1]}, expected {r}; {cause}: quotient "
+            f"dimensions at degrees {d + 1}..{d + e} are {observed}, expected {expected}",
             diagnostics,
         )
 

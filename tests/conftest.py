@@ -35,9 +35,8 @@ def acceptance():
 def _replay_without_update(a, p, row0, leaves, c0, c1):
     """modlinalg._replay with its Schur update skipped: the pivot rows are
     solved, the rows below them keep their stale entries."""
-    piv = [c for leaf in leaves for c in leaf.cols]
-    rows = slice(row0, row0 + len(piv))
-    modlinalg._solve_lower(a[rows, piv], a[rows, c0:c1], p, leaves)
+    k = sum(len(cols) for cols, _ in leaves)
+    modlinalg._solve_lower(a, p, row0, leaves, a[row0:row0 + k, c0:c1])
 
 
 @pytest.fixture

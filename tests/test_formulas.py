@@ -14,6 +14,7 @@ from chopshop.formulas import (
     CaseParams,
     GapPrediction,
     RangeError,
+    admissible,
     ci_hf,
     ci_socle,
     ci_table,
@@ -168,14 +169,17 @@ class TestFroberg:
         assert lex_compare_hf(predicted_gap(p).table, capped) is LexOrder.EQUAL
 
     def test_expected_quotient_never_below_the_cap(self):
-        for n, r in [(2, 18), (2, 25), (2, 33), (2, 41), (3, 52), (4, 110)]:
-            p = CaseParams(n, r)
+        # the expected table is the capped Froeberg table on every admissible
+        # case of the three acceptance grids (n=2 r<=300, n=3 r<=200, n=4
+        # r<=150)
+        cases = [CaseParams(n, r) for n, r_to in ((2, 300), (3, 200), (4, 150))
+                 for r in range(1, r_to + 1)]
+        cases = [p for p in cases if admissible(p.n, p.d, p.r)]
+        assert len(cases) == 524
+        for p in cases:
             g = predicted_gap(p)
             capped = lex_lower_bound_table(p, p.d + g.gap)
-            assert lex_compare_hf(g.table, capped) in (
-                LexOrder.EQUAL,
-                LexOrder.GREATER_EQUAL,
-            )
+            assert lex_compare_hf(g.table, capped) is LexOrder.EQUAL, (p.n, p.r)
 
 
 class TestRanges:

@@ -344,12 +344,17 @@ class TestLeafInverses:
 
         with mock.patch.object(modlinalg, "_LEAF", 8), \
                 mock.patch.object(modlinalg, "_lower_inverse", recording):
-            assert _echelon(a, p) == piv_want
+            leaves = modlinalg._eliminate(a, p, 0, 0, a.shape[1])
+        assert [c for cols, _ in leaves for c in cols] == piv_want
         assert (a == want).all()
-        assert len(inverted) == len(set(inverted))
-        # at most one inverse per leaf (halving 200 columns down to at most
-        # 8 makes 32 leaves), and the last leaf is never replayed
-        assert 0 < len(inverted) < 32
+        # one inverse per leaf that found a pivot, made by that leaf
+        assert len(inverted) == len(set(inverted)) == len(leaves) > 1
+        row = 0
+        for cols, inverse in leaves:
+            rows = slice(row, row + len(cols))
+            lower = np.tril(a[rows, cols].astype(np.int64), -1) + np.eye(len(cols), dtype=np.int64)
+            assert (_mul_mod(lower, inverse, p) == np.eye(len(cols))).all()
+            row += len(cols)
 
 
 class TestEchelon:
@@ -510,12 +515,17 @@ class TestKernel:
 
     @pytest.mark.parametrize("p", [3, 5, 101, 2147483647])
     def test_matches_one_pivot_back_elimination(self, p):
+        # every leaf width, so the blocked solve on the reversed U11 runs at
+        # every recursion depth
         rng = np.random.default_rng(p % 997)
         for m, n, k in [(290, 300, 290), (150, 200, 90), (60, 80, 80), (40, 30, 12),
                         (5, 9, 0)]:
             a = product_with_zeros(rng, p, m, n, k)
-            got = kernel_basis(ModMatrix(PrimeField(p), a, _trusted=True)).array
-            assert (got == reference_kernel(a, p)).all()
+            want = reference_kernel(a, p)
+            for leaf in (1, 3, 8, 32):
+                with mock.patch.object(modlinalg, "_LEAF", leaf):
+                    got = kernel_basis(ModMatrix(PrimeField(p), a, _trusted=True)).array
+                assert (got == want).all()
 
     def test_echelon_complement_shape(self):
         # One relation among three columns: kernel has the free-coordinate 1.

@@ -133,6 +133,25 @@ class TestVerifyCase:
         with pytest.raises(ValueError, match="missing wall_ms"):
             Certificate.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", "2"), ("prime", 2.5), ("points", "abc"), ("retries", None),
+         ("seed", True), ("points", [[1, 2, "3"]]), ("points", [1, 2, 3]),
+         ("observed_quotient", [1, 3.0]), ("verdict", "pass"), ("observed_gap", 2.0),
+         ("first_mismatch_degree", "6"), ("tool_version", 1)],
+    )
+    def test_malformed_field_is_named(self, key, value):
+        data = verify_case(2, 18, P, seed=5).to_dict()
+        with pytest.raises(ValueError, match=f"certificate field {key} is malformed"):
+            Certificate.from_dict({**data, key: value})
+
+    def test_malformed_document_is_rejected(self):
+        data = verify_case(2, 18, P, seed=5).to_dict()
+        with pytest.raises(ValueError, match="unsupported schema_version True"):
+            Certificate.from_dict({**data, "schema_version": True})
+        with pytest.raises(ValueError, match="a certificate is a JSON object"):
+            Certificate.from_dict([data])
+
     def test_replay(self):
         cert = verify_case(2, 18, P, seed=7)
         assert replay_certificate(cert)

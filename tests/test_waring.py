@@ -466,6 +466,18 @@ class TestDecompose:
         with pytest.raises(WaringError):
             decompose(form, 17, seed=1)
 
+    @pytest.mark.parametrize("r", [16, 17])
+    def test_wrong_rank_is_not_blamed_on_the_gap_prediction(self, r):
+        # the form has rank 18: its catalecticant has no clear cutoff at r
+        # (gap 6.6 at 16, 4.7 at 17, against 1.6e13 at 18)
+        form = form_from_points(random_unit_points(2, 18, seed=9), np.ones(18), 10)
+        with pytest.raises(DecompositionError) as exc:
+            decompose(form, r)
+        assert exc.value.diagnostics["catalecticant_gap"] < waring._SPECTRAL_GAP_FLOOR
+        message = str(exc.value)
+        assert f"rank is probably not {r}" in message
+        assert "gap prediction" not in message
+
     def test_cokernel_failure_reports_quotient_table(self):
         # r one below the form's true rank 50: the forms past the true
         # kernel cut the quotient below r at the working degree d+e
@@ -527,6 +539,7 @@ class TestDecompose:
         monkeypatch.setattr(waring, "macaulay_array", counting)
         result, _, _ = roundtrip_case(3, 10, 50, seed=0)
         assert "numerical_quotient" not in result.diagnostics
+        assert "catalecticant_gap" not in result.diagnostics
         assert len(calls) == 1
 
     def test_points_distinct_and_normalized(self):
