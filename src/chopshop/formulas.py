@@ -41,10 +41,18 @@ class CaseParams:
 
     @property
     def d(self) -> int:
-        t = 0
-        while hs(self.n, t) < self.r:
-            t += 1
-        return t
+        # hs(n, t) = C(n+t, n) grows with t: double t until it reaches r,
+        # then bisect, on exact integers; hs(n, d) then raises
+        # CapacityError past 64 bits, as a scan up to d would
+        n, r = self.n, self.r
+        lo, hi = 0, 1
+        while math.comb(n + hi, n) < r:
+            lo, hi = hi + 1, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if math.comb(n + mid, n) < r else (lo, mid)
+        hs(n, lo)
+        return lo
 
 
 def generic_hf(params: CaseParams, t: int) -> int:

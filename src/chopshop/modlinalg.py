@@ -24,15 +24,15 @@ pivot columns skip that pass.
 Two devices from delayed-reduction linear algebra (FFLAS-FFPACK) keep the
 work in BLAS.  A product balances both operands to residues of least
 absolute value and splits only the left one into 16-bit limbs, so a single
-float64 product over up to 170 inner indices is exact (``_mul_mod``) and
-the reduction mod p waits until it is done; an update subtracts the
-product from its rows before that one reduction, and only the result is
-converted back, straight into the int32 rows.  The pivots a leaf finds
-form a diagonal block of every later triangular solve over them; the leaf
-inverts it on the identity by forward substitution as soon as it has found
-them, and each solve applies that inverse to the whole right-hand side as
-one modular product, reading L's off-diagonal blocks where the elimination
-parked them.
+float64 product over up to 170 inner indices is exact at every p < 2**31
+(``_mul_mod``), and the reduction mod p waits until it is done; an update
+subtracts the product from its rows before that one reduction, and only the
+result is converted back, straight into the int32 rows.  The pivots a
+leaf finds form a diagonal block of every later triangular solve over them;
+the leaf inverts it on the identity by forward substitution as soon as it
+has found them, and each solve applies that inverse to the whole
+right-hand side as one modular product, reading L's off-diagonal blocks
+where the elimination parked them.
 
 The elimination works only on live rows, read off the data: a leaf on the
 rows down to the last one nonzero in its columns, and each update on the
@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _LIMB = float(1 << 16)  # limb base of the split left operand
+_CHUNK = 170  # inner indices of one exact float64 product (see _mul_mod)
 _LEAF = 32  # widest column block eliminated one pivot at a time
 
 
@@ -156,13 +157,6 @@ def _residues(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def _mul_chunk(p: int) -> int:
-    """Longest inner dimension whose split product (see ``_mul_mod``) sums
-    within 2**53 with a slack of 2p, for a minuend and ``_residues``."""
-    half = (p - 1) // 2
-    return ((1 << 53) - 2 * p) // (((half >> 16) + 1 + min(half, 1 << 15)) * half)
-
-
 def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) -> np.ndarray:
     """Exact (a @ b) mod p, as int32, for reduced integer operands; given a
     reduced minuend c, c <- (c - a @ b) mod p in place instead, and c is
@@ -173,19 +167,21 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) 
     |ah| <= 2**14 and |al| <= 2**15, so the one float64 product
     [ah | al] @ [(2**16 b mod p) ; b] is a @ b up to multiples of p.  Each
     of its terms is below 2**14 * 2**30 + 2**15 * 2**30 = 3 * 2**44, and a
-    chunk of 170 inner indices sums below 170 * 3 * 2**44 < 2**53, so every
-    dot product is exact; the chunk is derived from p, longer for smaller
-    p.  Over several chunks each product is balanced before it is added.
-    Only the sum is reduced to [0, p) and converted to int32.
+    chunk of ``_CHUNK`` = 170 inner indices sums below 170 * 3 * 2**44,
+    which is 2**53 - 2**45, so every dot product is exact with room for a
+    minuend and ``_residues`` (a slack of 2p).  The bound holds for every
+    p < 2**31, so every prime takes the same chunks, and the float64
+    temporaries do not grow as p shrinks.  Over several chunks each product
+    is balanced before it is added.  Only the sum is reduced to [0, p) and
+    converted to int32.
     """
     m, k = a.shape
     k2, n = b.shape
     if k != k2:
         raise ValueError(f"inner dimensions differ: {k} vs {k2}")
-    chunk = _mul_chunk(p)
     acc = None
-    for start in range(0, k or 1, chunk):  # k = 0 makes one zero product
-        w = min(chunk, k - start)
+    for start in range(0, k or 1, _CHUNK):  # k = 0 makes one zero product
+        w = min(_CHUNK, k - start)
         split = np.empty((m, 2 * w))
         ah, al = split[:, :w], split[:, w:]
         _balanced(a[:, start:start + w], p, al)

@@ -13,6 +13,7 @@ Waring pipeline builds its matrices with them too.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,8 +106,6 @@ class PointConfig:
             raise ValueError("every point needs a nonzero coordinate row")
         if len(np.unique(normalized, axis=0)) != self.r:
             raise ValueError("rows must be pairwise distinct projective points")
-        if arr.base is not None:
-            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 
@@ -327,13 +326,11 @@ def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:
     the Macaulay matrix at degree d+top, read backwards (see ``chopped_profile``).
     The built matrix and its reversed working copy are both int32."""
     a = macaulay_matrix(basis, top).array[::-1, ::-1].copy()
-    # x_n-exponent of each reversed column's shift, non-increasing
-    key = np.repeat([m[-1] for m in monomials(basis.n, top)], basis.dim)[::-1]
-    piv = _echelon(a, basis.vectors.field.p)
-    per_key = np.bincount(key[piv], minlength=top + 1)
-    # rank of the columns with key >= top - e, for e = 0 .. top
-    ranks = np.cumsum(per_key[::-1])
-    return [hs(basis.n, basis.degree + e) - int(ranks[e]) for e in range(1, top + 1)]
+    piv = _echelon(a, basis.vectors.field.p)  # ascending
+    # the first g * hs(n,e) reversed columns have the rank of M_e
+    g = basis.dim
+    return [hs(basis.n, basis.degree + e) - bisect_left(piv, g * hs(basis.n, e))
+            for e in range(1, top + 1)]
 
 
 def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedProfile:
@@ -347,14 +344,14 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
     the Macaulay matrix M_G at degree d+G read backwards on both axes.  Its
     columns come shift by shift, and the shifts ascend in the exponent of
     the last variable x_n, so the reversed columns descend in it.  The
-    columns whose exponent is at least G-e are exactly x_n^(G-e) times the
-    columns of M_e, and multiplying by x_n^(G-e) is injective, so that
-    column prefix has the rank of M_e.  Elimination from left to right
-    picks pivots in column rank-profile order, so the pivots in a prefix
-    count its rank: the quotient at d+e is hs(n,d+e) minus the pivots whose
-    exponent is at least G-e.  When the quotient has not returned to r by
-    G, one more elimination, at e_max, gives the rest of the scan the same
-    way.
+    columns whose exponent is at least G-e, the first g*hs(n,e) of them for
+    the g forms, are exactly x_n^(G-e) times the columns of M_e, and
+    multiplying by x_n^(G-e) is injective, so that column prefix has the
+    rank of M_e.  Elimination from left to right picks pivots in column
+    rank-profile order, so the pivots in a prefix count its rank: the
+    quotient at d+e is hs(n,d+e) minus the pivots before column g*hs(n,e).
+    When the quotient has not returned to r by G, one more elimination, at
+    e_max, gives the rest of the scan the same way.
 
     The rows ascend in the exponent of x_n too, so the reversed rows
     descend in it.  A column whose shift has exponent k is nonzero only in

@@ -5,11 +5,13 @@ hook replays those lines after the run so they are visible even with
 output capture on.
 """
 
+import itertools
 from unittest import mock
 
 import pytest
 
-from chopshop import modlinalg, pointideals, verify
+from chopshop import formulas, modlinalg, pointideals, verify
+from chopshop.grading import hs
 
 _acceptance_lines = []
 
@@ -30,6 +32,20 @@ def acceptance():
         assert ok, line
 
     return record
+
+
+@pytest.fixture
+def few_hs_calls(monkeypatch):
+    """formulas.hs fails on its 500th call, so a scan one degree at a time
+    up to a huge degree fails the test instead of running for hours."""
+    calls = itertools.count()
+
+    def counted(n, t):
+        if next(calls) >= 500:
+            raise AssertionError("hs called 500 times")
+        return hs(n, t)
+
+    monkeypatch.setattr(formulas, "hs", counted)
 
 
 def _replay_without_update(a, p, row0, leaves, c0, c1):

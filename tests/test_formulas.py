@@ -32,7 +32,7 @@ from chopshop.formulas import (
     r_extremes_plane,
     theorem_oracle,
 )
-from chopshop.grading import LexOrder, first_difference, hs, lex_compare_hf
+from chopshop.grading import CapacityError, LexOrder, first_difference, hs, lex_compare_hf
 
 
 class TestCaseParams:
@@ -50,6 +50,27 @@ class TestCaseParams:
                 d = CaseParams(n, r).d
                 assert hs(n, d) >= r
                 assert d == 0 or hs(n, d - 1) < r
+
+    def test_degree_matches_a_linear_scan(self):
+        for n in range(1, 7):
+            t = 0
+            for r in range(1, 2000):
+                while hs(n, t) < r:
+                    t += 1
+                assert CaseParams(n, r).d == t, (n, r)
+
+    def test_degree_of_a_huge_r_takes_few_steps(self, few_hs_calls):
+        assert CaseParams(1, 10**12).d == 10**12 - 1
+
+    def test_degree_past_64_bits_is_a_capacity_error(self, few_hs_calls):
+        # hs(6, t) passes 2**63 at t = 4332, before 8192, where doubling
+        # stops for d = 4331: d is still exact there
+        assert CaseParams(6, hs(6, 4331)).d == 4331
+        assert CaseParams(6, hs(6, 4300) + 1).d == 4301
+        assert CaseParams(1, 2**63 - 1).d == 2**63 - 2
+        for n, r in ((1, 2**63), (6, 2**63), (2, 10**40)):
+            with pytest.raises(CapacityError):
+                CaseParams(n, r).d
 
     def test_generic_table(self):
         t = generic_table(CaseParams(2, 18))

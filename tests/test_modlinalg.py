@@ -6,6 +6,7 @@ the one-pivot back-elimination it replaced, and rank/kernel/span agree
 with constructions whose answers are known by design.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,6 @@ from chopshop.modlinalg import (
     PrimeField,
     _echelon,
     _lower_inverse,
-    _mul_chunk,
     _mul_mod,
     _residues,
     in_span,
@@ -241,17 +241,30 @@ class TestMulMod:
         c = np.arange(12, dtype=np.int64).reshape(3, 4) % 7
         assert (_mul_mod(a, b, 7, c.copy()) == c).all()
 
-    def test_chunk_is_derived_from_p(self):
-        assert _mul_chunk(2147483647) == _mul_chunk(2147483629) == 170
-        assert _mul_chunk(65537) > 2**22
-        assert _mul_chunk(3) > 2**50
+    def test_memory_does_not_grow_as_p_shrinks(self):
+        # every prime takes chunks of 170 inner indices, so the float64
+        # temporaries are the same size at every p
+        rng = np.random.default_rng(3)
+
+        def peak(p):
+            a = rng.integers(0, p, size=(64, 2000)).astype(np.int32)
+            b = rng.integers(0, p, size=(2000, 512)).astype(np.int32)
+            tracemalloc.start()
+            try:
+                _mul_mod(a, b, p)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        largest = peak(2147483647)
+        for p in (1048573, 65537, 7):
+            assert abs(peak(p) - largest) <= 0.05 * largest, p
 
     @pytest.mark.parametrize("p", [3, 5, 7, 65537, 2147483629, 2147483647])
     @pytest.mark.parametrize("k", [169, 170, 171, 3 * 170 + 7])
     def test_balancing_edges_around_the_chunk(self, p, k):
         # (p - 1) / 2 and (p + 1) / 2 balance to the two extremes, p - 1 to -1;
-        # k sits at the chunk size and past it for the large primes (for the
-        # small ones every k fits one chunk)
+        # k sits at the chunk size and past it, at every prime
         rng = np.random.default_rng(p + k)
         edges = np.array([(p - 1) // 2, (p + 1) // 2, p - 1], dtype=np.int64)
         assert_products(rng.choice(edges, size=(5, k)), rng.choice(edges, size=(k, 4)),
@@ -300,8 +313,8 @@ class TestMulMod:
 
     @pytest.mark.parametrize("p", [5, 2147483629, 2147483647])
     def test_largest_sums_across_chunks(self, p):
-        # every chunk's sum at its largest, over about 1540 chunks at the
-        # large primes (one chunk at p = 5, where (p - 1) / 2 is the largest)
+        # every chunk's sum at its largest, over about 1540 chunks at every
+        # prime ((p - 1) / 2 is the largest term at p = 5)
         k = (1 << 18) + 3
         if p > 2**31 - 2**16:
             a, b = largest_split_terms(p, k)

@@ -528,6 +528,17 @@ class TestStaircase:
         assert (last == block).any()
 
     @pytest.mark.parametrize("n, r, seed", CASES)
+    def test_column_prefix_has_the_rank_of_the_lower_matrix(self, n, r, seed):
+        # the first g * hs(n,e) reversed columns of M_G are x_n^(G-e) times
+        # the columns of M_e, so _graded_quotients counts pivots before them
+        basis = ideal_component(sample_points(n, r, P, seed), CaseParams(n, r).d)
+        top = predicted_gap(CaseParams(n, r)).gap
+        columns = macaulay_matrix(basis, top).array[:, ::-1]
+        for e in range(1, top + 1):
+            prefix = columns[:, :basis.dim * hs(n, e)]
+            assert rank(ModMatrix(P, prefix, _trusted=True)) == rank(macaulay_matrix(basis, e))
+
+    @pytest.mark.parametrize("n, r, seed", CASES)
     def test_row_sort_keeps_pivots_and_quotients(self, n, r, seed):
         # reversing the rows as well as the columns keeps the pivots
         basis = ideal_component(sample_points(n, r, P, seed), CaseParams(n, r).d)

@@ -181,6 +181,11 @@ class TestVerifyCase:
             tampered = Certificate.from_dict({**data, key: value})
             assert not replay_certificate(tampered), key
 
+    def test_replay_of_a_huge_r_is_refused_at_once(self, few_hs_calls):
+        data = verify_case(2, 18, P, seed=5).to_dict()
+        with pytest.raises(RangeError):
+            replay_certificate(Certificate.from_dict({**data, "n": 1, "r": 10**12}))
+
     def test_replay_rejects_points_stored_unreduced(self):
         # the same projective points, one coordinate shifted by p: the
         # chopped quotient is unchanged, but sampling never writes it so
