@@ -3,23 +3,20 @@
 Matrices are immutable int32 arrays with entries reduced to [0, p), and
 the elimination works on int32 arrays too: every residue fits, in half the
 bytes of int64.  Arithmetic is widened only where a product needs it, as
-FFLAS-FFPACK does: a leaf copies its few columns to int64 for its
+FFLAS-FFPACK does: a panel copies its few columns to int64 for its
 one-pivot-at-a-time loop, and products run in float64.  Under NumPy 2 an
 int32 array times a Python int stays int32 and wraps without a warning, so
-no product of two residues is ever formed in int32.  The
-workhorse is a recursive in-place LU factorization in LAPACK getrf's
-convention: each multiplier (entry times pivot inverse) is parked below
-its pivot, a unit-lower L, and the pivot rows stay unscaled, U.  It halves
-the columns: eliminate the left half, replay it on the right half (a unit
-lower-triangular solve on the new pivot rows, itself recursive, then one
-update of the rows below), and recurse on the right half below the new
-pivots.  Only blocks of at most 32 columns are eliminated one pivot at a
-time; the rest of the work is exact modular matrix products, one float64
-BLAS product for each chunk of their inner dimension.  Pivoting is
-deterministic: the first row with a nonzero entry, columns left to right,
-so the pivot columns are the column rank profile.  Only ``kernel_basis``
-scales pivot rows to unit pivots; callers that need only a rank or the
-pivot columns skip that pass.
+no product of two residues is ever formed in int32.  The workhorse is an
+in-place LU factorization in LAPACK getrf's convention: each multiplier
+(entry times pivot inverse) is parked below its pivot, a unit-lower L, and
+the pivot rows stay unscaled, U.  It is blocked right-looking LU, one
+left-to-right pass over panels of at most 32 columns: eliminate the panel
+one pivot at a time, solve its pivot rows right of it by the inverse of
+their triangle, and update the rows below with one modular product.
+Pivoting is deterministic: the first row with a nonzero entry, columns
+left to right, so the pivot columns are the column rank profile.  Only
+``kernel_basis`` scales pivot rows to unit pivots; callers that need only a
+rank or the pivot columns skip that pass.
 
 Two devices from delayed-reduction linear algebra (FFLAS-FFPACK) keep the
 work in BLAS.  A product balances both operands to residues of least
@@ -27,14 +24,12 @@ absolute value and splits only the left one into 16-bit limbs, so a single
 float64 product over up to 170 inner indices is exact at every p < 2**31
 (``_mul_mod``), and the reduction mod p waits until it is done; an update
 subtracts the product from its rows before that one reduction, and only the
-result is converted back, straight into the int32 rows.  The pivots a
-leaf finds form a diagonal block of every later triangular solve over them;
-the leaf inverts it on the identity by forward substitution as soon as it
-has found them, and each solve applies that inverse to the whole
-right-hand side as one modular product, reading L's off-diagonal blocks
-where the elimination parked them.
+result is converted back, straight into the int32 rows.  A panel inverts
+its pivots' unit-lower triangle on the identity by forward substitution
+(``_lower_inverse``), so solving its pivot rows is one modular product too;
+the inverse is then dropped, since nothing later solves over those pivots.
 
-The elimination works only on live rows, read off the data: a leaf on the
+The elimination works only on live rows, read off the data: a panel on the
 rows down to the last one nonzero in its columns, and each update on the
 rows down to the last one with a nonzero multiplier.  This costs one scan
 on a dense matrix and changes nothing else.  On a staircase, where each
@@ -56,7 +51,7 @@ import numpy as np
 
 _LIMB = float(1 << 16)  # limb base of the split left operand
 _CHUNK = 170  # inner indices of one exact float64 product (see _mul_mod)
-_LEAF = 32  # widest column block eliminated one pivot at a time
+_LEAF = 32  # columns of one panel, eliminated one pivot at a time
 
 
 @functools.cache
@@ -234,107 +229,72 @@ def _update(a: np.ndarray, p: int, row: int, piv: list[int], x: np.ndarray,
         _mul_mod(a[row:row + live, piv], x, p, c[:live])
 
 
-def _solve_lower(a: np.ndarray, p: int, row0: int, leaves: list, b: np.ndarray) -> None:
-    """In place, b <- L^-1 b for the unit lower-triangular L that ``leaves``
-    (pivot columns, inverse of their triangle: L's diagonal blocks, in
-    order) found on their pivot rows row0, row0+1, ... of ``a``.  Halves
-    the leaves recursively: solve the top rows, ``_update`` the bottom rows
-    with the block of L parked below the top ones, solve the bottom rows.
-    A single leaf applies its inverse to b as one modular product."""
-    if len(leaves) == 1:
-        b[...] = _mul_mod(leaves[0][1], b, p)
-        return
-    half = len(leaves) // 2
-    piv = [c for cols, _ in leaves[:half] for c in cols]
-    h = len(piv)
-    _solve_lower(a, p, row0, leaves[:half], b[:h])
-    _update(a, p, row0 + h, piv, b[:h], b[h:])
-    _solve_lower(a, p, row0 + h, leaves[half:], b[h:])
-
-
-def _replay(a: np.ndarray, p: int, row0: int, leaves: list, c0: int, c1: int) -> None:
-    """Apply the eliminations of the pivots of ``leaves`` (pivot rows row0,
-    row0+1, ...) to columns c0:c1: a triangular solve on the pivot rows,
-    then one update of the rows below."""
-    piv = [c for cols, _ in leaves for c in cols]
-    below = row0 + len(piv)
-    top = a[row0:below, c0:c1]
-    _solve_lower(a, p, row0, leaves, top)
-    _update(a, p, below, piv, top, a[below:, c0:c1])
-
-
-def _eliminate(a: np.ndarray, p: int, row0: int, c0: int, c1: int) -> list:
-    """LU-factor columns c0:c1 of the rows from row0 down in place; returns
-    one (pivot columns, inverse of their triangle) pair per leaf that found
-    a pivot, in order.
-
-    Each pivot row keeps its values, pivot included (U); the multiplier of
-    each row below, its entry times the pivot's inverse, is parked in the
-    pivot's column (the unit-lower L).  Row swaps move whole rows of ``a``,
-    parked multipliers included.  Columns past c1 are not touched.
-
-    A leaf works only on the rows down to the last one that is nonzero in
-    its columns: a pivot is the first nonzero entry at or below the current
-    row, and a row changes only when its multiplier is nonzero, so rows
-    below stay zero in the leaf's columns throughout.  It copies that panel
-    (live rows by at most ``_LEAF`` columns) to int64, where a product of
-    two residues fits, eliminates it one pivot at a time, swapping whole
-    rows in both the panel and ``a``, and writes the reduced panel back.
-    Then it inverts its pivots' triangle (L on their rows and columns), which
-    is final: later row swaps move only rows below its pivot rows, and later
-    updates touch only columns right of its pivots.
-    """
-    if row0 == a.shape[0]:
-        return []
-    if c1 - c0 > _LEAF:
-        mid = (c0 + c1) // 2
-        left = _eliminate(a, p, row0, c0, mid)
-        if left:
-            _replay(a, p, row0, left, mid, c1)
-        return left + _eliminate(a, p, row0 + sum(len(cols) for cols, _ in left), mid, c1)
-    end = row0 + _live_rows(a[row0:, c0:c1])
-    panel = a[row0:end, c0:c1].astype(np.int64)
-    piv: list[int] = []  # local pivot columns
-    row = 0
-    for lc in range(c1 - c0):
-        if row == len(panel):
-            break
-        nz = panel[row:, lc].nonzero()[0]
-        if nz.size == 0:
-            continue
-        rpiv = row + int(nz[0])
-        if rpiv != row:
-            panel[[row, rpiv]] = panel[[rpiv, row]]
-            a[[row0 + row, row0 + rpiv]] = a[[row0 + rpiv, row0 + row]]
-        f = panel[row + 1:, lc]
-        f *= pow(int(panel[row, lc]), -1, p)
-        f %= p
-        sub = panel[row + 1:, lc + 1:]
-        sub -= f[:, None] * panel[row, lc + 1:]
-        sub %= p
-        piv.append(lc)
-        row += 1
-    a[row0:end, c0:c1] = panel
-    if not piv:
-        return []
-    return [([c0 + lc for lc in piv], _lower_inverse(panel[:row, piv], p))]
-
-
 def _echelon(a: np.ndarray, p: int) -> list[int]:
     """In-place LU factorization with row swaps; returns the pivot columns.
 
     Afterwards the first len(pivots) rows are U, an echelon form that keeps
-    its pivot values, and L's multipliers sit below the pivots.  Identical
-    to one-pivot-at-a-time elimination; the recursion only batches the work
-    on columns right of a half into modular products.  ``_LEAF`` is the
-    widest block eliminated one pivot at a time (the tests shrink it to run
-    many levels).
+    its pivot values (each pivot row unscaled), and L's multipliers, each
+    row's entry times the pivot's inverse, sit below the pivots.  Row swaps
+    move whole rows of ``a``, parked multipliers included.  Identical to
+    one-pivot-at-a-time elimination; the panels only batch the work on the
+    columns right of each one into modular products.
+
+    One left-to-right pass over panels of at most ``_LEAF`` columns (the
+    tests shrink it to run many panels).  A panel works only on the rows
+    below the pivots found so far, down to the last one that is nonzero in
+    its columns: a pivot is the first nonzero entry at or below the current
+    row, and a row changes only when its multiplier is nonzero, so rows
+    below stay zero in the panel's columns throughout.  It copies those
+    rows of its columns to int64, where a product of two residues fits,
+    eliminates them one pivot at a time, swapping whole rows in both the
+    copy and ``a``, and writes the reduced copy back.  Then the panel's
+    pivots reach the columns right of it: the pivot rows there are solved
+    by the inverse of their unit-lower triangle (L on the pivots' rows and
+    columns), and the rows below are updated by one ``_update``.
 
     Row swaps, pivots and D^-1 U (D the pivot values) match elimination with
     unit pivot rows: a row below a pivot is updated by (entry / pivot) times
     the unscaled row, the same numbers as the entry times the scaled row.
     """
-    return [c for cols, _ in _eliminate(a, p, 0, 0, a.shape[1]) for c in cols]
+    m, n = a.shape
+    piv: list[int] = []
+    for c0 in range(0, n, _LEAF):
+        row0 = len(piv)
+        if row0 == m:
+            break
+        c1 = min(c0 + _LEAF, n)
+        end = row0 + _live_rows(a[row0:, c0:c1])
+        panel = a[row0:end, c0:c1].astype(np.int64)
+        found: list[int] = []  # local pivot columns
+        row = 0
+        for lc in range(c1 - c0):
+            if row == len(panel):
+                break
+            nz = panel[row:, lc].nonzero()[0]
+            if nz.size == 0:
+                continue
+            rpiv = row + int(nz[0])
+            if rpiv != row:
+                panel[[row, rpiv]] = panel[[rpiv, row]]
+                a[[row0 + row, row0 + rpiv]] = a[[row0 + rpiv, row0 + row]]
+            f = panel[row + 1:, lc]
+            f *= pow(int(panel[row, lc]), -1, p)
+            f %= p
+            sub = panel[row + 1:, lc + 1:]
+            sub -= f[:, None] * panel[row, lc + 1:]
+            sub %= p
+            found.append(lc)
+            row += 1
+        a[row0:end, c0:c1] = panel
+        if not found:
+            continue
+        cols = [c0 + lc for lc in found]
+        if c1 < n:
+            top = a[row0:row0 + row, c1:]
+            top[...] = _mul_mod(_lower_inverse(panel[:row, found], p), top, p)
+            _update(a, p, row0 + row, cols, top, a[row0 + row:, c1:])
+        piv += cols
+    return piv
 
 
 def rank(m: ModMatrix) -> int:
@@ -365,11 +325,13 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
                          dtype=np.int64)[:, None]
         reduced = (a[:r, free] * scale % p).astype(np.int32)
         u11 = (a[:r, piv] * scale % p).astype(np.int32)
-        # diagonal blocks of at most _LEAF rows, each with its inverse
-        t = u11[::-1, ::-1]
-        leaves = [(range(i, min(i + _LEAF, r)), _lower_inverse(t[i:i + _LEAF, i:i + _LEAF], p))
-                  for i in range(0, r, _LEAF)]
-        _solve_lower(t, p, 0, leaves, reduced[::-1])
+        # block forward substitution over _LEAF-row blocks: solve a block
+        # by its triangle's inverse, then update the rows below it
+        t, b = u11[::-1, ::-1], reduced[::-1]
+        for i in range(0, r, _LEAF):
+            j = min(i + _LEAF, r)
+            b[i:j] = _mul_mod(_lower_inverse(t[i:j, i:j], p), b[i:j], p)
+            _update(t, p, j, range(i, j), b[i:j], b[j:])
         basis[piv] = (p - reduced) % p
     return ModMatrix(m.field, basis, _trusted=True)
 

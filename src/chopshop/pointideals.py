@@ -32,6 +32,15 @@ class GenericityError(RuntimeError):
 RETRY_BUDGET = 16
 
 
+def _check_memory(what: str, need: int) -> None:
+    """Raise ``CapacityError`` when ``need`` bytes exceed physical memory,
+    before anything that size is allocated."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise CapacityError(f"{what} needs {need} bytes, more than the {have} bytes of "
+                            f"physical memory")
+
+
 def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.ndarray:
     """Evaluations of the degree-t monomials at the rows of ``coords``.
 
@@ -41,11 +50,15 @@ def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.nda
     the reduced result to int32), complex points for the Waring one.  Built
     from per-variable power tables so each entry costs n+1 multiplications
     instead of t.
-    With a modulus p every product is reduced mod p.
+    With a modulus p every product is reduced mod p.  A build whose three
+    arrays of that shape (the result, a gathered power table and their
+    product) exceed physical memory raises ``CapacityError`` instead.
     """
     r, nvars = coords.shape
     exps = np.asarray(monomials(nvars - 1, t), dtype=np.int64)
-    out = np.ones((r, exps.shape[0]), dtype=coords.dtype)
+    h = exps.shape[0]
+    _check_memory(f"building a {r} x {h} evaluation matrix", 3 * r * h * coords.itemsize)
+    out = np.ones((r, h), dtype=coords.dtype)
     for i in range(nvars):
         powers = np.empty((r, t + 1), dtype=coords.dtype)
         powers[:, 0] = 1
@@ -286,11 +299,8 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C")
     g = coeffs.shape[1]
     he = hs(n, e)
     shape = (hs(n, d + e), he * g)
-    need = shape[0] * shape[1] * coeffs.itemsize
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise CapacityError(f"a {shape[0]} x {shape[1]} Macaulay matrix needs {need} "
-                            f"bytes, more than the {have} bytes of physical memory")
+    _check_memory(f"a {shape[0]} x {shape[1]} Macaulay matrix",
+                  shape[0] * shape[1] * coeffs.itemsize)
     positions = product_index_map(n, d, e)
     out = np.zeros(shape, dtype=coeffs.dtype, order=order)
     out[positions[:, :, None], np.arange(he * g).reshape(he, 1, g)] = coeffs[None]

@@ -214,7 +214,8 @@ def numerical_kernel(
     |diag(R)| non-increasing, and it stands in for the singular values:
     the rank is rank_hint when given, otherwise the count of diagonal
     entries above tol relative to |R_00|.  The gap is the ratio of the
-    last kept to the first dropped diagonal entry; without a hint, a gap
+    last kept to the first dropped diagonal entry (0 when the last kept
+    one is 0, which only a hint can ask for); without a hint, a gap
     under 10 means the cutoff is a guess, and that is reported as an error
     rather than a silent choice.  The basis is the trailing columns of Q,
     the orthogonal complement of the leading pivoted rows of mat; they are
@@ -240,7 +241,9 @@ def numerical_kernel(
         rank = rank_hint
     else:
         rank = _diagonal_rank(diag, tol)
-    if rank < diag.shape[0] and diag[rank] > 0:
+    if rank > 0 and diag[rank - 1] == 0:
+        gap = 0.0
+    elif rank < diag.shape[0] and diag[rank] > 0:
         gap = float(diag[rank - 1] / diag[rank]) if rank > 0 else 1.0
     else:
         gap = math.inf

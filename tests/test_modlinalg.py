@@ -1,6 +1,6 @@
 """Tests for exact linear algebra over F_p.
 
-The recursive LU factorization is checked entry-for-entry, multipliers
+The panel LU factorization is checked entry-for-entry, multipliers
 included, against a one-pivot reference coded here, the kernel against
 the one-pivot back-elimination it replaced, and rank/kernel/span agree
 with constructions whose answers are known by design.
@@ -126,7 +126,7 @@ def staircase(rng, p, m, n, draw=uniform_residues):
     """m x n int32 matrix whose column j is nonzero only in its top
     heights[j] rows, the heights nondecreasing: the shape of the graded
     Macaulay matrix.  Every third column is a multiple of an earlier one, so
-    the rank falls short and some leaves find fewer pivots than columns.
+    the rank falls short and some panels find fewer pivots than columns.
     Built in int64, where a product of two residues fits."""
     heights = np.sort(rng.integers(0, m + 1, size=n))
     a = draw(rng, p, (m, n))
@@ -342,32 +342,37 @@ class TestLowerInverse:
 
 class TestLeafInverses:
     def test_each_leaf_triangle_is_inverted_once(self):
-        # 200 columns at leaf 8 make five levels of replays, each solving on
-        # the pivot rows of all the leaves of its left half
+        # 200 columns at leaf 8 make 25 panels; each panel that finds a
+        # pivot inverts its pivots' triangle once, and that inverse inverts
+        # the L the factorization leaves on those pivots
         rng = np.random.default_rng(4)
         p = F.p
         a = product_with_zeros(rng, p, 200, 200, 150)
         want, piv_want = reference_lu(a, p)
-        inverted = []
+        calls = []
         real = modlinalg._lower_inverse
 
         def recording(t, p):
-            inverted.append(t.tobytes())
-            return real(t, p)
+            inverse = real(t, p)
+            calls.append((t.copy(), inverse))
+            return inverse
 
         with mock.patch.object(modlinalg, "_LEAF", 8), \
                 mock.patch.object(modlinalg, "_lower_inverse", recording):
-            leaves = modlinalg._eliminate(a, p, 0, 0, a.shape[1])
-        assert [c for cols, _ in leaves for c in cols] == piv_want
+            piv = _echelon(a, p)
+        assert piv == piv_want
         assert (a == want).all()
-        # one inverse per leaf that found a pivot, made by that leaf
-        assert len(inverted) == len(set(inverted)) == len(leaves) > 1
+        assert len({t.tobytes() for t, _ in calls}) == len(calls) > 1
+        assert len(calls) == len({c // 8 for c in piv})
         row = 0
-        for cols, inverse in leaves:
-            rows = slice(row, row + len(cols))
-            lower = np.tril(a[rows, cols].astype(np.int64), -1) + np.eye(len(cols), dtype=np.int64)
-            assert (_mul_mod(lower, inverse, p) == np.eye(len(cols))).all()
-            row += len(cols)
+        for t, inverse in calls:
+            k = len(t)
+            rows, cols = slice(row, row + k), piv[row:row + k]
+            assert (t == a[rows, cols]).all()
+            lower = np.tril(a[rows, cols].astype(np.int64), -1) + np.eye(k, dtype=np.int64)
+            assert (_mul_mod(lower, inverse, p) == np.eye(k)).all()
+            row += k
+        assert row == len(piv)
 
 
 class TestEchelon:
@@ -410,9 +415,26 @@ class TestEchelon:
 
 
     @pytest.mark.parametrize("p", [3, 101, 2147483647])
+    def test_zero_panel_between_pivoting_panels(self, p):
+        # columns 32:64 are zero, so that 32-column panel finds no pivot and
+        # neither solves nor updates; the panels on either side do, and the
+        # last one is 13 columns wide
+        rng = np.random.default_rng(p % 1000)
+        a = product_with_zeros(rng, p, 90, 32 * 3 + 13, 70)
+        a[:, 32:64] = 0
+        want, piv_want = reference_lu(a, p)
+        assert any(c < 32 for c in piv_want) and any(c >= 64 for c in piv_want)
+        for leaf in (1, 3, 8, 32):
+            got = a.copy()
+            with mock.patch.object(modlinalg, "_LEAF", leaf):
+                piv = _echelon(got, p)
+            assert piv == piv_want
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("p", [3, 101, 2147483647])
     @pytest.mark.parametrize("m, n", [(120, 150), (200, 90), (60, 200)])
     def test_staircase_matches_reference(self, p, m, n):
-        # on a staircase the leaves and updates trim rows, which a dense
+        # on a staircase the panels and updates trim rows, which a dense
         # matrix never lets them do
         rng = np.random.default_rng(m * 1000 + n + p % 1000)
         a = staircase(rng, p, m, n)
@@ -437,7 +459,8 @@ class TestEchelon:
 
 class TestInt32Overflow:
     # int32 matrices whose entries sit at the residues where a product of
-    # two of them is largest: every leaf product must be formed in int64
+    # two of them is largest: every product of a panel's one-pivot loop
+    # must be formed in int64
     PRIMES = [2147483647, 2147483629, 65537, 7]
 
     @staticmethod
@@ -454,7 +477,7 @@ class TestInt32Overflow:
     @pytest.mark.parametrize("m, n", [(70, 90), (120, 80)])
     def test_edge_residues_match_reference(self, p, m, n):
         # every fourth column a multiple of the column three before it, and
-        # a zero row, so leaves also skip columns and stop short
+        # a zero row, so panels also skip columns and stop short
         rng = np.random.default_rng(m * 1000 + n + p % 1000)
         a = edge_residues(rng, p, (m, n))
         repeated = np.arange(3, n, 4)
@@ -528,8 +551,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("p", [3, 5, 101, 2147483647])
     def test_matches_one_pivot_back_elimination(self, p):
-        # every leaf width, so the blocked solve on the reversed U11 runs at
-        # every recursion depth
+        # every leaf width, so the blocked solve on the reversed U11 runs
+        # over one block and over many
         rng = np.random.default_rng(p % 997)
         for m, n, k in [(290, 300, 290), (150, 200, 90), (60, 80, 80), (40, 30, 12),
                         (5, 9, 0)]:

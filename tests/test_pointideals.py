@@ -184,6 +184,19 @@ class TestEvaluationMatrix:
                 assert (as_complex == plain).all()
 
 
+    def test_capacity_counts_three_arrays_at_the_item_size(self):
+        # the result, a gathered power table and their product are held at
+        # once: with 24 bytes of memory a cell, the int64 build fits and a
+        # complex128 build of the same points would not
+        coords = np.arange(1, 13, dtype=np.int64).reshape(4, 3)
+        cells = 4 * hs(2, 6)
+        memory = {"SC_PHYS_PAGES": cells, "SC_PAGE_SIZE": 24}
+        with mock.patch.object(os, "sysconf", memory.__getitem__):
+            assert evaluation_array(coords, 6, P.p).shape == (4, hs(2, 6))
+            with pytest.raises(CapacityError, match=f"evaluation matrix needs {48 * cells} "):
+                evaluation_array(coords.astype(np.complex128), 6)
+
+
 class TestIdealComponent:
     def test_quintics_through_18_points(self):
         cfg = sample_points(2, 18, P, SEED)

@@ -237,6 +237,14 @@ class TestNumericalKernel:
         assert rank_found == 1
         assert basis.shape == (3, 2)
 
+    def test_rank_hint_past_exact_zeros_has_no_cutoff(self):
+        # diag(R) is 1, 0, 0: at the hint 2 the last kept entry is already
+        # 0, which is no cutoff at all, not a perfect one
+        basis, rank_found, gap = numerical_kernel(np.diag([1.0, 0, 0]), rank_hint=2)
+        assert rank_found == 2 and gap == 0
+        assert basis.shape == (3, 1)
+        assert numerical_kernel(np.diag([1.0, 0, 0]), rank_hint=1)[2] == math.inf
+
     def test_ambiguous_spectrum_raises(self):
         # 2e-8 sits above the cutoff and 0.9e-8 below, only a factor 2.2 apart
         mat = np.diag([1.0, 2e-8, 0.9e-8])
@@ -476,6 +484,18 @@ class TestDecompose:
         assert exc.value.diagnostics["catalecticant_gap"] < waring._SPECTRAL_GAP_FLOOR
         message = str(exc.value)
         assert f"rank is probably not {r}" in message
+        assert "gap prediction" not in message
+
+    def test_hint_above_a_rank_one_form_is_not_blamed_on_the_gap_prediction(self):
+        # x0^4 has rank 1: at the hint 3 its catalecticant's R diagonal is
+        # 1, 0, 0, so the gap at the hint is 0
+        form = form_from_dict({"schema_version": 1, "n": 2, "D": 4,
+                               "terms": [{"exponent": [4, 0, 0], "re": 1, "im": 0}]})
+        with pytest.raises(DecompositionError) as exc:
+            decompose(form, 3)
+        assert exc.value.diagnostics["catalecticant_gap"] == 0
+        message = str(exc.value)
+        assert "rank is probably not 3" in message
         assert "gap prediction" not in message
 
     def test_cokernel_failure_reports_quotient_table(self):
