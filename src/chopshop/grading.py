@@ -1,7 +1,7 @@
 """Monomial combinatorics of the graded polynomial ring in n+1 variables.
 
-Dimension counts, monomial enumeration and indexing in graded reverse
-lexicographic order, and Hilbert-function tables with comparison utilities.
+Dimension counts, monomial enumeration and indexing in descending lex
+order, and Hilbert-function tables with comparison utilities.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def mono_mul(a: Exponent, b: Exponent) -> Exponent:
 
 @lru_cache(maxsize=None)
 def monomials(n: int, t: int) -> tuple[Exponent, ...]:
-    """All degree-t exponents in n+1 variables, grevlex-descending.
+    """All degree-t exponents in n+1 variables, lex-descending: by x_0's
+    exponent first, so the multiples of x_0^k come first.
 
     The order is fixed: it is the column/row order of every matrix built
     from a graded piece, so callers may index by position.
@@ -75,11 +76,8 @@ def monomials(n: int, t: int) -> tuple[Exponent, ...]:
         raise ValueError(f"need n >= 0 and t >= 0, got ({n}, {t})")
     if n == 0:
         return (Exponent((t,)),)
-    out = []
-    for last in range(t + 1):
-        for head in monomials(n - 1, t - last):
-            out.append(Exponent(tuple(head) + (last,)))
-    return tuple(out)
+    return tuple(Exponent((first,) + tail)
+                 for first in range(t, -1, -1) for tail in monomials(n - 1, t - first))
 
 
 @lru_cache(maxsize=None)
@@ -104,27 +102,25 @@ def product_index_map(n: int, d: int, e: int) -> np.ndarray:
     Entry (i, j) is the position in monomials(n, d+e) of the product of
     monomials(n, e)[i] with monomials(n, d)[j].  Shape (hs(n,e), hs(n,d)).
 
-    Positions come from the closed form of the enumeration order: the
-    monomials of degree t with last exponent below a come first, and there
-    are hs(k, t) - hs(k, t - a) of them in k+1 variables, so with partial
-    degrees t_k = a_0 + ... + a_k the position of a is the sum over k >= 1
-    of hs(k, t_k) - hs(k, t_{k-1}).  A product's partial degrees are sums
+    Positions come from the closed form of the enumeration order: with
+    suffix degrees S_j = a_j + ... + a_n, the monomials of degree t before
+    a are those of larger x_0-exponent, hs(n, S_1 - 1) of them, and then
+    recursively in x_1, ..., x_n, so the position of a is the sum over
+    j = 1..n of hs(n-j+1, S_j - 1).  A product's suffix degrees are sums
     of its factors', so the whole table is n vectorized lookups.
     """
     top = d + e
-    # binom[k, s] = hs(k, s) for k >= 1
+    # binom[j - 1, s] = hs(n - j + 1, s - 1), which is 0 at s = 0
     binom = np.array(
-        [[math.comb(k + s, k) for s in range(top + 1)] for k in range(n + 1)],
+        [[math.comb(n - j + s, n - j + 1) for s in range(top + 1)] for j in range(1, n + 1)],
         dtype=np.int64,
     )
-    shift_partial = np.cumsum(np.asarray(monomials(n, e), dtype=np.int64), axis=1)
-    base_partial = np.cumsum(np.asarray(monomials(n, d), dtype=np.int64), axis=1)
-    out = np.zeros((shift_partial.shape[0], base_partial.shape[0]), dtype=np.int64)
-    below = shift_partial[:, :1] + base_partial[:, 0]
-    for k in range(1, n + 1):
-        upto = shift_partial[:, k:k + 1] + base_partial[:, k]
-        out += binom[k][upto] - binom[k][below]
-        below = upto
+    # S_j = top minus the degree of the product's first j exponents
+    shift_head = np.cumsum(np.asarray(monomials(n, e), dtype=np.int64), axis=1)
+    base_head = np.cumsum(np.asarray(monomials(n, d), dtype=np.int64), axis=1)
+    out = np.zeros((shift_head.shape[0], base_head.shape[0]), dtype=np.int64)
+    for j in range(1, n + 1):
+        out += binom[j - 1][top - shift_head[:, j - 1:j] - base_head[:, j - 1]]
     out.setflags(write=False)
     return out
 

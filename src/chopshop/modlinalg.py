@@ -38,8 +38,8 @@ right, it is what makes the work shrink: a pivot row is the first nonzero
 row at or below the current one, so it lies inside the block, row swaps
 stay inside it, and multipliers are nonzero only inside it, so the
 columns not yet eliminated stay a staircase.  The graded Macaulay matrix of
-``pointideals.chopped_profile`` is one once read backwards on both axes:
-its rows and its shift columns ascend in the last variable's exponent.
+``pointideals.chopped_profile`` is one: its rows and its shift columns
+descend in x_0's exponent.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ class PointConfig:
     configuration was drawn and ``retries`` how many redraws the genericity
     check forced; both travel into certificates.
 
-    A configuration drawn by ``sample_points`` keeps the degree-d component
+    A configuration that passed ``is_generic`` keeps the degree-d component
     of its ideal, which the genericity check computes anyway, so
     ``ideal_component`` need not eliminate the same matrix again.  It is a
     cache of a value derived from the coordinates: not an argument, not
@@ -211,19 +211,17 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
       rows.  Degree d-1 has full column rank iff that small matrix (at
       most hs(n-1,d) x dim K) has full column rank.
 
-    So the check takes the kernel at degree d, whose size gives the rank
-    there, then ranks K's rows off x_i (when d >= 2); degree d+1 needs no
-    matrix.  When every variable vanishes at some point, which needs a
-    small prime, the check ranks the degree-(d-1) evaluation matrix
+    So the check (``is_generic``) takes the kernel at degree d, whose size
+    gives the rank there, then ranks K's rows off x_i (when d >= 2); degree
+    d+1 needs no matrix.  When every variable vanishes at some point, which
+    needs a small prime, the check ranks the degree-(d-1) evaluation matrix
     itself instead.  Either way a draw is accepted exactly when the three
-    ranks are full.  The kernel is kept with the accepted configuration as
-    the degree-d component of its ideal.
+    ranks are full.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
     budget = RETRY_BUDGET
     p = prime.p
-    d = CaseParams(n, r).d
     rng = np.random.default_rng(seed)
     for attempt in range(budget):
         coords = rng.integers(0, p, size=(r, n + 1), dtype=np.int64)
@@ -231,16 +229,26 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
             config = PointConfig(n, r, coords, prime, seed, retries=attempt)
         except ValueError:  # a zero row or a repeated point
             continue
-        kernel = kernel_basis(evaluation_matrix(config, d))
-        if hs(n, d) - kernel.cols != r:
-            continue
-        if d >= 2 and not _full_rank_below(config.coords, prime, d, kernel):
-            continue
-        object.__setattr__(config, "_degree_d_basis", GradedBasis(n, d, kernel))
-        return config
+        if is_generic(config):
+            return config
     raise GenericityError(
         f"no generic configuration for n={n}, r={r}, p={p} in {budget} draws"
     )
+
+
+def is_generic(config: PointConfig) -> bool:
+    """Whether the points pass the genericity check of ``sample_points``:
+    full rank at degrees d-1 and d, hence at d+1.  Sampling and replay both
+    decide by it.  A configuration that passes keeps its degree-d kernel as
+    the degree-d component of its ideal."""
+    n, d = config.n, CaseParams(config.n, config.r).d
+    kernel = kernel_basis(evaluation_matrix(config, d))
+    if hs(n, d) - kernel.cols != config.r:
+        return False
+    if d >= 2 and not _full_rank_below(config.coords, config.prime, d, kernel):
+        return False
+    object.__setattr__(config, "_degree_d_basis", GradedBasis(n, d, kernel))
+    return True
 
 
 def _full_rank_below(coords: np.ndarray, prime: PrimeField, d: int,
@@ -281,14 +289,12 @@ def ideal_component(config: PointConfig, t: int) -> GradedBasis:
 
 
 def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C") -> np.ndarray:
-    """All degree-e monomial shifts of degree-d forms, as columns in degree
-    d+e.
+    """All degree-e monomial shifts of degree-d forms, as columns in degree d+e.
 
     ``coeffs`` holds one form per column (hs(n,d) rows, any dtype; the
     result has the same dtype).  Column m*g + j holds (monomial m) * (form
     j), for the g forms and the degree-e monomials in ``monomials`` order:
-    monomial-major, form-minor.  Rows and shifts both ascend in the last
-    variable's exponent, so read backwards the matrix is a staircase (see
+    monomial-major, form-minor, which in lex order is a staircase (see
     ``chopped_profile``).  Its column span is the degree-(d+e) component of
     the ideal generated by the forms.  ``order`` is the result's memory
     layout, "C" or "F"; the Waring side builds column-major, the layout
@@ -333,11 +339,11 @@ def chopped_hf(config: PointConfig, d: int, t: int) -> int:
 
 def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:
     """Chopped quotient at degrees d+1, ..., d+top from one elimination of
-    the Macaulay matrix at degree d+top, read backwards (see ``chopped_profile``).
-    The built matrix and its reversed working copy are both int32."""
-    a = macaulay_matrix(basis, top).array[::-1, ::-1].copy()
+    the Macaulay matrix at degree d+top, in place (see ``chopped_profile``)."""
+    a = macaulay_matrix(basis, top).array
+    a.setflags(write=True)  # a fresh array that only this frame holds
     piv = _echelon(a, basis.vectors.field.p)  # ascending
-    # the first g * hs(n,e) reversed columns have the rank of M_e
+    # the first g * hs(n,e) columns have the rank of M_e
     g = basis.dim
     return [hs(basis.n, basis.degree + e) - bisect_left(piv, g * hs(basis.n, e))
             for e in range(1, top + 1)]
@@ -351,25 +357,15 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
     not be set below the predicted gap.
 
     Every degree up to the predicted gap G comes from one elimination, of
-    the Macaulay matrix M_G at degree d+G read backwards on both axes.  Its
-    columns come shift by shift, and the shifts ascend in the exponent of
-    the last variable x_n, so the reversed columns descend in it.  The
-    columns whose exponent is at least G-e, the first g*hs(n,e) of them for
-    the g forms, are exactly x_n^(G-e) times the columns of M_e, and
-    multiplying by x_n^(G-e) is injective, so that column prefix has the
-    rank of M_e.  Elimination from left to right picks pivots in column
-    rank-profile order, so the pivots in a prefix count its rank: the
-    quotient at d+e is hs(n,d+e) minus the pivots before column g*hs(n,e).
-    When the quotient has not returned to r by G, one more elimination, at
-    e_max, gives the rest of the scan the same way.
-
-    The rows ascend in the exponent of x_n too, so the reversed rows
-    descend in it.  A column whose shift has exponent k is nonzero only in
-    rows divisible by x_n^k, the top hs(n,d+G-k) rows after the reversal,
-    a block that only grows from left to right: the matrix is a staircase,
-    and elimination keeps it one (see ``modlinalg``).  Row order does not
-    change the column rank profile, so the pivots, and with them the
-    quotients, are those of the matrix with only its columns reversed.
+    the Macaulay matrix M_G at degree d+G.  Its rows and its shifts descend
+    in x_0's exponent, and a column whose shift has exponent k is nonzero
+    only in the top hs(n,d+G-k) rows, those divisible by x_0^k: M_G is a
+    staircase (see ``modlinalg``).  Its first g*hs(n,e) columns, for the g
+    forms, are x_0^(G-e) times the columns of M_e, and that product is
+    injective, so they have the rank of M_e.  Pivots come in column
+    rank-profile order, so the quotient at d+e is hs(n,d+e) minus the
+    pivots before column g*hs(n,e).  When the quotient has not returned to
+    r by G, one more elimination, at e_max, gives the rest of the scan.
     """
     params = CaseParams(config.n, config.r)
     d = params.d

@@ -31,6 +31,7 @@ from .pointideals import (
     PointConfig,
     chopped_profile,
     ideal_component,
+    is_generic,
     macaulay_matrix,
     sample_points,
 )
@@ -219,8 +220,9 @@ def replay_certificate(cert: Certificate) -> bool:
     True when the certificate rebuilt from the stored points, seed and
     retries equals the stored one but for ``wall_ms`` and ``tool_version``:
     the observed table and gap come from the points, the rest from the
-    closed-form prediction.  Points must be stored reduced mod p, as
-    sampling writes them.  Certificates without points cannot be replayed.
+    closed-form prediction.  Points must be stored reduced mod p and pass
+    the genericity check, as sampled points do: the expected table rests on
+    it.  Certificates without points cannot be replayed.
 
     The rescan runs to the horizon the stored table shows: its last degree
     past d, and never less than the predicted gap.  A scan stops at its gap
@@ -234,6 +236,8 @@ def replay_certificate(cert: Certificate) -> bool:
     e_max = max(len(cert.observed_quotient) - params.d - 1, prediction.gap)
     config = PointConfig(cert.n, cert.r, np.array(cert.points, dtype=np.int64),
                          PrimeField(cert.prime), cert.seed, retries=cert.retries)
+    if not is_generic(config):
+        return False
     recomputed = _certificate(params, prediction, config, e_max, cert.prime, cert.seed)
     return replace(recomputed, wall_ms=cert.wall_ms, tool_version=cert.tool_version) == cert
 

@@ -354,6 +354,10 @@ def decompose(
         "cokernel_condition": math.inf,
         "eigen_offdiag_max": math.inf,
     }
+    if cat_gap == 0:  # any cokernel found past this exact zero would be a fluke
+        raise DecompositionError(f"the catalecticant's R diagonal is exactly 0 at index "
+                                 f"{r - 1}, so the form's rank is probably not {r}",
+                                 {**diagnostics, "catalecticant_gap": cat_gap})
     if kernel.shape[1] == 0:
         raise DecompositionError("catalecticant kernel is empty", diagnostics)
 

@@ -29,12 +29,12 @@ def brute_monomials(n, t):
     return out
 
 
-def grevlex_greater(a, b):
-    """Independent order oracle: same-degree a > b iff the last nonzero
-    entry of a-b is negative."""
+def lex_greater(a, b):
+    """Independent order oracle: a > b iff the first nonzero entry of a-b
+    is positive."""
     diff = [x - y for x, y in zip(a, b)]
-    last = next(v for v in reversed(diff) if v != 0)
-    return last < 0
+    first = next(v for v in diff if v != 0)
+    return first > 0
 
 
 class TestHs:
@@ -74,14 +74,14 @@ class TestMonomials:
     def test_three_variables_degree_one(self):
         assert [tuple(m) for m in monomials(2, 1)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
-    def test_enumeration_is_complete_and_grevlex_descending(self):
+    def test_enumeration_is_complete_and_lex_descending(self):
         for n in range(1, 4):
             for t in range(0, 6):
                 ms = monomials(n, t)
                 assert len(ms) == hs(n, t) if n >= 1 else True
                 assert sorted(map(tuple, ms)) == sorted(brute_monomials(n, t))
                 for a, b in zip(ms, ms[1:]):
-                    assert grevlex_greater(a, b)
+                    assert lex_greater(a, b)
 
     def test_exponent_degree_and_validation(self):
         e = Exponent((2, 0, 3))

@@ -195,6 +195,17 @@ class TestVerifyCase:
         tampered = Certificate.from_dict({**cert.to_dict(), "points": points})
         assert not replay_certificate(tampered)
 
+    def test_replay_rechecks_genericity(self):
+        # 18 distinct collinear points impose only 6 conditions on quintics,
+        # so their quotient falls below the expected table; replay runs
+        # sampling's genericity check first, so they do not replay, and no
+        # SelfCheckError blames chopshop for an edited certificate
+        cert = verify_case(2, 18, P, seed=0)
+        assert cert.verdict == "PASS"
+        collinear = [[1, i + 1, 0] for i in range(18)]
+        edited = Certificate.from_dict({**cert.to_dict(), "points": collinear})
+        assert not replay_certificate(edited)
+
     def test_replay_accepts_an_honest_fail(self):
         cert = verify_case(2, 7, PrimeField(3), seed=1)
         assert cert.verdict == "FAIL"

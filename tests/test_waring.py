@@ -92,7 +92,7 @@ class TestFormFromPoints:
         Z[0, 0] = 1.0
         form = form_from_points(Z, [1.0], 6)
         expected = np.zeros(hs(2, 6), dtype=complex)
-        expected[0] = 1.0  # grevlex puts y0^6 first
+        expected[0] = 1.0  # lex puts y0^6 first
         assert np.allclose(form.coeffs, expected)
 
     def test_antipodal_cancellation_even_degree(self):
@@ -579,6 +579,19 @@ class TestSerialization:
         back = form_from_dict(data)
         assert back.n == form.n and back.D == form.D
         assert np.allclose(back.coeffs, form.coeffs)
+
+    def test_form_dict_terms_load_in_any_order(self):
+        # documents written before the monomial order became lex list their
+        # terms in grevlex order; terms are keyed by exponent, not position
+        form = random_form(2, 5, seed=3)
+        data = form_to_dict(form)
+        assert [t["exponent"] for t in data["terms"]] == sorted(
+            (t["exponent"] for t in data["terms"]), reverse=True)
+        grevlex = sorted(data["terms"], key=lambda t: t["exponent"][::-1])
+        for terms in (data["terms"][::-1], grevlex):
+            assert terms != data["terms"]
+            back = form_from_dict({**data, "terms": terms})
+            assert np.array_equal(back.coeffs, form.coeffs)
 
     def test_form_dict_rejects_bad_schema(self):
         with pytest.raises(ValueError):
