@@ -10,11 +10,15 @@ replaced by rank thresholds on the R diagonal of column-pivoted QR
 factorizations and by residual checks.
 
 Every pivoted QR runs LAPACK geqp3 in place on a column-major buffer
-(``_pivoted_qr``).  ``decompose`` builds the cokernel's Macaulay matrix
-column-major and factors it in its own storage, so it holds one copy of
-the largest matrix of the pipeline.  scipy is imported inside
-the functions that call it: the exact pipeline imports this module
-through the package and never loads scipy.
+(``_pivoted_qr``), and reflectors are applied with LAPACK unmqr.
+``decompose`` builds the cokernel's Macaulay matrix column-major, in lex
+order, where it is a staircase: the shifts of each x_0-degree live in a
+top band of rows.  ``numerical_kernel`` factors it one block of shifts at
+a time, parking each block's reflectors in the matrix's own storage, so
+the pipeline holds one copy of its largest matrix plus one block, and the
+rank at every step gives the quotient at every degree up to d+e.  scipy
+is imported inside the functions that call it: the exact pipeline
+imports this module through the package and never loads scipy.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ _SPECTRAL_GAP_FLOOR = 10.0
 _CONDITION_LIMIT = 1e10
 _RETRY_DRAWS = 3
 _PHASE_FLOOR = 1e-10
+_CHUNK = 128  # columns per pass of the norms, a trailing update or a basis update
 
 
 class WaringError(RuntimeError):
@@ -167,12 +172,11 @@ def _row_equilibrated(mat: np.ndarray) -> np.ndarray:
     return mat / scale[:, None]
 
 
-def _diagonal_rank(diag: np.ndarray, tol: float) -> int:
-    """Count of the non-increasing |diag(R)| entries above tol relative
-    to the first."""
-    if diag.shape[0] == 0 or diag[0] == 0:
-        return 0
-    return int(np.count_nonzero(diag > tol * diag[0]))
+def _largest_column_norm(a: np.ndarray) -> float:
+    """Largest column norm of ``a``, which is |R_00| of its pivoted QR, read
+    a chunk of columns at a time so that no full-size temporary is made."""
+    return max((float(np.linalg.norm(a[:, j : j + _CHUNK], axis=0).max())
+                for j in range(0, a.shape[1], _CHUNK)), default=0.0)
 
 
 def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,8 +205,29 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return factor, tau, pivots
 
 
+def _apply_reflectors(side: bytes, trans: bytes, reflectors, tau, c: np.ndarray) -> None:
+    """c <- Q c, Q^H c, c Q or c Q^H in place (``side`` b"L" or b"R",
+    ``trans`` b"N" or b"C"), for Q the product of the Householder
+    reflectors that geqp3 left in the columns of ``reflectors``: LAPACK
+    unmqr after a workspace query.  c must be Fortran-ordered, so that
+    unmqr writes into its storage."""
+    import scipy.linalg
+
+    if not c.flags.f_contiguous:
+        raise ValueError("unmqr updates a Fortran-ordered array in place")
+    unmqr = scipy.linalg.get_lapack_funcs("unmqr", (reflectors,))
+    *_, work, _ = unmqr(side, trans, reflectors, tau, c, -1)
+    *_, info = unmqr(side, trans, reflectors, tau, c, int(work[0].real), overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"unmqr failed with info {info}")
+
+
 def numerical_kernel(
-    mat, rank_hint: int | None = None, tol: float = DEFAULT_TOL, overwrite_a: bool = False
+    mat,
+    rank_hint: int | None = None,
+    tol: float = DEFAULT_TOL,
+    overwrite_a: bool = False,
+    steps=None,
 ):
     """Orthonormal basis of the right null space by column-pivoted QR.
 
@@ -212,67 +237,103 @@ def numerical_kernel(
     transpose is column-major, is conjugated in its own storage instead,
     which then holds the factor: the caller gives mat up.  Pivoting makes
     |diag(R)| non-increasing, and it stands in for the singular values:
-    the rank is rank_hint when given, otherwise the count of diagonal
-    entries above tol relative to |R_00|.  The gap is the ratio of the
-    last kept to the first dropped diagonal entry (0 when the last kept
-    one is 0, which only a hint can ask for); without a hint, a gap
-    under 10 means the cutoff is a guess, and that is reported as an error
-    rather than a silent choice.  The basis is the trailing columns of Q,
-    the orthogonal complement of the leading pivoted rows of mat; they are
-    got by applying the reflectors to unit vectors, never forming Q.
+    an entry is kept when it is above tol relative to |R_00|, the largest
+    column norm of mat^H, or, given rank_hint, the first rank_hint entries
+    are.  The gap is the smallest kept entry over the largest dropped one:
+    0 when a kept entry is not above that cutoff, which only a hint can
+    ask for, and inf when nothing is dropped.  Without a hint, a gap under
+    10 means the cutoff is a guess, and that is reported as an error
+    rather than a silent choice.  The basis is the orthogonal complement
+    of the kept pivoted rows of mat; it is got by applying the kept
+    reflectors to unit vectors, never forming Q.
 
-    Returns (basis, rank, gap).
+    ``steps`` factors a staircase one block at a time.  It lists (end,
+    live) pairs, ends increasing to mat's row count and live counts not
+    decreasing: columns [previous end, end) of mat^H are zero past row
+    live.  Each block's rows from the rank so far up to live get their own
+    pivoted QR, with the cutoff above, and its kept reflectors are applied
+    to the columns right of the block and parked in the factored storage,
+    so pivoting stays inside a block and no factor is held twice.  One
+    step spanning mat^H, the default, is a plain pivoted QR.  A hint
+    applies to one step only.
+
+    Returns (basis, rank, gap); given ``steps``, rank is the list of ranks
+    of mat^H's leading columns up to each end.
     """
-    import scipy.linalg
-
     if not 0 < tol < 1:
         raise ValueError(f"need tol in (0, 1), got {tol}")
     arr = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
-    cols = arr.shape[1]
     adjoint = arr.T
     if not (overwrite_a and adjoint.flags.f_contiguous and adjoint.flags.writeable):
         adjoint = np.array(adjoint, order="F")
     np.conjugate(adjoint, out=adjoint)
-    qr, tau, _ = _pivoted_qr(adjoint)
-    diag = np.abs(np.diagonal(qr))
-    if rank_hint is not None:
-        if not 0 <= rank_hint <= diag.shape[0]:
+    size, count = adjoint.shape
+    blocks = [(count, size)] if steps is None else list(steps)
+    ends, lives = [0] + [end for end, _ in blocks], [0] + [live for _, live in blocks]
+    if ends[-1] != count or lives[-1] > size or ends != sorted(ends) or lives != sorted(lives):
+        raise ValueError(f"steps {blocks} are no staircase of a {size} x {count} mat^H")
+    if rank_hint is not None and len(blocks) > 1:
+        raise ValueError("rank_hint applies to one step only")
+    cutoff = tol * _largest_column_norm(adjoint)
+
+    rank, ranks, kept = 0, [], []
+    smallest, largest = math.inf, 0.0
+    for start, (end, live) in zip(ends, blocks):
+        block = adjoint[rank:live, start:end]
+        copied = not block.flags.f_contiguous
+        if copied:
+            block = np.array(block, order="F")
+        factor, tau, _ = _pivoted_qr(block)
+        diag = np.abs(np.diagonal(factor))
+        if rank_hint is None:
+            k = int(np.count_nonzero(diag > cutoff))
+        elif 0 <= rank_hint <= diag.shape[0]:
+            k = rank_hint
+        else:
             raise ValueError(f"rank_hint {rank_hint} out of range")
-        rank = rank_hint
-    else:
-        rank = _diagonal_rank(diag, tol)
-    if rank > 0 and diag[rank - 1] == 0:
+        if k:
+            smallest = min(smallest, float(diag[k - 1]))
+        if k < diag.shape[0]:
+            largest = max(largest, float(diag[k]))
+        if k and end < count:
+            for j in range(end, count, _CHUNK):
+                chunk = np.array(adjoint[rank:live, j : j + _CHUNK], order="F")
+                _apply_reflectors(b"L", b"C", factor[:, :k], tau[:k], chunk)
+                adjoint[rank:live, j : j + _CHUNK] = chunk
+        if k and copied:
+            adjoint[rank:live, start : start + k] = factor[:, :k]
+        del block, factor  # a block's copy goes before the next one is made
+        kept.append((rank, live, start, k, tau[:k]))
+        rank += k
+        ranks.append(rank)
+
+    if smallest <= cutoff:
         gap = 0.0
-    elif rank < diag.shape[0] and diag[rank] > 0:
-        gap = float(diag[rank - 1] / diag[rank]) if rank > 0 else 1.0
+    elif largest > 0:
+        gap = smallest / largest if rank else 1.0
     else:
         gap = math.inf
     if rank_hint is None and math.isfinite(gap) and gap < _SPECTRAL_GAP_FLOOR:
         raise AmbiguousRankError(
             f"R-diagonal ratios give no clear rank: gap {gap:.2f} at index {rank}"
         )
-    basis = np.zeros((cols, cols - rank), dtype=np.complex128, order="F")
-    basis[rank:, :] = np.eye(cols - rank)
-    if tau.shape[0] == 0:  # mat has no rows: Q is the identity
-        return basis, rank, gap
-    # When mat has more rows than columns, mat^H is wide and has fewer
-    # reflectors than columns; unmqr takes only the columns that hold one.
-    reflectors = qr[:, : tau.shape[0]]
-    unmqr = scipy.linalg.get_lapack_funcs("unmqr", (qr,))
-    *_, work, _ = unmqr(b"L", b"N", reflectors, tau, basis, -1)
-    basis, _, info = unmqr(
-        b"L", b"N", reflectors, tau, basis, int(work[0].real), overwrite_c=1
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"unmqr failed with info {info}")
-    return basis, rank, gap
-
-
-def _quotient_dim(n: int, d: int, kernel: np.ndarray, t: int, tol: float) -> int:
-    """hs(n,t) minus the numerical rank of the degree-t Macaulay matrix of
-    the kernel forms, read from |diag(R)| as numerical_kernel reads it."""
-    factor, _, _ = _pivoted_qr(macaulay_array(n, d, kernel, t - d, order="F"))
-    return hs(n, t) - _diagonal_rank(np.abs(np.diagonal(factor)), tol)
+    # The basis is Q [0; I], held as its adjoint [0, I] Q^H so that the
+    # rows a reflector acts on are contiguous columns.  Q is the product of
+    # the kept reflectors in order, so [0, I] Q^H takes them last first, a
+    # chunk at a time: a chunk's reflectors are copied out of the parked
+    # factor, never a whole block's.
+    basis = np.zeros((size - rank, size), dtype=np.complex128, order="F")
+    basis[:, rank:] = np.eye(size - rank)
+    if size == rank:  # unmqr rejects a basis with no rows
+        kept = []
+    for row0, live, start, k, tau in reversed(kept):
+        for a in reversed(range(0, k, _CHUNK)):
+            b = min(a + _CHUNK, k)
+            reflectors = adjoint[row0 + a : live, start + a : start + b]
+            _apply_reflectors(b"R", b"C", np.asfortranarray(reflectors), tau[a:b],
+                              basis[:, row0 + a : live])
+    basis = np.conjugate(basis, out=basis).T
+    return basis, (rank if steps is None else ranks), gap
 
 
 def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
@@ -334,6 +395,12 @@ def decompose(
     eigenvalues are the point coordinates.  Coefficients come from a
     final least-squares solve and the relative residual is checked
     against 1e-6.
+
+    The Macaulay matrix is built once and factored as a staircase, one
+    pivoted QR per x_0-degree block of its shifts (``numerical_kernel``
+    with ``steps``).  When its cokernel is not r-dimensional, the ranks at
+    the block boundaries give the quotient at every degree d+1..d+e,
+    reported beside the expected table.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -354,9 +421,10 @@ def decompose(
         "cokernel_condition": math.inf,
         "eigen_offdiag_max": math.inf,
     }
-    if cat_gap == 0:  # any cokernel found past this exact zero would be a fluke
-        raise DecompositionError(f"the catalecticant's R diagonal is exactly 0 at index "
-                                 f"{r - 1}, so the form's rank is probably not {r}",
+    if cat_gap == 0:  # any cokernel found past this roundoff would be a fluke
+        raise DecompositionError(f"the catalecticant's R diagonal is at most tol relative "
+                                 f"to its first entry at index {r - 1}, so the form's "
+                                 f"rank is probably not {r}",
                                  {**diagnostics, "catalecticant_gap": cat_gap})
     if kernel.shape[1] == 0:
         raise DecompositionError("catalecticant kernel is empty", diagnostics)
@@ -366,15 +434,19 @@ def decompose(
     # f -> f(z_i), unconjugated, which is what the eigenvalue step needs.
     # The matrix is built column-major, so its transpose is row-major and
     # numerical_kernel factors it in this one buffer, which is spent then.
+    # Its rows and shifts descend in x_0's exponent: the shifts of
+    # x_0-exponent e-k and up, the first g*hs(n,k) columns, are x_0^(e-k)
+    # times the Macaulay matrix at degree d+k and live in its top
+    # hs(n,d+k) rows.  Factored as that staircase, it gives the rank at
+    # every degree up to d+e from the one pass.
+    g = kernel.shape[1]
     macaulay = macaulay_array(n, d, kernel, e, order="F")
-    cokernel, _, _ = numerical_kernel(macaulay.T, tol=tol, overwrite_a=True)
+    steps = [(g * hs(n, k), hs(n, d + k)) for k in range(e + 1)]
+    cokernel, ranks, _ = numerical_kernel(macaulay.T, tol=tol, overwrite_a=True, steps=steps)
     del macaulay
     if cokernel.shape[1] != r:
-        # Failure path only: the quotient at every degree up to d+e, read
-        # from the same pivoted QR, beside the formulas' expected table.
-        observed = [
-            _quotient_dim(n, d, kernel, t, tol) for t in range(d + 1, d + e)
-        ] + [cokernel.shape[1]]
+        # the quotient at every degree up to d+e, beside the expected table
+        observed = [hs(n, d + k) - ranks[k] for k in range(1, e + 1)]
         expected = list(expected_gap_and_table(n, d, r)[1][d + 1 : d + e + 1])
         diagnostics["numerical_quotient"] = observed
         diagnostics["expected_quotient"] = expected

@@ -83,8 +83,12 @@ def test_every_traced_cli_name_is_looked_up_at_call_time(monkeypatch, tmp_path, 
 def test_two_numerical_kernels_per_decompose(monkeypatch, capsys):
     """The tracer books a decompose's first ``numerical_kernel`` call as the
     catalecticant kernel and every later one as the Macaulay cokernel, so
-    a successful decompose must make exactly those two calls, in that
-    order: the catalecticant's with the rank hint, the cokernel's without."""
+    a decompose must make exactly those two calls, in that order: the
+    catalecticant's with the rank hint, the cokernel's without.  A failed
+    cokernel reads its quotient table off the same call, so the cokernel
+    span covers that table too."""
+    import numpy as np
+
     from chopshop import cli, waring
 
     kernel_hints, decompositions = [], []
@@ -104,6 +108,14 @@ def test_two_numerical_kernels_per_decompose(monkeypatch, capsys):
     capsys.readouterr()
     assert decompositions == [1]
     assert kernel_hints == [7, None]
+
+    # one below the form's true rank 50: the cokernel has the wrong dimension
+    kernel_hints.clear()
+    points = waring.random_unit_points(3, 50, seed=0)
+    with pytest.raises(waring.DecompositionError) as exc:
+        waring.decompose(waring.form_from_points(points, np.ones(50), 10), 49)
+    assert "numerical_quotient" in exc.value.diagnostics
+    assert kernel_hints == [49, None]
 
 
 @pytest.mark.parametrize("n, r", [(3, 30), (4, 60)])

@@ -308,6 +308,115 @@ class TestPivotedQR:
             waring._pivoted_qr(np.full((3, 2), np.nan, dtype=np.complex128, order="F"))
 
 
+def macaulay_staircase(n, D, r, seed=0):
+    """The cokernel's Macaulay matrix of a rank-r form as decompose builds
+    it, and its steps: the x_0-exponent boundaries of its shifts."""
+    form = form_from_points(random_unit_points(n, r, seed), np.ones(r), D)
+    d, e = waring._working_parameters(n, r, D)
+    kernel, _, _ = numerical_kernel(
+        waring._row_equilibrated(catalecticant(form, d)), rank_hint=r
+    )
+    g = kernel.shape[1]
+    return macaulay_array(n, d, kernel, e), [(g * hs(n, k), hs(n, d + k)) for k in range(e + 1)]
+
+
+def synthetic_staircase(seed, block0_scale=1.0):
+    """A 14 x 12 staircase mat^H, blocks of columns [0,3), [3,7), [7,12)
+    live in rows [0,5), [0,9), [0,14), with one column of block 0 a
+    combination of the other two, and one of block 2 a combination of a
+    column of block 0 and one of block 1."""
+    rng = np.random.default_rng(seed)
+    steps = [(3, 5), (7, 9), (12, 14)]
+    adjoint = np.zeros((14, 12), dtype=np.complex128)
+    start = 0
+    for end, live in steps:
+        adjoint[:live, start:end] = planted_rank(rng, live, end - start, end - start)
+        start = end
+    adjoint[:, 2] = adjoint[:, 0] - 2j * adjoint[:, 1]
+    adjoint[:, 10] = 0.5 * adjoint[:, 1] + adjoint[:, 5]
+    adjoint[:, :3] *= block0_scale
+    return adjoint.conj().T, steps
+
+
+def ranks_by_prefix(mat, steps):
+    """Rank of mat's leading rows up to each step's end, one plain
+    pivoted QR each."""
+    return [numerical_kernel(mat[:end])[1] for end, _ in steps]
+
+
+class TestStaircaseKernel:
+    """numerical_kernel with ``steps`` factors a staircase block by block;
+    it must find the one-step rank and kernel, the rank at every step."""
+
+    @pytest.mark.parametrize("shape", [(3, 10, 50), (3, 12, 80)])
+    def test_macaulay_matches_one_step(self, shape):
+        macaulay, steps = macaulay_staircase(*shape)
+        expected, expected_rank = reference_kernel(macaulay.T)
+        whole, rank_whole, gap_whole = numerical_kernel(macaulay.T)
+        basis, ranks, gap = numerical_kernel(macaulay.T, steps=steps)
+        assert ranks[-1] == rank_whole == expected_rank
+        assert basis.shape == expected.shape == (macaulay.shape[0], shape[2])
+        assert min_principal_cosine(basis, expected) >= 1 - 1e-10
+        assert min_principal_cosine(whole, expected) >= 1 - 1e-10
+        assert gap_whole / 2 <= gap <= 2 * gap_whole
+        assert np.allclose(basis.conj().T @ basis, np.eye(shape[2]), atol=1e-12)
+        # the rank at each step is that of the Macaulay matrix one degree
+        # up, so they read off the expected quotient table from d to d+e
+        n, D, r = shape
+        d, e = waring._working_parameters(n, r, D)
+        table = expected_gap_and_table(n, d, r)[1]
+        assert [hs(n, d + k) - rank for k, rank in enumerate(ranks)] == list(table[d:d + e + 1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_dependencies_within_and_across_blocks(self, seed):
+        mat, steps = synthetic_staircase(seed)
+        expected, expected_rank = reference_kernel(mat)
+        _, rank_whole, gap_whole = numerical_kernel(mat)
+        basis, ranks, gap = numerical_kernel(mat, steps=steps)
+        assert ranks == ranks_by_prefix(mat, steps) == [2, 6, 10]
+        assert ranks[-1] == rank_whole == expected_rank
+        assert min_principal_cosine(basis, expected) >= 1 - 1e-10
+        assert gap_whole / 2 <= gap <= 2 * gap_whole
+
+    def test_cutoff_is_relative_to_the_whole_matrix(self):
+        # block 0's columns are the smallest, at 1e-10 of the rest: below
+        # tol against the largest column of the whole matrix, so they are
+        # dropped, though against block 0's own |R_00| they would be kept
+        # (as they are when block 0 is factored alone).  The column of
+        # block 2 was planted before the scaling, so it is independent now
+        mat, steps = synthetic_staircase(7, block0_scale=1e-10)
+        expected, expected_rank = reference_kernel(mat)
+        basis, ranks, gap = numerical_kernel(mat, steps=steps)
+        assert ranks_by_prefix(mat, steps)[0] == 2
+        assert ranks == [0, 4, 9]
+        assert ranks[-1] == numerical_kernel(mat)[1] == expected_rank
+        assert min_principal_cosine(basis, expected) >= 1 - 1e-10
+        assert gap > 1e6
+
+    def test_one_given_step_is_the_plain_factorization(self):
+        mat = planted_rank(np.random.default_rng(2), 7, 9, 4)
+        basis, rank_found, gap = numerical_kernel(mat)
+        stepped = numerical_kernel(mat, steps=[(7, 9)])
+        assert stepped[0].tobytes() == basis.tobytes()
+        assert stepped[1:] == ([rank_found], gap)
+
+    def test_rank_hint_with_several_steps_rejected(self):
+        mat, steps = synthetic_staircase(0)
+        with pytest.raises(ValueError, match="one step"):
+            numerical_kernel(mat, rank_hint=10, steps=steps)
+
+    @pytest.mark.parametrize("steps", [
+        [(3, 5), (7, 9)],  # stops short of the last row of mat
+        [(7, 9), (3, 5), (12, 14)],  # ends out of order
+        [(3, 9), (7, 5), (12, 14)],  # live rows shrink
+        [(3, 5), (7, 9), (12, 15)],  # more live rows than mat^H has
+    ])
+    def test_malformed_steps_rejected(self, steps):
+        mat, _ = synthetic_staircase(0)
+        with pytest.raises(ValueError, match="staircase"):
+            numerical_kernel(mat, steps=steps)
+
+
 class TestApolarity:
     def test_kernel_vectors_annihilate(self):
         Z = random_unit_points(2, 18, seed=5)
@@ -359,6 +468,14 @@ class TestGapAtDegree:
                     assert len(table) == d + gap + 1
                     assert table[d] == table[-1] == r
                     assert all(v > r for v in table[d + 1:-1])
+
+
+def quotient_dim_oracle(n, d, kernel, t, tol=1e-8):
+    """hs(n,t) minus the numerical rank of the degree-t Macaulay matrix of
+    the kernel forms, read from |diag(R)| of one plain pivoted QR."""
+    factor, _, _ = waring._pivoted_qr(macaulay_array(n, d, kernel, t - d, order="F"))
+    diag = np.abs(np.diagonal(factor))
+    return hs(n, t) - int(np.count_nonzero(diag > tol * diag[0]))
 
 
 def coefficient_condition(points, D):
@@ -498,20 +615,49 @@ class TestDecompose:
         assert "rank is probably not 3" in message
         assert "gap prediction" not in message
 
-    def test_cokernel_failure_reports_quotient_table(self):
+    def test_hint_above_a_rank_two_form_is_not_blamed_on_the_gap_prediction(self):
+        # (x0+x1)^4 + (x0-x1)^4 has rank 2: at the hint 3 its
+        # catalecticant's R diagonal is 1, 1, 1e-16, 0, so the last kept
+        # entry is roundoff, below tol, and the gap at the hint is 0
+        form = form_from_points([[1, 1, 0], [1, -1, 0]], [1, 1], 4)
+        with pytest.raises(DecompositionError) as exc:
+            decompose(form, 3)
+        assert exc.value.diagnostics["catalecticant_gap"] == 0
+        message = str(exc.value)
+        assert "rank is probably not 3" in message
+        assert "gap prediction" not in message
+
+    def test_cokernel_failure_reports_quotient_table(self, monkeypatch):
         # r one below the form's true rank 50: the forms past the true
-        # kernel cut the quotient below r at the working degree d+e
+        # kernel cut the quotient below r at the working degree d+e.  The
+        # table comes from the one Macaulay matrix at d+e, and it matches
+        # a plain pivoted QR of the Macaulay matrix at each degree
         Z = random_unit_points(3, 50, seed=0)
         form = form_from_points(Z, np.ones(50), 10)
         d, e = waring._working_parameters(3, 49, 10)
+        builds = []
+        build = waring.macaulay_array
+
+        def counting(*args, **kwargs):
+            builds.append(args[3])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(waring, "macaulay_array", counting)
         with pytest.raises(DecompositionError) as exc:
             decompose(form, 49, seed=0)
+        assert builds == [e]
         diag = exc.value.diagnostics
         expected = list(expected_gap_and_table(3, d, 49)[1][d + 1:])
         assert diag["expected_quotient"] == expected
         assert len(diag["numerical_quotient"]) == len(expected) == e
         assert diag["numerical_quotient"][:-1] == expected[:-1]
         assert diag["numerical_quotient"][-1] < 49
+        kernel, _, _ = numerical_kernel(
+            waring._row_equilibrated(catalecticant(form, d)), rank_hint=49
+        )
+        assert diag["numerical_quotient"] == [
+            quotient_dim_oracle(3, d, kernel, t) for t in range(d + 1, d + e + 1)
+        ]
         message = str(exc.value)
         assert f"cokernel dimension {diag['numerical_quotient'][-1]}, expected 49" in message
         assert f"degrees {d + 1}..{d + e} are {diag['numerical_quotient']}" in message
@@ -547,6 +693,29 @@ class TestDecompose:
             tracemalloc.stop()
         assert result.residual <= 1e-8
         assert peak < 2 * matrix_bytes
+
+    def test_staircase_peaks_near_one_macaulay_matrix(self):
+        # at (4,12,200) the Macaulay matrix at d+e is 1365 x 1260 complex,
+        # 26.2 MiB.  Its blocks are factored one at a time: the peak is that
+        # buffer, one block's copy (at most 665 x 560), the cokernel basis
+        # and a chunk of reflectors, 1.33x.  Copying whole blocks of
+        # reflectors to build the basis took it to 1.52x, 512-column chunks
+        # to 1.55x, and keeping every block's factor would add a second copy
+        import scipy.linalg  # noqa: F401  (decompose imports it on first use)
+
+        n, D, r = 4, 12, 200
+        form = form_from_points(random_unit_points(n, r, seed=0), np.ones(r), D)
+        d, e = waring._working_parameters(n, r, D)
+        matrix_bytes = hs(n, d + e) * hs(n, e) * (hs(n, d) - r) * 16
+        assert matrix_bytes == 1365 * 1260 * 16
+        tracemalloc.start()
+        try:
+            result = decompose(form, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.residual <= 1e-8
+        assert peak < 1.54 * matrix_bytes
 
     def test_quotient_table_only_on_failure(self, monkeypatch):
         calls = []
