@@ -14,11 +14,13 @@ Every pivoted QR runs LAPACK geqp3 in place on a column-major buffer
 ``decompose`` builds the cokernel's Macaulay matrix column-major, in lex
 order, where it is a staircase: the shifts of each x_0-degree live in a
 top band of rows.  ``numerical_kernel`` factors it one block of shifts at
-a time, parking each block's reflectors in the matrix's own storage, so
-the pipeline holds one copy of its largest matrix plus one block, and the
-rank at every step gives the quotient at every degree up to d+e.  scipy
-is imported inside the functions that call it: the exact pipeline
-imports this module through the package and never loads scipy.
+a time, given only the blocks' column ends: it reads each block's band
+off the data and parks the block's reflectors in the matrix's own
+storage, so the pipeline holds one copy of its largest matrix plus one
+block, and the rank at every block end gives the quotient at every
+degree up to d+e.  scipy is imported inside the functions that call it:
+the exact pipeline imports this module through the package and never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .formulas import admissible, expected_gap_and_table
 from .grading import hs, mono_index, monomials, product_index_map
+from .modlinalg import _live_rows
 from .pointideals import evaluation_array, macaulay_array
 
 DEFAULT_TOL = 1e-8
@@ -227,37 +230,39 @@ def numerical_kernel(
     rank_hint: int | None = None,
     tol: float = DEFAULT_TOL,
     overwrite_a: bool = False,
-    steps=None,
+    ends=None,
 ):
     """Orthonormal basis of the right null space by column-pivoted QR.
 
-    Factors mat^H P = Q R with LAPACK geqp3, in place (``_pivoted_qr``).
-    mat^H is conjugated into a column-major copy of mat, and mat is left
-    unchanged.  With ``overwrite_a``, a row-major complex128 mat, whose
-    transpose is column-major, is conjugated in its own storage instead,
-    which then holds the factor: the caller gives mat up.  Pivoting makes
-    |diag(R)| non-increasing, and it stands in for the singular values:
-    an entry is kept when it is above tol relative to |R_00|, the largest
-    column norm of mat^H, or, given rank_hint, the first rank_hint entries
-    are.  The gap is the smallest kept entry over the largest dropped one:
-    0 when a kept entry is not above that cutoff, which only a hint can
-    ask for, and inf when nothing is dropped.  Without a hint, a gap under
-    10 means the cutoff is a guess, and that is reported as an error
-    rather than a silent choice.  The basis is the orthogonal complement
-    of the kept pivoted rows of mat; it is got by applying the kept
-    reflectors to unit vectors, never forming Q.
+    Factors mat^H P = Q R with LAPACK geqp3 (``_pivoted_qr``).  mat^H is
+    conjugated into a column-major copy of mat, and mat is left unchanged.
+    With ``overwrite_a``, a row-major complex128 mat, whose transpose is
+    column-major, is conjugated in its own storage instead, which then
+    holds the factor's reflectors: the caller gives mat up.  Pivoting
+    makes |diag(R)| non-increasing, and it stands in for the singular
+    values: an entry is kept when it is above tol relative to |R_00|, the
+    largest column norm of mat^H, or, given rank_hint, the first rank_hint
+    entries are.  The gap is the smallest kept entry over the largest
+    dropped one: 0 when a kept entry is not above that cutoff, which only
+    a hint can ask for, and inf when nothing is dropped.  Without a hint,
+    a gap under 10 means the cutoff is a guess, and that is reported as an
+    error rather than a silent choice.  The basis is the orthogonal
+    complement of the kept pivoted rows of mat; it is got by applying the
+    kept reflectors to unit vectors, never forming Q.
 
-    ``steps`` factors a staircase one block at a time.  It lists (end,
-    live) pairs, ends increasing to mat's row count and live counts not
-    decreasing: columns [previous end, end) of mat^H are zero past row
-    live.  Each block's rows from the rank so far up to live get their own
-    pivoted QR, with the cutoff above, and its kept reflectors are applied
-    to the columns right of the block and parked in the factored storage,
-    so pivoting stays inside a block and no factor is held twice.  One
-    step spanning mat^H, the default, is a plain pivoted QR.  A hint
-    applies to one step only.
+    ``ends`` factors a staircase one block of columns at a time: the block
+    ends 0 <= e_1 <= ... <= e_m, e_m the column count of mat^H.  A block
+    ending before the last column takes its rows from the rank so far down
+    to its last nonzero one, read off the data once the earlier blocks'
+    reflectors have reached it; a block reaching the last column takes
+    every remaining row.  Each block is copied out, gets its own pivoted
+    QR with the cutoff above, and has its kept reflectors applied to the
+    columns right of it and parked back in the factored storage, so
+    pivoting stays inside a block and no factor is held twice.  One block
+    spanning mat^H, the default, is a plain pivoted QR.  A hint applies to
+    one block only.
 
-    Returns (basis, rank, gap); given ``steps``, rank is the list of ranks
+    Returns (basis, rank, gap); given ``ends``, rank is the list of ranks
     of mat^H's leading columns up to each end.
     """
     if not 0 < tol < 1:
@@ -268,21 +273,18 @@ def numerical_kernel(
         adjoint = np.array(adjoint, order="F")
     np.conjugate(adjoint, out=adjoint)
     size, count = adjoint.shape
-    blocks = [(count, size)] if steps is None else list(steps)
-    ends, lives = [0] + [end for end, _ in blocks], [0] + [live for _, live in blocks]
-    if ends[-1] != count or lives[-1] > size or ends != sorted(ends) or lives != sorted(lives):
-        raise ValueError(f"steps {blocks} are no staircase of a {size} x {count} mat^H")
-    if rank_hint is not None and len(blocks) > 1:
-        raise ValueError("rank_hint applies to one step only")
+    bounds = [0, count] if ends is None else [0, *ends]
+    if bounds[-1] != count or bounds != sorted(bounds):
+        raise ValueError(f"ends {bounds[1:]} are no staircase of a {size} x {count} mat^H")
+    if rank_hint is not None and len(bounds) > 2:
+        raise ValueError("rank_hint applies to one block only")
     cutoff = tol * _largest_column_norm(adjoint)
 
     rank, ranks, kept = 0, [], []
     smallest, largest = math.inf, 0.0
-    for start, (end, live) in zip(ends, blocks):
-        block = adjoint[rank:live, start:end]
-        copied = not block.flags.f_contiguous
-        if copied:
-            block = np.array(block, order="F")
+    for start, end in zip(bounds, bounds[1:]):
+        live = size if end == count else rank + _live_rows(adjoint[rank:, start:end])
+        block = np.array(adjoint[rank:live, start:end], order="F")
         factor, tau, _ = _pivoted_qr(block)
         diag = np.abs(np.diagonal(factor))
         if rank_hint is None:
@@ -300,8 +302,7 @@ def numerical_kernel(
                 chunk = np.array(adjoint[rank:live, j : j + _CHUNK], order="F")
                 _apply_reflectors(b"L", b"C", factor[:, :k], tau[:k], chunk)
                 adjoint[rank:live, j : j + _CHUNK] = chunk
-        if k and copied:
-            adjoint[rank:live, start : start + k] = factor[:, :k]
+        adjoint[rank:live, start : start + k] = factor[:, :k]
         del block, factor  # a block's copy goes before the next one is made
         kept.append((rank, live, start, k, tau[:k]))
         rank += k
@@ -333,7 +334,7 @@ def numerical_kernel(
             _apply_reflectors(b"R", b"C", np.asfortranarray(reflectors), tau[a:b],
                               basis[:, row0 + a : live])
     basis = np.conjugate(basis, out=basis).T
-    return basis, (rank if steps is None else ranks), gap
+    return basis, (rank if ends is None else ranks), gap
 
 
 def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
@@ -398,9 +399,10 @@ def decompose(
 
     The Macaulay matrix is built once and factored as a staircase, one
     pivoted QR per x_0-degree block of its shifts (``numerical_kernel``
-    with ``steps``).  When its cokernel is not r-dimensional, the ranks at
-    the block boundaries give the quotient at every degree d+1..d+e,
-    reported beside the expected table.
+    with the blocks' column ``ends``; each block's rows are read off the
+    data).  When its cokernel is not r-dimensional, the ranks at the block
+    ends give the quotient at every degree d+1..d+e, reported beside the
+    expected table.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -436,13 +438,13 @@ def decompose(
     # numerical_kernel factors it in this one buffer, which is spent then.
     # Its rows and shifts descend in x_0's exponent: the shifts of
     # x_0-exponent e-k and up, the first g*hs(n,k) columns, are x_0^(e-k)
-    # times the Macaulay matrix at degree d+k and live in its top
-    # hs(n,d+k) rows.  Factored as that staircase, it gives the rank at
-    # every degree up to d+e from the one pass.
+    # times the Macaulay matrix at degree d+k.  Factored in blocks ending
+    # at those columns, each on the rows it is nonzero in, it gives the
+    # rank at every degree up to d+e from the one pass.
     g = kernel.shape[1]
     macaulay = macaulay_array(n, d, kernel, e, order="F")
-    steps = [(g * hs(n, k), hs(n, d + k)) for k in range(e + 1)]
-    cokernel, ranks, _ = numerical_kernel(macaulay.T, tol=tol, overwrite_a=True, steps=steps)
+    ends = [g * hs(n, k) for k in range(e + 1)]
+    cokernel, ranks, _ = numerical_kernel(macaulay.T, tol=tol, overwrite_a=True, ends=ends)
     del macaulay
     if cokernel.shape[1] != r:
         # the quotient at every degree up to d+e, beside the expected table
@@ -474,7 +476,7 @@ def decompose(
     _, _, pivots = _pivoted_qr(stacked)
     del stacked
     chosen = np.sort(pivots[:r])
-    blocks = np.stack([cokernel[shifts[k][chosen], :] for k in range(n + 1)])
+    blocks = cokernel[shifts[:, chosen]]
 
     rng = np.random.default_rng(seed)
     for _ in range(1 + _RETRY_DRAWS):
@@ -495,16 +497,10 @@ def decompose(
 
     n_prime = np.tensordot(ell_prime, blocks, axes=(0, 0))
     _, eigvecs = np.linalg.eig(np.linalg.solve(n_ell, n_prime))
-    inv_vecs = np.linalg.inv(eigvecs)
-
-    coords = np.empty((r, n + 1), dtype=np.complex128)
-    offdiag_max = 0.0
-    for k in range(n + 1):
-        conjugated = inv_vecs @ np.linalg.solve(n_ell, blocks[k]) @ eigvecs
-        coords[:, k] = np.diagonal(conjugated)
-        off = conjugated - np.diag(np.diagonal(conjugated))
-        offdiag_max = max(offdiag_max, float(np.max(np.abs(off))))
-    diagnostics["eigen_offdiag_max"] = offdiag_max
+    conjugated = np.linalg.inv(eigvecs) @ np.linalg.solve(n_ell, blocks) @ eigvecs
+    coords = np.diagonal(conjugated, axis1=1, axis2=2).T.copy()
+    conjugated[:, range(r), range(r)] = 0
+    diagnostics["eigen_offdiag_max"] = float(np.abs(conjugated).max())
 
     try:
         points, _ = _normalized_points(coords)
@@ -516,14 +512,12 @@ def decompose(
     residual = float(
         np.linalg.norm(system @ coefficients - form.coeffs) / form.norm
     )
-    diagnostics["residual"] = residual
     if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
         raise DecompositionError(
             f"FAILED_RESIDUAL: relative error {residual:.3e} exceeds "
             f"{RESIDUAL_LIMIT:.0e}",
-            diagnostics,
+            {**diagnostics, "residual": residual},
         )
-    del diagnostics["residual"]
     return DecompositionResult(points, coefficients, residual, diagnostics)
 
 

@@ -310,57 +310,57 @@ class TestPivotedQR:
 
 def macaulay_staircase(n, D, r, seed=0):
     """The cokernel's Macaulay matrix of a rank-r form as decompose builds
-    it, and its steps: the x_0-exponent boundaries of its shifts."""
+    it, and its block ends: the x_0-exponent boundaries of its shifts."""
     form = form_from_points(random_unit_points(n, r, seed), np.ones(r), D)
     d, e = waring._working_parameters(n, r, D)
     kernel, _, _ = numerical_kernel(
         waring._row_equilibrated(catalecticant(form, d)), rank_hint=r
     )
     g = kernel.shape[1]
-    return macaulay_array(n, d, kernel, e), [(g * hs(n, k), hs(n, d + k)) for k in range(e + 1)]
+    return macaulay_array(n, d, kernel, e), [g * hs(n, k) for k in range(e + 1)]
 
 
 def synthetic_staircase(seed, block0_scale=1.0):
     """A 14 x 12 staircase mat^H, blocks of columns [0,3), [3,7), [7,12)
     live in rows [0,5), [0,9), [0,14), with one column of block 0 a
     combination of the other two, and one of block 2 a combination of a
-    column of block 0 and one of block 1."""
+    column of block 0 and one of block 1.  Returns mat and the block ends."""
     rng = np.random.default_rng(seed)
-    steps = [(3, 5), (7, 9), (12, 14)]
     adjoint = np.zeros((14, 12), dtype=np.complex128)
     start = 0
-    for end, live in steps:
+    for end, live in [(3, 5), (7, 9), (12, 14)]:
         adjoint[:live, start:end] = planted_rank(rng, live, end - start, end - start)
         start = end
     adjoint[:, 2] = adjoint[:, 0] - 2j * adjoint[:, 1]
     adjoint[:, 10] = 0.5 * adjoint[:, 1] + adjoint[:, 5]
     adjoint[:, :3] *= block0_scale
-    return adjoint.conj().T, steps
+    return adjoint.conj().T, [3, 7, 12]
 
 
-def ranks_by_prefix(mat, steps):
-    """Rank of mat's leading rows up to each step's end, one plain
-    pivoted QR each."""
-    return [numerical_kernel(mat[:end])[1] for end, _ in steps]
+def ranks_by_prefix(mat, ends):
+    """Rank of mat's leading rows up to each end, one plain pivoted QR
+    each."""
+    return [numerical_kernel(mat[:end])[1] for end in ends]
 
 
 class TestStaircaseKernel:
-    """numerical_kernel with ``steps`` factors a staircase block by block;
-    it must find the one-step rank and kernel, the rank at every step."""
+    """numerical_kernel with ``ends`` factors a staircase block by block,
+    reading each block's rows off the data; it must find the one-block
+    rank and kernel, and the rank at every block end."""
 
     @pytest.mark.parametrize("shape", [(3, 10, 50), (3, 12, 80)])
     def test_macaulay_matches_one_step(self, shape):
-        macaulay, steps = macaulay_staircase(*shape)
+        macaulay, ends = macaulay_staircase(*shape)
         expected, expected_rank = reference_kernel(macaulay.T)
         whole, rank_whole, gap_whole = numerical_kernel(macaulay.T)
-        basis, ranks, gap = numerical_kernel(macaulay.T, steps=steps)
+        basis, ranks, gap = numerical_kernel(macaulay.T, ends=ends)
         assert ranks[-1] == rank_whole == expected_rank
         assert basis.shape == expected.shape == (macaulay.shape[0], shape[2])
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
         assert min_principal_cosine(whole, expected) >= 1 - 1e-10
         assert gap_whole / 2 <= gap <= 2 * gap_whole
         assert np.allclose(basis.conj().T @ basis, np.eye(shape[2]), atol=1e-12)
-        # the rank at each step is that of the Macaulay matrix one degree
+        # the rank at each end is that of the Macaulay matrix one degree
         # up, so they read off the expected quotient table from d to d+e
         n, D, r = shape
         d, e = waring._working_parameters(n, r, D)
@@ -369,14 +369,37 @@ class TestStaircaseKernel:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_planted_dependencies_within_and_across_blocks(self, seed):
-        mat, steps = synthetic_staircase(seed)
+        mat, ends = synthetic_staircase(seed)
         expected, expected_rank = reference_kernel(mat)
         _, rank_whole, gap_whole = numerical_kernel(mat)
-        basis, ranks, gap = numerical_kernel(mat, steps=steps)
-        assert ranks == ranks_by_prefix(mat, steps) == [2, 6, 10]
+        basis, ranks, gap = numerical_kernel(mat, ends=ends)
+        assert ranks == ranks_by_prefix(mat, ends) == [2, 6, 10]
         assert ranks[-1] == rank_whole == expected_rank
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
         assert gap_whole / 2 <= gap <= 2 * gap_whole
+
+    @pytest.mark.parametrize("ends, staircase_ranks", [
+        ([3, 7, 12], [2, 6, 10]),  # the staircase's own blocks
+        ([2, 5, 9, 12], [2, 4, 8, 10]),  # blocks that cut across its steps
+        ([6, 6, 12], [5, 5, 10]),  # an empty block
+        ([0, 12], [0, 10]),  # an empty first block
+    ])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_any_split_reads_its_rows_off_the_data(self, ends, staircase_ranks, dense):
+        # no block is told its rows: each is factored down to its last
+        # nonzero row, so any split of a staircase, or of a dense mat with
+        # no zero rows at all, gives the rank at every end
+        if dense:
+            mat = planted_rank(np.random.default_rng(1), 12, 14, 7)
+        else:
+            mat, _ = synthetic_staircase(0)
+        expected, expected_rank = reference_kernel(mat)
+        basis, ranks, _ = numerical_kernel(mat, ends=ends)
+        assert ranks == ranks_by_prefix(mat, ends)
+        assert ranks[-1] == expected_rank
+        if not dense:
+            assert ranks == staircase_ranks
+        assert min_principal_cosine(basis, expected) >= 1 - 1e-10
 
     def test_cutoff_is_relative_to_the_whole_matrix(self):
         # block 0's columns are the smallest, at 1e-10 of the rest: below
@@ -384,10 +407,10 @@ class TestStaircaseKernel:
         # dropped, though against block 0's own |R_00| they would be kept
         # (as they are when block 0 is factored alone).  The column of
         # block 2 was planted before the scaling, so it is independent now
-        mat, steps = synthetic_staircase(7, block0_scale=1e-10)
+        mat, ends = synthetic_staircase(7, block0_scale=1e-10)
         expected, expected_rank = reference_kernel(mat)
-        basis, ranks, gap = numerical_kernel(mat, steps=steps)
-        assert ranks_by_prefix(mat, steps)[0] == 2
+        basis, ranks, gap = numerical_kernel(mat, ends=ends)
+        assert ranks_by_prefix(mat, ends)[0] == 2
         assert ranks == [0, 4, 9]
         assert ranks[-1] == numerical_kernel(mat)[1] == expected_rank
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
@@ -396,25 +419,24 @@ class TestStaircaseKernel:
     def test_one_given_step_is_the_plain_factorization(self):
         mat = planted_rank(np.random.default_rng(2), 7, 9, 4)
         basis, rank_found, gap = numerical_kernel(mat)
-        stepped = numerical_kernel(mat, steps=[(7, 9)])
+        stepped = numerical_kernel(mat, ends=[7])
         assert stepped[0].tobytes() == basis.tobytes()
         assert stepped[1:] == ([rank_found], gap)
 
     def test_rank_hint_with_several_steps_rejected(self):
-        mat, steps = synthetic_staircase(0)
-        with pytest.raises(ValueError, match="one step"):
-            numerical_kernel(mat, rank_hint=10, steps=steps)
+        mat, ends = synthetic_staircase(0)
+        with pytest.raises(ValueError, match="one block"):
+            numerical_kernel(mat, rank_hint=10, ends=ends)
 
-    @pytest.mark.parametrize("steps", [
-        [(3, 5), (7, 9)],  # stops short of the last row of mat
-        [(7, 9), (3, 5), (12, 14)],  # ends out of order
-        [(3, 9), (7, 5), (12, 14)],  # live rows shrink
-        [(3, 5), (7, 9), (12, 15)],  # more live rows than mat^H has
+    @pytest.mark.parametrize("ends", [
+        [3, 7],  # stops short of the last column of mat^H
+        [7, 3, 12],  # ends out of order
+        [-1, 3, 12],  # a negative first end
     ])
-    def test_malformed_steps_rejected(self, steps):
+    def test_malformed_steps_rejected(self, ends):
         mat, _ = synthetic_staircase(0)
         with pytest.raises(ValueError, match="staircase"):
-            numerical_kernel(mat, steps=steps)
+            numerical_kernel(mat, ends=ends)
 
 
 class TestApolarity:
