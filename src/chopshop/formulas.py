@@ -256,11 +256,11 @@ def ci_hf(n: int, degrees, t: int) -> int:
     return sum(c * hs(n, t - j) for j, c in enumerate(_ci_numerator(degrees)) if t - j >= 0)
 
 
-def ci_table(n: int, degrees, t_max: int | None = None) -> HilbertTable:
-    """Complete-intersection Hilbert table through stabilization."""
-    rho = ci_socle(n, degrees)
-    top = max(rho, 0 if t_max is None else t_max)
-    vals = tuple(ci_hf(n, degrees, t) for t in range(top + 1))
+def ci_table(n: int, degrees) -> HilbertTable:
+    """Complete-intersection Hilbert table through stabilization, at the
+    socle degree rho.  Degree 0 is always evaluated, so degrees that give
+    no rho >= 0 meet ``ci_hf``'s checks."""
+    vals = tuple(ci_hf(n, degrees, t) for t in range(max(ci_socle(n, degrees), 0) + 1))
     return HilbertTable(n, vals, vals[-1])
 
 

@@ -202,21 +202,21 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
       linear forms cannot cover all p^(n+1) of them; past that the
       extension is needed.)
     * Full column rank at degree d-1 can be read off the degree-d kernel
-      K.  Take a variable x_i that vanishes at none of the points.  A form
-      f of degree d-1 vanishes on them iff x_i f does, so ker E_{d-1} is
-      isomorphic to the degree-d forms in the ideal that are divisible by
-      x_i.  Those are the vectors Kc whose coefficients vanish at the
-      hs(n-1,d) monomials not divisible by x_i, and c -> Kc is injective, so
-      ker E_{d-1} is isomorphic to the kernel of K restricted to those
-      rows.  Degree d-1 has full column rank iff that small matrix (at
-      most hs(n-1,d) x dim K) has full column rank.
+      K.  Lex order lists x_0's multiples first, so the first hs(n,d-1)
+      columns of E_d are E_{d-1} with row i scaled by x_0 at point i.  K
+      is in echelon-complement form (``kernel_basis``): each column's last
+      nonzero entry is at its free coordinate, a column of E_d that
+      depends on the columns before it.  So those first columns are
+      independent iff every column of K is nonzero below row hs(n,d-1),
+      and then E_{d-1} has full column rank.  When x_0 vanishes at none of
+      the points the scaling loses no rank, and the converse holds.
 
     So the check (``is_generic``) takes the kernel at degree d, whose size
-    gives the rank there, then ranks K's rows off x_i (when d >= 2); degree
-    d+1 needs no matrix.  When every variable vanishes at some point, which
-    needs a small prime, the check ranks the degree-(d-1) evaluation matrix
-    itself instead.  Either way a draw is accepted exactly when the three
-    ranks are full.
+    gives the rank there, then looks where K's columns end (when d >= 2);
+    degree d+1 needs no matrix.  Only when some column ends too high and
+    x_0 vanishes at some point, which needs a small prime, does the check
+    rank the degree-(d-1) evaluation matrix itself.  Either way a draw is
+    accepted exactly when the three ranks are full.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
@@ -238,9 +238,10 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
 
 def is_generic(config: PointConfig) -> bool:
     """Whether the points pass the genericity check of ``sample_points``:
-    full rank at degrees d-1 and d, hence at d+1.  Sampling and replay both
-    decide by it.  A configuration that passes keeps its degree-d kernel as
-    the degree-d component of its ideal."""
+    full rank at degree d, read off the size of its kernel, at degree d-1,
+    read off where the kernel's columns end, hence at d+1.  Sampling and
+    replay both decide by it.  A configuration that passes keeps its
+    degree-d kernel as the degree-d component of its ideal."""
     n, d = config.n, CaseParams(config.n, config.r).d
     kernel = kernel_basis(evaluation_matrix(config, d))
     if hs(n, d) - kernel.cols != config.r:
@@ -254,16 +255,18 @@ def is_generic(config: PointConfig) -> bool:
 def _full_rank_below(coords: np.ndarray, prime: PrimeField, d: int,
                      kernel: ModMatrix) -> bool:
     """Whether the points impose hs(n,d-1) conditions in degree d-1, given
-    the degree-d kernel (the third lemma of ``sample_points``).  It takes
-    bare coordinates, not a ``PointConfig``, so any matrix can test it."""
+    the degree-d kernel (the third lemma of ``sample_points``): yes when
+    every kernel column ends below row hs(n,d-1), no when some column ends
+    above it and x_0 vanishes at none of the points, and otherwise the
+    rank of the degree-(d-1) evaluation matrix.  It takes bare
+    coordinates, not a ``PointConfig``, so any matrix can test it."""
     n = coords.shape[1] - 1
-    nonvanishing = np.flatnonzero(coords.all(axis=0))
-    if nonvanishing.size == 0:
-        below = evaluation_array(coords, d - 1, prime.p)
-        return rank(ModMatrix(prime, below, _trusted=True)) == hs(n, d - 1)
-    i = int(nonvanishing[0])
-    off_xi = [m[i] == 0 for m in monomials(n, d)]
-    return rank(ModMatrix(prime, kernel.array[off_xi], _trusted=True)) == kernel.cols
+    if kernel.array[hs(n, d - 1):].any(axis=0).all():
+        return True
+    if coords[:, 0].all():
+        return False
+    below = evaluation_array(coords, d - 1, prime.p)
+    return rank(ModMatrix(prime, below, _trusted=True)) == hs(n, d - 1)
 
 
 def evaluation_matrix(config: PointConfig, t: int) -> ModMatrix:

@@ -11,16 +11,18 @@ factorizations and by residual checks.
 
 Every pivoted QR runs LAPACK geqp3 in place on a column-major buffer
 (``_pivoted_qr``), and reflectors are applied with LAPACK unmqr.
-``decompose`` builds the cokernel's Macaulay matrix column-major, in lex
-order, where it is a staircase: the shifts of each x_0-degree live in a
-top band of rows.  ``numerical_kernel`` factors it one block of shifts at
-a time, given only the blocks' column ends: it reads each block's band
-off the data and parks the block's reflectors in the matrix's own
-storage, so the pipeline holds one copy of its largest matrix plus one
-block, and the rank at every block end gives the quotient at every
-degree up to d+e.  scipy is imported inside the functions that call it:
-the exact pipeline imports this module through the package and never
-loads scipy.
+``numerical_kernel`` is handed the adjoint mat^H of the matrix whose
+kernel it finds, as such a buffer, and spends it.  ``decompose`` builds
+the cokernel's Macaulay matrix column-major, in lex order, where it is a
+staircase: the shifts of each x_0-degree live in a top band of rows.
+Conjugated in its own storage it is the adjoint, and ``numerical_kernel``
+factors it one block of shifts at a time, given only the blocks' column
+ends: it reads each block's band off the data and parks the block's
+reflectors back, so the pipeline holds one copy of its largest matrix
+plus one block, and the rank at every block end gives the quotient at
+every degree up to d+e.  scipy is imported inside the functions that
+call it: the exact pipeline imports this module through the package and
+never loads scipy.
 """
 
 from __future__ import annotations
@@ -160,10 +162,12 @@ def catalecticant(form: SymmetricForm, a: int) -> np.ndarray:
     return out
 
 
-def _row_equilibrated(mat: np.ndarray) -> np.ndarray:
-    """mat with each nonzero row scaled to unit norm.  A row norm that is
-    not a finite float (a non-finite entry, or squares that overflow)
-    raises ValueError instead of zeroing its row or filling it with NaN."""
+def _equilibrated_adjoint(mat: np.ndarray) -> np.ndarray:
+    """The adjoint of mat with each nonzero row scaled to unit norm, as a
+    fresh Fortran-ordered array for ``numerical_kernel`` to spend.  A row
+    norm that is not a finite float (a non-finite entry, or squares that
+    overflow) raises ValueError instead of zeroing its row or filling it
+    with NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(mat, axis=1)
     if not np.isfinite(norms).all():
@@ -171,8 +175,8 @@ def _row_equilibrated(mat: np.ndarray) -> np.ndarray:
             "the catalecticant has rows of non-finite norm: the form's "
             "coefficients are not finite, or overflow once weighted"
         )
-    scale = np.where(norms > 0, norms, 1.0)
-    return mat / scale[:, None]
+    scaled = mat / np.where(norms > 0, norms, 1.0)[:, None]
+    return np.conjugate(scaled, out=scaled).T
 
 
 def _largest_column_norm(a: np.ndarray) -> float:
@@ -208,47 +212,41 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return factor, tau, pivots
 
 
-def _apply_reflectors(side: bytes, trans: bytes, reflectors, tau, c: np.ndarray) -> None:
-    """c <- Q c, Q^H c, c Q or c Q^H in place (``side`` b"L" or b"R",
-    ``trans`` b"N" or b"C"), for Q the product of the Householder
-    reflectors that geqp3 left in the columns of ``reflectors``: LAPACK
-    unmqr after a workspace query.  c must be Fortran-ordered, so that
-    unmqr writes into its storage."""
+def _apply_reflectors(side: bytes, reflectors, tau, c: np.ndarray) -> None:
+    """c <- Q^H c or c Q^H in place (``side`` b"L" or b"R"), for Q the
+    product of the Householder reflectors that geqp3 left in the columns
+    of ``reflectors``: LAPACK unmqr after a workspace query.  c must be
+    Fortran-ordered, so that unmqr writes into its storage."""
     import scipy.linalg
 
     if not c.flags.f_contiguous:
         raise ValueError("unmqr updates a Fortran-ordered array in place")
     unmqr = scipy.linalg.get_lapack_funcs("unmqr", (reflectors,))
-    *_, work, _ = unmqr(side, trans, reflectors, tau, c, -1)
-    *_, info = unmqr(side, trans, reflectors, tau, c, int(work[0].real), overwrite_c=1)
+    *_, work, _ = unmqr(side, b"C", reflectors, tau, c, -1)
+    *_, info = unmqr(side, b"C", reflectors, tau, c, int(work[0].real), overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"unmqr failed with info {info}")
 
 
-def numerical_kernel(
-    mat,
-    rank_hint: int | None = None,
-    tol: float = DEFAULT_TOL,
-    overwrite_a: bool = False,
-    ends=None,
-):
-    """Orthonormal basis of the right null space by column-pivoted QR.
+def numerical_kernel(adjoint: np.ndarray, rank_hint: int | None = None,
+                     tol: float = DEFAULT_TOL, ends=None):
+    """Orthonormal basis of the right null space of mat, by column-pivoted
+    QR of its adjoint.
 
-    Factors mat^H P = Q R with LAPACK geqp3 (``_pivoted_qr``).  mat^H is
-    conjugated into a column-major copy of mat, and mat is left unchanged.
-    With ``overwrite_a``, a row-major complex128 mat, whose transpose is
-    column-major, is conjugated in its own storage instead, which then
-    holds the factor's reflectors: the caller gives mat up.  Pivoting
-    makes |diag(R)| non-increasing, and it stands in for the singular
-    values: an entry is kept when it is above tol relative to |R_00|, the
-    largest column norm of mat^H, or, given rank_hint, the first rank_hint
-    entries are.  The gap is the smallest kept entry over the largest
-    dropped one: 0 when a kept entry is not above that cutoff, which only
-    a hint can ask for, and inf when nothing is dropped.  Without a hint,
-    a gap under 10 means the cutoff is a guess, and that is reported as an
-    error rather than a silent choice.  The basis is the orthogonal
-    complement of the kept pivoted rows of mat; it is got by applying the
-    kept reflectors to unit vectors, never forming Q.
+    Factors ``adjoint`` = mat^H as mat^H P = Q R with LAPACK geqp3, in
+    place as ``_pivoted_qr`` does: it must be a writable, Fortran-ordered
+    complex128 array that the caller gives up, and its storage ends up
+    holding the kept reflectors.  Any other array raises ValueError.
+    Pivoting makes |diag(R)| non-increasing, and it stands in for the
+    singular values: an entry is kept when it is above tol relative to
+    |R_00|, the largest column norm of mat^H, or, given rank_hint, the
+    first rank_hint entries are.  The gap is the smallest kept entry over
+    the largest dropped one: 0 when a kept entry is not above that cutoff,
+    which only a hint can ask for, and inf when nothing is dropped.
+    Without a hint, a gap under 10 means the cutoff is a guess, and that
+    is reported as an error rather than a silent choice.  The basis is the
+    orthogonal complement of the kept pivoted rows of mat; it is got by
+    applying the kept reflectors to unit vectors, never forming Q.
 
     ``ends`` factors a staircase one block of columns at a time: the block
     ends 0 <= e_1 <= ... <= e_m, e_m the column count of mat^H.  A block
@@ -257,21 +255,20 @@ def numerical_kernel(
     reflectors have reached it; a block reaching the last column takes
     every remaining row.  Each block is copied out, gets its own pivoted
     QR with the cutoff above, and has its kept reflectors applied to the
-    columns right of it and parked back in the factored storage, so
-    pivoting stays inside a block and no factor is held twice.  One block
-    spanning mat^H, the default, is a plain pivoted QR.  A hint applies to
-    one block only.
+    columns right of it and parked back in ``adjoint``, so pivoting stays
+    inside a block and no factor is held twice.  One block spanning
+    mat^H, the default, is a plain pivoted QR.  A hint applies to one
+    block only.
 
-    Returns (basis, rank, gap); given ``ends``, rank is the list of ranks
-    of mat^H's leading columns up to each end.
+    Returns (basis, ranks, gap), ranks the rank of mat^H's leading columns
+    up to each block end: one entry per block, so [k] for one block.
     """
     if not 0 < tol < 1:
         raise ValueError(f"need tol in (0, 1), got {tol}")
-    arr = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
-    adjoint = arr.T
-    if not (overwrite_a and adjoint.flags.f_contiguous and adjoint.flags.writeable):
-        adjoint = np.array(adjoint, order="F")
-    np.conjugate(adjoint, out=adjoint)
+    if not (adjoint.dtype == np.complex128 and adjoint.flags.f_contiguous
+            and adjoint.flags.writeable):
+        raise ValueError("numerical_kernel factors a writable, Fortran-ordered "
+                         "complex128 mat^H in place")
     size, count = adjoint.shape
     bounds = [0, count] if ends is None else [0, *ends]
     if bounds[-1] != count or bounds != sorted(bounds):
@@ -300,7 +297,7 @@ def numerical_kernel(
         if k and end < count:
             for j in range(end, count, _CHUNK):
                 chunk = np.array(adjoint[rank:live, j : j + _CHUNK], order="F")
-                _apply_reflectors(b"L", b"C", factor[:, :k], tau[:k], chunk)
+                _apply_reflectors(b"L", factor[:, :k], tau[:k], chunk)
                 adjoint[rank:live, j : j + _CHUNK] = chunk
         adjoint[rank:live, start : start + k] = factor[:, :k]
         del block, factor  # a block's copy goes before the next one is made
@@ -331,10 +328,10 @@ def numerical_kernel(
         for a in reversed(range(0, k, _CHUNK)):
             b = min(a + _CHUNK, k)
             reflectors = adjoint[row0 + a : live, start + a : start + b]
-            _apply_reflectors(b"R", b"C", np.asfortranarray(reflectors), tau[a:b],
+            _apply_reflectors(b"R", np.asfortranarray(reflectors), tau[a:b],
                               basis[:, row0 + a : live])
     basis = np.conjugate(basis, out=basis).T
-    return basis, (rank if ends is None else ranks), gap
+    return basis, ranks, gap
 
 
 def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
@@ -413,9 +410,7 @@ def decompose(
 
     with np.errstate(over="ignore", invalid="ignore"):
         cat = catalecticant(form, d)
-    kernel, cat_rank, cat_gap = numerical_kernel(
-        _row_equilibrated(cat), rank_hint=r, tol=tol, overwrite_a=True
-    )
+    kernel, (cat_rank,), cat_gap = numerical_kernel(_equilibrated_adjoint(cat), r, tol=tol)
     diagnostics = {
         "catalecticant_rank": cat_rank,
         "kernel_dim": kernel.shape[1],
@@ -428,14 +423,13 @@ def decompose(
                                  f"to its first entry at index {r - 1}, so the form's "
                                  f"rank is probably not {r}",
                                  {**diagnostics, "catalecticant_gap": cat_gap})
-    if kernel.shape[1] == 0:
-        raise DecompositionError("catalecticant kernel is empty", diagnostics)
 
     # Cokernel under the bilinear pairing: vectors x with x^T M = 0.  For
     # the true ideal these are spanned by the evaluation functionals
     # f -> f(z_i), unconjugated, which is what the eigenvalue step needs.
-    # The matrix is built column-major, so its transpose is row-major and
-    # numerical_kernel factors it in this one buffer, which is spent then.
+    # They are the kernel of M^T, whose adjoint is M conjugated: built
+    # column-major and conjugated in its own storage, M is the buffer
+    # numerical_kernel factors, and it is spent then.
     # Its rows and shifts descend in x_0's exponent: the shifts of
     # x_0-exponent e-k and up, the first g*hs(n,k) columns, are x_0^(e-k)
     # times the Macaulay matrix at degree d+k.  Factored in blocks ending
@@ -444,7 +438,8 @@ def decompose(
     g = kernel.shape[1]
     macaulay = macaulay_array(n, d, kernel, e, order="F")
     ends = [g * hs(n, k) for k in range(e + 1)]
-    cokernel, ranks, _ = numerical_kernel(macaulay.T, tol=tol, overwrite_a=True, ends=ends)
+    cokernel, ranks, _ = numerical_kernel(np.conjugate(macaulay, out=macaulay), tol=tol,
+                                          ends=ends)
     del macaulay
     if cokernel.shape[1] != r:
         # the quotient at every degree up to d+e, beside the expected table

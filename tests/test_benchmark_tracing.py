@@ -7,9 +7,12 @@ else.  The first test resolves every pair; the second checks that the
 command reaches each name it patches in ``chopshop.cli``; the third pins
 the ``numerical_kernel`` call order the tracer's kernel split relies on;
 the fourth checks that a graded elimination still shows up as one traced
-Macaulay build.
+Macaulay build; the fifth checks that every other name a module imports
+is used there, so that an import kept only for the tracer is one of its
+targets.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -17,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
 
 def load_tracing():
@@ -143,3 +147,25 @@ def test_a_pass_builds_one_macaulay_matrix(n, r, capsys):
     metrics = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
     assert metrics["pointideals.macaulay_matrix_calls"] == 1
     assert metrics["pointideals.macaulay_matrix.max_mb"] == shape[0] * shape[1] * 8 / 1e6
+
+
+def test_every_import_is_used_or_traced():
+    """A name a module imports but never uses is dead, unless the tracer
+    patches it there (``pointideals.gap_upper_bound`` is looked up by
+    ``TARGETS`` only).  ``__init__`` re-exports, so it is not checked."""
+    traced = set(load_tracing().TARGETS)
+    unused = []
+    for path in sorted((ROOT / "src" / "chopshop").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                imported.update(alias.asname or alias.name.partition(".")[0]
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in sorted(imported - used)
+                   if (path.stem, name) not in traced]
+    assert unused == []

@@ -138,9 +138,9 @@ class TestSampling:
             cfg = sample_points(n, r, P, SEED)
             d = CaseParams(n, r).d
             assert cfg.retries == 0
-            # the degree-d kernel, then the rank of its rows off one variable
-            assert calls == [("kernel", (r, hs(n, d))),
-                             ("rank", (hs(n - 1, d), hs(n, d) - r))]
+            # the degree-d kernel, whose columns all end below row
+            # hs(n,d-1), so degree d-1 needs no rank
+            assert calls == [("kernel", (r, hs(n, d)))]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

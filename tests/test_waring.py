@@ -74,6 +74,18 @@ def min_principal_cosine(a, b):
     return float(np.linalg.svd(a.conj().T @ b, compute_uv=False).min())
 
 
+def kernel_of(mat, *args, **kwargs):
+    """numerical_kernel of mat, handed mat^H as the Fortran-ordered copy it
+    factors in place."""
+    adjoint = np.array(np.conj(mat).T, dtype=np.complex128, order="F")
+    return numerical_kernel(adjoint, *args, **kwargs)
+
+
+def read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 def planted_rank(rng, rows, cols, k):
     left = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
     right = rng.standard_normal((k, cols)) + 1j * rng.standard_normal((k, cols))
@@ -110,8 +122,8 @@ class TestFormFromPoints:
         form = form_from_points(Z, np.ones(18), 10)
         cat = catalecticant(form, 5)
         assert cat.shape == (21, 21)
-        _, rank_found, gap = numerical_kernel(cat)
-        assert rank_found == 18
+        _, rank_found, gap = kernel_of(cat)
+        assert rank_found == [18]
         assert gap > 1e6
 
 
@@ -157,9 +169,9 @@ class TestCatalecticant:
 
 class TestNumericalKernel:
     def test_identity_has_empty_kernel(self):
-        basis, rank_found, gap = numerical_kernel(np.eye(5))
+        basis, rank_found, gap = kernel_of(np.eye(5))
         assert basis.shape == (5, 0)
-        assert rank_found == 5
+        assert rank_found == [5]
         assert math.isinf(gap)
 
     @settings(max_examples=20, deadline=None)
@@ -170,8 +182,8 @@ class TestNumericalKernel:
         left = rng.standard_normal((8, k)) + 1j * rng.standard_normal((8, k))
         right = rng.standard_normal((k, 7)) + 1j * rng.standard_normal((k, 7))
         mat = left @ right
-        basis, rank_found, gap = numerical_kernel(mat)
-        assert rank_found == k
+        basis, rank_found, gap = kernel_of(mat)
+        assert rank_found == [k]
         assert basis.shape == (7, 7 - k)
         assert gap > 1e6
         assert np.allclose(mat @ basis, 0, atol=1e-10)
@@ -186,8 +198,8 @@ class TestNumericalKernel:
     def test_matches_reference_kernel(self, rows, cols, k, seed):
         mat = planted_rank(np.random.default_rng(seed), rows, cols, k)
         expected, expected_rank = reference_kernel(mat)
-        basis, rank_found, _ = numerical_kernel(mat)
-        assert rank_found == expected_rank == k
+        basis, rank_found, _ = kernel_of(mat)
+        assert rank_found == [expected_rank] == [k]
         assert basis.shape == expected.shape == (cols, cols - k)
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
         assert np.allclose(basis.conj().T @ basis, np.eye(cols - k), atol=1e-12)
@@ -196,12 +208,12 @@ class TestNumericalKernel:
     def test_rank_hint_matches_reference_kernel(self, rows, cols, k):
         mat = planted_rank(np.random.default_rng(rows * cols + k), rows, cols, k)
         expected, _ = reference_kernel(mat)
-        basis, rank_found, gap = numerical_kernel(mat, rank_hint=k)
-        assert rank_found == k
+        basis, rank_found, gap = kernel_of(mat, rank_hint=k)
+        assert rank_found == [k]
         assert gap > 1e6
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
         with pytest.raises(ValueError, match="rank_hint"):
-            numerical_kernel(mat, rank_hint=min(rows, cols) + 1)
+            kernel_of(mat, rank_hint=min(rows, cols) + 1)
 
     def test_ambiguous_rotated_diagonal_raises(self):
         # orthogonal rows of norms 1, 2e-8 and 0.9e-8 in a random unitary
@@ -213,71 +225,73 @@ class TestNumericalKernel:
         )
         mat = np.diag([1.0, 2e-8, 0.9e-8]) @ frame
         with pytest.raises(AmbiguousRankError, match="R-diagonal"):
-            numerical_kernel(mat, tol=1e-8)
+            kernel_of(mat, tol=1e-8)
         # a hint takes the cutoff as given and still reports the gap there
-        basis, rank_found, gap = numerical_kernel(mat, rank_hint=2)
-        assert rank_found == 2 and 2 < gap < 3
+        basis, rank_found, gap = kernel_of(mat, rank_hint=2)
+        assert rank_found == [2] and 2 < gap < 3
         assert basis.shape == (3, 1)
 
     def test_macaulay_cokernel_matches_reference(self):
         Z = random_unit_points(3, 50, seed=4)
         form = form_from_points(Z, np.ones(50), 10)
         d, e = waring._working_parameters(3, 50, 10)
-        kernel, _, _ = numerical_kernel(catalecticant(form, d), rank_hint=50)
+        kernel, _, _ = kernel_of(catalecticant(form, d), rank_hint=50)
         macaulay = macaulay_array(3, d, kernel, e)
         expected, expected_rank = reference_kernel(macaulay.T)
-        cokernel, rank_found, _ = numerical_kernel(macaulay.T)
-        assert rank_found == expected_rank
+        cokernel, rank_found, _ = kernel_of(macaulay.T)
+        assert rank_found == [expected_rank]
         assert cokernel.shape == expected.shape == (hs(3, d + e), 50)
         assert min_principal_cosine(cokernel, expected) >= 1 - 1e-10
 
     def test_rank_hint_overrides(self):
         mat = np.diag([1.0, 1e-3, 1e-12])
-        basis, rank_found, _ = numerical_kernel(mat, rank_hint=1)
-        assert rank_found == 1
+        basis, rank_found, _ = kernel_of(mat, rank_hint=1)
+        assert rank_found == [1]
         assert basis.shape == (3, 2)
 
     def test_rank_hint_past_exact_zeros_has_no_cutoff(self):
         # diag(R) is 1, 0, 0: at the hint 2 the last kept entry is already
         # 0, which is no cutoff at all, not a perfect one
-        basis, rank_found, gap = numerical_kernel(np.diag([1.0, 0, 0]), rank_hint=2)
-        assert rank_found == 2 and gap == 0
+        basis, rank_found, gap = kernel_of(np.diag([1.0, 0, 0]), rank_hint=2)
+        assert rank_found == [2] and gap == 0
         assert basis.shape == (3, 1)
-        assert numerical_kernel(np.diag([1.0, 0, 0]), rank_hint=1)[2] == math.inf
+        assert kernel_of(np.diag([1.0, 0, 0]), rank_hint=1)[2] == math.inf
 
     def test_ambiguous_spectrum_raises(self):
         # 2e-8 sits above the cutoff and 0.9e-8 below, only a factor 2.2 apart
         mat = np.diag([1.0, 2e-8, 0.9e-8])
         with pytest.raises(AmbiguousRankError):
-            numerical_kernel(mat, tol=1e-8)
+            kernel_of(mat, tol=1e-8)
 
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
-            numerical_kernel(np.eye(2), tol=2.0)
+            kernel_of(np.eye(2), tol=2.0)
 
     @pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0)])
     def test_empty_matrix_has_the_whole_space_as_kernel(self, rows, cols):
         # LAPACK rejects a geqp3 with no rows, so these never reach it
-        basis, rank_found, gap = numerical_kernel(np.zeros((rows, cols)))
-        assert rank_found == 0 and math.isinf(gap)
+        basis, rank_found, gap = kernel_of(np.zeros((rows, cols)))
+        assert rank_found == [0] and math.isinf(gap)
         assert np.array_equal(basis, np.eye(cols))
 
-    @pytest.mark.parametrize("given", [
-        lambda mat: mat.copy(),  # row-major: spent only when allowed
-        lambda mat: np.asfortranarray(mat),  # its transpose is row-major
-        lambda mat: mat.real.copy(),  # converted to complex first
+    @pytest.mark.parametrize("invalid", [
+        pytest.param(np.ascontiguousarray, id="row-major"),
+        pytest.param(lambda adjoint: np.asfortranarray(adjoint.real), id="real"),
+        pytest.param(read_only, id="read-only"),
     ])
-    def test_argument_unchanged_unless_it_may_be_overwritten(self, given):
+    def test_factors_only_an_adjoint_it_may_spend(self, invalid):
+        # like _pivoted_qr, it takes a writable, Fortran-ordered complex128
+        # mat^H and spends it; it converts and copies nothing
         mat = planted_rank(np.random.default_rng(5), 7, 9, 4)
-        arg = given(mat)
-        before = arg.copy()
-        expected = numerical_kernel(arg)
-        assert np.array_equal(arg, before)
-        found = numerical_kernel(arg, overwrite_a=True)
-        if arg.dtype == np.complex128 and arg.flags.c_contiguous:
-            assert not np.array_equal(arg, before)  # it holds the factor now
-        else:
-            assert np.array_equal(arg, before)  # no buffer to factor in place
+        adjoint = np.array(mat.conj().T, order="F")
+        given = invalid(adjoint.copy(order="F"))
+        before = given.copy()
+        with pytest.raises(ValueError, match="writable, Fortran-ordered complex128"):
+            numerical_kernel(given)
+        assert np.array_equal(given, before)
+        expected = numerical_kernel(adjoint.copy(order="F"))
+        found = numerical_kernel(adjoint)
+        assert not np.array_equal(adjoint, mat.conj().T)  # it holds the factor now
         assert found[0].tobytes() == expected[0].tobytes()
         assert found[1:] == expected[1:]
 
@@ -314,7 +328,7 @@ def macaulay_staircase(n, D, r, seed=0):
     form = form_from_points(random_unit_points(n, r, seed), np.ones(r), D)
     d, e = waring._working_parameters(n, r, D)
     kernel, _, _ = numerical_kernel(
-        waring._row_equilibrated(catalecticant(form, d)), rank_hint=r
+        waring._equilibrated_adjoint(catalecticant(form, d)), rank_hint=r
     )
     g = kernel.shape[1]
     return macaulay_array(n, d, kernel, e), [g * hs(n, k) for k in range(e + 1)]
@@ -340,7 +354,7 @@ def synthetic_staircase(seed, block0_scale=1.0):
 def ranks_by_prefix(mat, ends):
     """Rank of mat's leading rows up to each end, one plain pivoted QR
     each."""
-    return [numerical_kernel(mat[:end])[1] for end in ends]
+    return [kernel_of(mat[:end])[1][0] for end in ends]
 
 
 class TestStaircaseKernel:
@@ -352,9 +366,9 @@ class TestStaircaseKernel:
     def test_macaulay_matches_one_step(self, shape):
         macaulay, ends = macaulay_staircase(*shape)
         expected, expected_rank = reference_kernel(macaulay.T)
-        whole, rank_whole, gap_whole = numerical_kernel(macaulay.T)
-        basis, ranks, gap = numerical_kernel(macaulay.T, ends=ends)
-        assert ranks[-1] == rank_whole == expected_rank
+        whole, rank_whole, gap_whole = kernel_of(macaulay.T)
+        basis, ranks, gap = kernel_of(macaulay.T, ends=ends)
+        assert ranks[-1:] == rank_whole == [expected_rank]
         assert basis.shape == expected.shape == (macaulay.shape[0], shape[2])
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
         assert min_principal_cosine(whole, expected) >= 1 - 1e-10
@@ -371,10 +385,10 @@ class TestStaircaseKernel:
     def test_planted_dependencies_within_and_across_blocks(self, seed):
         mat, ends = synthetic_staircase(seed)
         expected, expected_rank = reference_kernel(mat)
-        _, rank_whole, gap_whole = numerical_kernel(mat)
-        basis, ranks, gap = numerical_kernel(mat, ends=ends)
+        _, rank_whole, gap_whole = kernel_of(mat)
+        basis, ranks, gap = kernel_of(mat, ends=ends)
         assert ranks == ranks_by_prefix(mat, ends) == [2, 6, 10]
-        assert ranks[-1] == rank_whole == expected_rank
+        assert ranks[-1:] == rank_whole == [expected_rank]
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
         assert gap_whole / 2 <= gap <= 2 * gap_whole
 
@@ -394,7 +408,7 @@ class TestStaircaseKernel:
         else:
             mat, _ = synthetic_staircase(0)
         expected, expected_rank = reference_kernel(mat)
-        basis, ranks, _ = numerical_kernel(mat, ends=ends)
+        basis, ranks, _ = kernel_of(mat, ends=ends)
         assert ranks == ranks_by_prefix(mat, ends)
         assert ranks[-1] == expected_rank
         if not dense:
@@ -409,24 +423,24 @@ class TestStaircaseKernel:
         # block 2 was planted before the scaling, so it is independent now
         mat, ends = synthetic_staircase(7, block0_scale=1e-10)
         expected, expected_rank = reference_kernel(mat)
-        basis, ranks, gap = numerical_kernel(mat, ends=ends)
+        basis, ranks, gap = kernel_of(mat, ends=ends)
         assert ranks_by_prefix(mat, ends)[0] == 2
         assert ranks == [0, 4, 9]
-        assert ranks[-1] == numerical_kernel(mat)[1] == expected_rank
+        assert ranks[-1:] == kernel_of(mat)[1] == [expected_rank]
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
         assert gap > 1e6
 
     def test_one_given_step_is_the_plain_factorization(self):
         mat = planted_rank(np.random.default_rng(2), 7, 9, 4)
-        basis, rank_found, gap = numerical_kernel(mat)
-        stepped = numerical_kernel(mat, ends=[7])
+        basis, rank_found, gap = kernel_of(mat)
+        stepped = kernel_of(mat, ends=[7])
         assert stepped[0].tobytes() == basis.tobytes()
-        assert stepped[1:] == ([rank_found], gap)
+        assert stepped[1:] == (rank_found, gap) and rank_found == [4]
 
     def test_rank_hint_with_several_steps_rejected(self):
         mat, ends = synthetic_staircase(0)
         with pytest.raises(ValueError, match="one block"):
-            numerical_kernel(mat, rank_hint=10, ends=ends)
+            kernel_of(mat, rank_hint=10, ends=ends)
 
     @pytest.mark.parametrize("ends", [
         [3, 7],  # stops short of the last column of mat^H
@@ -436,14 +450,14 @@ class TestStaircaseKernel:
     def test_malformed_steps_rejected(self, ends):
         mat, _ = synthetic_staircase(0)
         with pytest.raises(ValueError, match="staircase"):
-            numerical_kernel(mat, ends=ends)
+            kernel_of(mat, ends=ends)
 
 
 class TestApolarity:
     def test_kernel_vectors_annihilate(self):
         Z = random_unit_points(2, 18, seed=5)
         form = form_from_points(Z, np.ones(18), 10)
-        kernel, _, _ = numerical_kernel(catalecticant(form, 5), rank_hint=18)
+        kernel, _, _ = kernel_of(catalecticant(form, 5), rank_hint=18)
         assert kernel.shape[1] == 3
         # the kernel's orthonormal columns differentiate the form to zero
         image = catalecticant(form, 5) @ kernel
@@ -675,7 +689,7 @@ class TestDecompose:
         assert diag["numerical_quotient"][:-1] == expected[:-1]
         assert diag["numerical_quotient"][-1] < 49
         kernel, _, _ = numerical_kernel(
-            waring._row_equilibrated(catalecticant(form, d)), rank_hint=49
+            waring._equilibrated_adjoint(catalecticant(form, d)), rank_hint=49
         )
         assert diag["numerical_quotient"] == [
             quotient_dim_oracle(3, d, kernel, t) for t in range(d + 1, d + e + 1)
