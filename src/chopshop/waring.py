@@ -20,9 +20,11 @@ factors it one block of shifts at a time, given only the blocks' column
 ends: it reads each block's band off the data and parks the block's
 reflectors back, so the pipeline holds one copy of its largest matrix
 plus one block, and the rank at every block end gives the quotient at
-every degree up to d+e.  scipy is imported inside the functions that
-call it: the exact pipeline imports this module through the package and
-never loads scipy.
+every degree up to d+e.  The r shifts that index the multiplication
+matrices come from a pivoted QR of a seeded (r+8)-row Gaussian sketch of
+the shift stack, which is never built.  scipy is imported inside the
+functions that call it: the exact pipeline imports this module through
+the package and never loads scipy.
 """
 
 from __future__ import annotations
@@ -378,6 +380,38 @@ def _normalized_points(points) -> tuple[np.ndarray, np.ndarray]:
     return out, scales
 
 
+def _sketched_shifts(cokernel: np.ndarray, shifts: np.ndarray, r: int,
+                     seed: int) -> np.ndarray:
+    """The r monomials of degree d+e-1, sorted, whose shifted cokernel rows
+    are as independent as possible: the first r pivots of a pivoted QR of
+    the shift stack S, whose k-th block of r rows is C_k^T for C_k =
+    cokernel[shifts[k]], of size hs(n,d+e-1) x r.
+
+    S is never built.  Its rows lie in the span of the r evaluation
+    functionals, so S = U W with U an (n+1)r x r matrix of orthonormal
+    columns.  For G the column of n+1 complex Gaussian blocks G_k, each
+    r x (r+8), the sketch G^T S = (G^T U) W has the same row space, and the
+    (r+8) x r Gaussian G^T U is well conditioned with high probability: the
+    pivots of the sketch's QR pick columns about as well as the stack's
+    would (Martinsson, Quintana-Orti, Heavner and van de Geijn, "Householder
+    QR factorization with randomization for column pivoting", SIAM J. Sci.
+    Comput. 2017; Duersch and Gu, "Randomized QR with column pivoting",
+    SIAM J. Sci. Comput. 2017).  The sketch is Y^T for Y = sum_k C_k G_k,
+    hs(n,d+e-1) x (r+8) and row-major, so Y^T is the Fortran-ordered array
+    the QR factors.  The G_k come from a generator of their own, seeded
+    [seed, 1], which leaves the draws of a generator seeded ``seed`` as
+    they were.
+    """
+    gauss = np.random.default_rng([seed, 1])
+    size = (r, r + 8)
+    sketch = np.zeros((shifts.shape[1], r + 8), dtype=np.complex128)
+    for row in shifts:
+        sketch += cokernel[row, :] @ (gauss.standard_normal(size)
+                                      + 1j * gauss.standard_normal(size))
+    _, _, pivots = _pivoted_qr(sketch.T)
+    return np.sort(pivots[:r])
+
+
 def decompose(
     form: SymmetricForm,
     r: int,
@@ -460,17 +494,13 @@ def decompose(
             diagnostics,
         )
 
-    # Pick r monomials of degree d+e-1 whose shifted cokernel rows are as
-    # independent as possible; they index the multiplication matrices.
+    # Pick r monomials of degree d+e-1 to index the multiplication
+    # matrices, by a pivoted QR of an (r+8)-row Gaussian sketch of the
+    # shift stack, seeded from ``seed`` (``_sketched_shifts``).
     # shifts[k, b]: position in degree d+e of x_k times the b-th monomial
     # of degree d+e-1 (monomials(n, 1)[k] is x_k)
     shifts = product_index_map(n, d + e - 1, 1)
-    stacked = np.empty(((n + 1) * r, shifts.shape[1]), dtype=np.complex128, order="F")
-    for k in range(n + 1):
-        stacked[k * r : (k + 1) * r] = cokernel[shifts[k], :].T
-    _, _, pivots = _pivoted_qr(stacked)
-    del stacked
-    chosen = np.sort(pivots[:r])
+    chosen = _sketched_shifts(cokernel, shifts, r, seed)
     blocks = cokernel[shifts[:, chosen]]
 
     rng = np.random.default_rng(seed)
@@ -490,9 +520,12 @@ def decompose(
         )
     diagnostics["cokernel_condition"] = condition
 
-    n_prime = np.tensordot(ell_prime, blocks, axes=(0, 0))
-    _, eigvecs = np.linalg.eig(np.linalg.solve(n_ell, n_prime))
-    conjugated = np.linalg.inv(eigvecs) @ np.linalg.solve(n_ell, blocks) @ eigvecs
+    solved = np.linalg.solve(n_ell, blocks)
+    # the coefficient system below is larger than blocks, and may reuse its
+    # memory: kept, blocks raised the peak RSS at (4,12,200) by 4 MB
+    del blocks
+    _, eigvecs = np.linalg.eig(np.tensordot(ell_prime, solved, axes=(0, 0)))
+    conjugated = np.linalg.inv(eigvecs) @ solved @ eigvecs
     coords = np.diagonal(conjugated, axis1=1, axis2=2).T.copy()
     conjugated[:, range(r), range(r)] = 0
     diagnostics["eigen_offdiag_max"] = float(np.abs(conjugated).max())

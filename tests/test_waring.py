@@ -586,13 +586,20 @@ class TestDecompose:
         assert result.diagnostics["eigen_offdiag_max"] <= 1e-6 * scale
 
     def test_deterministic_for_fixed_seed(self):
+        # the sketch and the linear forms draw from generators of their
+        # own, so numpy's global state is left alone
         Z = random_unit_points(2, 10, seed=21)
         form = form_from_points(Z, np.ones(10), 8)
+        state = np.random.get_state()
         first = decompose(form, 10, seed=5)
+        after = np.random.get_state()
         second = decompose(form, 10, seed=5)
         assert np.array_equal(first.points, second.points)
         assert np.array_equal(first.coefficients, second.coefficients)
         assert first.residual == second.residual
+        assert list(first.diagnostics.items()) == list(second.diagnostics.items())
+        assert after[0] == state[0] and np.array_equal(after[1], state[1])
+        assert after[2:] == state[2:]
 
     def test_scale_and_permutation_invariance(self):
         rng = np.random.default_rng(31)
@@ -774,6 +781,51 @@ class TestDecompose:
         gram = np.abs(result.points @ result.points.conj().T)
         np.fill_diagonal(gram, 0.0)
         assert gram.max() < 1.0 - 1e-6  # no two rows projectively equal
+
+
+SKETCH_CASES = [(2, 10, 18, seed) for seed in range(3)] + [(3, 12, 80, seed) for seed in range(3)]
+
+
+class TestShiftSketch:
+    @pytest.mark.parametrize("n, D, r, seed", SKETCH_CASES)
+    def test_picks_columns_about_as_well_conditioned_as_the_full_qr(
+            self, monkeypatch, n, D, r, seed):
+        # the sketch's r columns of the (n+1)r x hs(n,d+e-1) shift stack
+        # against the first r pivots of a full pivoted QR of the stack
+        import scipy.linalg
+
+        select, factor = waring._sketched_shifts, waring._pivoted_qr
+        calls, shapes = [], []
+
+        def recording_select(cokernel, shifts, rank, draw_seed):
+            shapes.clear()  # the QRs before this one are the kernels'
+            chosen = select(cokernel, shifts, rank, draw_seed)
+            calls.append((cokernel, shifts, rank, draw_seed, chosen))
+            return chosen
+
+        def recording_factor(a):
+            shapes.append(a.shape)
+            return factor(a)
+
+        monkeypatch.setattr(waring, "_sketched_shifts", recording_select)
+        monkeypatch.setattr(waring, "_pivoted_qr", recording_factor)
+        decompose(form_from_points(random_unit_points(n, r, seed), np.ones(r), D), r, seed=seed)
+        (cokernel, shifts, rank, draw_seed, chosen), = calls
+        assert (rank, draw_seed) == (r, seed)
+        assert shapes == [(r + 8, shifts.shape[1])]  # the stack is never built
+        assert chosen.shape == (r,) and np.all(np.diff(chosen) > 0)
+        stack = np.concatenate([cokernel[row, :].T for row in shifts])
+        assert stack.shape == ((n + 1) * r, shifts.shape[1])
+        _, _, pivots = scipy.linalg.qr(stack, pivoting=True, mode="economic")
+        best = np.linalg.cond(stack[:, pivots[:r]])
+        assert np.linalg.cond(stack[:, chosen]) <= 10 * best
+
+    @pytest.mark.parametrize("n, D, r, seed", SKETCH_CASES)
+    def test_recovers_the_planted_points(self, n, D, r, seed):
+        result, point_err, coeff_err = roundtrip_case(n, D, r, seed, decompose_seed=seed)
+        assert point_err <= 1e-9
+        assert coeff_err <= 1e-9
+        assert result.residual <= 1e-12
 
 
 class TestSerialization:
