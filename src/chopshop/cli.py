@@ -201,7 +201,7 @@ def _cmd_hf(args: argparse.Namespace) -> int:
     ceiling = _ceiling(prediction.bound)
     top = params.d + prediction.gap
     degrees = list(range(top + 1))
-    generic = generic_table(params, top)
+    generic = generic_table(params)
     lex_floor = lex_lower_bound_table(params, top)
     rows = {
         "generic": [generic.value_at(t) for t in degrees],

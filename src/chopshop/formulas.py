@@ -60,13 +60,9 @@ def generic_hf(params: CaseParams, t: int) -> int:
     return min(hs(params.n, t), params.r)
 
 
-def generic_table(params: CaseParams, t_max: int | None = None) -> HilbertTable:
-    """Generic Hilbert table, stored through its stabilization degree."""
-    if t_max is None:
-        t_max = params.d
-    vals = [generic_hf(params, t) for t in range(t_max + 1)]
-    if vals[-1] != params.r:
-        vals += [generic_hf(params, t) for t in range(t_max + 1, params.d + 1)]
+def generic_table(params: CaseParams) -> HilbertTable:
+    """Generic Hilbert table, stored through d, where it reaches r."""
+    vals = [generic_hf(params, t) for t in range(params.d + 1)]
     return HilbertTable(params.n, tuple(vals), params.r)
 
 

@@ -11,12 +11,11 @@ in-place LU factorization in LAPACK getrf's convention: each multiplier
 (entry times pivot inverse) is parked below its pivot, a unit-lower L, and
 the pivot rows stay unscaled, U.  It is blocked right-looking LU, one
 left-to-right pass over panels of at most 32 columns: eliminate the panel
-one pivot at a time, solve its pivot rows right of it by the inverse of
-their triangle, and update the rows below with one modular product.
-Pivoting is deterministic: the first row with a nonzero entry, columns
-left to right, so the pivot columns are the column rank profile.  Only
-``kernel_basis`` scales pivot rows to unit pivots; callers that need only a
-rank or the pivot columns skip that pass.
+one pivot at a time, then take its pivots to the columns right of it by
+one forward step.  Pivoting is deterministic: the first row with a
+nonzero entry, columns left to right, so the pivot columns are the column
+rank profile.  Only ``kernel_basis`` scales pivot rows to unit pivots;
+callers that need only a rank or the pivot columns skip that pass.
 
 Two devices from delayed-reduction linear algebra (FFLAS-FFPACK) keep the
 work in BLAS.  A product balances both operands to residues of least
@@ -24,10 +23,11 @@ absolute value and splits only the left one into 16-bit limbs, so a single
 float64 product over up to 170 inner indices is exact at every p < 2**31
 (``_mul_mod``), and the reduction mod p waits until it is done; an update
 subtracts the product from its rows before that one reduction, and only the
-result is converted back, straight into the int32 rows.  A panel inverts
-its pivots' unit-lower triangle on the identity by forward substitution
-(``_lower_inverse``), so solving its pivot rows is one modular product too;
-the inverse is then dropped, since nothing later solves over those pivots.
+result is converted back, straight into the int32 rows.  One forward
+step (``_forward``) solves a block's pivot rows by the inverse of their
+unit-lower triangle (``_lower_inverse``, by forward substitution on the
+identity) as one product and updates the rows below (``_update``), once
+per panel of ``_echelon`` and per 32-row block of ``kernel_basis``.
 
 The elimination works only on live rows, read off the data: a panel on the
 rows down to the last one nonzero in its columns, and each update on the
@@ -229,6 +229,14 @@ def _update(a: np.ndarray, p: int, row: int, piv: list[int], x: np.ndarray,
         _mul_mod(a[row:row + live, piv], x, p, c[:live])
 
 
+def _forward(a: np.ndarray, p: int, row: int, piv, x: np.ndarray) -> None:
+    """x <- L^-1 x mod p in place, for L the unit-lower multipliers parked
+    in columns ``piv`` of ``a`` from ``row`` on."""
+    k = len(piv)
+    x[:k] = _mul_mod(_lower_inverse(a[row:row + k, piv], p), x[:k], p)
+    _update(a, p, row + k, piv, x[:k], x[k:])
+
+
 def _echelon(a: np.ndarray, p: int) -> list[int]:
     """In-place LU factorization with row swaps; returns the pivot columns.
 
@@ -247,10 +255,8 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
     below stay zero in the panel's columns throughout.  It copies those
     rows of its columns to int64, where a product of two residues fits,
     eliminates them one pivot at a time, swapping whole rows in both the
-    copy and ``a``, and writes the reduced copy back.  Then the panel's
-    pivots reach the columns right of it: the pivot rows there are solved
-    by the inverse of their unit-lower triangle (L on the pivots' rows and
-    columns), and the rows below are updated by one ``_update``.
+    copy and ``a``, and writes the reduced copy back.  Then one
+    ``_forward`` takes the panel's pivots to the columns right of it.
 
     Row swaps, pivots and D^-1 U (D the pivot values) match elimination with
     unit pivot rows: a row below a pivot is updated by (entry / pivot) times
@@ -290,9 +296,7 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
             continue
         cols = [c0 + lc for lc in found]
         if c1 < n:
-            top = a[row0:row0 + row, c1:]
-            top[...] = _mul_mod(_lower_inverse(panel[:row, found], p), top, p)
-            _update(a, p, row0 + row, cols, top, a[row0 + row:, c1:])
+            _forward(a, p, row0, cols, a[row0:, c1:])
         piv += cols
     return piv
 
@@ -319,20 +323,14 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
     r = len(piv)
     if r and free.size:
         # reduced echelon form on the free columns: U11^-1 times them, for
-        # U11 the pivot columns with rows scaled to unit pivots, solved as
-        # the lower triangle it becomes with rows and columns reversed
-        scale = np.array([pow(int(v), -1, p) for v in a[np.arange(r), piv]],
-                         dtype=np.int64)[:, None]
-        reduced = (a[:r, free] * scale % p).astype(np.int32)
-        u11 = (a[:r, piv] * scale % p).astype(np.int32)
-        # block forward substitution over _LEAF-row blocks: solve a block
-        # by its triangle's inverse, then update the rows below it
-        t, b = u11[::-1, ::-1], reduced[::-1]
+        # U11 the pivot columns with rows scaled to unit pivots, in w as the
+        # lower triangle it becomes with rows and columns reversed
+        inv = [pow(int(v), -1, p) for v in a[np.arange(r), piv][::-1]]
+        w = a[r - 1::-1, np.concatenate([piv[::-1], free])]
+        w = (w * np.array(inv, dtype=np.int64)[:, None] % p).astype(np.int32)
         for i in range(0, r, _LEAF):
-            j = min(i + _LEAF, r)
-            b[i:j] = _mul_mod(_lower_inverse(t[i:j, i:j], p), b[i:j], p)
-            _update(t, p, j, range(i, j), b[i:j], b[j:])
-        basis[piv] = (p - reduced) % p
+            _forward(w, p, i, range(i, min(i + _LEAF, r)), w[i:, r:])
+        basis[piv] = (p - w[::-1, r:]) % p
     return ModMatrix(m.field, basis, _trusted=True)
 
 

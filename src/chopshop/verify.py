@@ -3,8 +3,11 @@
 A single case samples generic points over F_p, scans the chopped quotient,
 compares it with the closed-form prediction, and emits a certificate: the
 prime, the seed, the coordinates, and both value tables.  Anyone can replay
-the certificate and land on the same integers, and one passing witness
-settles the generic case by semicontinuity.
+the certificate and land on the same integers.  The expected value is a
+proven lower bound below degree 2d (a column count) and where it is r (the
+points); from 2d on it rests on the Koszul syzygies of the degree-d forms
+staying independent, not yet shown for chopped ideals.  Until it is, a
+PASS bounds the generic quotient only from above, by semicontinuity.
 
 The harness also hunts for monomial ideals with the same chopped Hilbert
 behavior (a combinatorial certificate needing no sampling at all) and runs
@@ -139,8 +142,9 @@ def _tuples(value):
 
 
 class SelfCheckError(RuntimeError):
-    """An observed quotient fell below its lower bound, the expected value:
-    a bug in chopshop's arithmetic, never a verdict about the case."""
+    """An observed quotient below the expected value: never a verdict, and a
+    bug in chopshop's arithmetic where that value is a proven lower bound
+    (below degree 2d and at r; see ``_certificate``)."""
 
 
 def _certificate(params: CaseParams, prediction: GapPrediction, config: PointConfig | None,
@@ -156,15 +160,15 @@ def _certificate(params: CaseParams, prediction: GapPrediction, config: PointCon
     else:
         profile = chopped_profile(config, e_max=e_max)
         observed = profile.observed.values
-        # The expected value bounds the observed one from below at every
-        # degree.  Up to the predicted gap it is max(Froeberg coefficient, r).
-        # The Froeberg coefficient (Math. Scand. 56, 1985) is hs(n,t) less the
-        # Macaulay matrix's s*hs(n,t-d) columns, plus, from degree 2d on, the
-        # Koszul syzygies f_i*f_j = f_j*f_i among them, counted as
-        # independent.  And the chopped ideal lies in the ideal of the points,
-        # whose quotient the genericity check makes r from degree d on.  Past
-        # the gap the expected value is r.  So a genuine FAIL is a rank
-        # deficit, observed above expected, and a value below is a bug.
+        # The expected value is taken to bound the observed one from below:
+        # max(Froeberg coefficient, r) up to the predicted gap, r past it.  r
+        # is proven: the chopped ideal lies in the ideal of the points, whose
+        # quotient the genericity check makes r from degree d on.  The
+        # Froeberg coefficient (Math. Scand. 56, 1985) is hs(n,t) less the
+        # s*hs(n,t-d) Macaulay columns, proven below degree 2d; from 2d on it
+        # adds the Koszul syzygies f_i*f_j = f_j*f_i as independent, not yet
+        # shown for chopped ideals.  So a genuine FAIL is a rank deficit,
+        # observed above expected, and a value below is taken to be a bug.
         mismatch = None
         for t, value in enumerate(observed):
             expected = prediction.table.value_at(t)

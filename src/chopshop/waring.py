@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import admissible, expected_gap_and_table
+from .formulas import admissible, ci_socle, expected_gap_and_table
 from .grading import hs, mono_index, monomials, product_index_map
 from .modlinalg import _live_rows
 from .pointideals import evaluation_array, macaulay_array
@@ -342,13 +342,13 @@ def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
     Degrees with r < hs(n,d) - n support the full pipeline.  The boundary
     r = hs(n,d) - n is usable exactly when the kernel is a complete
     intersection cutting out d^n = r points; its quotient settles at r by
-    degree n(d-1), giving the gap formula below.
+    its socle degree n(d-1) (``ci_socle``), giving the gap below.
     """
     for d in range(1, D // 2 + 1):
         if admissible(n, d, r):
             return d, expected_gap_and_table(n, d, r)[0]
         if d**n == r == hs(n, d) - n:
-            return d, max(1, n * (d - 1) - d)
+            return d, max(1, ci_socle(n, (d,) * n) - d)
     raise UnsupportedRankError(
         f"rank {r} needs a generation degree past {D // 2}; "
         f"degree {D} is too small"

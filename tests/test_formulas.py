@@ -317,7 +317,7 @@ class TestLiaison:
     def test_fig2_style_case_in_p4(self):
         # 121 generic points inside four quintics: the difference tables
         # split at degree 5 by exactly one.
-        dz = first_difference(generic_table(CaseParams(4, 121), 5))
+        dz = first_difference(generic_table(CaseParams(4, 121)))
         dk = first_difference(ci_table(4, (5, 5, 5, 5)))
         assert dk.value_at(5) - dz.value_at(5) == 1
 

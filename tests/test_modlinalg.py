@@ -375,6 +375,40 @@ class TestLeafInverses:
         assert row == len(piv)
 
 
+class TestForwardStep:
+    @pytest.mark.parametrize("m, n, k", [(200, 200, 150), (60, 44, 44)])
+    def test_one_forward_step_per_panel_and_kernel_block(self, m, n, k):
+        # at leaf 8 a panel that finds a pivot and has columns right of it
+        # runs one _forward, and the kernel one per 8-row block of its r
+        # pivot rows; each _forward inverts one triangle.  (60, 44, 44)
+        # finds pivots in its last panel, which has nothing right of it
+        rng = np.random.default_rng(4)
+        p = F.p
+        a = product_with_zeros(rng, p, m, n, k)
+        counts = {"_forward": 0, "_lower_inverse": 0}
+
+        def counted(name):
+            real = getattr(modlinalg, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        with mock.patch.object(modlinalg, "_LEAF", 8), \
+                mock.patch.object(modlinalg, "_forward", counted("_forward")), \
+                mock.patch.object(modlinalg, "_lower_inverse", counted("_lower_inverse")):
+            piv = _echelon(a.copy(), p)
+            panels = len({c // 8 for c in piv if c // 8 * 8 + 8 < n})
+            assert counts == {"_forward": panels, "_lower_inverse": panels}
+            ker = kernel_basis(ModMatrix(F, a, _trusted=True))
+        blocks = -(-len(piv) // 8)
+        assert counts == {"_forward": 2 * panels + blocks,
+                          "_lower_inverse": 2 * panels + blocks}
+        assert ker.cols == n - len(piv) > 0
+        assert not _mul_mod(a, ker.array, p).any()
+
+
 class TestEchelon:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))

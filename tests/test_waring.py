@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chopshop.formulas import CaseParams, expected_gap_and_table, predicted_gap
+from chopshop.formulas import CaseParams, admissible, expected_gap_and_table, predicted_gap
 from chopshop.grading import hs, monomials
 from chopshop import waring
-from chopshop.pointideals import macaulay_array
+from chopshop.pointideals import evaluation_array, macaulay_array
 from chopshop.waring import (
     AmbiguousRankError,
     DecompositionError,
@@ -504,6 +504,33 @@ class TestGapAtDegree:
                     assert len(table) == d + gap + 1
                     assert table[d] == table[-1] == r
                     assert all(v > r for v in table[d + 1:-1])
+
+
+class TestNumericalTwin:
+    def test_exact_tables_match_the_floating_point_staircase(self):
+        # The expected tables the exact pipeline certifies, witnessed over C
+        # with no elimination code from modlinalg: every 8th admissible r of
+        # each acceptance grid, r unit-circle points, their degree-d forms as
+        # the evaluation matrix's numerical kernel, and the quotient at every
+        # degree d+1..d+G read off one staircase factorization of the
+        # Macaulay matrix at the predicted gap G.
+        cases = 0
+        for n, r_to in ((2, 300), (3, 200), (4, 150)):
+            grid = [r for r in range(1, r_to + 1) if admissible(n, CaseParams(n, r).d, r)]
+            for r in grid[::8]:
+                d = CaseParams(n, r).d
+                gap, table = expected_gap_and_table(n, d, r)
+                points = random_unit_points(n, r, r)
+                adjoint = np.conjugate(evaluation_array(points, d)).T
+                kernel, _, _ = numerical_kernel(adjoint, r)
+                g = kernel.shape[1]
+                macaulay = macaulay_array(n, d, kernel, gap, order="F")
+                _, ranks, _ = numerical_kernel(np.conjugate(macaulay, out=macaulay),
+                                               ends=[g * hs(n, k) for k in range(gap + 1)])
+                observed = [hs(n, d + k) - ranks[k] for k in range(1, gap + 1)]
+                assert observed == list(table[d + 1:]), (n, r)
+                cases += 1
+        assert cases == 66
 
 
 def quotient_dim_oracle(n, d, kernel, t, tol=1e-8):
