@@ -355,14 +355,23 @@ def _cmd_liaison(args: argparse.Namespace) -> int:
     return 0
 
 
+def _gap(value: float | None) -> str:
+    # an R-diagonal gap is null in the payload when it is infinite: no entry was dropped
+    return "inf" if value is None else f"{value:.3e}"
+
+
 def _decomposition_lines(payload: dict) -> list[str]:
     diag = payload["diagnostics"]
+    top, observed = diag["macaulay_degree"], diag["numerical_quotient"]
     lines = [
         f"residual: {payload['residual']:.3e}",
         f"catalecticant rank {diag['catalecticant_rank']}, "
         f"kernel dim {diag['kernel_dim']}, macaulay degree {diag['macaulay_degree']}",
         f"cokernel condition {diag['cokernel_condition']:.3e}, "
         f"eigen offdiag max {diag['eigen_offdiag_max']:.3e}",
+        f"quotient at degrees {top - len(observed) + 1}..{top}: numerical {observed}, "
+        f"expected {diag['expected_quotient']}; R-diagonal gap catalecticant "
+        f"{_gap(diag['catalecticant_gap'])}, cokernel {_gap(diag['cokernel_gap'])}",
     ]
     if "point_recovery" in payload:
         lines.append(

@@ -8,6 +8,7 @@ lower bounds, complete-intersection tables, and liaison bookkeeping.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,12 +95,25 @@ def koszul_sum(n: int, d: int, s: int, t: int) -> int:
     The expected chopped quotient, the Froeberg series and the closed form
     of the "rmax_general" family are all this one sum.
     """
-    total = 0
-    k = 0
-    while t - k * d >= 0:
-        total += (-1) ** k * hs(n, t - k * d) * math.comb(s, k)
-        k += 1
-    return total
+    return _series(n, [(d, s)], t)
+
+
+def _series(n: int, runs, t: int) -> int:
+    """Degree-t coefficient of the product of (1 - T^d)^m over the runs
+    (d, m), divided by (1 - T)^(n+1).
+
+    Each factor expands as the sum over k of (-1)^k C(m,k) T^(kd); the
+    numerator is kept through degree t only, and its term c T^j adds
+    c hs(n, t-j).  A negative t gives 0.
+    """
+    terms = {0: 1}
+    for d, m in runs:
+        expanded = defaultdict(int)
+        for j, c in terms.items():
+            for k in range((t - j) // d + 1):
+                expanded[j + k * d] += (-1) ** k * math.comb(m, k) * c
+        terms = expanded
+    return sum(c * hs(n, t - j) for j, c in terms.items())
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +192,14 @@ def froberg(n: int, d: int, s: int, t: int) -> int:
 
 def lex_lower_bound_table(params: CaseParams, t_max: int) -> HilbertTable:
     """Capped Froeberg table: the proven lexicographic floor for the
-    chopped quotient.  Froeberg values until they first drop to r, then r."""
+    chopped quotient.  Froeberg values until they first drop to r, then r.
+
+    It equals the expected table through d + gap, which is why ``hf``
+    prints equal "chopped" and "lex floor" rows: before t1 every Koszul
+    value is positive (hs(n,t) below d, r at d, above r after), so the
+    truncation never applies, and t1 = d + gap is where it first drops to
+    at most r.
+    """
     n, d = params.n, params.d
     s = hs(n, d) - params.r
     t1 = d + 1
@@ -224,32 +245,18 @@ def ci_socle(n: int, degrees) -> int:
     return sum(degrees) - n
 
 
-@lru_cache(maxsize=None)
-def _ci_numerator(degrees: tuple[int, ...]) -> tuple[int, ...]:
-    # Coefficients of prod_i (1 - T^{d_i}).
-    coeffs = [1]
-    for d in degrees:
-        nxt = coeffs + [0] * d
-        for i, c in enumerate(coeffs):
-            nxt[i + d] -= c
-        coeffs = nxt
-    return tuple(coeffs)
-
-
 def ci_hf(n: int, degrees, t: int) -> int:
     """Hilbert function of a complete intersection of n forms in n+1 variables.
 
-    Series expansion of prod (1 - T^{d_i}) / (1 - T)^{n+1}; the value
-    stabilizes at prod d_i from the socle degree on.
+    Series expansion of prod (1 - T^{d_i}) / (1 - T)^{n+1} (``_series``);
+    the value stabilizes at prod d_i from the socle degree on.
     """
     degrees = tuple(int(d) for d in degrees)
     if len(degrees) != n:
         raise ValueError(f"need exactly n={n} degrees, got {len(degrees)}")
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be positive")
-    if t < 0:
-        return 0
-    return sum(c * hs(n, t - j) for j, c in enumerate(_ci_numerator(degrees)) if t - j >= 0)
+    return _series(n, [(d, 1) for d in degrees], t)
 
 
 def ci_table(n: int, degrees) -> HilbertTable:

@@ -12,8 +12,8 @@ factorizations and by residual checks.
 Every pivoted QR runs LAPACK geqp3 in place on a column-major buffer
 (``_pivoted_qr``), and reflectors are applied with LAPACK unmqr.
 ``numerical_kernel`` is handed the adjoint mat^H of the matrix whose
-kernel it finds, as such a buffer, and spends it.  ``decompose`` builds
-the cokernel's Macaulay matrix column-major, in lex order, where it is a
+kernel it finds, as such a buffer, and spends it.  ``cokernel_quotients``
+builds the Macaulay matrix column-major, in lex order, where it is a
 staircase: the shifts of each x_0-degree live in a top band of rows.
 Conjugated in its own storage it is the adjoint, and ``numerical_kernel``
 factors it one block of shifts at a time, given only the blocks' column
@@ -113,14 +113,8 @@ class DecompositionResult:
 
 def _multinomials(n: int, D: int) -> np.ndarray:
     """Multinomial coefficients D!/(b_0! ... b_n!) per degree-D monomial."""
-    out = np.empty(hs(n, D), dtype=np.float64)
-    for i, m in enumerate(monomials(n, D)):
-        value, used = 1, 0
-        for b in m:
-            used += b
-            value *= math.comb(used, b)
-        out[i] = float(value)
-    return out
+    top = math.factorial(D)
+    return np.array([float(top // math.prod(map(math.factorial, m))) for m in monomials(n, D)])
 
 
 def form_from_points(points, coefficients, D: int) -> SymmetricForm:
@@ -144,24 +138,23 @@ def catalecticant(form: SymmetricForm, a: int) -> np.ndarray:
 
     Rows are indexed by degree D-a monomials, columns by degree-a
     monomials; entry (beta, alpha) is coeffs[alpha+beta] * (alpha+beta)!/beta!
-    with factorials taken componentwise.  The weights are accumulated as
-    floating-point products of small integer ranges, so no factorial is
-    ever formed whole.
+    with factorials taken componentwise.  The weight is the product over
+    the variables of (b+k)!/b!, b = beta_v and k = alpha_v, each gathered
+    from one (D-a+1) x (a+1) table of those exact integers.  The result is
+    C-ordered, as ``_equilibrated_adjoint`` needs.
     """
     n, D = form.n, form.D
     if not 0 <= a <= D:
         raise ValueError(f"need 0 <= a <= {D}, got {a}")
+    falling = np.array([[math.perm(b + k, k) for k in range(a + 1)] for b in range(D - a + 1)],
+                       dtype=np.float64)
     rows = np.asarray(monomials(n, D - a), dtype=np.int64)
-    cols = monomials(n, a)
-    positions = product_index_map(n, D - a, a)
-    out = np.empty((rows.shape[0], len(cols)), dtype=np.complex128)
-    for j, alpha in enumerate(cols):
-        weight = np.ones(rows.shape[0], dtype=np.float64)
-        for var, power in enumerate(alpha):
-            for step in range(1, power + 1):
-                weight *= rows[:, var] + step
-        out[:, j] = form.coeffs[positions[j, :]] * weight
-    return out
+    cols = np.asarray(monomials(n, a), dtype=np.int64)
+    weight = np.ones((rows.shape[0], cols.shape[0]), dtype=np.float64)
+    for var in range(n + 1):
+        weight *= falling[rows[:, var, None], cols[:, var]]
+    positions = np.ascontiguousarray(product_index_map(n, D - a, a).T)
+    return form.coeffs[positions] * weight
 
 
 def _equilibrated_adjoint(mat: np.ndarray) -> np.ndarray:
@@ -336,6 +329,37 @@ def numerical_kernel(adjoint: np.ndarray, rank_hint: int | None = None,
     return basis, ranks, gap
 
 
+def cokernel_quotients(n: int, d: int, forms: np.ndarray, e: int,
+                       tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list[int], float]:
+    """Cokernel of the Macaulay matrix M at degree d+e of the degree-d
+    ``forms`` (columns over ``monomials(n, d)``), and the quotient that M
+    shows at every degree d+1..d+e.
+
+    The cokernel is taken under the bilinear pairing: the vectors x with
+    x^T M = 0.  For the ideal of points these are spanned by the evaluation
+    functionals f -> f(z_i), unconjugated, which is what the eigenvalue step
+    of ``decompose`` needs.  They are the kernel of M^T, whose adjoint is M
+    conjugated: built column-major and conjugated in its own storage, M is
+    the buffer ``numerical_kernel`` factors, and it is spent then.
+
+    M's rows and shifts descend in x_0's exponent: the shifts of x_0-exponent
+    e-k and up, the first g*hs(n,k) columns for g forms, are x_0^(e-k) times
+    the Macaulay matrix at degree d+k.  Factored in blocks ending at those
+    columns, each on the rows it is nonzero in, M gives the rank at every
+    degree up to d+e from the one pass, and hs(n,d+k) minus that rank is
+    the quotient at degree d+k.
+
+    Returns (cokernel, quotients, gap): the cokernel's orthonormal basis as
+    columns, the quotient at degrees d+1..d+e, and the smallest R-diagonal
+    gap over the blocks, inf when no block drops an entry.
+    """
+    g = forms.shape[1]
+    macaulay = macaulay_array(n, d, forms, e, order="F")
+    cokernel, ranks, gap = numerical_kernel(np.conjugate(macaulay, out=macaulay), tol=tol,
+                                            ends=[g * hs(n, k) for k in range(e + 1)])
+    return cokernel, [hs(n, d + k) - ranks[k] for k in range(1, e + 1)], gap
+
+
 def _working_parameters(n: int, r: int, D: int) -> tuple[int, int]:
     """Smallest usable generation degree d <= D/2 and its gap e.
 
@@ -429,11 +453,11 @@ def decompose(
     against 1e-6.
 
     The Macaulay matrix is built once and factored as a staircase, one
-    pivoted QR per x_0-degree block of its shifts (``numerical_kernel``
-    with the blocks' column ``ends``; each block's rows are read off the
-    data).  When its cokernel is not r-dimensional, the ranks at the block
-    ends give the quotient at every degree d+1..d+e, reported beside the
-    expected table.
+    pivoted QR per x_0-degree block of its shifts (``cokernel_quotients``).
+    Every run that gets that far reports, in its diagnostics, the quotient
+    at every degree d+1..d+e beside the expected table, and the R-diagonal
+    gaps of both factorizations; a cokernel that is not r-dimensional
+    raises with them.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -451,37 +475,18 @@ def decompose(
         "macaulay_degree": d + e,
         "cokernel_condition": math.inf,
         "eigen_offdiag_max": math.inf,
+        "catalecticant_gap": cat_gap,
     }
     if cat_gap == 0:  # any cokernel found past this roundoff would be a fluke
         raise DecompositionError(f"the catalecticant's R diagonal is at most tol relative "
                                  f"to its first entry at index {r - 1}, so the form's "
-                                 f"rank is probably not {r}",
-                                 {**diagnostics, "catalecticant_gap": cat_gap})
+                                 f"rank is probably not {r}", diagnostics)
 
-    # Cokernel under the bilinear pairing: vectors x with x^T M = 0.  For
-    # the true ideal these are spanned by the evaluation functionals
-    # f -> f(z_i), unconjugated, which is what the eigenvalue step needs.
-    # They are the kernel of M^T, whose adjoint is M conjugated: built
-    # column-major and conjugated in its own storage, M is the buffer
-    # numerical_kernel factors, and it is spent then.
-    # Its rows and shifts descend in x_0's exponent: the shifts of
-    # x_0-exponent e-k and up, the first g*hs(n,k) columns, are x_0^(e-k)
-    # times the Macaulay matrix at degree d+k.  Factored in blocks ending
-    # at those columns, each on the rows it is nonzero in, it gives the
-    # rank at every degree up to d+e from the one pass.
-    g = kernel.shape[1]
-    macaulay = macaulay_array(n, d, kernel, e, order="F")
-    ends = [g * hs(n, k) for k in range(e + 1)]
-    cokernel, ranks, _ = numerical_kernel(np.conjugate(macaulay, out=macaulay), tol=tol,
-                                          ends=ends)
-    del macaulay
+    cokernel, observed, cokernel_gap = cokernel_quotients(n, d, kernel, e, tol)
+    expected = list(expected_gap_and_table(n, d, r)[1][d + 1 : d + e + 1])
+    diagnostics.update(numerical_quotient=observed, expected_quotient=expected,
+                       cokernel_gap=cokernel_gap)
     if cokernel.shape[1] != r:
-        # the quotient at every degree up to d+e, beside the expected table
-        observed = [hs(n, d + k) - ranks[k] for k in range(1, e + 1)]
-        expected = list(expected_gap_and_table(n, d, r)[1][d + 1 : d + e + 1])
-        diagnostics["numerical_quotient"] = observed
-        diagnostics["expected_quotient"] = expected
-        diagnostics["catalecticant_gap"] = cat_gap
         if cat_gap < _SPECTRAL_GAP_FLOOR:
             # the hint r, not the gap prediction, is what does not fit
             cause = (f"the catalecticant shows no clear rank-{r} cutoff (R-diagonal "
@@ -658,5 +663,7 @@ def result_to_dict(result: DecompositionResult) -> dict:
             for c in result.coefficients
         ],
         "residual": result.residual,
-        "diagnostics": dict(result.diagnostics),
+        # strict JSON: an infinite R-diagonal gap is written as null
+        "diagnostics": {key: None if isinstance(value, float) and not math.isfinite(value)
+                        else value for key, value in result.diagnostics.items()},
     }

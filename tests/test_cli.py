@@ -394,6 +394,29 @@ class TestWaringCommands:
         saved = json.loads(dst.read_text())
         assert saved["diagnostics"] == data["diagnostics"]
 
+    def test_decompose_reports_the_quotient_table_in_strict_json(self, tmp_path):
+        # no block of this form's cokernel drops an R entry: its gap is
+        # infinite, which json.dumps would write as the token Infinity
+        form = form_from_points(random_unit_points(2, 18, 0), [1.0] * 18, 10)
+        src = tmp_path / "form.json"
+        src.write_text(json.dumps(form_to_dict(form)))
+        argv = ["decompose", str(src), "--r", "18"]
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        code, out = invoke(argv + ["--format", "json"])
+        assert code == 0
+        diag = json.loads(out, parse_constant=reject)["diagnostics"]
+        assert diag["numerical_quotient"] == diag["expected_quotient"] == [19, 18]
+        assert diag["cokernel_gap"] is None
+        assert diag["catalecticant_gap"] > 10
+        code, out = invoke(argv)
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("quotient"))
+        assert line.startswith("quotient at degrees 6..7: numerical [19, 18], expected [19, 18];")
+        assert line.endswith(", cokernel inf")
+
     def test_decompose_missing_file(self, capsys):
         code = run(["decompose", "/does/not/exist.json", "--r", "3"])
         assert code == 1

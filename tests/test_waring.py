@@ -24,6 +24,7 @@ from chopshop.waring import (
     UnsupportedRankError,
     WaringError,
     catalecticant,
+    cokernel_quotients,
     decompose,
     form_from_dict,
     form_from_points,
@@ -134,6 +135,18 @@ class TestCatalecticant:
         form = random_form(2, 6, seed)
         for a in (0, 2, 3, 5):
             assert np.allclose(catalecticant(form, a), catalecticant_oracle(form, a))
+
+    def test_exact_while_the_weights_are_exact(self):
+        # every weight (alpha+beta)!/beta! divides 12! < 2^53, and the
+        # coefficients are small Gaussian integers, so both sides are exact
+        rng = np.random.default_rng(5)
+        size = hs(3, 12)
+        coeffs = rng.integers(-9, 10, size) + 1j * rng.integers(-9, 10, size)
+        form = SymmetricForm(3, 12, coeffs)
+        for a in (0, 1, 4, 6, 11):
+            cat = catalecticant(form, a)
+            assert cat.flags.c_contiguous
+            assert np.array_equal(cat, catalecticant_oracle(form, a)), a
 
     def test_pure_power_rank_one(self):
         coeffs = np.zeros(hs(2, 7), dtype=complex)
@@ -324,14 +337,24 @@ class TestPivotedQR:
 
 def macaulay_staircase(n, D, r, seed=0):
     """The cokernel's Macaulay matrix of a rank-r form as decompose builds
-    it, and its block ends: the x_0-exponent boundaries of its shifts."""
+    it, and its block ends: the x_0-exponent boundaries of its shifts.
+    Both are recorded from the call ``cokernel_quotients`` makes."""
     form = form_from_points(random_unit_points(n, r, seed), np.ones(r), D)
     d, e = waring._working_parameters(n, r, D)
     kernel, _, _ = numerical_kernel(
         waring._equilibrated_adjoint(catalecticant(form, d)), rank_hint=r
     )
-    g = kernel.shape[1]
-    return macaulay_array(n, d, kernel, e), [g * hs(n, k) for k in range(e + 1)]
+    calls = []
+
+    def recording(adjoint, *args, ends=None, **kwargs):
+        calls.append((np.conjugate(adjoint), ends))
+        return numerical_kernel(adjoint, *args, ends=ends, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(waring, "numerical_kernel", recording)
+        cokernel_quotients(n, d, kernel, e)
+    (macaulay, ends), = calls
+    return macaulay, ends
 
 
 def synthetic_staircase(seed, block0_scale=1.0):
@@ -523,11 +546,7 @@ class TestNumericalTwin:
                 points = random_unit_points(n, r, r)
                 adjoint = np.conjugate(evaluation_array(points, d)).T
                 kernel, _, _ = numerical_kernel(adjoint, r)
-                g = kernel.shape[1]
-                macaulay = macaulay_array(n, d, kernel, gap, order="F")
-                _, ranks, _ = numerical_kernel(np.conjugate(macaulay, out=macaulay),
-                                               ends=[g * hs(n, k) for k in range(gap + 1)])
-                observed = [hs(n, d + k) - ranks[k] for k in range(1, gap + 1)]
+                _, observed, _ = cokernel_quotients(n, d, kernel, gap)
                 assert observed == list(table[d + 1:]), (n, r)
                 cases += 1
         assert cases == 66
@@ -787,7 +806,7 @@ class TestDecompose:
         assert result.residual <= 1e-8
         assert peak < 1.54 * matrix_bytes
 
-    def test_quotient_table_only_on_failure(self, monkeypatch):
+    def test_success_reports_the_quotient_table(self, monkeypatch):
         calls = []
         build = waring.macaulay_array
 
@@ -797,9 +816,12 @@ class TestDecompose:
 
         monkeypatch.setattr(waring, "macaulay_array", counting)
         result, _, _ = roundtrip_case(3, 10, 50, seed=0)
-        assert "numerical_quotient" not in result.diagnostics
-        assert "catalecticant_gap" not in result.diagnostics
-        assert len(calls) == 1
+        diag = result.diagnostics
+        e = len(diag["expected_quotient"])
+        assert calls == [e]  # one Macaulay matrix, at degree d+e
+        assert diag["numerical_quotient"] == diag["expected_quotient"]
+        assert diag["expected_quotient"][-1] == 50
+        assert diag["catalecticant_gap"] >= 10 and diag["cokernel_gap"] >= 10
 
     def test_points_distinct_and_normalized(self):
         result, _, _ = roundtrip_case(2, 10, 18, seed=14)
@@ -906,6 +928,10 @@ class TestSerialization:
             "macaulay_degree",
             "cokernel_condition",
             "eigen_offdiag_max",
+            "catalecticant_gap",
+            "numerical_quotient",
+            "expected_quotient",
+            "cokernel_gap",
         ]
         assert len(data["points"]) == 7
         assert all(set(entry) == {"re", "im"} for row in data["points"] for entry in row)
