@@ -44,6 +44,7 @@ from .version import __version__
 from .waring import (
     WaringError,
     decompose,
+    diagnostics_to_dict,
     form_from_dict,
     form_from_points,
     random_unit_points,
@@ -537,11 +538,10 @@ def run(argv=None) -> int:
         return command.handler(args)
     except (*_COMPUTATION_FAILURES, SelfCheckError) as exc:
         if args.format == "json":
-            print(
-                json.dumps(
-                    {"error": {"type": type(exc).__name__, "message": str(exc)}}
-                )
-            )
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            if getattr(exc, "diagnostics", None):
+                error["diagnostics"] = diagnostics_to_dict(exc.diagnostics)
+            print(json.dumps({"error": error}))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SelfCheckError) else 1

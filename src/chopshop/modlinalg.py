@@ -3,31 +3,39 @@
 Matrices are immutable int32 arrays with entries reduced to [0, p), and
 the elimination works on int32 arrays too: every residue fits, in half the
 bytes of int64.  Arithmetic is widened only where a product needs it, as
-FFLAS-FFPACK does: a panel copies its few columns to int64 for its
-one-pivot-at-a-time loop, and products run in float64.  Under NumPy 2 an
-int32 array times a Python int stays int32 and wraps without a warning, so
-no product of two residues is ever formed in int32.  The workhorse is an
-in-place LU factorization in LAPACK getrf's convention: each multiplier
-(entry times pivot inverse) is parked below its pivot, a unit-lower L, and
-the pivot rows stay unscaled, U.  It is blocked right-looking LU, one
-left-to-right pass over panels of at most 32 columns: eliminate the panel
-one pivot at a time, then take its pivots to the columns right of it by
-one forward step.  Pivoting is deterministic: the first row with a
-nonzero entry, columns left to right, so the pivot columns are the column
-rank profile.  Only ``kernel_basis`` scales pivot rows to unit pivots;
-callers that need only a rank or the pivot columns skip that pass.
+FFLAS-FFPACK does: a panel's small eliminations run in int64 and products
+run in float64.  Under NumPy 2 an int32 array times a Python int stays
+int32 and wraps without a warning, so no product of two residues is ever
+formed in int32.  The workhorse is an in-place LU factorization in LAPACK
+getrf's convention: each multiplier (entry times pivot inverse) is parked
+below its pivot, a unit-lower L, and the pivot rows stay unscaled, U.  It
+is blocked right-looking LU, one left-to-right pass over panels of at most
+32 columns.  Pivoting is deterministic: the first row with a nonzero
+entry, columns left to right, so the pivot columns are the column rank
+profile.  Only ``kernel_basis`` needs U's inverse; callers that need only
+a rank or the pivot columns read the pivots.
 
-Two devices from delayed-reduction linear algebra (FFLAS-FFPACK) keep the
+A panel's tall part is one triangular product, not a rank-1 update per
+pivot (the FFLAS-FFPACK idea; Dumas, Giorgi and Pernet, ACM TOMS 2008).
+The panel factors its leading square block without row exchanges, and
+the same small elimination gives both of the block's triangle inverses
+(``_square``).  When no pivot of the block vanishes, these are the pivots
+the first-nonzero rule picks, and the rows below get their multipliers
+from one product by U's inverse.  When one vanishes, the panel needs a
+swap or has a column without a pivot, and it is eliminated one pivot at a
+time instead, with the same rule.
+
+Two devices from delayed-reduction linear algebra keep the rest of the
 work in BLAS.  A product balances both operands to residues of least
 absolute value and splits only the left one into 16-bit limbs, so a single
 float64 product over up to 170 inner indices is exact at every p < 2**31
 (``_mul_mod``), and the reduction mod p waits until it is done; an update
 subtracts the product from its rows before that one reduction, and only the
-result is converted back, straight into the int32 rows.  One forward
-step (``_forward``) solves a block's pivot rows by the inverse of their
-unit-lower triangle (``_lower_inverse``, by forward substitution on the
-identity) as one product and updates the rows below (``_update``), once
-per panel of ``_echelon`` and per 32-row block of ``kernel_basis``.
+result is converted back, straight into the int32 rows.  One forward step
+(``_forward``) per panel solves its pivot rows by the inverse of their
+unit-lower triangle as one product and updates the rows below
+(``_update``).  The kernel back-substitutes through U panel by panel with
+the U inverses the factorization kept.
 
 The elimination works only on live rows, read off the data: a panel on the
 rows down to the last one nonzero in its columns, and each update on the
@@ -51,7 +59,7 @@ import numpy as np
 
 _LIMB = float(1 << 16)  # limb base of the split left operand
 _CHUNK = 170  # inner indices of one exact float64 product (see _mul_mod)
-_LEAF = 32  # columns of one panel, eliminated one pivot at a time
+_LEAF = 32  # columns of one panel
 
 
 @functools.cache
@@ -229,34 +237,113 @@ def _update(a: np.ndarray, p: int, row: int, piv: list[int], x: np.ndarray,
         _mul_mod(a[row:row + live, piv], x, p, c[:live])
 
 
-def _forward(a: np.ndarray, p: int, row: int, piv, x: np.ndarray) -> None:
+def _forward(a: np.ndarray, p: int, row: int, piv, x: np.ndarray,
+             inverse: np.ndarray | None = None) -> None:
     """x <- L^-1 x mod p in place, for L the unit-lower multipliers parked
-    in columns ``piv`` of ``a`` from ``row`` on."""
+    in columns ``piv`` of ``a`` from ``row`` on; ``inverse`` is the inverse
+    of their top len(piv) x len(piv) triangle when the caller has it."""
     k = len(piv)
-    x[:k] = _mul_mod(_lower_inverse(a[row:row + k, piv], p), x[:k], p)
+    if inverse is None:
+        inverse = _lower_inverse(a[row:row + k, piv], p)
+    x[:k] = _mul_mod(inverse, x[:k], p)
     _update(a, p, row + k, piv, x[:k], x[k:])
 
 
-def _echelon(a: np.ndarray, p: int) -> list[int]:
+def _square(b: np.ndarray, p: int):
+    """LU of the square b without row exchanges, with both triangles'
+    inverses: (U with L's multipliers parked below it, L^-1, U^-1) as int64,
+    or None when a pivot vanishes.
+
+    One elimination runs on the stacked pair [b | I] and [b^T | I].  It
+    turns [b | I] into [U | L^-1] and parks L below U.  The pivots of b^T
+    are b's own (each is a ratio of leading principal minors, which b and
+    b^T share), and b^T = U^T L^T = (D^-1 U)^T (D L^T), D the pivots, so
+    b^T's unit-lower factor is L' = (D^-1 U)^T and its half becomes
+    L'^-1 = D U^-T: U^-1[i, j] = L'^-1[j, i] / d_j.  After j steps row j
+    of either half is zero outside columns j..j+k (U's row and L^-1's), so
+    each step updates only the k columns right of its pivot."""
+    k = len(b)
+    x = np.zeros((2, k, 2 * k), dtype=np.int64)
+    x[0, :, :k] = b
+    x[1, :, :k] = b.T
+    i = np.arange(k)
+    x[:, i, k + i] = 1
+    dinv = np.empty(k, dtype=np.int64)
+    for j in range(k):
+        d = int(x[0, j, j])
+        if d == 0:
+            return None
+        dinv[j] = pow(d, -1, p)
+        f = x[:, j + 1:, j]
+        f *= dinv[j]
+        f %= p
+        sub = x[:, j + 1:, j + 1:j + k + 1]
+        sub -= f[:, :, None] * x[:, j, None, j + 1:j + k + 1]
+        sub %= p
+    return x[0, :, :k], x[0, :, k:], x[1, :, k:].T * dinv % p
+
+
+def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int,
+                c1: int) -> list[int]:
+    """Eliminate rows row0:end of columns c0:c1 of ``a`` one pivot at a
+    time, in place; returns the pivot columns.  The rows are copied to
+    int64, where a product of two residues fits, whole rows are swapped in
+    both the copy and ``a``, and the reduced copy is written back."""
+    panel = a[row0:end, c0:c1].astype(np.int64)
+    found: list[int] = []
+    row = 0
+    for lc in range(c1 - c0):
+        if row == len(panel):
+            break
+        nz = panel[row:, lc].nonzero()[0]
+        if nz.size == 0:
+            continue
+        rpiv = row + int(nz[0])
+        if rpiv != row:
+            panel[[row, rpiv]] = panel[[rpiv, row]]
+            a[[row0 + row, row0 + rpiv]] = a[[row0 + rpiv, row0 + row]]
+        f = panel[row + 1:, lc]
+        f *= pow(int(panel[row, lc]), -1, p)
+        f %= p
+        sub = panel[row + 1:, lc + 1:]
+        sub -= f[:, None] * panel[row, lc + 1:]
+        sub %= p
+        found.append(c0 + lc)
+        row += 1
+    a[row0:end, c0:c1] = panel
+    return found
+
+
+def _echelon(a: np.ndarray, p: int, u_inverses: list | None = None) -> list[int]:
     """In-place LU factorization with row swaps; returns the pivot columns.
 
     Afterwards the first len(pivots) rows are U, an echelon form that keeps
     its pivot values (each pivot row unscaled), and L's multipliers, each
     row's entry times the pivot's inverse, sit below the pivots.  Row swaps
     move whole rows of ``a``, parked multipliers included.  Identical to
-    one-pivot-at-a-time elimination; the panels only batch the work on the
-    columns right of each one into modular products.
+    one-pivot-at-a-time elimination; the panels only batch the work into
+    modular products.  Given a list ``u_inverses``, each panel that finds
+    pivots appends the inverse of its pivots' U block, rows and columns in
+    order (the panels' pivot rows follow one another): the square step's
+    own, or, after the one-pivot loop, one more ``_square`` of the block.
 
     One left-to-right pass over panels of at most ``_LEAF`` columns (the
     tests shrink it to run many panels).  A panel works only on the rows
     below the pivots found so far, down to the last one that is nonzero in
     its columns: a pivot is the first nonzero entry at or below the current
     row, and a row changes only when its multiplier is nonzero, so rows
-    below stay zero in the panel's columns throughout.  It copies those
-    rows of its columns to int64, where a product of two residues fits,
-    eliminates them one pivot at a time, swapping whole rows in both the
-    copy and ``a``, and writes the reduced copy back.  Then one
-    ``_forward`` takes the panel's pivots to the columns right of it.
+    below stay zero in the panel's columns throughout.
+
+    A panel first factors its leading k x k block, k = min(width, live
+    rows), by ``_square``.  If no pivot vanishes, the first-nonzero rule
+    would pick exactly these pivots: each column's pivot is the current row
+    itself, so there is no swap and no column without a pivot.  Then the
+    block is written back, the rows below it get their multipliers from one
+    product, L21 = A21 U11^-1 (A21 = L21 U11), and one ``_forward`` with the
+    block's L^-1 takes its pivots to every column right of the block.  If a
+    pivot vanishes, the panel eliminates its live rows one pivot at a time
+    (``_pivot_loop``), and one ``_forward`` takes its pivots to the columns
+    right of the panel.
 
     Row swaps, pivots and D^-1 U (D the pivot values) match elimination with
     unit pivot rows: a row below a pivot is updated by (entry / pivot) times
@@ -270,33 +357,28 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
             break
         c1 = min(c0 + _LEAF, n)
         end = row0 + _live_rows(a[row0:, c0:c1])
-        panel = a[row0:end, c0:c1].astype(np.int64)
-        found: list[int] = []  # local pivot columns
-        row = 0
-        for lc in range(c1 - c0):
-            if row == len(panel):
-                break
-            nz = panel[row:, lc].nonzero()[0]
-            if nz.size == 0:
+        k = min(c1 - c0, end - row0)
+        square = _square(a[row0:row0 + k, c0:c0 + k], p) if k else None
+        if square is not None:
+            lu, l_inv, u_inv = square
+            a[row0:row0 + k, c0:c0 + k] = lu
+            if row0 + k < end:
+                a[row0 + k:end, c0:c1] = _mul_mod(a[row0 + k:end, c0:c1], u_inv, p)
+            cols = list(range(c0, c0 + k))
+            right = c0 + k
+        else:
+            cols = _pivot_loop(a, p, row0, end, c0, c1)
+            if not cols:
                 continue
-            rpiv = row + int(nz[0])
-            if rpiv != row:
-                panel[[row, rpiv]] = panel[[rpiv, row]]
-                a[[row0 + row, row0 + rpiv]] = a[[row0 + rpiv, row0 + row]]
-            f = panel[row + 1:, lc]
-            f *= pow(int(panel[row, lc]), -1, p)
-            f %= p
-            sub = panel[row + 1:, lc + 1:]
-            sub -= f[:, None] * panel[row, lc + 1:]
-            sub %= p
-            found.append(lc)
-            row += 1
-        a[row0:end, c0:c1] = panel
-        if not found:
-            continue
-        cols = [c0 + lc for lc in found]
-        if c1 < n:
-            _forward(a, p, row0, cols, a[row0:, c1:])
+            l_inv = None
+            if u_inverses is not None:
+                # the U block is its own LU, L = I, so it factors square
+                u_inv = _square(np.triu(a[row0:row0 + len(cols), cols]), p)[2]
+            right = c1
+        if right < n:
+            _forward(a, p, row0, cols, a[row0:, right:], l_inv)
+        if u_inverses is not None:
+            u_inverses.append(u_inv)
         piv += cols
     return piv
 
@@ -311,26 +393,34 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
 
     The basis is in echelon-complement form: each vector has a 1 in its
     free coordinate, the pivot coordinates filled from the reduced echelon
-    form, and zeros in the other free coordinates.  Deterministic.  The
-    only place that scales U's pivot rows to unit pivots.
+    form, and zeros in the other free coordinates.  Deterministic.
+
+    The reduced form on the free columns F is U11^-1 U_F, U11 the pivot
+    columns of U (the same as with unit pivot rows, whose scaling cancels).
+    U11 is block upper-triangular with one diagonal block per panel, so one
+    back substitution from the last panel up takes it: a block's rows of
+    U_F less its U entries right of the block times the rows already
+    solved, then times the block's inverse, which ``_echelon`` kept; two
+    modular products a panel.
     """
     p = m.field.p
     a = m.array.copy()
-    piv = _echelon(a, p)
+    u_inverses: list[np.ndarray] = []
+    piv = _echelon(a, p, u_inverses)
     free = np.setdiff1d(np.arange(m.cols, dtype=np.int64), piv)
     basis = np.zeros((m.cols, free.size), dtype=np.int32)
     basis[free, np.arange(free.size)] = 1
     r = len(piv)
     if r and free.size:
-        # reduced echelon form on the free columns: U11^-1 times them, for
-        # U11 the pivot columns with rows scaled to unit pivots, in w as the
-        # lower triangle it becomes with rows and columns reversed
-        inv = [pow(int(v), -1, p) for v in a[np.arange(r), piv][::-1]]
-        w = a[r - 1::-1, np.concatenate([piv[::-1], free])]
-        w = (w * np.array(inv, dtype=np.int64)[:, None] % p).astype(np.int32)
-        for i in range(0, r, _LEAF):
-            _forward(w, p, i, range(i, min(i + _LEAF, r)), w[i:, r:])
-        basis[piv] = (p - w[::-1, r:]) % p
+        y = a[:r, free]
+        end = r
+        for u_inv in reversed(u_inverses):
+            start = end - len(u_inv)
+            if end < r:
+                _mul_mod(a[start:end, piv[end:]], y[end:], p, y[start:end])
+            y[start:end] = _mul_mod(u_inv, y[start:end], p)
+            end = start
+        basis[piv] = (p - y) % p
     return ModMatrix(m.field, basis, _trusted=True)
 
 

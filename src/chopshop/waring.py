@@ -652,6 +652,13 @@ def form_from_dict(data: dict) -> SymmetricForm:
     return SymmetricForm(n, D, coeffs)
 
 
+def diagnostics_to_dict(diagnostics: dict) -> dict:
+    """Diagnostics for strict JSON: a non-finite float, such as an infinite
+    R-diagonal gap, is written as null."""
+    return {key: None if isinstance(value, float) and not math.isfinite(value)
+            else value for key, value in diagnostics.items()}
+
+
 def result_to_dict(result: DecompositionResult) -> dict:
     return {
         "points": [
@@ -663,7 +670,5 @@ def result_to_dict(result: DecompositionResult) -> dict:
             for c in result.coefficients
         ],
         "residual": result.residual,
-        # strict JSON: an infinite R-diagonal gap is written as null
-        "diagnostics": {key: None if isinstance(value, float) and not math.isfinite(value)
-                        else value for key, value in result.diagnostics.items()},
+        "diagnostics": diagnostics_to_dict(result.diagnostics),
     }

@@ -417,6 +417,28 @@ class TestWaringCommands:
         assert line.startswith("quotient at degrees 6..7: numerical [19, 18], expected [19, 18];")
         assert line.endswith(", cokernel inf")
 
+    def test_failed_decompose_keeps_its_diagnostics_in_strict_json(self, tmp_path):
+        # a rank-50 form at r = 49: the error object carries the quotient
+        # table and both gaps, and the NaN of the steps never reached is
+        # written as null, not as the token NaN
+        form = form_from_points(random_unit_points(3, 50, 0), [1.0] * 50, 10)
+        src = tmp_path / "form.json"
+        src.write_text(json.dumps(form_to_dict(form)))
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        code, out = invoke(["decompose", str(src), "--r", "49", "--format", "json"])
+        assert code == 1
+        error = json.loads(out, parse_constant=reject)["error"]
+        assert error["type"] == "DecompositionError"
+        diag = error["diagnostics"]
+        assert diag["numerical_quotient"] == [56, 50, 30]
+        assert diag["expected_quotient"] == [56, 50, 49]
+        assert diag["catalecticant_gap"] > 0 and diag["cokernel_gap"] > 0
+        assert diag["cokernel_condition"] is None
+        assert "[56, 50, 30]" in error["message"]
+
     def test_decompose_missing_file(self, capsys):
         code = run(["decompose", "/does/not/exist.json", "--r", "3"])
         assert code == 1

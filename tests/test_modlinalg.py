@@ -340,73 +340,251 @@ class TestLowerInverse:
             assert (_mul_mod(lower, got, p) == np.eye(k, dtype=np.int64)).all()
 
 
+def planted_lu(rng, p, m, n, zero_diagonal=()):
+    """m x n product L U over F_p of a random unit-lower m x m L and a
+    random upper-trapezoidal m x n U with a nonzero diagonal: every leading
+    minor is nonzero, so one-pivot elimination finds each pivot on the
+    diagonal, with no swap and no column skipped.  U's diagonal is zero at
+    the positions ``zero_diagonal`` instead."""
+    lower = np.tril(uniform_residues(rng, p, (m, m)), -1) + np.eye(m, dtype=np.int64)
+    upper = np.triu(uniform_residues(rng, p, (m, n)))
+    k = min(m, n)
+    upper[np.arange(k), np.arange(k)] = rng.integers(1, p, size=k)
+    upper[zero_diagonal, zero_diagonal] = 0
+    return _mul_mod(lower, upper, p)
+
+
+def square_cases(p):
+    """The panel shapes of the square step, by name: every leading block
+    factors (dense, with rows below every panel); a pivot that becomes 0
+    after elimination with a nonzero entry below it, so the panel swaps;
+    zero columns inside panels; and a wide matrix, whose panels run out of
+    rows before columns."""
+    rng = np.random.default_rng(p % 1000)
+    # U's diagonal zero at j makes column j of the Schur complement zero
+    # below row j; one entry bumped four rows down becomes its pivot
+    swap = planted_lu(rng, p, 90, 75, zero_diagonal=[2, 40])
+    swap[[6, 44], [2, 40]] = (swap[[6, 44], [2, 40]] + 1) % p
+    zero_columns = planted_lu(rng, p, 90, 75)
+    zero_columns[:, [5, 37]] = 0
+    return {"dense": planted_lu(rng, p, 90, 75), "swap": swap,
+            "zero columns": zero_columns, "few rows": planted_lu(rng, p, 45, 75)}
+
+
+def recorded_echelon(a, p, leaf):
+    """_echelon of a copy of a at the given leaf, asked for each panel's U
+    inverse as kernel_basis asks, with every _square result and every
+    _forward and _lower_inverse call recorded."""
+    got, u_inverses = a.copy(), []
+    log = {"square": [], "forward": [], "lower": []}
+    real_square, real_forward, real_lower = (
+        modlinalg._square, modlinalg._forward, modlinalg._lower_inverse)
+
+    def square(b, p):
+        result = real_square(b, p)
+        log["square"].append(result)
+        return result
+
+    def forward(a, p, row, piv, x, inverse=None):
+        given = None if inverse is None else inverse.copy()
+        log["forward"].append((row, list(piv), x.shape[1], given))
+        return real_forward(a, p, row, piv, x, inverse)
+
+    def lower(t, p):
+        inverse = real_lower(t, p)
+        log["lower"].append((t.copy(), inverse))
+        return inverse
+
+    with mock.patch.object(modlinalg, "_LEAF", leaf), \
+            mock.patch.object(modlinalg, "_square", square), \
+            mock.patch.object(modlinalg, "_forward", forward), \
+            mock.patch.object(modlinalg, "_lower_inverse", lower):
+        piv = _echelon(got, p, u_inverses)
+    return got, piv, u_inverses, log
+
+
+def unit_lower(t):
+    """The unit-lower triangle whose multipliers are t's strictly lower part."""
+    return np.tril(t.astype(np.int64), -1) + np.eye(len(t), dtype=np.int64)
+
+
+def assert_inverts(t, inverse, p):
+    assert (_mul_mod(t, inverse, p) == np.eye(len(t), dtype=np.int64)).all()
+
+
+def assert_parked_inverses(got, piv, u_inverses, log, p):
+    """Each panel's U inverse inverts the U block its pivots leave, the
+    panels' pivot rows following one another; each L^-1 that _forward is
+    given, or that _lower_inverse makes inside it, inverts the unit-lower
+    triangle parked on its pivots."""
+    row = 0
+    for inverse in u_inverses:
+        k = len(inverse)
+        assert_inverts(np.triu(got[row:row + k, piv[row:row + k]]), inverse, p)
+        row += k
+    assert row == len(piv)
+    lowers = iter(log["lower"])
+    for row, cols, _, given in log["forward"]:
+        parked = got[row:row + len(cols), cols]
+        if given is None:
+            t, given = next(lowers)
+            assert (t == parked).all()
+        assert_inverts(unit_lower(parked), given, p)
+    assert next(lowers, None) is None
+
+
 class TestLeafInverses:
     def test_each_leaf_triangle_is_inverted_once(self):
-        # 200 columns at leaf 8 make 25 panels; each panel that finds a
-        # pivot inverts its pivots' triangle once, and that inverse inverts
-        # the L the factorization leaves on those pivots
+        # 200 columns at leaf 8 make 25 panels.  A panel that finds pivots
+        # inverts its pivots' triangle once: the square step makes L^-1 as
+        # it factors the leading block, and a panel that falls back to the
+        # one-pivot loop calls _lower_inverse once.  Either inverse inverts
+        # the L the factorization leaves on those pivots.  The zeroed rows
+        # and columns send most panels of the first matrix to the loop; the
+        # second takes the square step everywhere
         rng = np.random.default_rng(4)
         p = F.p
-        a = product_with_zeros(rng, p, 200, 200, 150)
-        want, piv_want = reference_lu(a, p)
-        calls = []
-        real = modlinalg._lower_inverse
+        paths = set()
+        for a in (product_with_zeros(rng, p, 200, 200, 150), planted_lu(rng, p, 200, 200)):
+            want, piv_want = reference_lu(a, p)
+            calls = []
+            real_square, real_lower = modlinalg._square, modlinalg._lower_inverse
 
-        def recording(t, p):
-            inverse = real(t, p)
-            calls.append((t.copy(), inverse))
-            return inverse
+            def square(b, p):
+                result = real_square(b, p)
+                if result is not None:
+                    calls.append(("square", result[0].copy(), result[1]))
+                return result
 
-        with mock.patch.object(modlinalg, "_LEAF", 8), \
-                mock.patch.object(modlinalg, "_lower_inverse", recording):
-            piv = _echelon(a, p)
-        assert piv == piv_want
-        assert (a == want).all()
-        assert len({t.tobytes() for t, _ in calls}) == len(calls) > 1
-        assert len(calls) == len({c // 8 for c in piv})
-        row = 0
-        for t, inverse in calls:
-            k = len(t)
-            rows, cols = slice(row, row + k), piv[row:row + k]
-            assert (t == a[rows, cols]).all()
-            lower = np.tril(a[rows, cols].astype(np.int64), -1) + np.eye(k, dtype=np.int64)
-            assert (_mul_mod(lower, inverse, p) == np.eye(k)).all()
-            row += k
-        assert row == len(piv)
+            def lower(t, p):
+                inverse = real_lower(t, p)
+                calls.append(("lower", t.copy(), inverse))
+                return inverse
+
+            with mock.patch.object(modlinalg, "_LEAF", 8), \
+                    mock.patch.object(modlinalg, "_square", square), \
+                    mock.patch.object(modlinalg, "_lower_inverse", lower):
+                piv = _echelon(a, p)
+            assert piv == piv_want
+            assert (a == want).all()
+            assert len({t.tobytes() for _, t, _ in calls}) == len(calls) > 1
+            assert len(calls) == len({c // 8 for c in piv})
+            row = 0
+            for path, t, inverse in calls:
+                k = len(t)
+                rows, cols = slice(row, row + k), piv[row:row + k]
+                assert (t == a[rows, cols]).all()
+                assert_inverts(unit_lower(a[rows, cols]), inverse, p)
+                paths.add(path)
+                row += k
+            assert row == len(piv)
+        assert paths == {"square", "lower"}
 
 
 class TestForwardStep:
     @pytest.mark.parametrize("m, n, k", [(200, 200, 150), (60, 44, 44)])
     def test_one_forward_step_per_panel_and_kernel_block(self, m, n, k):
-        # at leaf 8 a panel that finds a pivot and has columns right of it
-        # runs one _forward, and the kernel one per 8-row block of its r
-        # pivot rows; each _forward inverts one triangle.  (60, 44, 44)
-        # finds pivots in its last panel, which has nothing right of it
+        # at leaf 8 a panel that finds pivots runs one _forward on the
+        # columns right of them when there are any: right of its leading
+        # block, given that block's L^-1, when the block factors; right of
+        # the panel otherwise, inverting the pivots' triangle there.
+        # kernel_basis runs the same factorization and no _forward of its
+        # own.  (60, 44, 44) finds pivots in its last panel, which has
+        # nothing right of it
         rng = np.random.default_rng(4)
         p = F.p
         a = product_with_zeros(rng, p, m, n, k)
-        counts = {"_forward": 0, "_lower_inverse": 0}
+        log = {"forward": [], "lower": 0}
+        real_forward, real_lower = modlinalg._forward, modlinalg._lower_inverse
 
-        def counted(name):
-            real = getattr(modlinalg, name)
+        def forward(a, p, row, piv, x, inverse=None):
+            log["forward"].append((row, list(piv), x.shape[1], inverse is not None))
+            return real_forward(a, p, row, piv, x, inverse)
 
-            def wrapper(*args):
-                counts[name] += 1
-                return real(*args)
-            return wrapper
+        def lower(t, p):
+            log["lower"] += 1
+            return real_lower(t, p)
 
         with mock.patch.object(modlinalg, "_LEAF", 8), \
-                mock.patch.object(modlinalg, "_forward", counted("_forward")), \
-                mock.patch.object(modlinalg, "_lower_inverse", counted("_lower_inverse")):
+                mock.patch.object(modlinalg, "_forward", forward), \
+                mock.patch.object(modlinalg, "_lower_inverse", lower):
             piv = _echelon(a.copy(), p)
-            panels = len({c // 8 for c in piv if c // 8 * 8 + 8 < n})
-            assert counts == {"_forward": panels, "_lower_inverse": panels}
+            factored = list(log["forward"])
+            assert log["lower"] == sum(not given for *_, given in factored)
             ker = kernel_basis(ModMatrix(F, a, _trusted=True))
-        blocks = -(-len(piv) // 8)
-        assert counts == {"_forward": 2 * panels + blocks,
-                          "_lower_inverse": 2 * panels + blocks}
+        assert log["forward"] == 2 * factored
+        assert log["lower"] == 2 * sum(not given for *_, given in factored)
+        calls = iter(factored)
+        row = 0
+        for c0 in sorted({c // 8 * 8 for c in piv}):
+            cols = [c for c in piv if c0 <= c < c0 + 8]
+            square = cols == list(range(c0, c0 + len(cols)))
+            if c0 + 8 < n or square and cols[-1] + 1 < n:
+                assert next(calls) in [(row, cols, n - cols[-1] - 1, True),
+                                       (row, cols, n - min(c0 + 8, n), False)]
+            row += len(cols)
+        assert next(calls, None) is None
         assert ker.cols == n - len(piv) > 0
         assert not _mul_mod(a, ker.array, p).any()
+
+
+class TestSquarePanels:
+    @pytest.mark.parametrize("p", [3, 101, 2147483647])
+    @pytest.mark.parametrize("case", ["dense", "swap", "zero columns", "few rows"])
+    def test_matches_reference(self, p, case):
+        a = square_cases(p)[case]
+        want, piv_want = reference_lu(a, p)
+        kernel_want = reference_kernel(a, p)
+        for leaf in (1, 3, 8, 32):
+            got, piv, u_inverses, log = recorded_echelon(a, p, leaf)
+            assert piv == piv_want
+            assert (got == want).all()
+            assert_parked_inverses(got, piv, u_inverses, log, p)
+            with mock.patch.object(modlinalg, "_LEAF", leaf):
+                kernel = kernel_basis(ModMatrix(PrimeField(p), a, _trusted=True)).array
+            assert (kernel == kernel_want).all()
+            fell_back = None in log["square"]
+            if case == "dense":
+                # every panel factors its block; none inverts a triangle
+                assert not fell_back and not log["lower"]
+                assert len(log["square"]) == len(u_inverses) == -(-75 // leaf)
+            elif case == "swap" or case == "zero columns" and leaf > 1:
+                # at leaf 1 a zero column has no live rows, so no block
+                assert fell_back
+            elif case == "few rows" and leaf in (8, 32):
+                assert any(len(r[0]) < leaf for r in log["square"] if r is not None)
+
+    def test_square_step_inverts_both_triangles(self):
+        rng = np.random.default_rng(7)
+        for p in (3, 101, 2147483647):
+            b = planted_lu(rng, p, 32, 32)
+            lu, l_inv, u_inv = modlinalg._square(b, p)
+            want, _ = reference_lu(b, p)
+            assert (lu == want).all()
+            assert_inverts(unit_lower(lu), l_inv, p)
+            assert_inverts(np.triu(lu), u_inv, p)
+
+    def test_generic_evaluation_matrix_takes_the_square_path(self):
+        # the first-nonzero rule finds a generic evaluation matrix's pivots
+        # on its diagonal, so a fall back to the one-pivot loop is a defect
+        from chopshop.formulas import CaseParams
+        from chopshop.pointideals import evaluation_matrix, sample_points
+
+        for n, r in ((2, 280), (3, 150)):
+            config = sample_points(n, r, F, 0)
+            mat = evaluation_matrix(config, CaseParams(n, r).d)
+            results = []
+            real = modlinalg._square
+
+            def square(b, p):
+                results.append(real(b, p))
+                return results[-1]
+
+            with mock.patch.object(modlinalg, "_square", square):
+                kernel = kernel_basis(mat)
+            assert len(results) == -(-r // modlinalg._LEAF)
+            assert None not in results
+            assert kernel.cols == mat.cols - r
 
 
 class TestEchelon:
@@ -585,8 +763,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("p", [3, 5, 101, 2147483647])
     def test_matches_one_pivot_back_elimination(self, p):
-        # every leaf width, so the blocked solve on the reversed U11 runs
-        # over one block and over many
+        # every leaf width, so the back substitution runs over one panel
+        # and over many
         rng = np.random.default_rng(p % 997)
         for m, n, k in [(290, 300, 290), (150, 200, 90), (60, 80, 80), (40, 30, 12),
                         (5, 9, 0)]:
