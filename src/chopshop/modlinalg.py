@@ -48,10 +48,20 @@ stay inside it, and multipliers are nonzero only inside it, so the
 columns not yet eliminated stay a staircase.  The graded Macaulay matrix of
 ``pointideals.chopped_profile`` is one: its rows and its shift columns
 descend in x_0's exponent.
+
+The BLAS products here run with OpenBLAS's default threads.
+``one_blas_thread`` pins every OpenBLAS thread pool loaded in the process
+to one thread for a ``with`` block and then restores each pool's count:
+``waring.decompose`` runs inside it, and the worker processes of
+``verify.verify_grid`` are pinned for their lifetime by
+``_set_blas_threads``.  On a few cores, the threads of mid-sized products
+and factorizations cost more in synchronisation than they save.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -446,3 +456,57 @@ def matmul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     return ModMatrix(a.field, _mul_mod(a.array, b.array, a.field.p), _trusted=True)
+
+
+def _openblas_pools() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process: numpy's ILP64 copy and, once scipy.linalg is imported,
+    scipy's.  They are found by reading the process's memory map, so none
+    where there is no /proc or no OpenBLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    pools = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+                break
+    return pools
+
+
+def _set_blas_threads(count: int) -> list[tuple]:
+    """Set every loaded OpenBLAS pool to `count` threads, for good.  Returns
+    (set, previous count) per pool, which is what undoes it."""
+    saved = []
+    for get, put in _openblas_pools():
+        saved.append((put, get()))
+        put(count)
+    return saved
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS pool on one thread.
+
+    A pool loaded inside the block keeps its own count, so a caller that
+    needs scipy's pinned imports scipy.linalg first.  On exit, also by an
+    exception, each pool gets back the count it had.  The count is
+    process-wide: threads that call BLAS meanwhile run on one thread too.
+    """
+    saved = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        for put, count in saved:
+            put(count)

@@ -27,7 +27,7 @@ import numpy as np
 from .formulas import (CaseParams, GapPrediction, admissible, expected_chopped_hf,
                        predicted_gap)
 from .grading import Exponent, hs, mono_index, monomials, product_index_map
-from .modlinalg import PrimeField, in_span, matmul, rank
+from .modlinalg import PrimeField, _set_blas_threads, in_span, matmul, rank
 from .pointideals import (
     RETRY_BUDGET,
     GenericityError,
@@ -291,7 +291,10 @@ def verify_grid(
     Inadmissible sizes (see ``formulas.admissible``) are recorded as skips
     with the reason spelled out.  Every admissible size runs, including the
     ones whose predicted gap is 1.  Per-case seeds come from derive_seed, so
-    reports are reproducible and independent of the worker count.
+    reports are reproducible and independent of the worker count.  With
+    more than one worker, each worker process runs on one BLAS thread for
+    its lifetime, since the workers already share the cores and BLAS
+    threads of their own would contend for them.
     """
     start = time.perf_counter()
     jobs: list[tuple[int, int, int, int, int | None]] = []
@@ -310,7 +313,8 @@ def verify_grid(
             jobs.append((n, r, prime.p, derive_seed(base_seed, n, r, trial), e_max))
 
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+                                 initargs=(1,)) as pool:
             certificates = list(pool.map(_run_case, jobs, chunksize=1))
     else:
         certificates = [_run_case(job) for job in jobs]

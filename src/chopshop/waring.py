@@ -25,6 +25,13 @@ matrices come from a pivoted QR of a seeded (r+8)-row Gaussian sketch of
 the shift stack, which is never built.  scipy is imported inside the
 functions that call it: the exact pipeline imports this module through
 the package and never loads scipy.
+
+``decompose`` runs its pipeline, from the catalecticant to the final
+least squares, on one BLAS thread (``modlinalg.one_blas_thread``): it
+imports scipy.linalg first, so that both numpy's and scipy's OpenBLAS are
+pinned, and restores the caller's thread counts on return.  Its matrices
+are mid-sized, where a second thread costs more in synchronisation than it
+saves, and its output bits do not depend on the caller's thread count.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 
 from .formulas import admissible, ci_socle, expected_gap_and_table
 from .grading import hs, mono_index, monomials, product_index_map
-from .modlinalg import _live_rows
+from .modlinalg import _live_rows, one_blas_thread
 from .pointideals import evaluation_array, macaulay_array
 
 DEFAULT_TOL = 1e-8
@@ -458,6 +465,9 @@ def decompose(
     at every degree d+1..d+e beside the expected table, and the R-diagonal
     gaps of both factorizations; a cokernel that is not r-dimensional
     raises with them.
+
+    Everything after the argument checks runs on one BLAS thread, and the
+    caller's thread counts are restored on return or raise.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -466,92 +476,95 @@ def decompose(
     n, D = form.n, form.D
     d, e = _working_parameters(n, r, D)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        cat = catalecticant(form, d)
-    kernel, (cat_rank,), cat_gap = numerical_kernel(_equilibrated_adjoint(cat), r, tol=tol)
-    diagnostics = {
-        "catalecticant_rank": cat_rank,
-        "kernel_dim": kernel.shape[1],
-        "macaulay_degree": d + e,
-        "cokernel_condition": math.inf,
-        "eigen_offdiag_max": math.inf,
-        "catalecticant_gap": cat_gap,
-    }
-    if cat_gap == 0:  # any cokernel found past this roundoff would be a fluke
-        raise DecompositionError(f"the catalecticant's R diagonal is at most tol relative "
-                                 f"to its first entry at index {r - 1}, so the form's "
-                                 f"rank is probably not {r}", diagnostics)
+    import scipy.linalg  # noqa: F401  (loaded before the pin, so it is pinned too)
 
-    cokernel, observed, cokernel_gap = cokernel_quotients(n, d, kernel, e, tol)
-    expected = list(expected_gap_and_table(n, d, r)[1][d + 1 : d + e + 1])
-    diagnostics.update(numerical_quotient=observed, expected_quotient=expected,
-                       cokernel_gap=cokernel_gap)
-    if cokernel.shape[1] != r:
-        if cat_gap < _SPECTRAL_GAP_FLOOR:
-            # the hint r, not the gap prediction, is what does not fit
-            cause = (f"the catalecticant shows no clear rank-{r} cutoff (R-diagonal "
-                     f"gap {cat_gap:.2f}), so the form's rank is probably not {r}")
+    with one_blas_thread():
+        with np.errstate(over="ignore", invalid="ignore"):
+            cat = catalecticant(form, d)
+        kernel, (cat_rank,), cat_gap = numerical_kernel(_equilibrated_adjoint(cat), r, tol=tol)
+        diagnostics = {
+            "catalecticant_rank": cat_rank,
+            "kernel_dim": kernel.shape[1],
+            "macaulay_degree": d + e,
+            "cokernel_condition": math.inf,
+            "eigen_offdiag_max": math.inf,
+            "catalecticant_gap": cat_gap,
+        }
+        if cat_gap == 0:  # any cokernel found past this roundoff would be a fluke
+            raise DecompositionError(f"the catalecticant's R diagonal is at most tol relative "
+                                     f"to its first entry at index {r - 1}, so the form's "
+                                     f"rank is probably not {r}", diagnostics)
+
+        cokernel, observed, cokernel_gap = cokernel_quotients(n, d, kernel, e, tol)
+        expected = list(expected_gap_and_table(n, d, r)[1][d + 1 : d + e + 1])
+        diagnostics.update(numerical_quotient=observed, expected_quotient=expected,
+                           cokernel_gap=cokernel_gap)
+        if cokernel.shape[1] != r:
+            if cat_gap < _SPECTRAL_GAP_FLOOR:
+                # the hint r, not the gap prediction, is what does not fit
+                cause = (f"the catalecticant shows no clear rank-{r} cutoff (R-diagonal "
+                         f"gap {cat_gap:.2f}), so the form's rank is probably not {r}")
+            else:
+                cause = f"the gap prediction e={e} failed for this form"
+            raise DecompositionError(
+                f"cokernel dimension {cokernel.shape[1]}, expected {r}; {cause}: quotient "
+                f"dimensions at degrees {d + 1}..{d + e} are {observed}, expected {expected}",
+                diagnostics,
+            )
+
+        # Pick r monomials of degree d+e-1 to index the multiplication
+        # matrices, by a pivoted QR of an (r+8)-row Gaussian sketch of the
+        # shift stack, seeded from ``seed`` (``_sketched_shifts``).
+        # shifts[k, b]: position in degree d+e of x_k times the b-th monomial
+        # of degree d+e-1 (monomials(n, 1)[k] is x_k)
+        shifts = product_index_map(n, d + e - 1, 1)
+        chosen = _sketched_shifts(cokernel, shifts, r, seed)
+        blocks = cokernel[shifts[:, chosen]]
+
+        rng = np.random.default_rng(seed)
+        for _ in range(1 + _RETRY_DRAWS):
+            ell = np.exp(2j * np.pi * rng.random(n + 1))
+            ell_prime = np.exp(2j * np.pi * rng.random(n + 1))
+            n_ell = np.tensordot(ell, blocks, axes=(0, 0))
+            condition = float(np.linalg.cond(n_ell))
+            if condition <= _CONDITION_LIMIT:
+                break
         else:
-            cause = f"the gap prediction e={e} failed for this form"
-        raise DecompositionError(
-            f"cokernel dimension {cokernel.shape[1]}, expected {r}; {cause}: quotient "
-            f"dimensions at degrees {d + 1}..{d + e} are {observed}, expected {expected}",
-            diagnostics,
-        )
-
-    # Pick r monomials of degree d+e-1 to index the multiplication
-    # matrices, by a pivoted QR of an (r+8)-row Gaussian sketch of the
-    # shift stack, seeded from ``seed`` (``_sketched_shifts``).
-    # shifts[k, b]: position in degree d+e of x_k times the b-th monomial
-    # of degree d+e-1 (monomials(n, 1)[k] is x_k)
-    shifts = product_index_map(n, d + e - 1, 1)
-    chosen = _sketched_shifts(cokernel, shifts, r, seed)
-    blocks = cokernel[shifts[:, chosen]]
-
-    rng = np.random.default_rng(seed)
-    for _ in range(1 + _RETRY_DRAWS):
-        ell = np.exp(2j * np.pi * rng.random(n + 1))
-        ell_prime = np.exp(2j * np.pi * rng.random(n + 1))
-        n_ell = np.tensordot(ell, blocks, axes=(0, 0))
-        condition = float(np.linalg.cond(n_ell))
-        if condition <= _CONDITION_LIMIT:
-            break
-    else:
+            diagnostics["cokernel_condition"] = condition
+            raise DecompositionError(
+                f"multiplication matrix stayed ill-conditioned "
+                f"({condition:.2e}) after {_RETRY_DRAWS} fresh linear forms",
+                diagnostics,
+            )
         diagnostics["cokernel_condition"] = condition
-        raise DecompositionError(
-            f"multiplication matrix stayed ill-conditioned "
-            f"({condition:.2e}) after {_RETRY_DRAWS} fresh linear forms",
-            diagnostics,
-        )
-    diagnostics["cokernel_condition"] = condition
 
-    solved = np.linalg.solve(n_ell, blocks)
-    # the coefficient system below is larger than blocks, and may reuse its
-    # memory: kept, blocks raised the peak RSS at (4,12,200) by 4 MB
-    del blocks
-    _, eigvecs = np.linalg.eig(np.tensordot(ell_prime, solved, axes=(0, 0)))
-    conjugated = np.linalg.inv(eigvecs) @ solved @ eigvecs
-    coords = np.diagonal(conjugated, axis1=1, axis2=2).T.copy()
-    conjugated[:, range(r), range(r)] = 0
-    diagnostics["eigen_offdiag_max"] = float(np.abs(conjugated).max())
+        solved = np.linalg.solve(n_ell, blocks)
+        # the coefficient system below is larger than blocks, and may reuse its
+        # memory: kept, blocks raised the peak RSS at (4,12,200) by 4 MB
+        del blocks
+        _, eigvecs = np.linalg.eig(np.tensordot(ell_prime, solved, axes=(0, 0)))
+        conjugated = np.linalg.inv(eigvecs) @ solved @ eigvecs
+        coords = np.diagonal(conjugated, axis1=1, axis2=2).T.copy()
+        conjugated[:, range(r), range(r)] = 0
+        diagnostics["eigen_offdiag_max"] = float(np.abs(conjugated).max())
 
-    try:
-        points, _ = _normalized_points(coords)
-    except ValueError as exc:
-        raise DecompositionError(f"eigenvalue step: {exc}", diagnostics) from exc
-    weights = _multinomials(n, D)
-    system = (weights * evaluation_array(points, D)).T
-    coefficients, *_ = np.linalg.lstsq(system, form.coeffs, rcond=None)
-    residual = float(
-        np.linalg.norm(system @ coefficients - form.coeffs) / form.norm
-    )
-    if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
-        raise DecompositionError(
-            f"FAILED_RESIDUAL: relative error {residual:.3e} exceeds "
-            f"{RESIDUAL_LIMIT:.0e}",
-            {**diagnostics, "residual": residual},
+        try:
+            points, _ = _normalized_points(coords)
+        except ValueError as exc:
+            raise DecompositionError(f"eigenvalue step: {exc}", diagnostics) from exc
+        weights = _multinomials(n, D)
+        system = (weights * evaluation_array(points, D)).T
+        coefficients, *_ = np.linalg.lstsq(system, form.coeffs, rcond=None)
+        residual = float(
+            np.linalg.norm(system @ coefficients - form.coeffs) / form.norm
         )
-    return DecompositionResult(points, coefficients, residual, diagnostics)
+        if not residual <= RESIDUAL_LIMIT:  # a NaN residual fails too
+            raise DecompositionError(
+                f"FAILED_RESIDUAL: relative error {residual:.3e} exceeds "
+                f"{RESIDUAL_LIMIT:.0e}",
+                {**diagnostics, "residual": residual},
+            )
+        return DecompositionResult(points, coefficients, residual, diagnostics)
 
 
 def random_unit_points(n: int, r: int, seed: int) -> np.ndarray:

@@ -62,6 +62,24 @@ def skipped_schur_update(monkeypatch):
     monkeypatch.setattr(verify, "chopped_profile", profile)
 
 
+@pytest.fixture
+def blas_pools():
+    """Every OpenBLAS thread pool of the process, numpy's and scipy's, as
+    (get, set) pairs, each set to two threads; after the test each pool
+    gets back the count it had."""
+    import scipy.linalg  # noqa: F401  (loads scipy's pool)
+
+    pools = modlinalg._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS in this process")
+    saved = [get() for get, _ in pools]
+    for _, put in pools:
+        put(2)
+    yield pools
+    for (_, put), count in zip(pools, saved):
+        put(count)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _acceptance_lines:
         terminalreporter.write_sep("-", "acceptance criteria")

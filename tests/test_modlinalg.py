@@ -24,6 +24,7 @@ from chopshop.modlinalg import (
     in_span,
     kernel_basis,
     matmul,
+    one_blas_thread,
     rank,
 )
 
@@ -836,3 +837,27 @@ class TestMatmul:
         assert rank(changed) == rank(mat)
         v = _mul_mod(mat.array, rng.integers(0, F.p, size=(6, 1), dtype=np.int64), F.p)
         assert in_span(changed, v)
+
+
+class TestOneBlasThread:
+    @staticmethod
+    def counts(pools):
+        return [get() for get, _ in pools]
+
+    def test_pins_every_pool_and_restores(self, blas_pools):
+        with one_blas_thread():
+            assert self.counts(blas_pools) == [1] * len(blas_pools)
+        assert self.counts(blas_pools) == [2] * len(blas_pools)
+
+    def test_restores_when_the_block_raises(self, blas_pools):
+        with pytest.raises(ZeroDivisionError):
+            with one_blas_thread():
+                assert self.counts(blas_pools) == [1] * len(blas_pools)
+                1 / 0
+        assert self.counts(blas_pools) == [2] * len(blas_pools)
+
+    def test_no_op_without_openblas(self, blas_pools, monkeypatch):
+        monkeypatch.setattr(modlinalg, "_openblas_pools", lambda: [])
+        with one_blas_thread():
+            assert self.counts(blas_pools) == [2] * len(blas_pools)
+        assert self.counts(blas_pools) == [2] * len(blas_pools)

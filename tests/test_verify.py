@@ -8,11 +8,12 @@ values from the worked examples.
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chopshop import pointideals
+from chopshop import modlinalg, pointideals, verify
 from chopshop.formulas import RangeError
 from chopshop.grading import hs, monomials
 from chopshop.modlinalg import PrimeField
@@ -265,6 +266,13 @@ class TestSelfCheck:
             verify_case(2, 41, P, seed=0)
 
 
+def _blas_threads_case(job):
+    """Stands in for verify._run_case in a worker: a PASS that carries the
+    thread count of every OpenBLAS pool the worker has."""
+    return SimpleNamespace(verdict="PASS",
+                           blas_threads=[get() for get, _ in modlinalg._openblas_pools()])
+
+
 class TestVerifyGrid:
     def test_small_plane_grid(self):
         report = verify_grid(2, 6, 9, P, base_seed=3)
@@ -295,6 +303,14 @@ class TestVerifyGrid:
         # r = 15 is skipped (hs(2,4) = 15 makes d = 4 and 15 >= 13), leaving
         # r = 16, 17 with two trials each.
         assert seq.summary["pass"] == 4
+
+    def test_workers_run_on_one_blas_thread(self, blas_pools, monkeypatch):
+        # this process runs on two threads, and a forked worker inherits them
+        monkeypatch.setattr(verify, "_run_case", _blas_threads_case)
+        report = verify_grid(2, 16, 17, P, base_seed=9, trials_per_case=2, workers=2)
+        threads = [c.blas_threads for c in report.certificates]
+        assert len(threads) == 4 and all(t and set(t) == {1} for t in threads)
+        assert [get() for get, _ in blas_pools] == [2] * len(blas_pools)
 
     def test_report_serialization(self):
         report = verify_grid(2, 7, 7, P, base_seed=1)

@@ -647,6 +647,23 @@ class TestDecompose:
         assert after[0] == state[0] and np.array_equal(after[1], state[1])
         assert after[2:] == state[2:]
 
+    def test_bits_independent_of_caller_blas_threads(self, blas_pools):
+        # (3,8,25) is large enough that OpenBLAS at two threads sums its
+        # products in another order than at one: unpinned, the residual
+        # moves in its 4th digit; the form is built once, since
+        # form_from_points is not pinned
+        form = form_from_points(random_unit_points(3, 25, seed=12), np.ones(25), 8)
+        runs = []
+        for count in (1, 2):
+            for _, put in blas_pools:
+                put(count)
+            runs.append(decompose(form, 25))
+            assert [get() for get, _ in blas_pools] == [count] * len(blas_pools)
+        one, two = runs
+        assert np.array_equal(one.points, two.points)
+        assert np.array_equal(one.coefficients, two.coefficients)
+        assert one.residual == two.residual
+
     def test_scale_and_permutation_invariance(self):
         rng = np.random.default_rng(31)
         Z = random_unit_points(2, 9, seed=13)
