@@ -63,6 +63,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,16 +75,27 @@ _LEAF = 32  # columns of one panel
 
 @functools.cache
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin to the bases 2, 7 and 61, which no odd
+    composite below 4,759,123,141 > 2**31 passes (Jaeschke, Math. Comp.
+    1993)."""
     if p < 2:
         return False
-    for q in (2, 3):
+    for q in (2, 7, 61):
         if p % q == 0:
             return p == q
-    f = 5
-    while f * f <= p:
-        if p % f == 0 or p % (f + 2) == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 
@@ -458,16 +470,24 @@ def matmul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
     return ModMatrix(a.field, _mul_mod(a.array, b.array, a.field.p), _trusted=True)
 
 
-def _openblas_pools() -> list[tuple]:
+def _openblas_pools() -> tuple[tuple, ...]:
     """(get, set) thread-count functions of every OpenBLAS loaded in this
     process: numpy's ILP64 copy and, once scipy.linalg is imported,
-    scipy's.  They are found by reading the process's memory map, so none
-    where there is no /proc or no OpenBLAS."""
+    scipy's.  The memory map is read once per process for each state of
+    that import."""
+    return _pools_found("scipy.linalg" in sys.modules)
+
+
+@functools.cache
+def _pools_found(scipy_loaded: bool) -> tuple[tuple, ...]:
+    """The pools of ``_openblas_pools``, found by reading the process's
+    memory map, so none where there is no /proc or no OpenBLAS; the
+    argument only keys the cache."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
     except OSError:
-        return []
+        return ()
     pools = []
     for lib in libs:
         try:
@@ -482,7 +502,7 @@ def _openblas_pools() -> list[tuple]:
                 put.argtypes, put.restype = [ctypes.c_int], None
                 pools.append((get, put))
                 break
-    return pools
+    return tuple(pools)
 
 
 def _set_blas_threads(count: int) -> list[tuple]:

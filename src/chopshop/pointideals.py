@@ -8,6 +8,21 @@ Macaulay matrix.  Every quantity of interest here (Hilbert functions,
 saturation gaps) is a rank of one of these matrices.  The evaluation and
 Macaulay builders work on any coefficient dtype, so the floating-point
 Waring pipeline builds its matrices with them too.
+
+The points fix some rows of every Macaulay matrix (the normal-set argument
+of Buchberger and Moeller, EUROCAM 1982).  Let P be the pivot columns of
+the degree-d evaluation matrix E_d, and suppose x_0 vanishes at none of
+the points.  Lex order lists x_0's multiples first, so in degree t >= d
+the monomials x_0^(t-d) P sit at the same positions as P in degree d, and
+E_t restricted to them is E_d[:, P] with row i scaled by x_0^(t-d) at
+point i: full column rank.  So a degree-t form that vanishes on the points
+is determined by its other coordinates, and since every column of a
+Macaulay matrix of the ideal's forms vanishes on the points, deleting
+those rows keeps the rank of every set of its columns.  The chopped scan
+builds its staircase without them (``_fixed_rows``), except the last:
+where the quotient is r the matrix keeps one row more than its rank, so
+an elimination that overcounts a rank there still shows a quotient below
+r.  When x_0 vanishes at some point every row is kept.
 """
 
 from __future__ import annotations
@@ -291,7 +306,8 @@ def ideal_component(config: PointConfig, t: int) -> GradedBasis:
     return GradedBasis(config.n, t, kernel_basis(evaluation_matrix(config, t)))
 
 
-def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C") -> np.ndarray:
+def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C",
+                   drop: np.ndarray | tuple = ()) -> np.ndarray:
     """All degree-e monomial shifts of degree-d forms, as columns in degree d+e.
 
     ``coeffs`` holds one form per column (hs(n,d) rows, any dtype; the
@@ -304,6 +320,12 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C")
     LAPACK factors in place.  A matrix larger than physical memory, counted
     at the coefficients' item size (4 bytes a cell for the int32 residues of
     the exact pipeline), raises ``CapacityError`` instead of being allocated.
+
+    ``drop`` lists rows (positions in degree d+e) to leave out: the other
+    rows move up in order and the last len(drop) rows are zero, so the shape
+    stays the same and an elimination never reaches them.  Entries bound for
+    a dropped row land in the last row, which is zeroed afterwards, so no
+    second array of the matrix's size is made.
     """
     g = coeffs.shape[1]
     he = hs(n, e)
@@ -311,17 +333,25 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C")
     _check_memory(f"a {shape[0]} x {shape[1]} Macaulay matrix",
                   shape[0] * shape[1] * coeffs.itemsize)
     positions = product_index_map(n, d, e)
+    if len(drop):
+        kept = np.ones(shape[0], dtype=bool)
+        kept[drop] = False
+        rows = np.full(shape[0], shape[0] - 1, dtype=np.int64)
+        rows[kept] = np.arange(shape[0] - len(drop))
+        positions = rows[positions]
     out = np.zeros(shape, dtype=coeffs.dtype, order=order)
     out[positions[:, :, None], np.arange(he * g).reshape(he, 1, g)] = coeffs[None]
+    if len(drop):
+        out[-1] = 0
     return out
 
 
-def macaulay_matrix(basis: GradedBasis, e: int) -> ModMatrix:
-    """The Macaulay matrix of the basis forms at degree d+e over F_p (see
-    ``macaulay_array``)."""
+def macaulay_matrix(basis: GradedBasis, e: int, drop: np.ndarray | tuple = ()) -> ModMatrix:
+    """The Macaulay matrix of the basis forms at degree d+e over F_p, less
+    the rows in ``drop`` (see ``macaulay_array``)."""
     if e < 0:
         raise ValueError(f"need e >= 0, got {e}")
-    out = macaulay_array(basis.n, basis.degree, basis.vectors.array, e)
+    out = macaulay_array(basis.n, basis.degree, basis.vectors.array, e, drop=drop)
     return ModMatrix(basis.vectors.field, out, _trusted=True)
 
 
@@ -337,13 +367,29 @@ def chopped_hf(config: PointConfig, d: int, t: int) -> int:
     basis = ideal_component(config, d)
     if t == d:
         return hs(basis.n, d) - basis.dim
-    return _graded_quotients(basis, t - d)[-1]
+    return _graded_quotients(basis, t - d, _fixed_rows(config, basis))[-1]
 
 
-def _graded_quotients(basis: GradedBasis, top: int) -> list[int]:
+def _fixed_rows(config: PointConfig, basis: GradedBasis) -> np.ndarray:
+    """Rows of the chopped Macaulay staircase that the points fix, all but
+    the last (see the module docstring); none when x_0 vanishes at some
+    point.  ``basis`` is the kernel of E_d in echelon-complement form, so
+    each column's last nonzero entry is at its free coordinate and the
+    pivot columns of E_d are the rest.  Their positions in degree d are
+    those of their x_0-multiples in every degree above."""
+    if not config.coords[:, 0].all():
+        return np.empty(0, dtype=np.int64)
+    kernel = basis.vectors.array
+    free = kernel.shape[0] - 1 - np.argmax(kernel[::-1] != 0, axis=0)
+    return np.setdiff1d(np.arange(kernel.shape[0]), free)[:-1]
+
+
+def _graded_quotients(basis: GradedBasis, top: int,
+                      drop: np.ndarray | tuple = ()) -> list[int]:
     """Chopped quotient at degrees d+1, ..., d+top from one elimination of
-    the Macaulay matrix at degree d+top, in place (see ``chopped_profile``)."""
-    a = macaulay_matrix(basis, top).array
+    the Macaulay matrix at degree d+top less the rows in ``drop``, in place
+    (see ``chopped_profile``)."""
+    a = macaulay_matrix(basis, top, drop).array
     a.setflags(write=True)  # a fresh array that only this frame holds
     piv = _echelon(a, basis.vectors.field.p)  # ascending
     # the first g * hs(n,e) columns have the rank of M_e
@@ -369,6 +415,15 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
     rank-profile order, so the quotient at d+e is hs(n,d+e) minus the
     pivots before column g*hs(n,e).  When the quotient has not returned to
     r by G, one more elimination, at e_max, gives the rest of the scan.
+
+    Both eliminations leave out the rows the points fix (``_fixed_rows``):
+    when x_0 vanishes at none of the points, the x_0-multiples of the
+    pivot columns of E_d, all but the last.  Every column vanishes on the
+    points and those coordinates are determined by the others, so every
+    column prefix keeps its rank, and each panel's update runs over r - 1
+    fewer rows.  The kept row leaves the matrix one row more than its rank
+    where the quotient is r.  The dropped rows lie in the top hs(n,d),
+    inside every column's block, so the matrix stays a staircase.
     """
     params = CaseParams(config.n, config.r)
     d = params.d
@@ -381,9 +436,10 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
         )
 
     basis = ideal_component(config, d)
-    quotients = _graded_quotients(basis, prediction.gap)
+    drop = _fixed_rows(config, basis)
+    quotients = _graded_quotients(basis, prediction.gap, drop)
     if config.r not in quotients and e_max > prediction.gap:
-        quotients = _graded_quotients(basis, e_max)
+        quotients = _graded_quotients(basis, e_max, drop)
     gap_seen = quotients.index(config.r) + 1 if config.r in quotients else None
     observed_values = [hs(config.n, t) for t in range(d)]
     observed_values.append(hs(config.n, d) - basis.dim)

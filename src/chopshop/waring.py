@@ -128,6 +128,8 @@ def form_from_points(points, coefficients, D: int) -> SymmetricForm:
     """Expand a weighted sum of D-th powers of linear forms.
 
     The coefficient of y^beta is sum_i c_i * multinomial(D; beta) * z_i^beta.
+    The sum runs on one BLAS thread, so its bits do not depend on the
+    caller's thread count.
     """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] < 2:
@@ -136,7 +138,8 @@ def form_from_points(points, coefficients, D: int) -> SymmetricForm:
         raise ValueError("zero rows cannot carry a linear form")
     n = pts.shape[1] - 1
     c = np.asarray(coefficients, dtype=np.complex128)
-    coeffs = _multinomials(n, D) * (c @ evaluation_array(pts, D))
+    with one_blas_thread():
+        coeffs = _multinomials(n, D) * (c @ evaluation_array(pts, D))
     return SymmetricForm(n, D, coeffs)
 
 

@@ -6,7 +6,12 @@ the one-pivot back-elimination it replaced, and rank/kernel/span agree
 with constructions whose answers are known by design.
 """
 
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -161,6 +166,26 @@ class TestPrimeField:
                 PrimeField(bad)
         with pytest.raises(ValueError):
             PrimeField(2**31 + 11)
+
+    def test_miller_rabin_matches_trial_division(self):
+        n = np.arange(10**5)
+        composite = n < 2
+        for q in range(2, 317):  # 317**2 > 10**5
+            composite |= (n % q == 0) & (n != q)
+        assert [modlinalg._is_prime.__wrapped__(int(k)) for k in n] == list(~composite)
+
+    # Carmichael numbers, then composites that pass the bases 2 and 7 and
+    # fail only at 61
+    PSEUDOPRIMES = (561, 1729, 41041, 294409, 825265, 56052361, 321197185, 1299963601,
+                    2284453, 3539101, 415476343, 483029821)
+
+    def test_miller_rabin_rejects_pseudoprimes(self):
+        for n in self.PSEUDOPRIMES:
+            assert any(n % f == 0 for f in range(3, math.isqrt(n) + 1, 2)), n
+            assert not modlinalg._is_prime.__wrapped__(n), n
+        for p in (2147483629, 2147483647):
+            assert modlinalg._is_prime.__wrapped__(p)
+            PrimeField(p)
 
 
 class TestModMatrix:
@@ -855,6 +880,29 @@ class TestOneBlasThread:
                 assert self.counts(blas_pools) == [1] * len(blas_pools)
                 1 / 0
         assert self.counts(blas_pools) == [2] * len(blas_pools)
+
+    def test_pools_are_found_once(self, blas_pools, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the memory map was read again")
+
+        monkeypatch.setattr(modlinalg, "open", refuse, raising=False)
+        monkeypatch.setattr(modlinalg.ctypes, "CDLL", refuse)
+        assert modlinalg._openblas_pools() == blas_pools
+        with one_blas_thread():
+            assert self.counts(blas_pools) == [1] * len(blas_pools)
+
+    def test_scipy_pool_appears_once_imported(self):
+        # a fresh process, since this one has imported scipy.linalg already
+        code = ("from chopshop import modlinalg; before = len(modlinalg._openblas_pools()); "
+                "import scipy.linalg; print(before, len(modlinalg._openblas_pools()))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+        before, after = map(int, out.split())
+        if not before:
+            pytest.skip("no OpenBLAS in numpy")
+        assert after == before + 1
 
     def test_no_op_without_openblas(self, blas_pools, monkeypatch):
         monkeypatch.setattr(modlinalg, "_openblas_pools", lambda: [])

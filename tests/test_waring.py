@@ -664,6 +664,22 @@ class TestDecompose:
         assert np.array_equal(one.coefficients, two.coefficients)
         assert one.residual == two.residual
 
+    def test_form_bits_independent_of_caller_blas_threads(self, blas_pools):
+        # the form built inside each thread setting: unpinned, its product
+        # sums in another order at two threads, and decompose returns the
+        # points of (3,8,25) seed 12 in another order
+        forms, runs = [], []
+        for count in (1, 2):
+            for _, put in blas_pools:
+                put(count)
+            forms.append(form_from_points(random_unit_points(3, 25, seed=12), np.ones(25), 8))
+            runs.append(decompose(forms[-1], 25))
+            assert [get() for get, _ in blas_pools] == [count] * len(blas_pools)
+        assert np.array_equal(forms[0].coeffs, forms[1].coeffs)
+        one, two = runs
+        assert np.array_equal(one.points, two.points)
+        assert one.residual == two.residual
+
     def test_scale_and_permutation_invariance(self):
         rng = np.random.default_rng(31)
         Z = random_unit_points(2, 9, seed=13)
