@@ -23,7 +23,8 @@ the same small elimination gives both of the block's triangle inverses
 the first-nonzero rule picks, and the rows below get their multipliers
 from one product by U's inverse.  When one vanishes, the panel needs a
 swap or has a column without a pivot, and it is eliminated one pivot at a
-time instead, with the same rule.
+time instead, with the same rule.  Either way the panel's L^-1 comes from
+its row operations run on identity columns beside it, [B | I] -> [U | L^-1].
 
 Two devices from delayed-reduction linear algebra keep the rest of the
 work in BLAS.  A product balances both operands to residues of least
@@ -226,20 +227,6 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) 
     return _residues(acc, p, c)
 
 
-def _lower_inverse(t: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of the unit lower-triangular matrix with t's strictly lower
-    part: forward substitution on the identity, one column at a time.  Row
-    j of the result is zero right of column j, so only columns up to j are
-    touched."""
-    k = t.shape[0]
-    x = np.eye(k, dtype=np.int64)
-    for j in range(k):
-        f = t[j + 1:, j]
-        if f.any():
-            x[j + 1:, :j + 1] = (x[j + 1:, :j + 1] - f[:, None] * x[j, :j + 1]) % p
-    return x
-
-
 def _live_rows(x: np.ndarray) -> int:
     """Number of rows of x down to its last nonzero one (0 if x is zero)."""
     nonzero = np.flatnonzero(x.any(axis=1))
@@ -259,14 +246,12 @@ def _update(a: np.ndarray, p: int, row: int, piv: list[int], x: np.ndarray,
         _mul_mod(a[row:row + live, piv], x, p, c[:live])
 
 
-def _forward(a: np.ndarray, p: int, row: int, piv, x: np.ndarray,
-             inverse: np.ndarray | None = None) -> None:
+def _forward(a: np.ndarray, p: int, row: int, piv, inverse: np.ndarray,
+             x: np.ndarray) -> None:
     """x <- L^-1 x mod p in place, for L the unit-lower multipliers parked
     in columns ``piv`` of ``a`` from ``row`` on; ``inverse`` is the inverse
-    of their top len(piv) x len(piv) triangle when the caller has it."""
+    of their top len(piv) x len(piv) triangle, which the panel made."""
     k = len(piv)
-    if inverse is None:
-        inverse = _lower_inverse(a[row:row + k, piv], p)
     x[:k] = _mul_mod(inverse, x[:k], p)
     _update(a, p, row + k, piv, x[:k], x[k:])
 
@@ -305,16 +290,22 @@ def _square(b: np.ndarray, p: int):
     return x[0, :, :k], x[0, :, k:], x[1, :, k:].T * dinv % p
 
 
-def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int,
-                c1: int) -> list[int]:
+def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int, c1: int):
     """Eliminate rows row0:end of columns c0:c1 of ``a`` one pivot at a
-    time, in place; returns the pivot columns.  The rows are copied to
-    int64, where a product of two residues fits, whole rows are swapped in
-    both the copy and ``a``, and the reduced copy is written back."""
-    panel = a[row0:end, c0:c1].astype(np.int64)
+    time, in place; returns the pivot columns and the inverse of the
+    unit-lower triangle parked on them.  The rows are copied to int64,
+    where a product of two residues fits, beside w = c1 - c0 zero columns,
+    whole rows are swapped in both the copy and ``a``, and the reduced copy
+    is written back.  The j-th pivot row gets a 1 in appended column j once
+    swapped into place, so the row operations leave L^-1 in the pivot rows
+    there; columns right of the last 1 are still zero, so no update reads
+    them."""
+    w = c1 - c0
+    panel = np.zeros((end - row0, 2 * w), dtype=np.int64)
+    panel[:, :w] = a[row0:end, c0:c1]
     found: list[int] = []
     row = 0
-    for lc in range(c1 - c0):
+    for lc in range(w):
         if row == len(panel):
             break
         nz = panel[row:, lc].nonzero()[0]
@@ -324,16 +315,17 @@ def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int,
         if rpiv != row:
             panel[[row, rpiv]] = panel[[rpiv, row]]
             a[[row0 + row, row0 + rpiv]] = a[[row0 + rpiv, row0 + row]]
+        panel[row, w + row] = 1
         f = panel[row + 1:, lc]
         f *= pow(int(panel[row, lc]), -1, p)
         f %= p
-        sub = panel[row + 1:, lc + 1:]
-        sub -= f[:, None] * panel[row, lc + 1:]
+        sub = panel[row + 1:, lc + 1:w + row + 1]
+        sub -= f[:, None] * panel[row, lc + 1:w + row + 1]
         sub %= p
         found.append(c0 + lc)
         row += 1
-    a[row0:end, c0:c1] = panel
-    return found
+    a[row0:end, c0:c1] = panel[:, :w]
+    return found, panel[:row, w:w + row]
 
 
 def _echelon(a: np.ndarray, p: int, u_inverses: list | None = None) -> list[int]:
@@ -364,8 +356,8 @@ def _echelon(a: np.ndarray, p: int, u_inverses: list | None = None) -> list[int]
     product, L21 = A21 U11^-1 (A21 = L21 U11), and one ``_forward`` with the
     block's L^-1 takes its pivots to every column right of the block.  If a
     pivot vanishes, the panel eliminates its live rows one pivot at a time
-    (``_pivot_loop``), and one ``_forward`` takes its pivots to the columns
-    right of the panel.
+    (``_pivot_loop``), making its pivots' L^-1 as it goes, and one
+    ``_forward`` with it takes its pivots to the columns right of the panel.
 
     Row swaps, pivots and D^-1 U (D the pivot values) match elimination with
     unit pivot rows: a row below a pivot is updated by (entry / pivot) times
@@ -389,16 +381,15 @@ def _echelon(a: np.ndarray, p: int, u_inverses: list | None = None) -> list[int]
             cols = list(range(c0, c0 + k))
             right = c0 + k
         else:
-            cols = _pivot_loop(a, p, row0, end, c0, c1)
+            cols, l_inv = _pivot_loop(a, p, row0, end, c0, c1)
             if not cols:
                 continue
-            l_inv = None
             if u_inverses is not None:
                 # the U block is its own LU, L = I, so it factors square
                 u_inv = _square(np.triu(a[row0:row0 + len(cols), cols]), p)[2]
             right = c1
         if right < n:
-            _forward(a, p, row0, cols, a[row0:, right:], l_inv)
+            _forward(a, p, row0, cols, l_inv, a[row0:, right:])
         if u_inverses is not None:
             u_inverses.append(u_inv)
         piv += cols

@@ -322,23 +322,24 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C",
     the exact pipeline), raises ``CapacityError`` instead of being allocated.
 
     ``drop`` lists rows (positions in degree d+e) to leave out: the other
-    rows move up in order and the last len(drop) rows are zero, so the shape
-    stays the same and an elimination never reaches them.  Entries bound for
-    a dropped row land in the last row, which is zeroed afterwards, so no
-    second array of the matrix's size is made.
+    rows move up in order, and one zero sink row follows them, so the
+    result has hs(n,d+e) - len(drop) + 1 rows.  Entries bound for a dropped
+    row land in the sink, which is zeroed afterwards, so no second array of
+    the matrix's size is made.
     """
     g = coeffs.shape[1]
     he = hs(n, e)
-    shape = (hs(n, d + e), he * g)
+    rows = hs(n, d + e)
+    shape = (rows - len(drop) + 1 if len(drop) else rows, he * g)
     _check_memory(f"a {shape[0]} x {shape[1]} Macaulay matrix",
                   shape[0] * shape[1] * coeffs.itemsize)
     positions = product_index_map(n, d, e)
     if len(drop):
-        kept = np.ones(shape[0], dtype=bool)
+        kept = np.ones(rows, dtype=bool)
         kept[drop] = False
-        rows = np.full(shape[0], shape[0] - 1, dtype=np.int64)
-        rows[kept] = np.arange(shape[0] - len(drop))
-        positions = rows[positions]
+        moved = np.full(rows, shape[0] - 1, dtype=np.int64)
+        moved[kept] = np.arange(shape[0] - 1)
+        positions = moved[positions]
     out = np.zeros(shape, dtype=coeffs.dtype, order=order)
     out[positions[:, :, None], np.arange(he * g).reshape(he, 1, g)] = coeffs[None]
     if len(drop):

@@ -97,6 +97,8 @@ class Certificate:
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
+        """Inverse of ``to_dict``.  No caller outside the tests: kept because the
+        certificate is the product, and a planned replay command reads stored ones."""
         if not isinstance(data, dict):
             raise ValueError(f"a certificate is a JSON object, got {data!r}")
         version = data.get("schema_version")
@@ -232,6 +234,9 @@ def replay_certificate(cert: Certificate) -> bool:
     past d, and never less than the predicted gap.  A scan stops at its gap
     or at its horizon, so this reproduces the table of any honest run,
     whatever ``e_max`` it was made with.
+
+    No caller outside the tests: kept because the certificate is the
+    product, and a planned replay command runs it.
     """
     if not cert.points:
         raise ValueError("certificate carries no points to replay")

@@ -612,7 +612,9 @@ def recovery_error(
 
 
 def form_to_dict(form: SymmetricForm) -> dict:
-    """JSON-ready dictionary with one term per nonzero coefficient."""
+    """JSON-ready dictionary with one term per nonzero coefficient.
+    No caller outside the tests: kept because it writes the form files
+    that the ``decompose`` command reads (through ``form_from_dict``)."""
     terms = [
         {"exponent": list(mono), "re": float(c.real), "im": float(c.imag)}
         for mono, c in zip(monomials(form.n, form.D), form.coeffs)

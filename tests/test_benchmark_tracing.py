@@ -9,7 +9,9 @@ the ``numerical_kernel`` call order the tracer's kernel split relies on;
 the fourth checks that a graded elimination still shows up as one traced
 Macaulay build; the fifth checks that every other name a module imports
 is used there, so that an import kept only for the tracer is one of its
-targets.
+targets.  The sixth holds the package's public functions to the same
+standard: each is named by some module of the package or says why the
+tests alone keep it.
 """
 
 import ast
@@ -142,7 +144,8 @@ def test_a_pass_builds_one_macaulay_matrix(n, r, capsys):
     params = formulas.CaseParams(n, r)
     d, gap = params.d, formulas.predicted_gap(params).gap
     g = grading.hs(n, d) - r
-    shape = (grading.hs(n, d + gap), g * grading.hs(n, gap))
+    # the rows the points fix, all but one, leave one zero sink row
+    shape = (grading.hs(n, d + gap) - r + 2, g * grading.hs(n, gap))
     assert [s[5] for s in tracer.spans if s[0] == "pointideals.macaulay_matrix"] == [shape]
     metrics = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
     assert metrics["pointideals.macaulay_matrix_calls"] == 1
@@ -169,3 +172,24 @@ def test_every_import_is_used_or_traced():
         unused += [(path.stem, name) for name in sorted(imported - used)
                    if (path.stem, name) not in traced]
     assert unused == []
+
+
+def test_every_public_function_is_called_or_kept_for_a_reason():
+    """A public function or method that no module of the package names has
+    no caller outside the tests, and its docstring must say why it is kept
+    ("No caller outside the tests: ..."); otherwise it is dead code."""
+    named, public = set(), []
+    for path in sorted((ROOT / "src" / "chopshop").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        public += [(path.stem, node) for scope in scopes for node in scope.body
+                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    unexplained = [(module, node.name) for module, node in public
+                   if node.name not in named
+                   and "No caller outside the tests:" not in (ast.get_docstring(node) or "")]
+    assert unexplained == []

@@ -23,7 +23,6 @@ from chopshop.modlinalg import (
     ModMatrix,
     PrimeField,
     _echelon,
-    _lower_inverse,
     _mul_mod,
     _residues,
     in_span,
@@ -352,20 +351,6 @@ class TestMulMod:
         assert (_mul_mod(a, b, p, c) == (1 - want) % p).all()
 
 
-class TestLowerInverse:
-    @pytest.mark.parametrize("p", [3, 101, 2147483647])
-    def test_inverts_the_leaf_triangle(self, p):
-        # only t's strictly lower part is read: the diagonal is taken as 1
-        rng = np.random.default_rng(p)
-        for k in (1, 2, 7, 32):
-            t = rng.integers(0, p, size=(k, k), dtype=np.int64)
-            lower = np.tril(t, -1) + np.eye(k, dtype=np.int64)
-            got = _lower_inverse(t, p)
-            assert not np.triu(got, 1).any()
-            assert (np.diag(got) == 1).all()
-            assert (_mul_mod(lower, got, p) == np.eye(k, dtype=np.int64)).all()
-
-
 def planted_lu(rng, p, m, n, zero_diagonal=()):
     """m x n product L U over F_p of a random unit-lower m x m L and a
     random upper-trapezoidal m x n U with a nonzero diagonal: every leading
@@ -399,32 +384,32 @@ def square_cases(p):
 
 def recorded_echelon(a, p, leaf):
     """_echelon of a copy of a at the given leaf, asked for each panel's U
-    inverse as kernel_basis asks, with every _square result and every
-    _forward and _lower_inverse call recorded."""
+    inverse as kernel_basis asks, with every _square result, every
+    _pivot_loop result (with the panel's first row and end column) and
+    every _forward call recorded."""
     got, u_inverses = a.copy(), []
-    log = {"square": [], "forward": [], "lower": []}
-    real_square, real_forward, real_lower = (
-        modlinalg._square, modlinalg._forward, modlinalg._lower_inverse)
+    log = {"square": [], "loop": [], "forward": []}
+    real_square, real_loop, real_forward = (
+        modlinalg._square, modlinalg._pivot_loop, modlinalg._forward)
 
     def square(b, p):
         result = real_square(b, p)
         log["square"].append(result)
         return result
 
-    def forward(a, p, row, piv, x, inverse=None):
-        given = None if inverse is None else inverse.copy()
-        log["forward"].append((row, list(piv), x.shape[1], given))
-        return real_forward(a, p, row, piv, x, inverse)
+    def loop(a, p, row0, end, c0, c1):
+        cols, inverse = real_loop(a, p, row0, end, c0, c1)
+        log["loop"].append((row0, c1, list(cols), inverse.copy()))
+        return cols, inverse
 
-    def lower(t, p):
-        inverse = real_lower(t, p)
-        log["lower"].append((t.copy(), inverse))
-        return inverse
+    def forward(a, p, row, piv, inverse, x):
+        log["forward"].append((row, list(piv), x.shape[1], inverse.copy()))
+        return real_forward(a, p, row, piv, inverse, x)
 
     with mock.patch.object(modlinalg, "_LEAF", leaf), \
             mock.patch.object(modlinalg, "_square", square), \
-            mock.patch.object(modlinalg, "_forward", forward), \
-            mock.patch.object(modlinalg, "_lower_inverse", lower):
+            mock.patch.object(modlinalg, "_pivot_loop", loop), \
+            mock.patch.object(modlinalg, "_forward", forward):
         piv = _echelon(got, p, u_inverses)
     return got, piv, u_inverses, log
 
@@ -441,22 +426,44 @@ def assert_inverts(t, inverse, p):
 def assert_parked_inverses(got, piv, u_inverses, log, p):
     """Each panel's U inverse inverts the U block its pivots leave, the
     panels' pivot rows following one another; each L^-1 that _forward is
-    given, or that _lower_inverse makes inside it, inverts the unit-lower
-    triangle parked on its pivots."""
+    given inverts the unit-lower triangle parked on its pivots."""
     row = 0
     for inverse in u_inverses:
         k = len(inverse)
         assert_inverts(np.triu(got[row:row + k, piv[row:row + k]]), inverse, p)
         row += k
     assert row == len(piv)
-    lowers = iter(log["lower"])
     for row, cols, _, given in log["forward"]:
-        parked = got[row:row + len(cols), cols]
-        if given is None:
-            t, given = next(lowers)
-            assert (t == parked).all()
-        assert_inverts(unit_lower(parked), given, p)
-    assert next(lowers, None) is None
+        assert_inverts(unit_lower(got[row:row + len(cols), cols]), given, p)
+
+
+class TestLoopInverse:
+    @pytest.mark.parametrize("p", [3, 101, 2147483647])
+    @pytest.mark.parametrize("case", ["swap", "zero columns"])
+    def test_each_loop_panel_returns_its_pivots_l_inverse(self, p, case):
+        # the one-pivot loop returns the inverse of the unit-lower triangle
+        # it parks on its pivots.  Cut after the first loop panel that finds
+        # pivots, the matrix leaves that panel no columns to its right: no
+        # _forward follows it, so only its own result shows its L^-1.  At
+        # leaf 1 a zero column is a panel without live rows, and the loop
+        # may find no pivots at all
+        a = square_cases(p)[case]
+        cuts = 0
+        for leaf in (1, 3, 8, 32):
+            runs = [recorded_echelon(a, p, leaf)]
+            end = next((c1 for _, c1, cols, _ in runs[0][3]["loop"] if cols), None)
+            if end is not None:
+                runs.append(recorded_echelon(a[:, :end], p, leaf))
+                last = runs[1][3]["loop"][-1]
+                assert last[1] == end and last[2]
+                assert all(cols != last[2] for _, cols, _, _ in runs[1][3]["forward"])
+                cuts += 1
+            for got, _, _, log in runs:
+                for row0, _, cols, inverse in log["loop"]:
+                    k = len(cols)
+                    assert inverse.shape == (k, k)
+                    assert_inverts(unit_lower(got[row0:row0 + k, cols]), inverse, p)
+        assert cuts >= 3
 
 
 class TestLeafInverses:
@@ -464,17 +471,17 @@ class TestLeafInverses:
         # 200 columns at leaf 8 make 25 panels.  A panel that finds pivots
         # inverts its pivots' triangle once: the square step makes L^-1 as
         # it factors the leading block, and a panel that falls back to the
-        # one-pivot loop calls _lower_inverse once.  Either inverse inverts
-        # the L the factorization leaves on those pivots.  The zeroed rows
-        # and columns send most panels of the first matrix to the loop; the
-        # second takes the square step everywhere
+        # one-pivot loop makes it beside the panel as it goes.  Either
+        # inverse inverts the L the factorization leaves on those pivots.
+        # The zeroed rows and columns send most panels of the first matrix
+        # to the loop; the second takes the square step everywhere
         rng = np.random.default_rng(4)
         p = F.p
         paths = set()
         for a in (product_with_zeros(rng, p, 200, 200, 150), planted_lu(rng, p, 200, 200)):
             want, piv_want = reference_lu(a, p)
             calls = []
-            real_square, real_lower = modlinalg._square, modlinalg._lower_inverse
+            real_square, real_loop = modlinalg._square, modlinalg._pivot_loop
 
             def square(b, p):
                 result = real_square(b, p)
@@ -482,14 +489,16 @@ class TestLeafInverses:
                     calls.append(("square", result[0].copy(), result[1]))
                 return result
 
-            def lower(t, p):
-                inverse = real_lower(t, p)
-                calls.append(("lower", t.copy(), inverse))
-                return inverse
+            def loop(a, p, row0, end, c0, c1):
+                cols, inverse = real_loop(a, p, row0, end, c0, c1)
+                if cols:
+                    t = a[row0:row0 + len(cols), cols]
+                    calls.append(("loop", t, inverse.copy()))
+                return cols, inverse
 
             with mock.patch.object(modlinalg, "_LEAF", 8), \
                     mock.patch.object(modlinalg, "_square", square), \
-                    mock.patch.object(modlinalg, "_lower_inverse", lower):
+                    mock.patch.object(modlinalg, "_pivot_loop", loop):
                 piv = _echelon(a, p)
             assert piv == piv_want
             assert (a == want).all()
@@ -504,7 +513,7 @@ class TestLeafInverses:
                 paths.add(path)
                 row += k
             assert row == len(piv)
-        assert paths == {"square", "lower"}
+        assert paths == {"square", "loop"}
 
 
 class TestForwardStep:
@@ -513,33 +522,27 @@ class TestForwardStep:
         # at leaf 8 a panel that finds pivots runs one _forward on the
         # columns right of them when there are any: right of its leading
         # block, given that block's L^-1, when the block factors; right of
-        # the panel otherwise, inverting the pivots' triangle there.
+        # the panel otherwise, given the L^-1 the one-pivot loop made.
         # kernel_basis runs the same factorization and no _forward of its
         # own.  (60, 44, 44) finds pivots in its last panel, which has
         # nothing right of it
         rng = np.random.default_rng(4)
         p = F.p
         a = product_with_zeros(rng, p, m, n, k)
-        log = {"forward": [], "lower": 0}
-        real_forward, real_lower = modlinalg._forward, modlinalg._lower_inverse
+        log = []
+        real_forward = modlinalg._forward
 
-        def forward(a, p, row, piv, x, inverse=None):
-            log["forward"].append((row, list(piv), x.shape[1], inverse is not None))
-            return real_forward(a, p, row, piv, x, inverse)
-
-        def lower(t, p):
-            log["lower"] += 1
-            return real_lower(t, p)
+        def forward(a, p, row, piv, inverse, x):
+            given = inverse.shape == (len(piv), len(piv))
+            log.append((row, list(piv), x.shape[1], given))
+            return real_forward(a, p, row, piv, inverse, x)
 
         with mock.patch.object(modlinalg, "_LEAF", 8), \
-                mock.patch.object(modlinalg, "_forward", forward), \
-                mock.patch.object(modlinalg, "_lower_inverse", lower):
+                mock.patch.object(modlinalg, "_forward", forward):
             piv = _echelon(a.copy(), p)
-            factored = list(log["forward"])
-            assert log["lower"] == sum(not given for *_, given in factored)
+            factored = list(log)
             ker = kernel_basis(ModMatrix(F, a, _trusted=True))
-        assert log["forward"] == 2 * factored
-        assert log["lower"] == 2 * sum(not given for *_, given in factored)
+        assert log == 2 * factored
         calls = iter(factored)
         row = 0
         for c0 in sorted({c // 8 * 8 for c in piv}):
@@ -547,7 +550,7 @@ class TestForwardStep:
             square = cols == list(range(c0, c0 + len(cols)))
             if c0 + 8 < n or square and cols[-1] + 1 < n:
                 assert next(calls) in [(row, cols, n - cols[-1] - 1, True),
-                                       (row, cols, n - min(c0 + 8, n), False)]
+                                       (row, cols, n - min(c0 + 8, n), True)]
             row += len(cols)
         assert next(calls, None) is None
         assert ker.cols == n - len(piv) > 0
@@ -571,8 +574,8 @@ class TestSquarePanels:
             assert (kernel == kernel_want).all()
             fell_back = None in log["square"]
             if case == "dense":
-                # every panel factors its block; none inverts a triangle
-                assert not fell_back and not log["lower"]
+                # every panel factors its block; none runs the one-pivot loop
+                assert not fell_back and not log["loop"]
                 assert len(log["square"]) == len(u_inverses) == -(-75 // leaf)
             elif case == "swap" or case == "zero columns" and leaf > 1:
                 # at leaf 1 a zero column has no live rows, so no block
