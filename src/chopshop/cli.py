@@ -143,25 +143,18 @@ _FLAGS = {
 }
 
 
-def _emit(args: argparse.Namespace, payload: dict, table_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in table_lines:
-            print(line)
+_Output = tuple[int, dict, list[str]]  # exit code, JSON payload, table lines
 
 
-def _write_out(args: argparse.Namespace, payload: dict) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
-
-def _strip_timing_cert(data: dict) -> dict:
-    data = dict(data)
-    data["wall_ms"] = 0
-    return data
+def _without_timing(data):
+    """``data`` with each wall clock (``wall_ms``, ``total_wall_ms``) set to 0,
+    in the dicts it holds too; a list is walked only for its dicts."""
+    if isinstance(data, list):
+        return [_without_timing(v) if isinstance(v, dict) else v for v in data]
+    if not isinstance(data, dict):
+        return data
+    return {k: 0 if k in ("wall_ms", "total_wall_ms") else _without_timing(v)
+            for k, v in data.items()}
 
 
 def _aligned_rows(header: list[str], rows: list[tuple[str, list[str]]]) -> list[str]:
@@ -186,20 +179,28 @@ def _aligned_rows(header: list[str], rows: list[tuple[str, list[str]]]) -> list[
     return lines
 
 
-def _ceiling(bound: int) -> int | None:
-    """The proven gap ceiling (n-1)d - (n+1) to report, or None below 1.
+def _predicted(args: argparse.Namespace):
+    """The case, its predicted gap, and the payload fields `hf` and `gap` share.
 
-    That formula bounds the gap in the hard regime; every gap is at least
-    1, so a value below 1 is no ceiling at all for the small cases where
-    it occurs ((2,7), (3,5) and (3,6)).
+    The proven gap ceiling (n-1)d - (n+1) is None below 1: it bounds the
+    gap in the hard regime, and every gap is at least 1, so a value below 1
+    is no ceiling for the small cases where it occurs ((2,7), (3,5), (3,6)).
     """
-    return bound if bound >= 1 else None
-
-
-def _cmd_hf(args: argparse.Namespace) -> int:
     params = CaseParams(args.n, args.r)
     prediction = predicted_gap(params)
-    ceiling = _ceiling(prediction.bound)
+    payload = {
+        "n": params.n,
+        "r": params.r,
+        "d": params.d,
+        "predicted_gap": prediction.gap,
+        "gap_upper_bound": prediction.bound if prediction.bound >= 1 else None,
+    }
+    return params, prediction, payload
+
+
+def _cmd_hf(args: argparse.Namespace) -> _Output:
+    params, prediction, payload = _predicted(args)
+    ceiling = payload["gap_upper_bound"]
     top = params.d + prediction.gap
     degrees = list(range(top + 1))
     generic = generic_table(params)
@@ -209,17 +210,8 @@ def _cmd_hf(args: argparse.Namespace) -> int:
         "chopped": [prediction.table.value_at(t) for t in degrees],
         "lex floor": [lex_floor.value_at(t) for t in degrees],
     }
-    payload = {
-        "n": params.n,
-        "r": params.r,
-        "d": params.d,
-        "predicted_gap": prediction.gap,
-        "gap_upper_bound": ceiling,
-        "degrees": degrees,
-        "generic": rows["generic"],
-        "chopped": rows["chopped"],
-        "lex_floor": rows["lex floor"],
-    }
+    payload.update(degrees=degrees, generic=rows["generic"], chopped=rows["chopped"],
+                   lex_floor=rows["lex floor"])
     lines = _aligned_rows(
         [str(t) for t in degrees],
         [(label, [str(v) for v in values]) for label, values in rows.items()],
@@ -228,28 +220,18 @@ def _cmd_hf(args: argparse.Namespace) -> int:
         f"d={params.d}  predicted gap={prediction.gap}  "
         + ("no proven ceiling" if ceiling is None else f"upper bound={ceiling}")
     )
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_gap(args: argparse.Namespace) -> int:
-    params = CaseParams(args.n, args.r)
-    prediction = predicted_gap(params)
-    ceiling = _ceiling(prediction.bound)
-    payload = {
-        "n": params.n,
-        "r": params.r,
-        "d": params.d,
-        "predicted_gap": prediction.gap,
-        "gap_upper_bound": ceiling,
-    }
+def _cmd_gap(args: argparse.Namespace) -> _Output:
+    params, prediction, payload = _predicted(args)
+    ceiling = payload["gap_upper_bound"]
     lines = [
         f"n={params.n} r={params.r} d={params.d}",
         f"predicted gap: {prediction.gap}",
         "no proven ceiling" if ceiling is None else f"proven upper bound: {ceiling}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
 def _certificate_lines(data: dict) -> list[str]:
@@ -278,19 +260,17 @@ def _certificate_lines(data: dict) -> list[str]:
     return lines
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     certificate = verify_case(
         args.n, args.r, PrimeField(args.prime), args.seed, args.e_max
     )
     data = certificate.to_dict()
     if args.no_timing:
-        data = _strip_timing_cert(data)
-    _write_out(args, data)
-    _emit(args, data, _certificate_lines(data))
-    return 0 if certificate.verdict == "PASS" else 1
+        data = _without_timing(data)
+    return (0 if certificate.verdict == "PASS" else 1), data, _certificate_lines(data)
 
 
-def _cmd_verify_range(args: argparse.Namespace) -> int:
+def _cmd_verify_range(args: argparse.Namespace) -> _Output:
     report = verify_grid(
         args.n,
         args.r_from,
@@ -303,11 +283,7 @@ def _cmd_verify_range(args: argparse.Namespace) -> int:
     )
     data = report.to_dict()
     if args.no_timing:
-        data["certificates"] = [
-            _strip_timing_cert(c) for c in data["certificates"]
-        ]
-        data["summary"] = dict(data["summary"], total_wall_ms=0)
-    _write_out(args, data)
+        data = _without_timing(data)
     summary = data["summary"]
     lines = []
     for cert in data["certificates"]:
@@ -321,11 +297,10 @@ def _cmd_verify_range(args: argparse.Namespace) -> int:
         f"pass={summary['pass']} fail={summary['fail']} skip={summary['skip']} "
         f"wall_ms={summary['total_wall_ms']}"
     )
-    _emit(args, data, lines)
-    return 0 if summary["fail"] == 0 else 1
+    return (0 if summary["fail"] == 0 else 1), data, lines
 
 
-def _cmd_liaison(args: argparse.Namespace) -> int:
+def _cmd_liaison(args: argparse.Namespace) -> _Output:
     params = CaseParams(args.n, args.r)
     degrees = (args.d,) * args.n
     delta_z = first_difference(generic_table(params))
@@ -352,8 +327,7 @@ def _cmd_liaison(args: argparse.Namespace) -> int:
             ("delta residual", row(residual)),
         ],
     )
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
 def _gap(value: float | None) -> str:
@@ -382,17 +356,13 @@ def _decomposition_lines(payload: dict) -> list[str]:
     return lines
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    with open(args.form, encoding="utf-8") as fh:
-        form = form_from_dict(json.load(fh))
-    result = decompose(form, args.r, tol=args.tol, seed=args.seed)
+def _cmd_decompose(args: argparse.Namespace) -> _Output:
+    result = decompose(args.form, args.r, tol=args.tol, seed=args.seed)
     payload = result_to_dict(result)
-    _write_out(args, payload)
-    _emit(args, payload, _decomposition_lines(payload))
-    return 0
+    return 0, payload, _decomposition_lines(payload)
 
 
-def _cmd_waring_demo(args: argparse.Namespace) -> int:
+def _cmd_waring_demo(args: argparse.Namespace) -> _Output:
     points = random_unit_points(args.n, args.r, args.seed)
     coefficients = [1.0] * args.r
     form = form_from_points(points, coefficients, args.D)
@@ -403,11 +373,10 @@ def _cmd_waring_demo(args: argparse.Namespace) -> int:
     payload = dict(
         result_to_dict(result), point_recovery=point_err, coefficient_recovery=coeff_err
     )
-    _emit(args, payload, _decomposition_lines(payload))
-    return 0
+    return 0, payload, _decomposition_lines(payload)
 
 
-def _cmd_search_monomial(args: argparse.Namespace) -> int:
+def _cmd_search_monomial(args: argparse.Namespace) -> _Output:
     found = search_monomial_ideals(args.r)
     ideals = [
         [list(gen) for gen in ideal.sorted_generators()] for ideal in found
@@ -416,11 +385,10 @@ def _cmd_search_monomial(args: argparse.Namespace) -> int:
     lines = [f"r={args.r}: {len(found)} ideal(s)"]
     for gens in ideals:
         lines.append("  " + ", ".join(str(tuple(g)) for g in gens))
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_sextic_demo(args: argparse.Namespace) -> int:
+def _cmd_sextic_demo(args: argparse.Namespace) -> _Output:
     record = missing_sextic_demo(PrimeField(args.prime), args.seed)
     payload = dict(record, prime=args.prime, seed=args.seed)
     lines = [
@@ -428,22 +396,26 @@ def _cmd_sextic_demo(args: argparse.Namespace) -> int:
         f"sextic in quintic-generated component: {record['g_in_chopped6']}",
         f"dimensions: chopped {record['chopped6_dim']}, full {record['I6_dim']}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: its help line, its handler and the flags it takes."""
+    """One subcommand: its help line, its handler and the flags it takes.
+
+    A handler does no I/O: `run` reads the `form` file into `args.form`, a
+    `SymmetricForm`, before calling it, then writes the returned payload to
+    `--out` and prints the payload or the table lines, as `--format` says.
+    """
 
     help: str
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[argparse.Namespace], _Output]
     flags: tuple[str, ...]
 
 
 # The table holds the _cmd_* handlers, never library functions: the handlers
-# look those up as module globals when called, so a caller that replaces one
-# in this module (as benchmarks/tracing.py does) sees every call.
+# and `run` look those up as module globals when called, so a caller that
+# replaces one in this module (as benchmarks/tracing.py does) sees every call.
 _COMMANDS = {
     "hf": Command(
         "generic, expected-chopped, and lex-floor tables",
@@ -535,7 +507,15 @@ def run(argv=None) -> int:
             if complaint is not None:
                 usage.error(complaint)
     try:
-        return command.handler(args)
+        if "form" in command.flags:
+            with open(args.form, encoding="utf-8") as fh:
+                args.form = form_from_dict(json.load(fh))
+        code, payload, lines = command.handler(args)
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, indent=2) + "\n")
+        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+        return code
     except (*_COMPUTATION_FAILURES, SelfCheckError) as exc:
         if args.format == "json":
             error = {"type": type(exc).__name__, "message": str(exc)}

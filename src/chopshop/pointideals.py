@@ -108,11 +108,11 @@ class PointConfig:
     configuration was drawn and ``retries`` how many redraws the genericity
     check forced; both travel into certificates.
 
-    A configuration that passed ``is_generic`` keeps the degree-d component
-    of its ideal, which the genericity check computes anyway, so
-    ``ideal_component`` need not eliminate the same matrix again.  It is a
-    cache of a value derived from the coordinates: not an argument, not
-    part of equality, never written to a certificate.
+    ``ideal_component`` keeps each graded component of the ideal it
+    computes, by degree, so the degree-d kernel that the genericity check
+    takes is not eliminated again.  It is a cache of values derived from
+    the coordinates: not an argument, not part of equality, never written
+    to a certificate.
     """
 
     n: int
@@ -121,7 +121,8 @@ class PointConfig:
     prime: PrimeField
     seed: int
     retries: int = 0
-    _degree_d_basis: GradedBasis | None = field(default=None, init=False, repr=False)
+    _components: dict[int, GradedBasis] = field(default_factory=dict, init=False,
+                                                repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.coords, dtype=np.int64) % self.prime.p
@@ -255,16 +256,13 @@ def is_generic(config: PointConfig) -> bool:
     """Whether the points pass the genericity check of ``sample_points``:
     full rank at degree d, read off the size of its kernel, at degree d-1,
     read off where the kernel's columns end, hence at d+1.  Sampling and
-    replay both decide by it.  A configuration that passes keeps its
-    degree-d kernel as the degree-d component of its ideal."""
+    replay both decide by it.  The kernel is the degree-d component of the
+    ideal, which the configuration keeps."""
     n, d = config.n, CaseParams(config.n, config.r).d
-    kernel = kernel_basis(evaluation_matrix(config, d))
+    kernel = ideal_component(config, d).vectors
     if hs(n, d) - kernel.cols != config.r:
         return False
-    if d >= 2 and not _full_rank_below(config.coords, config.prime, d, kernel):
-        return False
-    object.__setattr__(config, "_degree_d_basis", GradedBasis(n, d, kernel))
-    return True
+    return d < 2 or _full_rank_below(config.coords, config.prime, d, kernel)
 
 
 def _full_rank_below(coords: np.ndarray, prime: PrimeField, d: int,
@@ -295,15 +293,12 @@ def evaluation_matrix(config: PointConfig, t: int) -> ModMatrix:
 
 def ideal_component(config: PointConfig, t: int) -> GradedBasis:
     """Degree-t component of the vanishing ideal: forms whose coefficient
-    vectors kill the evaluation matrix.
-
-    Returns the basis a sampled configuration kept when t is its degree d;
-    it is the same kernel, computed from the same matrix.
-    """
-    kept = config._degree_d_basis
-    if kept is not None and kept.degree == t:
-        return kept
-    return GradedBasis(config.n, t, kernel_basis(evaluation_matrix(config, t)))
+    vectors kill the evaluation matrix.  Each degree is computed once per
+    configuration and kept on it."""
+    if t not in config._components:
+        kernel = kernel_basis(evaluation_matrix(config, t))
+        config._components[t] = GradedBasis(config.n, t, kernel)
+    return config._components[t]
 
 
 def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C",

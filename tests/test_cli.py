@@ -522,6 +522,78 @@ class TestCombinatorialCommands:
         assert data["chopped6_dim"] == 9
 
 
+def _clocks(data):
+    """Every wall-clock value of a payload, at any depth."""
+    if isinstance(data, dict):
+        return [c for k, v in data.items()
+                for c in ([v] if k in ("wall_ms", "total_wall_ms") else _clocks(v))]
+    if isinstance(data, list):
+        return [c for v in data for c in _clocks(v)]
+    return []
+
+
+class TestOutFile:
+    """``--out`` holds the bytes that ``--format json`` prints, and a command
+    that fails leaves no file."""
+
+    VERIFY = ["verify", "--n", "2", "--r", "18"]
+    VERIFY_RANGE = ["verify-range", "--n", "2", "--r-from", "16", "--r-to", "18",
+                    "--workers", "1"]
+
+    @pytest.mark.parametrize("argv, clocks", [
+        (VERIFY, 1), (VERIFY + ["--no-timing"], 1),
+        (VERIFY_RANGE, 4), (VERIFY_RANGE + ["--no-timing"], 4),
+    ])
+    def test_verify_file_matches_stdout(self, tmp_path, argv, clocks):
+        path = tmp_path / "out.json"
+        code, out = invoke(argv + ["--format", "json", "--out", str(path)])
+        assert code == 0
+        assert path.read_text(encoding="utf-8") == out
+        found = _clocks(json.loads(out))
+        assert len(found) == clocks
+        if "--no-timing" in argv:
+            assert found == [0] * clocks
+
+    @pytest.mark.parametrize("argv", [VERIFY, VERIFY_RANGE])
+    def test_table_output_writes_the_same_file(self, tmp_path, argv):
+        argv = argv + ["--no-timing"]
+        path = tmp_path / "out.json"
+        code, table = invoke(argv + ["--out", str(path)])
+        assert code == 0
+        assert not table.lstrip().startswith("{")
+        assert path.read_text(encoding="utf-8") == invoke(argv + ["--format", "json"])[1]
+
+    def test_decompose_file_matches_stdout(self, tmp_path):
+        form = form_from_points(random_unit_points(2, 7, 11), [1.0] * 7, 6)
+        src = tmp_path / "form.json"
+        src.write_text(json.dumps(form_to_dict(form)))
+        path = tmp_path / "result.json"
+        code, out = invoke(["decompose", str(src), "--r", "7", "--format", "json",
+                            "--out", str(path)])
+        assert code == 0
+        assert path.read_text(encoding="utf-8") == out
+
+    def test_failed_command_writes_no_file(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        code, data = invoke_json(["verify", "--n", "2", "--r", "2", "--out", str(path)])
+        assert code == 1
+        assert data["error"]["type"] == "RangeError"
+        assert not path.exists()
+        code, out = invoke(["verify", "--n", "2", "--r", "2", "--out", str(path)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.exists()
+
+    def test_unwritable_out_is_a_clean_error(self, tmp_path):
+        path = tmp_path / "missing" / "cert.json"
+        code, data = invoke_json(self.VERIFY + ["--out", str(path)])
+        assert code == 1
+        # stdout holds the error object alone
+        assert list(data) == ["error"]
+        assert data["error"]["type"] == "FileNotFoundError"
+        assert str(path) in data["error"]["message"]
+
+
 # A valid invocation of every subcommand, the flags with a range check that
 # each one takes, and flags each of some subcommands does not take.  Usage
 # errors are caught before any computation, so the form file of `decompose`

@@ -34,6 +34,7 @@ from chopshop.pointideals import (
     evaluation_array,
     evaluation_matrix,
     ideal_component,
+    is_generic,
     macaulay_array,
     macaulay_matrix,
     sample_points,
@@ -226,7 +227,30 @@ class TestIdealComponent:
     def test_kept_basis_is_not_an_argument(self):
         cfg = sample_points(2, 18, P, SEED)
         with pytest.raises(TypeError):
-            PointConfig(2, 18, cfg.coords, P, SEED, _degree_d_basis=ideal_component(cfg, 5))
+            PointConfig(2, 18, cfg.coords, P, SEED, _components={5: ideal_component(cfg, 5)})
+
+    def test_each_component_is_eliminated_once(self, monkeypatch):
+        calls = []
+        kernel = pointideals.kernel_basis
+
+        def counted(m):
+            calls.append(m.shape)
+            return kernel(m)
+
+        monkeypatch.setattr(pointideals, "kernel_basis", counted)
+        for n, r in ((2, 18), (3, 30), (4, 20)):
+            calls.clear()
+            cfg = sample_points(n, r, P, SEED)
+            d = CaseParams(n, r).d
+            assert cfg.retries == 0
+            # the draw's genericity check takes the one degree-d kernel;
+            # neither a second check nor the component asks for it again
+            assert is_generic(cfg)
+            assert ideal_component(cfg, d) is ideal_component(cfg, d)
+            assert calls == [(r, hs(n, d))]
+            # another degree is eliminated once, then kept too
+            assert ideal_component(cfg, d + 1) is ideal_component(cfg, d + 1)
+            assert calls == [(r, hs(n, d)), (r, hs(n, d + 1))]
 
     def test_components_vanish_on_points(self):
         cfg = sample_points(3, 7, P, 9)
