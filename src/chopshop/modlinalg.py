@@ -50,6 +50,17 @@ columns not yet eliminated stay a staircase.  The graded Macaulay matrix of
 ``pointideals.chopped_profile`` is one: its rows and its shift columns
 descend in x_0's exponent.
 
+Many matrices factor in lockstep (``_echelons``, ``_kernels``), which is
+how a grid's cases of one generation degree are eliminated: every matrix
+is at the same panel, the panels' square blocks go through one stacked
+``_square``, and the small products of a panel (L21, the pivot rows'
+L^-1 product, the kernel's back substitution) through stacked products
+zero-padded to a common shape (``_mul_mods``).  Each matrix keeps its own
+live-row scans, its fall back to the one-pivot loop and its trailing
+update.  The arithmetic is exact, so a matrix meets the same pivots and
+ends with the same numbers whatever runs beside it; one matrix alone is a
+batch of one.
+
 The BLAS products here run with OpenBLAS's default threads.
 ``one_blas_thread`` pins every OpenBLAS thread pool loaded in the process
 to one thread for a ``with`` block and then restores each pool's count:
@@ -64,6 +75,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -72,6 +84,10 @@ import numpy as np
 _LIMB = float(1 << 16)  # limb base of the split left operand
 _CHUNK = 170  # inner indices of one exact float64 product (see _mul_mod)
 _LEAF = 32  # columns of one panel
+# A stack of small products (_mul_mods) holds at most this many padded
+# operand and product cells, and at most this many per cell of its own.
+_STACK_CELLS = 1 << 16
+_PADDING = 1.25
 
 
 @functools.cache
@@ -186,7 +202,8 @@ def _residues(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarra
 def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) -> np.ndarray:
     """Exact (a @ b) mod p, as int32, for reduced integer operands; given a
     reduced minuend c, c <- (c - a @ b) mod p in place instead, and c is
-    returned.
+    returned.  Stacks of matrices (a leading axis) multiply pairwise, each
+    2-d product in one BLAS call.
 
     Both operands are balanced to residues of least absolute value, at most
     (p - 1) / 2 < 2**30, and only a is split, a = ah * 2**16 + al with
@@ -201,21 +218,21 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) 
     is balanced before it is added.  Only the sum is reduced to [0, p) and
     converted to int32.
     """
-    m, k = a.shape
-    k2, n = b.shape
+    k = a.shape[-1]
+    k2, n = b.shape[-2:]
     if k != k2:
         raise ValueError(f"inner dimensions differ: {k} vs {k2}")
     acc = None
     for start in range(0, k or 1, _CHUNK):  # k = 0 makes one zero product
         w = min(_CHUNK, k - start)
-        split = np.empty((m, 2 * w))
-        ah, al = split[:, :w], split[:, w:]
-        _balanced(a[:, start:start + w], p, al)
+        split = np.empty((*a.shape[:-1], 2 * w))
+        ah, al = split[..., :w], split[..., w:]
+        _balanced(a[..., start:start + w], p, al)
         np.rint(np.multiply(al, 1.0 / _LIMB, out=ah), out=ah)
         al -= ah * _LIMB
-        stack = np.empty((2 * w, n))
-        _balanced(b[start:start + w], p, stack[w:])
-        _balanced(stack[w:] * _LIMB, p, stack[:w])
+        stack = np.empty((*b.shape[:-2], 2 * w, n))
+        _balanced(b[..., start:start + w, :], p, stack[..., w:, :])
+        _balanced(stack[..., w:, :] * _LIMB, p, stack[..., :w, :])
         prod = split @ stack
         if w < k:
             prod = _balanced(prod, p, np.empty_like(prod))
@@ -225,6 +242,66 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) 
     if c is not None:
         np.subtract(c, acc, out=acc)
     return _residues(acc, p, c)
+
+
+def _mul_mods(pairs: list, p: int, minuends: list | None = None) -> list:
+    """``_mul_mod`` of every pair (a, b) of reduced operands, in stacked
+    products; given minuends, each c <- (c - a @ b) mod p in place, and they
+    are returned.
+
+    A stack zero-pads each operand to the largest shape of its kind: the
+    padding adds zero terms and zero rows and columns, which are cut off
+    again.  Stacking saves the per-call cost of small products, so the
+    pairs, taken by size, join a stack while its padded cells stay within
+    ``_PADDING`` times their own and below ``_STACK_CELLS``; a larger pair
+    runs alone, unpadded and uncopied.
+    """
+    if len(pairs) == 1:
+        return _stacked(pairs, p, minuends)
+    dims = [(a.shape[0], a.shape[1], b.shape[1]) for a, b in pairs]
+    cells = [m * k + k * n + m * n for m, k, n in dims]
+    stacks: list[list[int]] = []
+    for i in sorted(range(len(pairs)), key=cells.__getitem__):
+        if stacks:
+            m, k, n = (max(dims[j][axis] for j in stacks[-1] + [i]) for axis in range(3))
+            padded = (len(stacks[-1]) + 1) * (m * k + k * n + m * n)
+            if (padded <= _STACK_CELLS
+                    and padded <= _PADDING * sum(cells[j] for j in stacks[-1] + [i])):
+                stacks[-1].append(i)
+                continue
+        stacks.append([i])
+    out: list = [None] * len(pairs)
+    for stack in stacks:
+        products = _stacked([pairs[i] for i in stack], p,
+                            None if minuends is None else [minuends[i] for i in stack])
+        for i, product in zip(stack, products):
+            out[i] = product
+    return out
+
+
+def _stacked(pairs: list, p: int, minuends: list | None) -> list:
+    """The products of ``_mul_mods`` for one stack of pairs."""
+    if len(pairs) == 1:
+        (a, b), = pairs
+        return [_mul_mod(a, b, p, None if minuends is None else minuends[0])]
+    m = max(a.shape[0] for a, _ in pairs)
+    k = max(a.shape[1] for a, _ in pairs)
+    n = max(b.shape[1] for _, b in pairs)
+    left = np.zeros((len(pairs), m, k), dtype=np.int64)
+    right = np.zeros((len(pairs), k, n), dtype=np.int64)
+    for i, (a, b) in enumerate(pairs):
+        left[i, :a.shape[0], :a.shape[1]] = a
+        right[i, :b.shape[0], :b.shape[1]] = b
+    if minuends is None:
+        prod = _mul_mod(left, right, p)
+        return [prod[i, :a.shape[0], :b.shape[1]] for i, (a, b) in enumerate(pairs)]
+    stacked = np.zeros((len(pairs), m, n), dtype=np.int32)
+    for i, c in enumerate(minuends):
+        stacked[i, :c.shape[0], :c.shape[1]] = c
+    _mul_mod(left, right, p, stacked)
+    for i, c in enumerate(minuends):
+        c[...] = stacked[i, :c.shape[0], :c.shape[1]]
+    return minuends
 
 
 def _live_rows(x: np.ndarray) -> int:
@@ -246,48 +323,78 @@ def _update(a: np.ndarray, p: int, row: int, piv: list[int], x: np.ndarray,
         _mul_mod(a[row:row + live, piv], x, p, c[:live])
 
 
-def _forward(a: np.ndarray, p: int, row: int, piv, inverse: np.ndarray,
-             x: np.ndarray) -> None:
-    """x <- L^-1 x mod p in place, for L the unit-lower multipliers parked
-    in columns ``piv`` of ``a`` from ``row`` on; ``inverse`` is the inverse
-    of their top len(piv) x len(piv) triangle, which the panel made."""
-    k = len(piv)
-    x[:k] = _mul_mod(inverse, x[:k], p)
-    _update(a, p, row + k, piv, x[:k], x[k:])
+def _forward(steps: list, p: int) -> None:
+    """x <- L^-1 x mod p in place for every step (a, row, piv, inverse, x),
+    L the unit-lower multipliers parked in columns ``piv`` of ``a`` from
+    ``row`` on; ``inverse`` is the inverse of their top len(piv) x len(piv)
+    triangle, which the panel made.  The pivot rows of every step take one
+    stacked product; each step then updates its rows below alone."""
+    tops = [x[:len(piv)] for _, _, piv, _, x in steps]
+    solved = _mul_mods([(step[3], top) for step, top in zip(steps, tops)], p)
+    for top, rows in zip(tops, solved):
+        top[...] = rows
+    for (a, row, piv, _, x), top in zip(steps, tops):
+        _update(a, p, row + len(piv), piv, top, x[len(piv):])
 
 
-def _square(b: np.ndarray, p: int):
-    """LU of the square b without row exchanges, with both triangles'
-    inverses: (U with L's multipliers parked below it, L^-1, U^-1) as int64,
-    or None when a pivot vanishes.
+def _square(b: np.ndarray, p: int) -> list:
+    """LU of each square block of the stack b (count x k x k) without row
+    exchanges, with both triangles' inverses: per block (U with L's
+    multipliers parked below it, L^-1, U^-1) as int64, or None when a pivot
+    vanishes.
 
-    One elimination runs on the stacked pair [b | I] and [b^T | I].  It
+    One elimination runs on the stacked pairs [b | I] and [b^T | I] of
+    every block, one set of NumPy calls a step for the whole stack.  It
     turns [b | I] into [U | L^-1] and parks L below U.  The pivots of b^T
     are b's own (each is a ratio of leading principal minors, which b and
     b^T share), and b^T = U^T L^T = (D^-1 U)^T (D L^T), D the pivots, so
     b^T's unit-lower factor is L' = (D^-1 U)^T and its half becomes
     L'^-1 = D U^-T: U^-1[i, j] = L'^-1[j, i] / d_j.  After j steps row j
     of either half is zero outside columns j..j+k (U's row and L^-1's), so
-    each step updates only the k columns right of its pivot."""
-    k = len(b)
-    x = np.zeros((2, k, 2 * k), dtype=np.int64)
-    x[0, :, :k] = b
-    x[1, :, :k] = b.T
+    each step updates only the k columns right of its pivot.  A block whose
+    pivot vanishes runs on with a zero inverse and is dropped at the end;
+    the loop ends at a step where every pivot vanishes.
+
+    The steps index the axes (row, column, half, block) whatever the memory
+    order.  A few blocks keep their columns innermost: a step is then a
+    handful of calls on short rows, and the fewest calls win.  More blocks
+    go innermost, so that a step's rows are long contiguous runs, and the
+    step's product lives in one buffer, which the reduction reuses:
+    x - p * (x // p) then costs a fraction of NumPy's int64 remainder."""
+    count, k = b.shape[0], b.shape[-1]
+    lanes = count > 2
+    if lanes:
+        x = np.zeros((k, 2 * k, 2, count), dtype=np.int64)
+        buf = np.empty((k, k, 2, count), dtype=np.int64)
+    else:
+        x = np.zeros((count, 2, k, 2 * k), dtype=np.int64).transpose(2, 3, 1, 0)
+    x[:, :k, 0] = b.transpose(1, 2, 0)
+    x[:, :k, 1] = b.transpose(2, 1, 0)
     i = np.arange(k)
-    x[:, i, k + i] = 1
-    dinv = np.empty(k, dtype=np.int64)
+    x[i, k + i] = 1
+    dinv = np.zeros((k, count), dtype=np.int64)
     for j in range(k):
-        d = int(x[0, j, j])
-        if d == 0:
-            return None
-        dinv[j] = pow(d, -1, p)
-        f = x[:, j + 1:, j]
+        inverses = [pow(d, -1, p) if d else 0 for d in x[j, j, 0].tolist()]
+        if not any(inverses):
+            break
+        dinv[j] = inverses
+        f = x[j + 1:, j]
         f *= dinv[j]
         f %= p
-        sub = x[:, j + 1:, j + 1:j + k + 1]
-        sub -= f[:, :, None] * x[:, j, None, j + 1:j + k + 1]
-        sub %= p
-    return x[0, :, :k], x[0, :, k:], x[1, :, k:].T * dinv % p
+        sub = x[j + 1:, j + 1:j + k + 1]
+        if lanes:
+            t = buf[:k - j - 1]
+            np.multiply(f[:, None], x[j, j + 1:j + k + 1], out=t)
+            sub -= t
+            np.floor_divide(sub, p, out=t)
+            t *= p
+            sub -= t
+        else:
+            sub -= f[:, None] * x[j, j + 1:j + k + 1]
+            sub %= p
+    ok = dinv.all(axis=0)
+    return [(x[:, :k, 0, c], x[:, k:, 0, c], x[:, k:, 1, c].T * dinv[:, c] % p) if ok[c]
+            else None for c in range(count)]
 
 
 def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int, c1: int):
@@ -329,71 +436,104 @@ def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int, c1: int):
 
 
 def _echelon(a: np.ndarray, p: int, u_inverses: list | None = None) -> list[int]:
-    """In-place LU factorization with row swaps; returns the pivot columns.
+    """In-place LU factorization of one matrix with row swaps; returns the
+    pivot columns.  ``_echelons`` of a batch of one."""
+    return _echelons([a], p, None if u_inverses is None else [u_inverses])[0]
 
-    Afterwards the first len(pivots) rows are U, an echelon form that keeps
-    its pivot values (each pivot row unscaled), and L's multipliers, each
-    row's entry times the pivot's inverse, sit below the pivots.  Row swaps
-    move whole rows of ``a``, parked multipliers included.  Identical to
-    one-pivot-at-a-time elimination; the panels only batch the work into
-    modular products.  Given a list ``u_inverses``, each panel that finds
-    pivots appends the inverse of its pivots' U block, rows and columns in
-    order (the panels' pivot rows follow one another): the square step's
-    own, or, after the one-pivot loop, one more ``_square`` of the block.
+
+def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) -> list:
+    """In-place LU factorization of each matrix with row swaps, the matrices
+    in lockstep; returns each one's pivot columns.
+
+    Afterwards the first len(pivots) rows of a matrix are U, an echelon form
+    that keeps its pivot values (each pivot row unscaled), and L's
+    multipliers, each row's entry times the pivot's inverse, sit below the
+    pivots.  Row swaps move whole rows, parked multipliers included.
+    Identical to one-pivot-at-a-time elimination; the panels only batch the
+    work into modular products.  Given ``u_inverses``, one list per matrix,
+    each panel that finds pivots appends the inverse of its pivots' U block,
+    rows and columns in order (the panels' pivot rows follow one another):
+    the square step's own, or, after the one-pivot loop, one more
+    ``_square`` of the block.
 
     One left-to-right pass over panels of at most ``_LEAF`` columns (the
-    tests shrink it to run many panels).  A panel works only on the rows
-    below the pivots found so far, down to the last one that is nonzero in
-    its columns: a pivot is the first nonzero entry at or below the current
-    row, and a row changes only when its multiplier is nonzero, so rows
-    below stay zero in the panel's columns throughout.
+    tests shrink it to run many panels), every matrix at the same panel.  A
+    panel works only on the rows below the pivots found so far, down to the
+    last one that is nonzero in its columns: a pivot is the first nonzero
+    entry at or below the current row, and a row changes only when its
+    multiplier is nonzero, so rows below stay zero in the panel's columns
+    throughout.
 
     A panel first factors its leading k x k block, k = min(width, live
-    rows), by ``_square``.  If no pivot vanishes, the first-nonzero rule
+    rows), by ``_square``: one call for the blocks of every matrix, each on
+    the diagonal of an identity of the largest k, whose LU and inverses
+    hold the block's own.  If no pivot vanishes, the first-nonzero rule
     would pick exactly these pivots: each column's pivot is the current row
     itself, so there is no swap and no column without a pivot.  Then the
     block is written back, the rows below it get their multipliers from one
-    product, L21 = A21 U11^-1 (A21 = L21 U11), and one ``_forward`` with the
-    block's L^-1 takes its pivots to every column right of the block.  If a
-    pivot vanishes, the panel eliminates its live rows one pivot at a time
-    (``_pivot_loop``), making its pivots' L^-1 as it goes, and one
-    ``_forward`` with it takes its pivots to the columns right of the panel.
+    product, L21 = A21 U11^-1 (A21 = L21 U11), and the block's L^-1 takes
+    its pivots to every column right of the block.  If a pivot vanishes,
+    that matrix's panel eliminates its live rows one pivot at a time
+    (``_pivot_loop``), making its pivots' L^-1 as it goes, which takes its
+    pivots to the columns right of the panel.  The L21 products of all the
+    matrices run stacked (``_mul_mods``), and one ``_forward`` takes every
+    matrix's pivots to the right.
 
     Row swaps, pivots and D^-1 U (D the pivot values) match elimination with
     unit pivot rows: a row below a pivot is updated by (entry / pivot) times
     the unscaled row, the same numbers as the entry times the scaled row.
+    Each matrix meets the same pivots whatever else runs beside it, since
+    every step is exact.
     """
-    m, n = a.shape
-    piv: list[int] = []
-    for c0 in range(0, n, _LEAF):
-        row0 = len(piv)
-        if row0 == m:
-            break
-        c1 = min(c0 + _LEAF, n)
-        end = row0 + _live_rows(a[row0:, c0:c1])
-        k = min(c1 - c0, end - row0)
-        square = _square(a[row0:row0 + k, c0:c0 + k], p) if k else None
-        if square is not None:
-            lu, l_inv, u_inv = square
-            a[row0:row0 + k, c0:c0 + k] = lu
-            if row0 + k < end:
-                a[row0 + k:end, c0:c1] = _mul_mod(a[row0 + k:end, c0:c1], u_inv, p)
-            cols = list(range(c0, c0 + k))
-            right = c0 + k
-        else:
-            cols, l_inv = _pivot_loop(a, p, row0, end, c0, c1)
-            if not cols:
+    pivots: list[list[int]] = [[] for _ in arrays]
+    width = max((a.shape[1] for a in arrays), default=0)
+    for c0 in range(0, width, _LEAF):
+        panels = []
+        for i, a in enumerate(arrays):
+            m, n = a.shape
+            row0 = len(pivots[i])
+            if c0 >= n or row0 == m:
                 continue
+            c1 = min(c0 + _LEAF, n)
+            end = row0 + _live_rows(a[row0:, c0:c1])
+            if end > row0:
+                panels.append((i, row0, end, c1, min(c1 - c0, end - row0)))
+        if not panels:
+            continue
+        size = max(k for *_, k in panels)
+        blocks = np.zeros((len(panels), size, size), dtype=np.int64)
+        blocks[:, np.arange(size), np.arange(size)] = 1
+        for block, (i, row0, _, _, k) in zip(blocks, panels):
+            block[:k, :k] = arrays[i][row0:row0 + k, c0:c0 + k]
+        below, steps = [], []
+        for (i, row0, end, c1, k), square in zip(panels, _square(blocks, p)):
+            a = arrays[i]
+            if square is not None:
+                lu, l_inv, u_inv = (part[:k, :k] for part in square)
+                a[row0:row0 + k, c0:c0 + k] = lu
+                if row0 + k < end:
+                    below.append((a[row0 + k:end, c0:c1], u_inv))
+                cols = list(range(c0, c0 + k))
+                right = c0 + k
+            else:
+                cols, l_inv = _pivot_loop(a, p, row0, end, c0, c1)
+                if not cols:
+                    continue
+                if u_inverses is not None:
+                    # the U block is its own LU, L = I, so it factors square
+                    u_inv = _square(np.triu(a[row0:row0 + len(cols), cols])[None], p)[0][2]
+                right = c1
+            if right < a.shape[1]:
+                steps.append((a, row0, cols, l_inv, a[row0:, right:]))
             if u_inverses is not None:
-                # the U block is its own LU, L = I, so it factors square
-                u_inv = _square(np.triu(a[row0:row0 + len(cols), cols]), p)[2]
-            right = c1
-        if right < n:
-            _forward(a, p, row0, cols, l_inv, a[row0:, right:])
-        if u_inverses is not None:
-            u_inverses.append(u_inv)
-        piv += cols
-    return piv
+                u_inverses[i].append(u_inv)
+            pivots[i] += cols
+        if below:
+            for (rows, _), multipliers in zip(below, _mul_mods(below, p)):
+                rows[...] = multipliers
+        if steps:
+            _forward(steps, p)
+    return pivots
 
 
 def rank(m: ModMatrix) -> int:
@@ -402,7 +542,19 @@ def rank(m: ModMatrix) -> int:
 
 
 def kernel_basis(m: ModMatrix) -> ModMatrix:
-    """Right null space basis, one column per free column of the input.
+    """Right null space basis, one column per free column of the input: the
+    ``_kernels`` basis of a copy of its array.
+
+    No caller outside the tests: the package eliminates its kernels in
+    place through ``_kernels``, and this is the form on immutable matrices
+    that the tests check against their references.
+    """
+    return ModMatrix(m.field, _kernels([m.array.copy()], m.field.p)[0], _trusted=True)
+
+
+def _kernels(arrays: list[np.ndarray], p: int) -> list[np.ndarray]:
+    """Right null space basis of each int32 matrix, as int32 columns; the
+    matrices are factored in lockstep and in place (``_echelons``).
 
     The basis is in echelon-complement form: each vector has a 1 in its
     free coordinate, the pivot coordinates filled from the reduced echelon
@@ -413,28 +565,37 @@ def kernel_basis(m: ModMatrix) -> ModMatrix:
     U11 is block upper-triangular with one diagonal block per panel, so one
     back substitution from the last panel up takes it: a block's rows of
     U_F less its U entries right of the block times the rows already
-    solved, then times the block's inverse, which ``_echelon`` kept; two
-    modular products a panel.
+    solved, then times the block's inverse, which ``_echelons`` kept; two
+    modular products a panel, each stacked over the matrices, which take
+    their panels from the last one up together.
     """
-    p = m.field.p
-    a = m.array.copy()
-    u_inverses: list[np.ndarray] = []
-    piv = _echelon(a, p, u_inverses)
-    free = np.setdiff1d(np.arange(m.cols, dtype=np.int64), piv)
-    basis = np.zeros((m.cols, free.size), dtype=np.int32)
-    basis[free, np.arange(free.size)] = 1
-    r = len(piv)
-    if r and free.size:
-        y = a[:r, free]
-        end = r
-        for u_inv in reversed(u_inverses):
-            start = end - len(u_inv)
-            if end < r:
-                _mul_mod(a[start:end, piv[end:]], y[end:], p, y[start:end])
-            y[start:end] = _mul_mod(u_inv, y[start:end], p)
-            end = start
+    u_inverses: list[list[np.ndarray]] = [[] for _ in arrays]
+    pivots = _echelons(arrays, p, u_inverses)
+    bases, solves = [], []
+    for a, piv, inverses in zip(arrays, pivots, u_inverses):
+        free = np.setdiff1d(np.arange(a.shape[1], dtype=np.int64), piv)
+        basis = np.zeros((a.shape[1], free.size), dtype=np.int32)
+        basis[free, np.arange(free.size)] = 1
+        bases.append(basis)
+        if piv and free.size:
+            # the rows of U_F to solve, and each panel's rows with its U
+            # inverse, from the last panel up
+            ends = list(itertools.accumulate(len(u_inv) for u_inv in inverses))
+            blocks = list(zip([0] + ends, ends, inverses))
+            solves.append((a, piv, a[:len(piv), free], basis, blocks[::-1]))
+    for step in range(max((len(blocks) for *_, blocks in solves), default=0)):
+        live = [(a, piv, y, blocks[step]) for a, piv, y, _, blocks in solves
+                if step < len(blocks)]
+        if step:  # less the U entries right of the block times the rows solved
+            _mul_mods([(a[start:end, piv[end:]], y[end:]) for a, piv, y, (start, end, _) in live],
+                      p, [y[start:end] for _, _, y, (start, end, _) in live])
+        rows = [y[start:end] for _, _, y, (start, end, _) in live]
+        solved = _mul_mods([(u_inv, y) for (*_, (_, _, u_inv)), y in zip(live, rows)], p)
+        for y, block in zip(rows, solved):
+            y[...] = block
+    for _, piv, y, basis, _ in solves:
         basis[piv] = (p - y) % p
-    return ModMatrix(m.field, basis, _trusted=True)
+    return bases
 
 
 def in_span(m: ModMatrix, v) -> bool:

@@ -37,7 +37,9 @@ from .formulas import CaseParams, predicted_gap
 # unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .formulas import gap_upper_bound  # noqa: F401
 from .grading import CapacityError, HilbertTable, hs, monomials, product_index_map
-from .modlinalg import ModMatrix, PrimeField, _echelon, kernel_basis, rank
+from .modlinalg import ModMatrix, PrimeField, _echelons, _kernels, rank
+# unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
+from .modlinalg import kernel_basis  # noqa: F401
 
 
 class GenericityError(RuntimeError):
@@ -45,6 +47,14 @@ class GenericityError(RuntimeError):
 
 
 RETRY_BUDGET = 16
+
+# Bytes of the matrices one lockstep batch holds at once (``_lockstep``):
+# every matrix of a batch is alive until the batch ends, so the cap bounds
+# what batching adds to the peak.  The 21 cases of degree 23 in the plane
+# take 7.5 MB of int32 evaluation matrices, four batches under this cap.
+# A 4 MiB cap took a plane grid's peak RSS 12% above the case-at-a-time
+# code's in the benchmark, which keeps every round's output; 2 MiB 7%.
+BATCH_BYTES = 2 << 20
 
 
 def _check_memory(what: str, need: int) -> None:
@@ -63,7 +73,7 @@ def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.nda
     i, in the dtype of ``coords``: int64 coordinates over F_p for the exact
     pipeline (a product of two residues needs int64; ``ModMatrix`` narrows
     the reduced result to int32), complex points for the Waring one.  Built
-    from per-variable power tables so each entry costs n+1 multiplications
+    from per-variable power tables so each entry costs n multiplications
     instead of t.
     With a modulus p every product is reduced mod p.  A build whose three
     arrays of that shape (the result, a gathered power table and their
@@ -73,7 +83,7 @@ def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.nda
     exps = np.asarray(monomials(nvars - 1, t), dtype=np.int64)
     h = exps.shape[0]
     _check_memory(f"building a {r} x {h} evaluation matrix", 3 * r * h * coords.itemsize)
-    out = np.ones((r, h), dtype=coords.dtype)
+    out = None
     for i in range(nvars):
         powers = np.empty((r, t + 1), dtype=coords.dtype)
         powers[:, 0] = 1
@@ -81,22 +91,40 @@ def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.nda
             powers[:, k] = powers[:, k - 1] * coords[:, i]
             if p is not None:
                 powers[:, k] %= p
-        out = out * powers[:, exps[:, i]]
-        if p is not None:
-            out %= p
+        gathered = np.take(powers, exps[:, i], axis=1)  # C order, as every array here
+        if out is None:
+            out = gathered
+            continue
+        out = out * gathered
+        if p is not None:  # x - p * (x // p): a floor division costs less than a remainder
+            np.floor_divide(out, p, out=gathered)
+            gathered *= p
+            out -= gathered
     return out
 
 
 def _normalized_rows(coords: np.ndarray, p: int) -> np.ndarray | None:
-    """Each row scaled so its first nonzero entry is 1, or None if some row
-    is zero.  Two rows are the same projective point iff they normalize to
-    the same row."""
+    """Each row of the reduced coords scaled so its first nonzero entry is
+    1, or None if some row is zero.  Two rows are the same projective point
+    iff they normalize to the same row.  The leading entries are inverted
+    together by Fermat, v^(p-2) mod p, square and multiply over the bits of
+    p - 2; every product of two residues fits in int64."""
     nonzero = coords != 0
     if not nonzero.any(axis=1).all():
         return None
-    lead = coords[np.arange(coords.shape[0]), nonzero.argmax(axis=1)]
-    inverses = np.array([pow(int(v), -1, p) for v in lead], dtype=np.int64)
+    base = coords[np.arange(coords.shape[0]), nonzero.argmax(axis=1)]
+    inverses = np.ones_like(base)
+    for bit in bin(p - 2)[:1:-1]:
+        if bit == "1":
+            inverses = inverses * base % p
+        base = base * base % p
     return coords * inverses[:, None] % p
+
+
+def _has_repeated_row(rows: np.ndarray) -> bool:
+    """Whether two rows are equal: neighbours after a lexicographic sort."""
+    ordered = rows[np.lexsort(rows.T)]
+    return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +161,7 @@ class PointConfig:
         normalized = _normalized_rows(arr, self.prime.p)
         if normalized is None:
             raise ValueError("every point needs a nonzero coordinate row")
-        if len(np.unique(normalized, axis=0)) != self.r:
+        if _has_repeated_row(normalized):
             raise ValueError("rows must be pairwise distinct projective points")
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
@@ -233,23 +261,53 @@ def sample_points(n: int, r: int, prime: PrimeField, seed: int) -> PointConfig:
     x_0 vanishes at some point, which needs a small prime, does the check
     rank the degree-(d-1) evaluation matrix itself.  Either way a draw is
     accepted exactly when the three ranks are full.
+
+    This is ``sample_configs`` of one case.
     """
-    if n < 1 or r < 1:
-        raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    budget = RETRY_BUDGET
-    p = prime.p
-    rng = np.random.default_rng(seed)
-    for attempt in range(budget):
-        coords = rng.integers(0, p, size=(r, n + 1), dtype=np.int64)
-        try:
-            config = PointConfig(n, r, coords, prime, seed, retries=attempt)
-        except ValueError:  # a zero row or a repeated point
-            continue
-        if is_generic(config):
-            return config
-    raise GenericityError(
-        f"no generic configuration for n={n}, r={r}, p={p} in {budget} draws"
-    )
+    config, = sample_configs([(n, r, seed)], prime)
+    if config is None:
+        raise GenericityError(
+            f"no generic configuration for n={n}, r={r}, p={prime.p} in {RETRY_BUDGET} draws"
+        )
+    return config
+
+
+def sample_configs(cases: list[tuple[int, int, int]], prime: PrimeField) -> list:
+    """``sample_points`` of every case (n, r, seed), with None for a case
+    whose retry budget runs out.
+
+    Each case draws from its own seeded stream, so it gets the configuration
+    ``sample_points`` gives it alone.  The first draws of all cases are
+    checked together: their degree-d kernels are eliminated in lockstep
+    (``_eliminate``), those of one n and d as one batch.  Only a case whose
+    first draw fails draws again, alone.
+    """
+    for n, r, _ in cases:
+        if n < 1 or r < 1:
+            raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+    streams = [np.random.default_rng(seed) for _, _, seed in cases]
+    firsts = [_draw(n, r, prime, seed, rng, 0) for (n, r, seed), rng in zip(cases, streams)]
+    drawn = [config for config in firsts if config is not None]
+    _eliminate(drawn, [CaseParams(config.n, config.r).d for config in drawn])
+    configs = []
+    for (n, r, seed), rng, config in zip(cases, streams, firsts):
+        for attempt in range(1, RETRY_BUDGET + 1):
+            if config is not None and is_generic(config):
+                break
+            config = _draw(n, r, prime, seed, rng, attempt) if attempt < RETRY_BUDGET else None
+        configs.append(config)
+    return configs
+
+
+def _draw(n: int, r: int, prime: PrimeField, seed: int, rng: np.random.Generator,
+          attempt: int) -> PointConfig | None:
+    """The next r uniform points of the stream, or None when a row is zero
+    or a point repeats."""
+    coords = rng.integers(0, prime.p, size=(r, n + 1), dtype=np.int64)
+    try:
+        return PointConfig(n, r, coords, prime, seed, retries=attempt)
+    except ValueError:
+        return None
 
 
 def is_generic(config: PointConfig) -> bool:
@@ -294,11 +352,46 @@ def evaluation_matrix(config: PointConfig, t: int) -> ModMatrix:
 def ideal_component(config: PointConfig, t: int) -> GradedBasis:
     """Degree-t component of the vanishing ideal: forms whose coefficient
     vectors kill the evaluation matrix.  Each degree is computed once per
-    configuration and kept on it."""
-    if t not in config._components:
-        kernel = kernel_basis(evaluation_matrix(config, t))
-        config._components[t] = GradedBasis(config.n, t, kernel)
+    configuration and kept on it (``_eliminate`` of one configuration)."""
+    _eliminate([config], [t])
     return config._components[t]
+
+
+def _eliminate(configs: list[PointConfig], degrees: list[int]) -> None:
+    """Keep on each configuration its ideal's component at its entry of
+    ``degrees``, unless it has it already: the kernels of the evaluation
+    matrices, eliminated in place and in lockstep (``modlinalg._kernels``),
+    in batches of one n, degree and prime (``_lockstep``)."""
+    todo = [(config, t) for config, t in zip(configs, degrees) if t not in config._components]
+    for batch in _lockstep(todo, lambda job: (job[0].n, job[1], job[0].prime.p),
+                           lambda job: 4 * job[0].r * hs(job[0].n, job[1])):
+        arrays = []
+        for config, t in batch:
+            a = evaluation_matrix(config, t).array
+            a.setflags(write=True)  # a fresh array that only this frame holds
+            arrays.append(a)
+        prime = batch[0][0].prime
+        for (config, t), kernel in zip(batch, _kernels(arrays, prime.p)):
+            config._components[t] = GradedBasis(config.n, t, ModMatrix(prime, kernel, _trusted=True))
+
+
+def _lockstep(jobs: list, key, size) -> list[list]:
+    """The jobs in batches to eliminate in lockstep: jobs of one key, in
+    order, each batch holding matrices of at most ``BATCH_BYTES`` in all by
+    ``size`` (a larger one alone)."""
+    groups: dict = {}
+    for job in jobs:
+        groups.setdefault(key(job), []).append(job)
+    batches = []
+    for group in groups.values():
+        held = BATCH_BYTES
+        for job in group:
+            if held + size(job) > BATCH_BYTES:
+                batches.append([])
+                held = 0
+            batches[-1].append(job)
+            held += size(job)
+    return batches
 
 
 def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C",
@@ -383,19 +476,51 @@ def _fixed_rows(config: PointConfig, basis: GradedBasis) -> np.ndarray:
 def _graded_quotients(basis: GradedBasis, top: int,
                       drop: np.ndarray | tuple = ()) -> list[int]:
     """Chopped quotient at degrees d+1, ..., d+top from one elimination of
-    the Macaulay matrix at degree d+top less the rows in ``drop``, in place
-    (see ``chopped_profile``)."""
-    a = macaulay_matrix(basis, top, drop).array
-    a.setflags(write=True)  # a fresh array that only this frame holds
-    piv = _echelon(a, basis.vectors.field.p)  # ascending
-    # the first g * hs(n,e) columns have the rank of M_e
-    g = basis.dim
-    return [hs(basis.n, basis.degree + e) - bisect_left(piv, g * hs(basis.n, e))
-            for e in range(1, top + 1)]
+    the Macaulay matrix at degree d+top less the rows in ``drop``
+    (``_scans`` of one basis)."""
+    return _scans([(basis, top, drop)])[0]
+
+
+def _scans(scans: list[tuple]) -> list[list[int]]:
+    """``_graded_quotients`` of each (basis, top, drop): the Macaulay
+    matrices are eliminated in place and in lockstep, in batches of one n
+    and d (``_lockstep``)."""
+    quotients: dict[int, list[int]] = {}
+    jobs = list(enumerate(scans))
+    for batch in _lockstep(jobs, lambda job: (job[1][0].n, job[1][0].degree),
+                           lambda job: _macaulay_bytes(job[1][0], job[1][1])):
+        arrays = []
+        for _, (basis, top, drop) in batch:
+            a = macaulay_matrix(basis, top, drop).array
+            a.setflags(write=True)  # a fresh array that only this frame holds
+            arrays.append(a)
+        for (i, (basis, top, _)), piv in zip(batch, _echelons(arrays, basis.vectors.field.p)):
+            # the first g * hs(n,e) columns have the rank of M_e; piv ascends
+            n, d, g = basis.n, basis.degree, basis.dim
+            quotients[i] = [hs(n, d + e) - bisect_left(piv, g * hs(n, e))
+                            for e in range(1, top + 1)]
+    return [quotients[i] for i in range(len(scans))]
+
+
+def _macaulay_bytes(basis: GradedBasis, top: int) -> int:
+    """Bytes of the int32 Macaulay matrix at degree d+top with every row,
+    a bound on the matrix ``macaulay_matrix`` builds less the fixed rows."""
+    return 4 * hs(basis.n, basis.degree + top) * basis.dim * hs(basis.n, top)
 
 
 def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedProfile:
-    """Scan the chopped quotient degree by degree.
+    """Scan the chopped quotient degree by degree (``chopped_profiles`` of
+    one configuration).
+
+    No caller outside the tests: the package scans its cases in batches
+    through ``chopped_profiles``, and the tests check one configuration's
+    scan through this.
+    """
+    return chopped_profiles([config], e_max)[0]
+
+
+def chopped_profiles(configs: list[PointConfig], e_max: int | None = None) -> list:
+    """Scan the chopped quotient of each configuration degree by degree.
 
     The scan starts at d and stops as soon as the quotient returns to r,
     or at e_max.  e_max defaults to the proven gap bound plus two and may
@@ -420,25 +545,33 @@ def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedPro
     fewer rows.  The kept row leaves the matrix one row more than its rank
     where the quotient is r.  The dropped rows lie in the top hs(n,d),
     inside every column's block, so the matrix stays a staircase.
-    """
-    params = CaseParams(config.n, config.r)
-    d = params.d
-    prediction = predicted_gap(params)
-    if e_max is None:
-        e_max = max(prediction.bound, prediction.gap) + 2
-    if e_max < prediction.gap:
-        raise ValueError(
-            f"scan horizon e_max={e_max} is below the predicted gap {prediction.gap}"
-        )
 
-    basis = ideal_component(config, d)
-    drop = _fixed_rows(config, basis)
-    quotients = _graded_quotients(basis, prediction.gap, drop)
-    if config.r not in quotients and e_max > prediction.gap:
-        quotients = _graded_quotients(basis, e_max, drop)
-    gap_seen = quotients.index(config.r) + 1 if config.r in quotients else None
-    observed_values = [hs(config.n, t) for t in range(d)]
-    observed_values.append(hs(config.n, d) - basis.dim)
-    observed_values += quotients[:gap_seen]
-    tail = config.r if gap_seen is not None else None
-    return ChoppedProfile(HilbertTable(config.n, tuple(observed_values), tail), gap_seen)
+    The eliminations of all configurations run in lockstep batches
+    (``_scans``): first every one at its G, then, together, those that
+    need their e_max.
+    """
+    cases = []
+    for config in configs:
+        params = CaseParams(config.n, config.r)
+        prediction = predicted_gap(params)
+        horizon = max(prediction.bound, prediction.gap) + 2 if e_max is None else e_max
+        if horizon < prediction.gap:
+            raise ValueError(
+                f"scan horizon e_max={horizon} is below the predicted gap {prediction.gap}"
+            )
+        basis = ideal_component(config, params.d)
+        cases.append((config, basis, _fixed_rows(config, basis), prediction.gap, horizon))
+    quotients = _scans([(basis, gap, drop) for _, basis, drop, gap, _ in cases])
+    longer = [i for i, (config, _, _, gap, horizon) in enumerate(cases)
+              if config.r not in quotients[i] and horizon > gap]
+    rescans = _scans([(cases[i][1], cases[i][4], cases[i][2]) for i in longer])
+    for i, rescan in zip(longer, rescans):
+        quotients[i] = rescan
+    profiles = []
+    for (config, basis, _, _, _), values in zip(cases, quotients):
+        n, d = config.n, basis.degree
+        gap_seen = values.index(config.r) + 1 if config.r in values else None
+        observed = [hs(n, t) for t in range(d)] + [hs(n, d) - basis.dim] + values[:gap_seen]
+        tail = config.r if gap_seen is not None else None
+        profiles.append(ChoppedProfile(HilbertTable(n, tuple(observed), tail), gap_seen))
+    return profiles

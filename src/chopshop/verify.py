@@ -30,14 +30,18 @@ from .grading import Exponent, hs, mono_index, monomials, product_index_map
 from .modlinalg import PrimeField, _set_blas_threads, in_span, matmul, rank
 from .pointideals import (
     RETRY_BUDGET,
+    ChoppedProfile,
     GenericityError,
     PointConfig,
-    chopped_profile,
+    chopped_profiles,
     ideal_component,
     is_generic,
     macaulay_matrix,
+    sample_configs,
     sample_points,
 )
+# unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
+from .pointideals import chopped_profile  # noqa: F401
 from .version import __version__
 
 SCHEMA_VERSION = 1
@@ -71,6 +75,13 @@ class Certificate:
     the same computation must reproduce ``observed_quotient`` bit for bit.
     Quotient arrays are indexed by degree starting at 0.  The JSON form
     holds ``schema_version`` and then the fields in declaration order.
+
+    ``wall_ms`` is the case's equal share of the wall time of the batch it
+    ran in (``verify_cases``): sampling, scans and certificates of every
+    case of the batch, divided by their number and truncated to whole
+    milliseconds.  A lone ``verify`` is a batch of one, so there it is the
+    case's own time.  The shares of a grid run on one worker sum to at most
+    its ``total_wall_ms``.  Replay ignores it, and ``--no-timing`` writes 0.
     """
 
     n: int
@@ -135,7 +146,9 @@ _FIELD_CHECKS = {
 
 def _lists(value):
     """JSON form of a certificate field: tuples, nested too, become lists."""
-    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+    if not isinstance(value, tuple):
+        return value
+    return [_lists(v) if isinstance(v, tuple) else v for v in value]
 
 
 def _tuples(value):
@@ -150,17 +163,16 @@ class SelfCheckError(RuntimeError):
 
 
 def _certificate(params: CaseParams, prediction: GapPrediction, config: PointConfig | None,
-                 e_max: int | None, prime: int, seed: int) -> Certificate:
-    """The certificate of one case: the chopped quotient of ``config`` scanned
-    up to ``e_max`` and judged against ``prediction``, or GENERICITY_FAIL
-    when sampling gave no configuration.  ``wall_ms`` is left at 0 for the
+                 profile: ChoppedProfile | None, prime: int, seed: int) -> Certificate:
+    """The certificate of one case: the chopped quotient ``profile`` of
+    ``config`` judged against ``prediction``, or GENERICITY_FAIL when
+    sampling gave no configuration.  ``wall_ms`` is left at 0 for the
     caller to time.  This is the one place a verdict is decided."""
     if config is None:
         outcome = dict(retries=RETRY_BUDGET, points=(), observed_quotient=(),
                        observed_gap=None, verdict="GENERICITY_FAIL",
                        first_mismatch_degree=None)
     else:
-        profile = chopped_profile(config, e_max=e_max)
         observed = profile.observed.values
         # The expected value is taken to bound the observed one from below:
         # max(Froeberg coefficient, r) up to the predicted gap, r past it.  r
@@ -188,7 +200,7 @@ def _certificate(params: CaseParams, prediction: GapPrediction, config: PointCon
             mismatch = len(observed)
         outcome = dict(
             retries=config.retries,
-            points=tuple(tuple(int(v) for v in row) for row in config.coords),
+            points=tuple(map(tuple, config.coords.tolist())),
             observed_quotient=observed,
             observed_gap=profile.observed_gap,
             verdict="PASS" if mismatch is None else "FAIL",
@@ -200,24 +212,51 @@ def _certificate(params: CaseParams, prediction: GapPrediction, config: PointCon
                        **outcome)
 
 
+def _certificates(cases: list[tuple[int, int, int]], configs: list, e_max: int | None,
+                  prime: int) -> list[Certificate]:
+    """The certificate of each case (n, r, seed) with its sampled
+    configuration (None for GENERICITY_FAIL), every configuration's chopped
+    quotient scanned up to ``e_max`` in one batch (``chopped_profiles``)."""
+    profiles = iter(chopped_profiles([c for c in configs if c is not None], e_max=e_max))
+    certificates = []
+    for (n, r, seed), config in zip(cases, configs):
+        params = CaseParams(n, r)
+        profile = None if config is None else next(profiles)
+        certificates.append(_certificate(params, predicted_gap(params), config, profile,
+                                         prime, seed))
+    return certificates
+
+
 def verify_case(
     n: int, r: int, prime: PrimeField, seed: int, e_max: int | None = None
 ) -> Certificate:
-    """Run one (n, r) case end to end and certify the outcome.
+    """Run one (n, r) case end to end and certify the outcome: ``verify_cases``
+    of one case.
 
     Raises RangeError when r is too large for the chopped ideal to cut out
     the configuration.  A sampling failure becomes a GENERICITY_FAIL
     verdict rather than an exception, so grids keep going.
     """
-    params = CaseParams(n, r)
-    prediction = predicted_gap(params)  # also rejects inadmissible r
+    return verify_cases([(n, r, seed)], prime, e_max)[0]
+
+
+def verify_cases(cases: list[tuple[int, int, int]], prime: PrimeField,
+                 e_max: int | None = None) -> list[Certificate]:
+    """Run every case (n, r, seed) end to end as one batch and certify each.
+
+    The cases are sampled together (``sample_configs``) and their chopped
+    quotients scanned together (``chopped_profiles``); each case keeps its
+    own draws, so its certificate is the one it gets alone.  Every size is
+    checked before anything runs: an inadmissible r raises RangeError.  Each
+    certificate's ``wall_ms`` is an equal share of the batch's time (see
+    ``Certificate``).
+    """
+    for n, r, _ in cases:
+        predicted_gap(CaseParams(n, r))  # rejects inadmissible r
     start = time.perf_counter()
-    try:
-        config = sample_points(n, r, prime, seed)
-    except GenericityError:
-        config = None
-    cert = _certificate(params, prediction, config, e_max, prime.p, seed)
-    return replace(cert, wall_ms=int((time.perf_counter() - start) * 1000))
+    certificates = _certificates(cases, sample_configs(cases, prime), e_max, prime.p)
+    share = int((time.perf_counter() - start) * 1000 / max(len(cases), 1))
+    return [replace(cert, wall_ms=share) for cert in certificates]
 
 
 def replay_certificate(cert: Certificate) -> bool:
@@ -247,7 +286,7 @@ def replay_certificate(cert: Certificate) -> bool:
                          PrimeField(cert.prime), cert.seed, retries=cert.retries)
     if not is_generic(config):
         return False
-    recomputed = _certificate(params, prediction, config, e_max, cert.prime, cert.seed)
+    recomputed, = _certificates([(cert.n, cert.r, cert.seed)], [config], e_max, cert.prime)
     return replace(recomputed, wall_ms=cert.wall_ms, tool_version=cert.tool_version) == cert
 
 
@@ -276,9 +315,11 @@ class GridReport:
         }
 
 
-def _run_case(args: tuple[int, int, int, int, int | None]) -> Certificate:
-    n, r, p, seed, e_max = args
-    return verify_case(n, r, PrimeField(p), seed, e_max=e_max)
+def _run_cases(jobs: list[tuple[int, int, int, int, int | None]]) -> list[Certificate]:
+    """The certificates of one worker's share of jobs (n, r, p, seed, e_max),
+    which share p and e_max, as one batch (``verify_cases``)."""
+    _, _, p, _, e_max = jobs[0]
+    return verify_cases([(n, r, seed) for n, r, _, seed, _ in jobs], PrimeField(p), e_max)
 
 
 def verify_grid(
@@ -296,10 +337,12 @@ def verify_grid(
     Inadmissible sizes (see ``formulas.admissible``) are recorded as skips
     with the reason spelled out.  Every admissible size runs, including the
     ones whose predicted gap is 1.  Per-case seeds come from derive_seed, so
-    reports are reproducible and independent of the worker count.  With
-    more than one worker, each worker process runs on one BLAS thread for
-    its lifetime, since the workers already share the cores and BLAS
-    threads of their own would contend for them.
+    reports are reproducible and independent of the worker count.  Each
+    worker runs its share of the cases, every ``workers``-th one, as one
+    batch (``verify_cases``); one worker runs them all.  With more than one
+    worker, each worker process runs on one BLAS thread for its lifetime,
+    since the workers already share the cores and BLAS threads of their own
+    would contend for them.
     """
     start = time.perf_counter()
     jobs: list[tuple[int, int, int, int, int | None]] = []
@@ -317,12 +360,15 @@ def verify_grid(
         for trial in range(trials_per_case):
             jobs.append((n, r, prime.p, derive_seed(base_seed, n, r, trial), e_max))
 
+    certificates: list = [None] * len(jobs)
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+        shares = [jobs[i::workers] for i in range(min(workers, len(jobs)))]
+        with ProcessPoolExecutor(max_workers=len(shares), initializer=_set_blas_threads,
                                  initargs=(1,)) as pool:
-            certificates = list(pool.map(_run_case, jobs, chunksize=1))
-    else:
-        certificates = [_run_case(job) for job in jobs]
+            for i, share in enumerate(pool.map(_run_cases, shares)):
+                certificates[i::len(shares)] = share
+    elif jobs:
+        certificates = _run_cases(jobs)
 
     tally = {"PASS": 0, "FAIL": 0, "GENERICITY_FAIL": 0}
     for cert in certificates:

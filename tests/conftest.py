@@ -55,11 +55,11 @@ def skipped_schur_update(monkeypatch):
     solves its pivot rows, the rows below keep their stale entries.
     Sampling stays honest."""
 
-    def profile(config, e_max=None):
+    def profiles(configs, e_max=None):
         with mock.patch.object(modlinalg, "_update", lambda *args: None):
-            return pointideals.chopped_profile(config, e_max=e_max)
+            return pointideals.chopped_profiles(configs, e_max=e_max)
 
-    monkeypatch.setattr(verify, "chopped_profile", profile)
+    monkeypatch.setattr(verify, "chopped_profiles", profiles)
 
 
 @pytest.fixture

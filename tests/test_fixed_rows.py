@@ -189,13 +189,13 @@ def test_hard_regime_eliminates_one_fixed_row(n, r, monkeypatch):
     # hs(n, d+G) rows and a zero sink row, whose live rows are all but r - 1:
     # the points fix r rows and the scan keeps one
     calls = []
-    echelon = pointideals._echelon
+    echelons = pointideals._echelons
 
-    def recorded(a, p, *args):
-        calls.append((a.shape[0], _live_rows(a)))
-        return echelon(a, p, *args)
+    def recorded(arrays, p, *args):
+        calls.extend((a.shape[0], _live_rows(a)) for a in arrays)
+        return echelons(arrays, p, *args)
 
-    monkeypatch.setattr(pointideals, "_echelon", recorded)
+    monkeypatch.setattr(pointideals, "_echelons", recorded)
     params = CaseParams(n, r)
     prediction = predicted_gap(params)
     profile = chopped_profile(sample_points(n, r, P, 0))

@@ -393,18 +393,19 @@ def recorded_echelon(a, p, leaf):
         modlinalg._square, modlinalg._pivot_loop, modlinalg._forward)
 
     def square(b, p):
-        result = real_square(b, p)
-        log["square"].append(result)
-        return result
+        results = real_square(b, p)
+        log["square"].extend(results)
+        return results
 
     def loop(a, p, row0, end, c0, c1):
         cols, inverse = real_loop(a, p, row0, end, c0, c1)
         log["loop"].append((row0, c1, list(cols), inverse.copy()))
         return cols, inverse
 
-    def forward(a, p, row, piv, inverse, x):
-        log["forward"].append((row, list(piv), x.shape[1], inverse.copy()))
-        return real_forward(a, p, row, piv, inverse, x)
+    def forward(steps, p):
+        for _, row, piv, inverse, x in steps:
+            log["forward"].append((row, list(piv), x.shape[1], inverse.copy()))
+        return real_forward(steps, p)
 
     with mock.patch.object(modlinalg, "_LEAF", leaf), \
             mock.patch.object(modlinalg, "_square", square), \
@@ -484,10 +485,11 @@ class TestLeafInverses:
             real_square, real_loop = modlinalg._square, modlinalg._pivot_loop
 
             def square(b, p):
-                result = real_square(b, p)
-                if result is not None:
-                    calls.append(("square", result[0].copy(), result[1]))
-                return result
+                results = real_square(b, p)
+                for result in results:
+                    if result is not None:
+                        calls.append(("square", result[0].copy(), result[1]))
+                return results
 
             def loop(a, p, row0, end, c0, c1):
                 cols, inverse = real_loop(a, p, row0, end, c0, c1)
@@ -532,10 +534,11 @@ class TestForwardStep:
         log = []
         real_forward = modlinalg._forward
 
-        def forward(a, p, row, piv, inverse, x):
-            given = inverse.shape == (len(piv), len(piv))
-            log.append((row, list(piv), x.shape[1], given))
-            return real_forward(a, p, row, piv, inverse, x)
+        def forward(steps, p):
+            for _, row, piv, inverse, x in steps:
+                given = inverse.shape == (len(piv), len(piv))
+                log.append((row, list(piv), x.shape[1], given))
+            return real_forward(steps, p)
 
         with mock.patch.object(modlinalg, "_LEAF", 8), \
                 mock.patch.object(modlinalg, "_forward", forward):
@@ -587,7 +590,7 @@ class TestSquarePanels:
         rng = np.random.default_rng(7)
         for p in (3, 101, 2147483647):
             b = planted_lu(rng, p, 32, 32)
-            lu, l_inv, u_inv = modlinalg._square(b, p)
+            (lu, l_inv, u_inv), = modlinalg._square(b[None], p)
             want, _ = reference_lu(b, p)
             assert (lu == want).all()
             assert_inverts(unit_lower(lu), l_inv, p)
@@ -606,14 +609,69 @@ class TestSquarePanels:
             real = modlinalg._square
 
             def square(b, p):
-                results.append(real(b, p))
-                return results[-1]
+                results.extend(real(b, p))
+                return results[len(results) - len(b):]
 
             with mock.patch.object(modlinalg, "_square", square):
                 kernel = kernel_basis(mat)
             assert len(results) == -(-r // modlinalg._LEAF)
             assert None not in results
             assert kernel.cols == mat.cols - r
+
+
+def lockstep_batch(p):
+    """Matrices of mixed shapes for one lockstep batch, as int32: the square
+    step's four cases (dense, a swap, zero columns inside panels, few
+    rows), a wide and a tall rank-deficient product, a staircase, a zero
+    matrix and a single row."""
+    rng = np.random.default_rng(p % 1000 + 11)
+    cases = square_cases(p)
+    batch = [cases["dense"], cases["swap"], cases["zero columns"], cases["few rows"],
+             product_with_zeros(rng, p, 40, 130, 25), product_with_zeros(rng, p, 140, 50, 33),
+             staircase(rng, p, 70, 100), np.zeros((20, 45), dtype=np.int64),
+             uniform_residues(rng, p, (1, 37))]
+    return [a.astype(np.int32) for a in batch]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("p", [3, 101, 2147483647])
+    def test_batch_equals_one_at_a_time(self, p):
+        # a batch leaves each matrix the pivots, parked LU, U inverses and
+        # kernel that it gets alone, at every leaf; its square steps stack
+        # the blocks of several matrices, and blocks whose pivot vanishes
+        # (loop panels) sit beside blocks that factor
+        batch = lockstep_batch(p)
+        field = PrimeField(p)
+        real = modlinalg._square
+        for leaf in (1, 3, 8, 32):
+            stacks = []
+
+            def square(b, p):
+                results = real(b, p)
+                stacks.append([r is None for r in results])
+                return results
+
+            with mock.patch.object(modlinalg, "_LEAF", leaf):
+                alone = []
+                for a in batch:
+                    got, u_inverses = a.copy(), []
+                    piv = _echelon(got, p, u_inverses)
+                    alone.append((got, piv, u_inverses,
+                                  kernel_basis(ModMatrix(field, a, _trusted=True)).array))
+                together = [a.copy() for a in batch]
+                u_together = [[] for _ in batch]
+                with mock.patch.object(modlinalg, "_square", square):
+                    pivots = modlinalg._echelons(together, p, u_together)
+                kernels = modlinalg._kernels([a.copy() for a in batch], p)
+            for (got, piv, u_inverses, kernel), a, piv_b, u_b, kernel_b in zip(
+                    alone, together, pivots, u_together, kernels):
+                assert piv_b == piv
+                assert (a == got).all()
+                assert len(u_b) == len(u_inverses)
+                assert all((x == y).all() for x, y in zip(u_b, u_inverses))
+                assert kernel_b.dtype == np.int32 and (kernel_b == kernel).all()
+            assert max(len(stack) for stack in stacks) > len(batch) // 2
+            assert any(any(stack) and not all(stack) for stack in stacks)
 
 
 class TestEchelon:

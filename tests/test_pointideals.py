@@ -39,7 +39,7 @@ from chopshop.pointideals import (
     macaulay_matrix,
     sample_points,
 )
-from chopshop.verify import _certificate
+from chopshop.verify import _certificates
 
 P = PrimeField(2147483647)
 SEED = 20260815
@@ -124,16 +124,18 @@ class TestSampling:
 
     def test_one_kernel_and_no_rank_of_degree_d_minus_1_per_draw(self, monkeypatch):
         calls = []
-        kernel, rank_of = pointideals.kernel_basis, pointideals.rank
+        kernels, rank_of = pointideals._kernels, pointideals.rank
 
-        def counted(kind, fn):
-            def wrapper(m):
-                calls.append((kind, m.shape))
-                return fn(m)
-            return wrapper
+        def counted_kernels(arrays, p):
+            calls.extend(("kernel", a.shape) for a in arrays)
+            return kernels(arrays, p)
 
-        monkeypatch.setattr(pointideals, "kernel_basis", counted("kernel", kernel))
-        monkeypatch.setattr(pointideals, "rank", counted("rank", rank_of))
+        def counted_rank(m):
+            calls.append(("rank", m.shape))
+            return rank_of(m)
+
+        monkeypatch.setattr(pointideals, "_kernels", counted_kernels)
+        monkeypatch.setattr(pointideals, "rank", counted_rank)
         for n, r in ((2, 290), (3, 100), (4, 119)):
             calls.clear()
             cfg = sample_points(n, r, P, SEED)
@@ -231,13 +233,13 @@ class TestIdealComponent:
 
     def test_each_component_is_eliminated_once(self, monkeypatch):
         calls = []
-        kernel = pointideals.kernel_basis
+        kernels = pointideals._kernels
 
-        def counted(m):
-            calls.append(m.shape)
-            return kernel(m)
+        def counted(arrays, p):
+            calls.extend(a.shape for a in arrays)
+            return kernels(arrays, p)
 
-        monkeypatch.setattr(pointideals, "kernel_basis", counted)
+        monkeypatch.setattr(pointideals, "_kernels", counted)
         for n, r in ((2, 18), (3, 30), (4, 20)):
             calls.clear()
             cfg = sample_points(n, r, P, SEED)
@@ -463,9 +465,8 @@ def reference_profile(config):
 def certify(config):
     """The certificate ``verify`` makes of a sampled configuration, whose
     verdict judges ``chopped_profile``'s scan at the default horizon."""
-    params = CaseParams(config.n, config.r)
-    return _certificate(params, predicted_gap(params), config, None,
-                        config.prime.p, config.seed)
+    case = (config.n, config.r, config.seed)
+    return _certificates([case], [config], None, config.prime.p)[0]
 
 
 class TestChoppedProfile:

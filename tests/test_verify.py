@@ -8,6 +8,7 @@ values from the worked examples.
 
 import itertools
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -243,13 +244,13 @@ class TestVerifyCase:
         # it has no basis kept from sampling, so the kernel is eliminated anew.
         cert = verify_case(2, 18, P, seed=7)
         shapes = []
-        real = pointideals.kernel_basis
+        real = pointideals._kernels
 
-        def counting(m):
-            shapes.append(m.shape)
-            return real(m)
+        def counting(arrays, p):
+            shapes.extend(a.shape for a in arrays)
+            return real(arrays, p)
 
-        monkeypatch.setattr(pointideals, "kernel_basis", counting)
+        monkeypatch.setattr(pointideals, "_kernels", counting)
         assert replay_certificate(cert)
         assert shapes == [(18, 21)]
         table = list(cert.observed_quotient)
@@ -266,11 +267,11 @@ class TestSelfCheck:
             verify_case(2, 41, P, seed=0)
 
 
-def _blas_threads_case(job):
-    """Stands in for verify._run_case in a worker: a PASS that carries the
-    thread count of every OpenBLAS pool the worker has."""
-    return SimpleNamespace(verdict="PASS",
-                           blas_threads=[get() for get, _ in modlinalg._openblas_pools()])
+def _blas_threads_cases(jobs):
+    """Stands in for verify._run_cases in a worker: for each job a PASS that
+    carries the thread count of every OpenBLAS pool the worker has."""
+    threads = [get() for get, _ in modlinalg._openblas_pools()]
+    return [SimpleNamespace(verdict="PASS", blas_threads=threads) for _ in jobs]
 
 
 class TestVerifyGrid:
@@ -294,19 +295,61 @@ class TestVerifyGrid:
         assert {s.r for s in report.skipped} == {19, 20, 21}
 
     def test_trials_and_worker_invariance(self):
-        seq = verify_grid(2, 15, 17, P, base_seed=9, trials_per_case=2)
-        par = verify_grid(2, 15, 17, P, base_seed=9, trials_per_case=2, workers=2)
-        assert [c.seed for c in seq.certificates] == [c.seed for c in par.certificates]
-        assert [c.observed_quotient for c in seq.certificates] == [
-            c.observed_quotient for c in par.certificates
-        ]
+        # Each worker runs its share of the cases as one batch, and one
+        # worker runs them all: the certificates are the same, wall clocks
+        # aside.  Over F_101, r = 271..278 spans the generation degrees 22
+        # and 23, and with two trials it holds first-draw PASSes, PASSes
+        # after redraws and GENERICITY_FAILs: 271 points of the 10303 in
+        # the plane over F_101 repeat one in most draws.
+        reports = {}
+        for prime, r_from, r_to in ((P, 15, 17), (PrimeField(101), 271, 278)):
+            runs = [verify_grid(2, r_from, r_to, prime, base_seed=9, trials_per_case=2,
+                                workers=workers) for workers in (1, 2, 3)]
+            certificates = [[replace(c, wall_ms=0) for c in run.certificates] for run in runs]
+            assert certificates[1] == certificates[0] and certificates[2] == certificates[0]
+            assert all(run.summary["pass"] == runs[0].summary["pass"] for run in runs)
+            reports[prime.p] = runs[0]
         # r = 15 is skipped (hs(2,4) = 15 makes d = 4 and 15 >= 13), leaving
         # r = 16, 17 with two trials each.
-        assert seq.summary["pass"] == 4
+        assert reports[P.p].summary["pass"] == 4
+        small = reports[101].certificates
+        assert {c.d for c in small} == {22, 23}
+        kinds = {(c.verdict, c.retries > 0) for c in small}
+        assert {("PASS", False), ("PASS", True), ("GENERICITY_FAIL", True)} <= kinds
+
+    def test_a_batch_over_the_memory_budget_splits(self, monkeypatch):
+        # The same grid under a budget of one byte, which puts every matrix
+        # in a lockstep batch of its own: the budget is patched because a
+        # batch that overflows the real one would allocate megabytes
+        sizes = []
+        for name in ("_kernels", "_echelons"):
+            real = getattr(pointideals, name)
+
+            def counted(arrays, p, *args, _real=real):
+                sizes.append(len(arrays))
+                return _real(arrays, p, *args)
+
+            monkeypatch.setattr(pointideals, name, counted)
+        whole = verify_grid(2, 18, 41, P, base_seed=3)
+        batched = list(sizes)
+        sizes.clear()
+        monkeypatch.setattr(pointideals, "BATCH_BYTES", 1)
+        split = verify_grid(2, 18, 41, P, base_seed=3)
+        assert max(batched) > 1 and set(sizes) == {1} and len(sizes) == sum(batched)
+        assert [replace(c, wall_ms=0) for c in split.certificates] == \
+            [replace(c, wall_ms=0) for c in whole.certificates]
+
+    def test_wall_clocks_are_equal_shares_of_the_batch(self):
+        # one worker runs every case as one batch, and each certificate's
+        # wall_ms is an equal share of it, so together they fit in the grid's
+        report = verify_grid(2, 18, 60, P, base_seed=3)
+        walls = [c.wall_ms for c in report.certificates]
+        assert len(set(walls)) == 1
+        assert sum(walls) <= report.summary["total_wall_ms"]
 
     def test_workers_run_on_one_blas_thread(self, blas_pools, monkeypatch):
         # this process runs on two threads, and a forked worker inherits them
-        monkeypatch.setattr(verify, "_run_case", _blas_threads_case)
+        monkeypatch.setattr(verify, "_run_cases", _blas_threads_cases)
         report = verify_grid(2, 16, 17, P, base_seed=9, trials_per_case=2, workers=2)
         threads = [c.blas_threads for c in report.certificates]
         assert len(threads) == 4 and all(t and set(t) == {1} for t in threads)
