@@ -84,10 +84,6 @@ import numpy as np
 _LIMB = float(1 << 16)  # limb base of the split left operand
 _CHUNK = 170  # inner indices of one exact float64 product (see _mul_mod)
 _LEAF = 32  # columns of one panel
-# A stack of small products (_mul_mods) holds at most this many padded
-# operand and product cells, and at most this many per cell of its own.
-_STACK_CELLS = 1 << 16
-_PADDING = 1.25
 
 
 @functools.cache
@@ -245,42 +241,14 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None) 
 
 
 def _mul_mods(pairs: list, p: int, minuends: list | None = None) -> list:
-    """``_mul_mod`` of every pair (a, b) of reduced operands, in stacked
-    products; given minuends, each c <- (c - a @ b) mod p in place, and they
+    """``_mul_mod`` of every pair (a, b) of reduced operands as one stacked
+    product; given minuends, each c <- (c - a @ b) mod p in place, and they
     are returned.
 
-    A stack zero-pads each operand to the largest shape of its kind: the
+    The stack zero-pads each operand to the largest shape of its kind: the
     padding adds zero terms and zero rows and columns, which are cut off
-    again.  Stacking saves the per-call cost of small products, so the
-    pairs, taken by size, join a stack while its padded cells stay within
-    ``_PADDING`` times their own and below ``_STACK_CELLS``; a larger pair
-    runs alone, unpadded and uncopied.
+    again.  One pair runs alone, unpadded and uncopied.
     """
-    if len(pairs) == 1:
-        return _stacked(pairs, p, minuends)
-    dims = [(a.shape[0], a.shape[1], b.shape[1]) for a, b in pairs]
-    cells = [m * k + k * n + m * n for m, k, n in dims]
-    stacks: list[list[int]] = []
-    for i in sorted(range(len(pairs)), key=cells.__getitem__):
-        if stacks:
-            m, k, n = (max(dims[j][axis] for j in stacks[-1] + [i]) for axis in range(3))
-            padded = (len(stacks[-1]) + 1) * (m * k + k * n + m * n)
-            if (padded <= _STACK_CELLS
-                    and padded <= _PADDING * sum(cells[j] for j in stacks[-1] + [i])):
-                stacks[-1].append(i)
-                continue
-        stacks.append([i])
-    out: list = [None] * len(pairs)
-    for stack in stacks:
-        products = _stacked([pairs[i] for i in stack], p,
-                            None if minuends is None else [minuends[i] for i in stack])
-        for i, product in zip(stack, products):
-            out[i] = product
-    return out
-
-
-def _stacked(pairs: list, p: int, minuends: list | None) -> list:
-    """The products of ``_mul_mods`` for one stack of pairs."""
     if len(pairs) == 1:
         (a, b), = pairs
         return [_mul_mod(a, b, p, None if minuends is None else minuends[0])]
@@ -337,41 +305,69 @@ def _forward(steps: list, p: int) -> None:
         _update(a, p, row + len(piv), piv, top, x[len(piv):])
 
 
-def _square(b: np.ndarray, p: int) -> list:
-    """LU of each square block of the stack b (count x k x k) without row
-    exchanges, with both triangles' inverses: per block (U with L's
-    multipliers parked below it, L^-1, U^-1) as int64, or None when a pivot
-    vanishes.
+def _square_block(b: np.ndarray, p: int):
+    """LU of the square b without row exchanges, with both triangles'
+    inverses: (U with L's multipliers parked below it, L^-1, U^-1) as int64,
+    or None when a pivot vanishes.
 
-    One elimination runs on the stacked pairs [b | I] and [b^T | I] of
-    every block, one set of NumPy calls a step for the whole stack.  It
+    One elimination runs on the stacked pair [b | I] and [b^T | I].  It
     turns [b | I] into [U | L^-1] and parks L below U.  The pivots of b^T
     are b's own (each is a ratio of leading principal minors, which b and
     b^T share), and b^T = U^T L^T = (D^-1 U)^T (D L^T), D the pivots, so
     b^T's unit-lower factor is L' = (D^-1 U)^T and its half becomes
     L'^-1 = D U^-T: U^-1[i, j] = L'^-1[j, i] / d_j.  After j steps row j
     of either half is zero outside columns j..j+k (U's row and L^-1's), so
-    each step updates only the k columns right of its pivot.  A block whose
-    pivot vanishes runs on with a zero inverse and is dropped at the end;
-    the loop ends at a step where every pivot vanishes.
-
-    The steps index the axes (row, column, half, block) whatever the memory
-    order.  A few blocks keep their columns innermost: a step is then a
-    handful of calls on short rows, and the fewest calls win.  More blocks
-    go innermost, so that a step's rows are long contiguous runs, and the
-    step's product lives in one buffer, which the reduction reuses:
-    x - p * (x // p) then costs a fraction of NumPy's int64 remainder."""
-    count, k = b.shape[0], b.shape[-1]
-    lanes = count > 2
-    if lanes:
-        x = np.zeros((k, 2 * k, 2, count), dtype=np.int64)
-        buf = np.empty((k, k, 2, count), dtype=np.int64)
-    else:
-        x = np.zeros((count, 2, k, 2 * k), dtype=np.int64).transpose(2, 3, 1, 0)
-    x[:, :k, 0] = b.transpose(1, 2, 0)
-    x[:, :k, 1] = b.transpose(2, 1, 0)
+    each step updates only the k columns right of its pivot."""
+    k = len(b)
+    x = np.zeros((2, k, 2 * k), dtype=np.int64)
+    x[0, :, :k] = b
+    x[1, :, :k] = b.T
     i = np.arange(k)
+    x[:, i, k + i] = 1
+    dinv = np.empty(k, dtype=np.int64)
+    for j in range(k):
+        d = int(x[0, j, j])
+        if d == 0:
+            return None
+        dinv[j] = pow(d, -1, p)
+        f = x[:, j + 1:, j]
+        f *= dinv[j]
+        f %= p
+        sub = x[:, j + 1:, j + 1:j + k + 1]
+        sub -= f[:, :, None] * x[:, j, None, j + 1:j + k + 1]
+        sub %= p
+    return x[0, :, :k], x[0, :, k:], x[1, :, k:].T * dinv % p
+
+
+def _square(blocks: list, p: int) -> list:
+    """``_square_block`` of each square block: per block (U with L's
+    multipliers parked below it, L^-1, U^-1) as int64, or None when a pivot
+    vanishes.
+
+    One block runs alone.  Several run one elimination together, each block
+    on the diagonal of an identity of the largest block's size, whose LU
+    and inverses hold the block's own: one set of NumPy calls a step for
+    the whole stack.  The axes are (row, column, half, block), so the
+    blocks lie innermost and a step's rows are contiguous runs of 2 x count
+    entries; its product lives in one buffer, which the reduction reuses,
+    x - p * (x // p).  A block whose pivot vanishes runs on with a zero
+    inverse and is dropped at the end; the loop ends at a step where every
+    pivot vanishes.  (A lone block keeps its columns innermost instead:
+    with the blocks innermost each of its inner loops would be two entries
+    long.)"""
+    if len(blocks) == 1:
+        return [_square_block(blocks[0], p)]
+    count, k = len(blocks), max(len(b) for b in blocks)
+    i = np.arange(k)
+    stack = np.zeros((count, k, k), dtype=np.int64)
+    stack[:, i, i] = 1
+    for c, b in enumerate(blocks):
+        stack[c, :len(b), :len(b)] = b
+    x = np.zeros((k, 2 * k, 2, count), dtype=np.int64)
+    x[:, :k, 0] = stack.transpose(1, 2, 0)
+    x[:, :k, 1] = stack.transpose(2, 1, 0)
     x[i, k + i] = 1
+    buf = np.empty((k, k, 2, count), dtype=np.int64)
     dinv = np.zeros((k, count), dtype=np.int64)
     for j in range(k):
         inverses = [pow(d, -1, p) if d else 0 for d in x[j, j, 0].tolist()]
@@ -382,19 +378,14 @@ def _square(b: np.ndarray, p: int) -> list:
         f *= dinv[j]
         f %= p
         sub = x[j + 1:, j + 1:j + k + 1]
-        if lanes:
-            t = buf[:k - j - 1]
-            np.multiply(f[:, None], x[j, j + 1:j + k + 1], out=t)
-            sub -= t
-            np.floor_divide(sub, p, out=t)
-            t *= p
-            sub -= t
-        else:
-            sub -= f[:, None] * x[j, j + 1:j + k + 1]
-            sub %= p
-    ok = dinv.all(axis=0)
-    return [(x[:, :k, 0, c], x[:, k:, 0, c], x[:, k:, 1, c].T * dinv[:, c] % p) if ok[c]
-            else None for c in range(count)]
+        t = buf[:k - j - 1]
+        np.multiply(f[:, None], x[j, j + 1:j + k + 1], out=t)
+        sub -= t
+        np.floor_divide(sub, p, out=t)
+        t *= p
+        sub -= t
+    return [(x[:m, :m, 0, c], x[:m, k:k + m, 0, c], x[:m, k:k + m, 1, c].T * dinv[:m, c] % p)
+            if dinv[:, c].all() else None for c, m in enumerate(map(len, blocks))]
 
 
 def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int, c1: int):
@@ -454,7 +445,7 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
     each panel that finds pivots appends the inverse of its pivots' U block,
     rows and columns in order (the panels' pivot rows follow one another):
     the square step's own, or, after the one-pivot loop, one more
-    ``_square`` of the block.
+    ``_square_block`` of the block.
 
     One left-to-right pass over panels of at most ``_LEAF`` columns (the
     tests shrink it to run many panels), every matrix at the same panel.  A
@@ -465,14 +456,13 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
     throughout.
 
     A panel first factors its leading k x k block, k = min(width, live
-    rows), by ``_square``: one call for the blocks of every matrix, each on
-    the diagonal of an identity of the largest k, whose LU and inverses
-    hold the block's own.  If no pivot vanishes, the first-nonzero rule
-    would pick exactly these pivots: each column's pivot is the current row
-    itself, so there is no swap and no column without a pivot.  Then the
-    block is written back, the rows below it get their multipliers from one
-    product, L21 = A21 U11^-1 (A21 = L21 U11), and the block's L^-1 takes
-    its pivots to every column right of the block.  If a pivot vanishes,
+    rows), by ``_square``: one call for the blocks of every matrix.  If no
+    pivot vanishes, the first-nonzero rule would pick exactly these pivots:
+    each column's pivot is the current row itself, so there is no swap and
+    no column without a pivot.  Then the block is written back, the rows
+    below it get their multipliers from one product, L21 = A21 U11^-1
+    (A21 = L21 U11), and the block's L^-1 takes its pivots to every column
+    right of the block.  If a pivot vanishes,
     that matrix's panel eliminates its live rows one pivot at a time
     (``_pivot_loop``), making its pivots' L^-1 as it goes, which takes its
     pivots to the columns right of the panel.  The L21 products of all the
@@ -500,16 +490,12 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
                 panels.append((i, row0, end, c1, min(c1 - c0, end - row0)))
         if not panels:
             continue
-        size = max(k for *_, k in panels)
-        blocks = np.zeros((len(panels), size, size), dtype=np.int64)
-        blocks[:, np.arange(size), np.arange(size)] = 1
-        for block, (i, row0, _, _, k) in zip(blocks, panels):
-            block[:k, :k] = arrays[i][row0:row0 + k, c0:c0 + k]
+        squares = _square([arrays[i][row0:row0 + k, c0:c0 + k] for i, row0, _, _, k in panels], p)
         below, steps = [], []
-        for (i, row0, end, c1, k), square in zip(panels, _square(blocks, p)):
+        for (i, row0, end, c1, k), square in zip(panels, squares):
             a = arrays[i]
             if square is not None:
-                lu, l_inv, u_inv = (part[:k, :k] for part in square)
+                lu, l_inv, u_inv = square
                 a[row0:row0 + k, c0:c0 + k] = lu
                 if row0 + k < end:
                     below.append((a[row0 + k:end, c0:c1], u_inv))
@@ -521,7 +507,7 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
                     continue
                 if u_inverses is not None:
                     # the U block is its own LU, L = I, so it factors square
-                    u_inv = _square(np.triu(a[row0:row0 + len(cols), cols])[None], p)[0][2]
+                    u_inv = _square_block(np.triu(a[row0:row0 + len(cols), cols]), p)[2]
                 right = c1
             if right < a.shape[1]:
                 steps.append((a, row0, cols, l_inv, a[row0:, right:]))

@@ -483,18 +483,20 @@ def _graded_quotients(basis: GradedBasis, top: int,
 
 def _scans(scans: list[tuple]) -> list[list[int]]:
     """``_graded_quotients`` of each (basis, top, drop): the Macaulay
-    matrices are eliminated in place and in lockstep, in batches of one n
-    and d (``_lockstep``)."""
+    matrices are eliminated in place and in lockstep, in batches of one n,
+    d and prime (``_lockstep``)."""
     quotients: dict[int, list[int]] = {}
     jobs = list(enumerate(scans))
-    for batch in _lockstep(jobs, lambda job: (job[1][0].n, job[1][0].degree),
+    for batch in _lockstep(jobs, lambda job: (job[1][0].n, job[1][0].degree,
+                                              job[1][0].vectors.field.p),
                            lambda job: _macaulay_bytes(job[1][0], job[1][1])):
         arrays = []
         for _, (basis, top, drop) in batch:
             a = macaulay_matrix(basis, top, drop).array
             a.setflags(write=True)  # a fresh array that only this frame holds
             arrays.append(a)
-        for (i, (basis, top, _)), piv in zip(batch, _echelons(arrays, basis.vectors.field.p)):
+        p = batch[0][1][0].vectors.field.p
+        for (i, (basis, top, _)), piv in zip(batch, _echelons(arrays, p)):
             # the first g * hs(n,e) columns have the rank of M_e; piv ascends
             n, d, g = basis.n, basis.degree, basis.dim
             quotients[i] = [hs(n, d + e) - bisect_left(piv, g * hs(n, e))

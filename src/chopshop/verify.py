@@ -77,8 +77,9 @@ class Certificate:
     holds ``schema_version`` and then the fields in declaration order.
 
     ``wall_ms`` is the case's equal share of the wall time of the batch it
-    ran in (``verify_cases``): sampling, scans and certificates of every
-    case of the batch, divided by their number and truncated to whole
+    ran in (``verify_cases``), the cases of its n and generation degree d
+    that one process ran together: sampling, scans and certificates of
+    every case of the batch, divided by their number and truncated to whole
     milliseconds.  A lone ``verify`` is a batch of one, so there it is the
     case's own time.  The shares of a grid run on one worker sum to at most
     its ``total_wall_ms``.  Replay ignores it, and ``--no-timing`` writes 0.
@@ -242,21 +243,30 @@ def verify_case(
 
 def verify_cases(cases: list[tuple[int, int, int]], prime: PrimeField,
                  e_max: int | None = None) -> list[Certificate]:
-    """Run every case (n, r, seed) end to end as one batch and certify each.
+    """Run every case (n, r, seed) end to end and certify each, the cases
+    of one n and generation degree d as one batch.
 
-    The cases are sampled together (``sample_configs``) and their chopped
-    quotients scanned together (``chopped_profiles``); each case keeps its
-    own draws, so its certificate is the one it gets alone.  Every size is
-    checked before anything runs: an inadmissible r raises RangeError.  Each
-    certificate's ``wall_ms`` is an equal share of the batch's time (see
-    ``Certificate``).
+    A batch's cases are sampled together (``sample_configs``) and their
+    chopped quotients scanned together (``chopped_profiles``); each case
+    keeps its own draws, so its certificate is the one it gets alone.
+    Every size is checked before anything runs: an inadmissible r raises
+    RangeError.  Each certificate's ``wall_ms`` is an equal share of its
+    batch's time (see ``Certificate``).
     """
-    for n, r, _ in cases:
-        predicted_gap(CaseParams(n, r))  # rejects inadmissible r
-    start = time.perf_counter()
-    certificates = _certificates(cases, sample_configs(cases, prime), e_max, prime.p)
-    share = int((time.perf_counter() - start) * 1000 / max(len(cases), 1))
-    return [replace(cert, wall_ms=share) for cert in certificates]
+    batches: dict[tuple[int, int], list[int]] = {}
+    for i, (n, r, _) in enumerate(cases):
+        params = CaseParams(n, r)
+        predicted_gap(params)  # rejects inadmissible r
+        batches.setdefault((n, params.d), []).append(i)
+    certificates: list = [None] * len(cases)
+    for indices in batches.values():
+        batch = [cases[i] for i in indices]
+        start = time.perf_counter()
+        done = _certificates(batch, sample_configs(batch, prime), e_max, prime.p)
+        share = int((time.perf_counter() - start) * 1000 / len(batch))
+        for i, cert in zip(indices, done):
+            certificates[i] = replace(cert, wall_ms=share)
+    return certificates
 
 
 def replay_certificate(cert: Certificate) -> bool:
@@ -317,7 +327,7 @@ class GridReport:
 
 def _run_cases(jobs: list[tuple[int, int, int, int, int | None]]) -> list[Certificate]:
     """The certificates of one worker's share of jobs (n, r, p, seed, e_max),
-    which share p and e_max, as one batch (``verify_cases``)."""
+    which share p and e_max (``verify_cases``)."""
     _, _, p, _, e_max = jobs[0]
     return verify_cases([(n, r, seed) for n, r, _, seed, _ in jobs], PrimeField(p), e_max)
 
@@ -338,8 +348,8 @@ def verify_grid(
     with the reason spelled out.  Every admissible size runs, including the
     ones whose predicted gap is 1.  Per-case seeds come from derive_seed, so
     reports are reproducible and independent of the worker count.  Each
-    worker runs its share of the cases, every ``workers``-th one, as one
-    batch (``verify_cases``); one worker runs them all.  With more than one
+    worker runs a fixed share of the cases, every ``workers``-th one, in
+    ``verify_cases``; one worker runs them all.  With more than one
     worker, each worker process runs on one BLAS thread for its lifetime,
     since the workers already share the cores and BLAS threads of their own
     would contend for them.

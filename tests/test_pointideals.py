@@ -519,6 +519,15 @@ class TestChoppedProfile:
             cmp = lex_compare_hf(prof.observed, bound)
             assert cmp in (LexOrder.GREATER_EQUAL, LexOrder.EQUAL)
 
+    def test_one_batch_over_several_primes_matches_each_alone(self):
+        # configurations of one n and d over three primes scan in one call;
+        # each Macaulay matrix is eliminated mod its own prime (at p = 11 the
+        # first one's quotient never returns to r when taken mod 2^31 - 1)
+        configs = [sample_points(2, r, PrimeField(p), seed)
+                   for p in (11, 13, P.p) for r, seed in ((16, 1), (18, 2))]
+        together = pointideals.chopped_profiles(configs)
+        assert together == [chopped_profile(cfg) for cfg in configs]
+
     def test_horizon_below_gap_rejected(self):
         cfg = sample_points(2, 18, P, SEED)
         with pytest.raises(ValueError):

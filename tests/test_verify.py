@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from chopshop import modlinalg, pointideals, verify
-from chopshop.formulas import RangeError
+from chopshop.formulas import CaseParams, RangeError
 from chopshop.grading import hs, monomials
 from chopshop.modlinalg import PrimeField
 from chopshop.verify import (
@@ -295,9 +295,9 @@ class TestVerifyGrid:
         assert {s.r for s in report.skipped} == {19, 20, 21}
 
     def test_trials_and_worker_invariance(self):
-        # Each worker runs its share of the cases as one batch, and one
-        # worker runs them all: the certificates are the same, wall clocks
-        # aside.  Over F_101, r = 271..278 spans the generation degrees 22
+        # Each worker runs its share of the cases, a batch per generation
+        # degree, and one worker runs them all: the certificates are the
+        # same, wall clocks aside.  Over F_101, r = 271..278 spans the generation degrees 22
         # and 23, and with two trials it holds first-draw PASSes, PASSes
         # after redraws and GENERICITY_FAILs: 271 points of the 10303 in
         # the plane over F_101 repeat one in most draws.
@@ -339,13 +339,26 @@ class TestVerifyGrid:
         assert [replace(c, wall_ms=0) for c in split.certificates] == \
             [replace(c, wall_ms=0) for c in whole.certificates]
 
-    def test_wall_clocks_are_equal_shares_of_the_batch(self):
-        # one worker runs every case as one batch, and each certificate's
-        # wall_ms is an equal share of it, so together they fit in the grid's
+    def test_wall_clocks_are_equal_shares_of_the_batch(self, monkeypatch):
+        # one worker runs the cases of each generation degree as one batch,
+        # and each certificate's wall_ms is an equal share of its batch, so
+        # together they fit in the grid's.  On a clock that runs d seconds a
+        # case while a batch of degree d is certified, each share is d s
+        clock = [0.0]
+        certificates = verify._certificates
+
+        def certified(cases, configs, e_max, prime):
+            degrees = {CaseParams(n, r).d for n, r, _ in cases}
+            assert len(degrees) == 1
+            clock[0] += len(cases) * degrees.pop()
+            return certificates(cases, configs, e_max, prime)
+
+        monkeypatch.setattr(verify, "_certificates", certified)
+        monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
         report = verify_grid(2, 18, 60, P, base_seed=3)
-        walls = [c.wall_ms for c in report.certificates]
-        assert len(set(walls)) == 1
-        assert sum(walls) <= report.summary["total_wall_ms"]
+        assert len({c.d for c in report.certificates}) > 1
+        assert all(c.wall_ms == 1000 * c.d for c in report.certificates)
+        assert sum(c.wall_ms for c in report.certificates) <= report.summary["total_wall_ms"]
 
     def test_workers_run_on_one_blas_thread(self, blas_pools, monkeypatch):
         # this process runs on two threads, and a forked worker inherits them
