@@ -339,6 +339,25 @@ def _square_block(b: np.ndarray, p: int):
     return x[0, :, :k], x[0, :, k:], x[1, :, k:].T * dinv % p
 
 
+def _inverses(values: list[int], p: int) -> list[int]:
+    """Each residue's inverse mod p, and 0 for 0, by Montgomery's batch
+    inversion: one ``pow`` of the product of the nonzero values, and
+    three products of residues for each of them, where a ``pow`` each
+    would cost several times as much."""
+    prefixes, product = [], 1
+    for v in values:
+        prefixes.append(product)
+        if v:
+            product = product * v % p
+    inverse = pow(product, -1, p)
+    out = [0] * len(values)
+    for i in reversed(range(len(values))):
+        if values[i]:
+            out[i] = inverse * prefixes[i] % p
+            inverse = inverse * values[i] % p
+    return out
+
+
 def _square(blocks: list, p: int) -> list:
     """``_square_block`` of each square block: per block (U with L's
     multipliers parked below it, L^-1, U^-1) as int64, or None when a pivot
@@ -370,7 +389,7 @@ def _square(blocks: list, p: int) -> list:
     buf = np.empty((k, k, 2, count), dtype=np.int64)
     dinv = np.zeros((k, count), dtype=np.int64)
     for j in range(k):
-        inverses = [pow(d, -1, p) if d else 0 for d in x[j, j, 0].tolist()]
+        inverses = _inverses(x[j, j, 0].tolist(), p)
         if not any(inverses):
             break
         dinv[j] = inverses

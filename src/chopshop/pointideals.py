@@ -75,9 +75,11 @@ def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.nda
     the reduced result to int32), complex points for the Waring one.  Built
     from per-variable power tables so each entry costs n multiplications
     instead of t.
-    With a modulus p every product is reduced mod p.  A build whose three
-    arrays of that shape (the result, a gathered power table and their
-    product) exceed physical memory raises ``CapacityError`` instead.
+    With a modulus p every product is reduced mod p, in a third array of
+    that shape besides the result and a gathered power table; without one
+    the products are taken in place.  A build whose three arrays would
+    exceed physical memory raises ``CapacityError`` instead, with or
+    without a modulus.
     """
     r, nvars = coords.shape
     exps = np.asarray(monomials(nvars - 1, t), dtype=np.int64)
@@ -94,9 +96,11 @@ def evaluation_array(coords: np.ndarray, t: int, p: int | None = None) -> np.nda
         gathered = np.take(powers, exps[:, i], axis=1)  # C order, as every array here
         if out is None:
             out = gathered
-            continue
-        out = out * gathered
-        if p is not None:  # x - p * (x // p): a floor division costs less than a remainder
+        elif p is None:  # unreduced products go into the result's own buffer
+            out *= gathered
+            del gathered  # before the next table is gathered
+        else:  # x - p * (x // p): a floor division costs less than a remainder
+            out = out * gathered
             np.floor_divide(out, p, out=gathered)
             gathered *= p
             out -= gathered
@@ -395,7 +399,8 @@ def _lockstep(jobs: list, key, size) -> list[list]:
 
 
 def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C",
-                   drop: np.ndarray | tuple = ()) -> np.ndarray:
+                   drop: np.ndarray | tuple = (), shifts: tuple[int, int] | None = None
+                   ) -> np.ndarray:
     """All degree-e monomial shifts of degree-d forms, as columns in degree d+e.
 
     ``coeffs`` holds one form per column (hs(n,d) rows, any dtype; the
@@ -409,19 +414,30 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C",
     at the coefficients' item size (4 bytes a cell for the int32 residues of
     the exact pipeline), raises ``CapacityError`` instead of being allocated.
 
-    ``drop`` lists rows (positions in degree d+e) to leave out: the other
-    rows move up in order, and one zero sink row follows them, so the
-    result has hs(n,d+e) - len(drop) + 1 rows.  Entries bound for a dropped
-    row land in the sink, which is zeroed afterwards, so no second array of
-    the matrix's size is made.
+    ``shifts`` (first, stop) builds only the columns of the shifts
+    ``monomials(n, e)[first:stop]``, on the top rows they reach: the rows
+    down to the last of their products.  In lex order a shift's products
+    precede those of every later shift by the same monomials, so a later
+    range reaches at least as far, and a caller can build the matrix a
+    block of columns at a time without ever holding it whole.
+
+    ``drop`` lists rows (positions in degree d+e, within the rows built) to
+    leave out: the other rows move up in order, and one zero sink row
+    follows them, so the result has len(drop) - 1 rows fewer than it would
+    without.  Entries bound for a dropped row land in the sink, which is
+    zeroed afterwards, so no second array of the matrix's size is made.
     """
     g = coeffs.shape[1]
-    he = hs(n, e)
-    rows = hs(n, d + e)
+    if shifts is None:
+        rows, he = hs(n, d + e), hs(n, e)
+    else:
+        positions = product_index_map(n, d, e)[shifts[0]:shifts[1]]
+        rows, he = int(positions.max(initial=-1)) + 1, len(positions)
     shape = (rows - len(drop) + 1 if len(drop) else rows, he * g)
     _check_memory(f"a {shape[0]} x {shape[1]} Macaulay matrix",
                   shape[0] * shape[1] * coeffs.itemsize)
-    positions = product_index_map(n, d, e)
+    if shifts is None:  # a whole matrix's index table is built once the matrix fits
+        positions = product_index_map(n, d, e)
     if len(drop):
         kept = np.ones(rows, dtype=bool)
         kept[drop] = False

@@ -12,15 +12,16 @@ factorizations and by residual checks.
 Every pivoted QR runs LAPACK geqp3 in place on a column-major buffer
 (``_pivoted_qr``), and reflectors are applied with LAPACK unmqr.
 ``numerical_kernel`` is handed the adjoint mat^H of the matrix whose
-kernel it finds, as such a buffer, and spends it.  ``cokernel_quotients``
-builds the Macaulay matrix column-major, in lex order, where it is a
-staircase: the shifts of each x_0-degree live in a top band of rows.
-Conjugated in its own storage it is the adjoint, and ``numerical_kernel``
-factors it one block of shifts at a time, given only the blocks' column
-ends: it reads each block's band off the data and parks the block's
-reflectors back, so the pipeline holds one copy of its largest matrix
-plus one block, and the rank at every block end gives the quotient at
-every degree up to d+e.  The r shifts that index the multiplication
+kernel it finds, as such a buffer, and spends it, or as a ``Staircase``
+that builds mat^H a block of columns at a time.  In lex order the
+Macaulay matrix is a staircase: the shifts of each x_0-degree live in a
+top band of rows.  ``cokernel_quotients`` never builds it whole: each
+block of shifts is built by ``macaulay_array`` on its band when its turn
+comes, receives the earlier blocks' reflectors, and is factored below the
+rank so far, and it leaves behind only its kept reflectors.  So the
+factorization holds those reflectors and one block, never the whole
+matrix, and the rank at every block end gives the quotient at every
+degree up to d+e.  The r shifts that index the multiplication
 matrices come from a pivoted QR of a seeded (r+8)-row Gaussian sketch of
 the shift stack, which is never built.  scipy is imported inside the
 functions that call it: the exact pipeline imports this module through
@@ -37,6 +38,7 @@ saves, and its output bits do not depend on the caller's thread count.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,7 @@ import numpy as np
 from .formulas import admissible, ci_socle, expected_gap_and_table
 from .grading import hs, mono_index, monomials, product_index_map
 from .modlinalg import _live_rows, one_blas_thread
-from .pointideals import evaluation_array, macaulay_array
+from .pointideals import _check_memory, evaluation_array, macaulay_array
 
 DEFAULT_TOL = 1e-8
 RESIDUAL_LIMIT = 1e-6
@@ -227,14 +229,72 @@ def _apply_reflectors(side: bytes, reflectors, tau, c: np.ndarray) -> None:
     if not c.flags.f_contiguous:
         raise ValueError("unmqr updates a Fortran-ordered array in place")
     unmqr = scipy.linalg.get_lapack_funcs("unmqr", (reflectors,))
-    *_, work, _ = unmqr(side, b"C", reflectors, tau, c, -1)
+    *_, work, _ = unmqr(side, b"C", reflectors, tau, c, -1, overwrite_c=1)  # c is not copied
     *_, info = unmqr(side, b"C", reflectors, tau, c, int(work[0].real), overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"unmqr failed with info {info}")
 
 
-def numerical_kernel(adjoint: np.ndarray, rank_hint: int | None = None,
-                     tol: float = DEFAULT_TOL, ends=None):
+@dataclass(frozen=True)
+class Staircase:
+    """A mat^H that ``numerical_kernel`` is handed a block of columns at a
+    time, never whole.
+
+    ``shape`` is mat^H's (rows, columns); ``ends`` are the block ends
+    0 <= e_1 <= ... <= e_m, e_m the column count; ``scale`` is mat^H's
+    largest column norm, which sets the rank cutoff.  ``build(start,
+    stop)`` returns mat^H's columns [start, stop) as a fresh array, on its
+    top rows down to the last one that any column before ``stop`` reaches
+    (all rows below are zero, and the earlier blocks' reflectors act on no
+    row below); the kernel spends it.  The kernel asks only for ranges
+    whose ends are multiples of the greatest common divisor of the block
+    ends, such as whole shifts of a Macaulay matrix.
+    """
+
+    shape: tuple[int, int]
+    ends: tuple[int, ...]
+    scale: float
+    build: Callable[[int, int], np.ndarray]
+
+
+def _reflected(columns: np.ndarray, kept: list) -> np.ndarray:
+    """``columns`` of mat^H with every kept block's reflectors applied in
+    order, Q_1^H first, each on the rows it acts on.  Each block's rows are
+    copied out a chunk of columns at a time, for unmqr, and written back."""
+    for row0, reflectors, tau in kept:
+        live = row0 + len(reflectors)
+        for j in range(0, columns.shape[1], _CHUNK):
+            chunk = np.array(columns[row0:live, j : j + _CHUNK], order="F")
+            _apply_reflectors(b"L", reflectors, tau, chunk)
+            columns[row0:live, j : j + _CHUNK] = chunk
+            del chunk  # before the next one is copied out
+    return columns
+
+
+def _next_block(stairs: Staircase, start: int, end: int, rank: int, kept: list) -> np.ndarray:
+    """The Fortran-ordered buffer that factors the staircase's columns
+    [start, end) once the kept reflectors have reached them: their rows
+    from ``rank`` on, down to the last nonzero one, or down to the last row
+    of mat^H for a block that reaches its last column.  That block, the
+    largest, is built a chunk of columns at a time straight into place; the
+    rows above ``rank`` (R12 of the earlier blocks) are never kept.  A
+    chunk is as many runs of gcd(ends) columns as fit in ``_CHUNK``, or one."""
+    size, count = stairs.shape
+    if end < count:
+        columns = _reflected(stairs.build(start, end), kept)
+        live = rank + _live_rows(columns[rank:])
+        return np.array(columns[rank:live], order="F")
+    block = np.zeros((size - rank, end - start), dtype=np.complex128, order="F")
+    unit = math.gcd(*stairs.ends)
+    step = max(1, _CHUNK // unit) * unit
+    for j in range(start, end, step):
+        columns = _reflected(stairs.build(j, min(j + step, end)), kept)
+        block[: len(columns) - rank, j - start : j - start + columns.shape[1]] = columns[rank:]
+        del columns  # before the next chunk is built
+    return block
+
+
+def numerical_kernel(adjoint, rank_hint: int | None = None, tol: float = DEFAULT_TOL):
     """Orthonormal basis of the right null space of mat, by column-pivoted
     QR of its adjoint.
 
@@ -253,40 +313,42 @@ def numerical_kernel(adjoint: np.ndarray, rank_hint: int | None = None,
     orthogonal complement of the kept pivoted rows of mat; it is got by
     applying the kept reflectors to unit vectors, never forming Q.
 
-    ``ends`` factors a staircase one block of columns at a time: the block
-    ends 0 <= e_1 <= ... <= e_m, e_m the column count of mat^H.  A block
-    ending before the last column takes its rows from the rank so far down
-    to its last nonzero one, read off the data once the earlier blocks'
-    reflectors have reached it; a block reaching the last column takes
-    every remaining row.  Each block is copied out, gets its own pivoted
-    QR with the cutoff above, and has its kept reflectors applied to the
-    columns right of it and parked back in ``adjoint``, so pivoting stays
-    inside a block and no factor is held twice.  One block spanning
-    mat^H, the default, is a plain pivoted QR.  A hint applies to one
-    block only.
+    ``adjoint`` may instead be a ``Staircase``, which is factored
+    left-looking, one block of columns at a time, and never held whole:
+    each block is built when its turn comes, receives every earlier
+    block's kept reflectors, and is factored from the rank so far down to
+    its last nonzero row (``_next_block``), with the cutoff above, relative
+    to the whole of mat^H.  Pivoting stays inside a block, and a block
+    leaves behind only its kept reflectors and their tau.  One block
+    spanning mat^H is a plain pivoted QR.  A hint applies to one block
+    only.
 
     Returns (basis, ranks, gap), ranks the rank of mat^H's leading columns
-    up to each block end: one entry per block, so [k] for one block.
+    up to each block end: one entry per block, so [k] for an array.
     """
     if not 0 < tol < 1:
         raise ValueError(f"need tol in (0, 1), got {tol}")
-    if not (adjoint.dtype == np.complex128 and adjoint.flags.f_contiguous
-            and adjoint.flags.writeable):
-        raise ValueError("numerical_kernel factors a writable, Fortran-ordered "
-                         "complex128 mat^H in place")
+    stairs = adjoint if isinstance(adjoint, Staircase) else None
+    if stairs is None:
+        if not (adjoint.dtype == np.complex128 and adjoint.flags.f_contiguous
+                and adjoint.flags.writeable):
+            raise ValueError("numerical_kernel factors a writable, Fortran-ordered "
+                             "complex128 mat^H in place")
+        ends, scale = [adjoint.shape[1]], _largest_column_norm(adjoint)
+    else:
+        ends, scale = list(stairs.ends), stairs.scale
     size, count = adjoint.shape
-    bounds = [0, count] if ends is None else [0, *ends]
+    bounds = [0, *ends]
     if bounds[-1] != count or bounds != sorted(bounds):
         raise ValueError(f"ends {bounds[1:]} are no staircase of a {size} x {count} mat^H")
     if rank_hint is not None and len(bounds) > 2:
         raise ValueError("rank_hint applies to one block only")
-    cutoff = tol * _largest_column_norm(adjoint)
+    cutoff = tol * scale
 
     rank, ranks, kept = 0, [], []
     smallest, largest = math.inf, 0.0
     for start, end in zip(bounds, bounds[1:]):
-        live = size if end == count else rank + _live_rows(adjoint[rank:, start:end])
-        block = np.array(adjoint[rank:live, start:end], order="F")
+        block = adjoint if stairs is None else _next_block(stairs, start, end, rank, kept)
         factor, tau, _ = _pivoted_qr(block)
         diag = np.abs(np.diagonal(factor))
         if rank_hint is None:
@@ -297,16 +359,10 @@ def numerical_kernel(adjoint: np.ndarray, rank_hint: int | None = None,
             raise ValueError(f"rank_hint {rank_hint} out of range")
         if k:
             smallest = min(smallest, float(diag[k - 1]))
+            kept.append((rank, factor[:, :k], tau[:k]))
         if k < diag.shape[0]:
             largest = max(largest, float(diag[k]))
-        if k and end < count:
-            for j in range(end, count, _CHUNK):
-                chunk = np.array(adjoint[rank:live, j : j + _CHUNK], order="F")
-                _apply_reflectors(b"L", factor[:, :k], tau[:k], chunk)
-                adjoint[rank:live, j : j + _CHUNK] = chunk
-        adjoint[rank:live, start : start + k] = factor[:, :k]
-        del block, factor  # a block's copy goes before the next one is made
-        kept.append((rank, live, start, k, tau[:k]))
+        del block, factor  # a block's buffer goes, but for its kept reflectors
         rank += k
         ranks.append(rank)
 
@@ -323,18 +379,17 @@ def numerical_kernel(adjoint: np.ndarray, rank_hint: int | None = None,
     # The basis is Q [0; I], held as its adjoint [0, I] Q^H so that the
     # rows a reflector acts on are contiguous columns.  Q is the product of
     # the kept reflectors in order, so [0, I] Q^H takes them last first, a
-    # chunk at a time: a chunk's reflectors are copied out of the parked
-    # factor, never a whole block's.
+    # chunk at a time: unmqr wants a chunk's reflectors from its own first
+    # row down, so each chunk is copied, never a whole block.
     basis = np.zeros((size - rank, size), dtype=np.complex128, order="F")
     basis[:, rank:] = np.eye(size - rank)
     if size == rank:  # unmqr rejects a basis with no rows
         kept = []
-    for row0, live, start, k, tau in reversed(kept):
-        for a in reversed(range(0, k, _CHUNK)):
-            b = min(a + _CHUNK, k)
-            reflectors = adjoint[row0 + a : live, start + a : start + b]
-            _apply_reflectors(b"R", np.asfortranarray(reflectors), tau[a:b],
-                              basis[:, row0 + a : live])
+    for row0, reflectors, tau in reversed(kept):
+        for a in reversed(range(0, reflectors.shape[1], _CHUNK)):
+            b = min(a + _CHUNK, reflectors.shape[1])
+            _apply_reflectors(b"R", np.asfortranarray(reflectors[a:, a:b]), tau[a:b],
+                              basis[:, row0 + a : row0 + len(reflectors)])
     basis = np.conjugate(basis, out=basis).T
     return basis, ranks, gap
 
@@ -349,24 +404,40 @@ def cokernel_quotients(n: int, d: int, forms: np.ndarray, e: int,
     x^T M = 0.  For the ideal of points these are spanned by the evaluation
     functionals f -> f(z_i), unconjugated, which is what the eigenvalue step
     of ``decompose`` needs.  They are the kernel of M^T, whose adjoint is M
-    conjugated: built column-major and conjugated in its own storage, M is
-    the buffer ``numerical_kernel`` factors, and it is spent then.
+    conjugated: the Macaulay matrix of the conjugated forms.
 
     M's rows and shifts descend in x_0's exponent: the shifts of x_0-exponent
     e-k and up, the first g*hs(n,k) columns for g forms, are x_0^(e-k) times
-    the Macaulay matrix at degree d+k.  Factored in blocks ending at those
-    columns, each on the rows it is nonzero in, M gives the rank at every
-    degree up to d+e from the one pass, and hs(n,d+k) minus that rank is
-    the quotient at degree d+k.
+    the Macaulay matrix at degree d+k, on its top hs(n,d+k) rows.  M is
+    never built: ``numerical_kernel`` is handed it as a ``Staircase`` with
+    blocks ending at those columns, and each block of shifts is built when
+    its turn comes, by ``macaulay_array`` on the top rows it reaches.  The
+    rank at every block end gives the quotient at every degree up to d+e
+    from the one pass: hs(n,d+k) minus that rank at degree d+k.  A column of
+    M holds one form's coefficients, so M's largest column norm, which sets
+    the cutoff, is the largest form's.
+
+    Before the first block is built, the working set is checked against
+    physical memory: each block's top rows times its columns (a bound on
+    the reflectors it leaves behind), plus the largest block, at 16 bytes a
+    cell.  Too large a case raises ``CapacityError`` then.
 
     Returns (cokernel, quotients, gap): the cokernel's orthonormal basis as
     columns, the quotient at degrees d+1..d+e, and the smallest R-diagonal
     gap over the blocks, inf when no block drops an entry.
     """
     g = forms.shape[1]
-    macaulay = macaulay_array(n, d, forms, e, order="F")
-    cokernel, ranks, gap = numerical_kernel(np.conjugate(macaulay, out=macaulay), tol=tol,
-                                            ends=[g * hs(n, k) for k in range(e + 1)])
+    conjugated = np.conjugate(forms)
+    ends = [g * hs(n, k) for k in range(e + 1)]
+    cells = [hs(n, d + k) * (end - start) for k, (start, end) in enumerate(zip([0, *ends], ends))]
+    _check_memory(f"a staircase of {e + 1} blocks of a {hs(n, d + e)} x {ends[-1]} Macaulay "
+                  f"matrix", 16 * (sum(cells) + max(cells)))
+
+    def build(start: int, stop: int) -> np.ndarray:  # g columns a shift; g divides the ends
+        return macaulay_array(n, d, conjugated, e, order="F", shifts=(start // g, stop // g))
+
+    stairs = Staircase((hs(n, d + e), ends[-1]), tuple(ends), _largest_column_norm(forms), build)
+    cokernel, ranks, gap = numerical_kernel(stairs, tol=tol)
     return cokernel, [hs(n, d + k) - ranks[k] for k in range(1, e + 1)], gap
 
 
@@ -462,8 +533,9 @@ def decompose(
     final least-squares solve and the relative residual is checked
     against 1e-6.
 
-    The Macaulay matrix is built once and factored as a staircase, one
-    pivoted QR per x_0-degree block of its shifts (``cokernel_quotients``).
+    The Macaulay matrix is factored as a staircase, one pivoted QR per
+    x_0-degree block of its shifts, each block built when its turn comes,
+    so the matrix is never held whole (``cokernel_quotients``).
     Every run that gets that far reports, in its diagnostics, the quotient
     at every degree d+1..d+e beside the expected table, and the R-diagonal
     gaps of both factorizations; a cokernel that is not r-dimensional
@@ -523,6 +595,7 @@ def decompose(
         shifts = product_index_map(n, d + e - 1, 1)
         chosen = _sketched_shifts(cokernel, shifts, r, seed)
         blocks = cokernel[shifts[:, chosen]]
+        del cokernel
 
         rng = np.random.default_rng(seed)
         for _ in range(1 + _RETRY_DRAWS):
@@ -542,14 +615,16 @@ def decompose(
         diagnostics["cokernel_condition"] = condition
 
         solved = np.linalg.solve(n_ell, blocks)
-        # the coefficient system below is larger than blocks, and may reuse its
-        # memory: kept, blocks raised the peak RSS at (4,12,200) by 4 MB
         del blocks
         _, eigvecs = np.linalg.eig(np.tensordot(ell_prime, solved, axes=(0, 0)))
         conjugated = np.linalg.inv(eigvecs) @ solved @ eigvecs
         coords = np.diagonal(conjugated, axis1=1, axis2=2).T.copy()
         conjugated[:, range(r), range(r)] = 0
         diagnostics["eigen_offdiag_max"] = float(np.abs(conjugated).max())
+        # the least-squares system below is the largest array left: kept
+        # through it, these and the cokernel took the traced peak at
+        # (4,12,200) from 18.5 to 24.1 MiB
+        del solved, conjugated, eigvecs
 
         try:
             points, _ = _normalized_points(coords)

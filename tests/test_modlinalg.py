@@ -596,6 +596,18 @@ class TestSquarePanels:
             assert_inverts(unit_lower(lu), l_inv, p)
             assert_inverts(np.triu(lu), u_inv, p)
 
+    @pytest.mark.parametrize("p", [3, 101, 2147483647])
+    def test_batch_inversion_matches_one_pow_each(self, p):
+        # the stacked square step inverts a step's pivots in one batch; a
+        # zero pivot, a block that falls back, keeps a zero inverse
+        rng = np.random.default_rng(p % 1000)
+        for count in (1, 2, 3, 21, 64):
+            values = rng.integers(0, p, count).tolist()
+            values[::3] = [0] * len(values[::3])
+            want = [pow(v, -1, p) if v else 0 for v in values]
+            assert modlinalg._inverses(values, p) == want
+            assert modlinalg._inverses(values[1:], p) == want[1:]
+
     def test_generic_evaluation_matrix_takes_the_square_path(self):
         # the first-nonzero rule finds a generic evaluation matrix's pivots
         # on its diagonal, so a fall back to the one-pivot loop is a defect

@@ -6,7 +6,10 @@ measured by round-tripping forms built from known points and matching
 the output back with optimal assignment.
 """
 
+import dataclasses
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,11 +18,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from chopshop.formulas import CaseParams, admissible, expected_gap_and_table, predicted_gap
 from chopshop.grading import hs, monomials
-from chopshop import waring
+from chopshop import cli, waring
+from chopshop.modlinalg import _live_rows
 from chopshop.pointideals import evaluation_array, macaulay_array
 from chopshop.waring import (
     AmbiguousRankError,
     DecompositionError,
+    Staircase,
     SymmetricForm,
     UnsupportedRankError,
     WaringError,
@@ -336,9 +341,9 @@ class TestPivotedQR:
 
 
 def macaulay_staircase(n, D, r, seed=0):
-    """The cokernel's Macaulay matrix of a rank-r form as decompose builds
-    it, and its block ends: the x_0-exponent boundaries of its shifts.
-    Both are recorded from the call ``cokernel_quotients`` makes."""
+    """The ``Staircase`` that ``cokernel_quotients`` hands the kernel for
+    the cokernel of a rank-r form as decompose finds it, recorded from that
+    call, the whole Macaulay matrix it stands for, and the gap e."""
     form = form_from_points(random_unit_points(n, r, seed), np.ones(r), D)
     d, e = waring._working_parameters(n, r, D)
     kernel, _, _ = numerical_kernel(
@@ -346,15 +351,22 @@ def macaulay_staircase(n, D, r, seed=0):
     )
     calls = []
 
-    def recording(adjoint, *args, ends=None, **kwargs):
-        calls.append((np.conjugate(adjoint), ends))
-        return numerical_kernel(adjoint, *args, ends=ends, **kwargs)
+    def recording(stairs, *args, **kwargs):
+        calls.append(stairs)
+        return numerical_kernel(stairs, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(waring, "numerical_kernel", recording)
         cokernel_quotients(n, d, kernel, e)
-    (macaulay, ends), = calls
-    return macaulay, ends
+    (stairs,) = calls
+    return stairs, macaulay_array(n, d, kernel, e), e
+
+
+def each_shift_once(shifts, count):
+    """Whether the (first, stop) shift ranges of a staircase's builds cover
+    the shifts 0..count-1 once each, in order."""
+    return ([first for first, _ in shifts] == [0] + [stop for _, stop in shifts[:-1]]
+            and shifts[-1][1] == count)
 
 
 def synthetic_staircase(seed, block0_scale=1.0):
@@ -374,6 +386,23 @@ def synthetic_staircase(seed, block0_scale=1.0):
     return adjoint.conj().T, [3, 7, 12]
 
 
+def stairs_of(mat, ends):
+    """mat^H as a ``Staircase`` with the given block ends.  Each build
+    copies its columns of mat^H down to the last nonzero row of the columns
+    before its end, and no further.  The scale is the whole of mat^H's
+    largest column norm."""
+    adjoint = np.array(np.conj(mat).T, dtype=np.complex128, order="F")
+
+    def build(start, stop):
+        return adjoint[:_live_rows(adjoint[:, :stop]), start:stop].copy()
+
+    return Staircase(adjoint.shape, tuple(ends), waring._largest_column_norm(adjoint), build)
+
+
+def staircase_kernel(mat, ends, **kwargs):
+    return numerical_kernel(stairs_of(mat, ends), **kwargs)
+
+
 def ranks_by_prefix(mat, ends):
     """Rank of mat's leading rows up to each end, one plain pivoted QR
     each."""
@@ -381,26 +410,48 @@ def ranks_by_prefix(mat, ends):
 
 
 class TestStaircaseKernel:
-    """numerical_kernel with ``ends`` factors a staircase block by block,
-    reading each block's rows off the data; it must find the one-block
-    rank and kernel, and the rank at every block end."""
+    """numerical_kernel handed a ``Staircase`` factors it block by block,
+    each block built when its turn comes and read down to its last live
+    row; it must find the one-block rank and kernel, and the rank at every
+    block end."""
 
     @pytest.mark.parametrize("shape", [(3, 10, 50), (3, 12, 80)])
-    def test_macaulay_matches_one_step(self, shape):
-        macaulay, ends = macaulay_staircase(*shape)
+    def test_macaulay_matches_one_step(self, shape, monkeypatch):
+        stairs, macaulay, e = macaulay_staircase(*shape)
+        n, D, r = shape
+        built = []
+        build = waring.macaulay_array
+
+        def recording(*args, **kwargs):
+            columns = build(*args, **kwargs)
+            built.append((args[3], kwargs["shifts"], columns.copy()))
+            return columns
+
+        monkeypatch.setattr(waring, "macaulay_array", recording)
         expected, expected_rank = reference_kernel(macaulay.T)
         whole, rank_whole, gap_whole = kernel_of(macaulay.T)
-        basis, ranks, gap = kernel_of(macaulay.T, ends=ends)
+        basis, ranks, gap = numerical_kernel(stairs)
+        assert stairs.shape == macaulay.shape
+        assert stairs.scale == pytest.approx(np.linalg.norm(macaulay, axis=0).max(), rel=1e-14)
+        # every build is at degree d+e and covers its shifts' columns of the
+        # adjoint, the conjugated matrix, on the top rows they reach; the
+        # builds take each shift once
+        g = stairs.ends[0]  # x_0^e times each of the g forms
+        assert [degree for degree, _, _ in built] == [e] * len(built)
+        assert each_shift_once([shifts for _, shifts, _ in built], hs(n, e))
+        for _, (first, stop), columns in built:
+            adjoint = np.conj(macaulay[:, first * g : stop * g])
+            assert len(columns) == _live_rows(adjoint)
+            assert np.array_equal(columns, adjoint[:len(columns)])
         assert ranks[-1:] == rank_whole == [expected_rank]
-        assert basis.shape == expected.shape == (macaulay.shape[0], shape[2])
+        assert basis.shape == expected.shape == (macaulay.shape[0], r)
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
         assert min_principal_cosine(whole, expected) >= 1 - 1e-10
         assert gap_whole / 2 <= gap <= 2 * gap_whole
-        assert np.allclose(basis.conj().T @ basis, np.eye(shape[2]), atol=1e-12)
+        assert np.allclose(basis.conj().T @ basis, np.eye(r), atol=1e-12)
         # the rank at each end is that of the Macaulay matrix one degree
         # up, so they read off the expected quotient table from d to d+e
-        n, D, r = shape
-        d, e = waring._working_parameters(n, r, D)
+        d = waring._working_parameters(n, r, D)[0]
         table = expected_gap_and_table(n, d, r)[1]
         assert [hs(n, d + k) - rank for k, rank in enumerate(ranks)] == list(table[d:d + e + 1])
 
@@ -409,7 +460,7 @@ class TestStaircaseKernel:
         mat, ends = synthetic_staircase(seed)
         expected, expected_rank = reference_kernel(mat)
         _, rank_whole, gap_whole = kernel_of(mat)
-        basis, ranks, gap = kernel_of(mat, ends=ends)
+        basis, ranks, gap = staircase_kernel(mat, ends)
         assert ranks == ranks_by_prefix(mat, ends) == [2, 6, 10]
         assert ranks[-1:] == rank_whole == [expected_rank]
         assert min_principal_cosine(basis, expected) >= 1 - 1e-10
@@ -431,7 +482,7 @@ class TestStaircaseKernel:
         else:
             mat, _ = synthetic_staircase(0)
         expected, expected_rank = reference_kernel(mat)
-        basis, ranks, _ = kernel_of(mat, ends=ends)
+        basis, ranks, _ = staircase_kernel(mat, ends)
         assert ranks == ranks_by_prefix(mat, ends)
         assert ranks[-1] == expected_rank
         if not dense:
@@ -446,7 +497,7 @@ class TestStaircaseKernel:
         # block 2 was planted before the scaling, so it is independent now
         mat, ends = synthetic_staircase(7, block0_scale=1e-10)
         expected, expected_rank = reference_kernel(mat)
-        basis, ranks, gap = kernel_of(mat, ends=ends)
+        basis, ranks, gap = staircase_kernel(mat, ends)
         assert ranks_by_prefix(mat, ends)[0] == 2
         assert ranks == [0, 4, 9]
         assert ranks[-1:] == kernel_of(mat)[1] == [expected_rank]
@@ -456,14 +507,32 @@ class TestStaircaseKernel:
     def test_one_given_step_is_the_plain_factorization(self):
         mat = planted_rank(np.random.default_rng(2), 7, 9, 4)
         basis, rank_found, gap = kernel_of(mat)
-        stepped = kernel_of(mat, ends=[7])
+        stepped = staircase_kernel(mat, [7])
         assert stepped[0].tobytes() == basis.tobytes()
         assert stepped[1:] == (rank_found, gap) and rank_found == [4]
+
+    @pytest.mark.parametrize("ends", [[7, 300], [294, 300]])
+    def test_the_last_block_comes_in_chunks_of_whole_runs(self, ends):
+        # builds start and stop at multiples of gcd(ends), 1 or 6 here, and
+        # the last block's take at most _CHUNK = 128 columns: 128 or 126
+        mat = planted_rank(np.random.default_rng(3), 300, 310, 250)
+        stairs = stairs_of(mat, ends)
+        asked = []
+
+        def build(start, stop):
+            asked.append((start, stop))
+            return stairs.build(start, stop)
+
+        basis, ranks, _ = numerical_kernel(dataclasses.replace(stairs, build=build))
+        step = 128 if ends[0] == 7 else 126
+        assert asked == [(0, ends[0])] + [(j, min(j + step, 300)) for j in range(ends[0], 300, step)]
+        assert ranks == ranks_by_prefix(mat, ends)
+        assert min_principal_cosine(basis, reference_kernel(mat)[0]) >= 1 - 1e-10
 
     def test_rank_hint_with_several_steps_rejected(self):
         mat, ends = synthetic_staircase(0)
         with pytest.raises(ValueError, match="one block"):
-            kernel_of(mat, rank_hint=10, ends=ends)
+            staircase_kernel(mat, ends, rank_hint=10)
 
     @pytest.mark.parametrize("ends", [
         [3, 7],  # stops short of the last column of mat^H
@@ -473,7 +542,7 @@ class TestStaircaseKernel:
     def test_malformed_steps_rejected(self, ends):
         mat, _ = synthetic_staircase(0)
         with pytest.raises(ValueError, match="staircase"):
-            kernel_of(mat, ends=ends)
+            staircase_kernel(mat, ends)
 
 
 class TestApolarity:
@@ -752,8 +821,9 @@ class TestDecompose:
     def test_cokernel_failure_reports_quotient_table(self, monkeypatch):
         # r one below the form's true rank 50: the forms past the true
         # kernel cut the quotient below r at the working degree d+e.  The
-        # table comes from the one Macaulay matrix at d+e, and it matches
-        # a plain pivoted QR of the Macaulay matrix at each degree
+        # table comes from the one Macaulay matrix at d+e, built a block of
+        # shifts at a time, and it matches a plain pivoted QR of the
+        # Macaulay matrix at each degree
         Z = random_unit_points(3, 50, seed=0)
         form = form_from_points(Z, np.ones(50), 10)
         d, e = waring._working_parameters(3, 49, 10)
@@ -761,13 +831,14 @@ class TestDecompose:
         build = waring.macaulay_array
 
         def counting(*args, **kwargs):
-            builds.append(args[3])
+            builds.append((args[3], kwargs["shifts"]))
             return build(*args, **kwargs)
 
         monkeypatch.setattr(waring, "macaulay_array", counting)
         with pytest.raises(DecompositionError) as exc:
             decompose(form, 49, seed=0)
-        assert builds == [e]
+        assert {degree for degree, _ in builds} == {e}
+        assert each_shift_once([shifts for _, shifts in builds], hs(3, e))
         diag = exc.value.diagnostics
         expected = list(expected_gap_and_table(3, d, 49)[1][d + 1:])
         assert diag["expected_quotient"] == expected
@@ -796,10 +867,11 @@ class TestDecompose:
             decompose(SymmetricForm(2, 6, coeffs), 7)
 
     def test_cokernel_peaks_near_one_macaulay_matrix(self):
-        # at (3,12,80) the Macaulay matrix at d+e is 680 x 660 complex,
-        # 6.85 MiB, and the cokernel is found by factoring it in place: the
-        # peak is that buffer, the cokernel basis and LAPACK's workspace,
-        # 1.3x.  A conjugated copy, a Fortran copy and an R took it to 4.1x
+        # at (3,12,80) the Macaulay matrix at d+e would be 680 x 660
+        # complex, 6.85 MiB, but it is never built: its blocks of shifts
+        # come one at a time, and each leaves only its kept reflectors, so
+        # the peak is 0.64x.  Factoring the whole matrix in place took it to
+        # 1.3x, and a conjugated copy, a Fortran copy and an R to 4.1x
         import scipy.linalg  # noqa: F401  (decompose imports it on first use)
 
         n, D, r = 3, 12, 80
@@ -814,15 +886,17 @@ class TestDecompose:
         finally:
             tracemalloc.stop()
         assert result.residual <= 1e-8
-        assert peak < 2 * matrix_bytes
+        assert peak < 0.7 * matrix_bytes
 
     def test_staircase_peaks_near_one_macaulay_matrix(self):
-        # at (4,12,200) the Macaulay matrix at d+e is 1365 x 1260 complex,
-        # 26.2 MiB.  Its blocks are factored one at a time: the peak is that
-        # buffer, one block's copy (at most 665 x 560), the cokernel basis
-        # and a chunk of reflectors, 1.33x.  Copying whole blocks of
-        # reflectors to build the basis took it to 1.52x, 512-column chunks
-        # to 1.55x, and keeping every block's factor would add a second copy
+        # at (4,12,200) the Macaulay matrix at d+e would be 1365 x 1260
+        # complex, 26.2 MiB.  Its blocks are built and factored one at a
+        # time, the last (665 x 560 below the rank so far) a chunk of shifts
+        # at a time: the peak, 0.71x, is the earlier blocks' kept
+        # reflectors (6.3 MiB), the last block's factor (5.7 MiB), the
+        # cokernel basis (4.2 MiB) and a chunk of reflectors.  Holding the
+        # whole matrix took it to 1.33x, copying whole blocks of reflectors
+        # to build the basis to 1.52x, and 512-column chunks to 1.55x
         import scipy.linalg  # noqa: F401  (decompose imports it on first use)
 
         n, D, r = 4, 12, 200
@@ -837,21 +911,50 @@ class TestDecompose:
         finally:
             tracemalloc.stop()
         assert result.residual <= 1e-8
-        assert peak < 1.54 * matrix_bytes
+        assert peak < 0.8 * matrix_bytes
+
+    def test_oversized_staircase_exits_cleanly_before_any_block(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # with one byte of memory less than the staircase's working set
+        # (each block's top rows times its columns, plus the largest block,
+        # at 16 bytes a cell), decompose ends in a JSON CapacityError before
+        # any block of the Macaulay matrix is built
+        n, D, r = 3, 12, 80
+        form = form_from_points(random_unit_points(n, r, seed=0), np.ones(r), D)
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(form_to_dict(form)), encoding="utf-8")
+        d, e = waring._working_parameters(n, r, D)
+        g = hs(n, d) - r
+        cells = [hs(n, d + k) * g * (hs(n, k) - (hs(n, k - 1) if k else 0)) for k in range(e + 1)]
+        need = 16 * (sum(cells) + max(cells))
+        memory = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a block of the Macaulay matrix was built")
+
+        monkeypatch.setattr(waring, "macaulay_array", never)
+        assert cli.run(["decompose", str(path), "--r", str(r), "--format", "json"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "CapacityError"
+        assert "staircase" in error["message"]
+        assert f"needs {need} bytes, more than the {need - 1} bytes" in error["message"]
 
     def test_success_reports_the_quotient_table(self, monkeypatch):
         calls = []
         build = waring.macaulay_array
 
         def counting(*args, **kwargs):
-            calls.append(args[3])
+            calls.append((args[3], kwargs["shifts"]))
             return build(*args, **kwargs)
 
         monkeypatch.setattr(waring, "macaulay_array", counting)
         result, _, _ = roundtrip_case(3, 10, 50, seed=0)
         diag = result.diagnostics
         e = len(diag["expected_quotient"])
-        assert calls == [e]  # one Macaulay matrix, at degree d+e
+        # one Macaulay matrix, at degree d+e, built a block of shifts at a time
+        assert {degree for degree, _ in calls} == {e}
+        assert each_shift_once([shifts for _, shifts in calls], hs(3, e))
         assert diag["numerical_quotient"] == diag["expected_quotient"]
         assert diag["expected_quotient"][-1] == 50
         assert diag["catalecticant_gap"] >= 10 and diag["cokernel_gap"] >= 10
