@@ -294,7 +294,8 @@ def _next_block(stairs: Staircase, start: int, end: int, rank: int, kept: list) 
     return block
 
 
-def numerical_kernel(adjoint, rank_hint: int | None = None, tol: float = DEFAULT_TOL):
+def numerical_kernel(adjoint: np.ndarray | Staircase, rank_hint: int | None = None,
+                     tol: float = DEFAULT_TOL):
     """Orthonormal basis of the right null space of mat, by column-pivoted
     QR of its adjoint.
 
