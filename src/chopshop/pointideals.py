@@ -37,7 +37,7 @@ from .formulas import CaseParams, predicted_gap
 # unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .formulas import gap_upper_bound  # noqa: F401
 from .grading import CapacityError, HilbertTable, hs, monomials, product_index_map
-from .modlinalg import ModMatrix, PrimeField, _echelons, _kernels, rank
+from .modlinalg import ModMatrix, PrimeField, _echelons, _inverses, _kernels, rank
 # unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .modlinalg import kernel_basis  # noqa: F401
 
@@ -111,17 +111,13 @@ def _normalized_rows(coords: np.ndarray, p: int) -> np.ndarray | None:
     """Each row of the reduced coords scaled so its first nonzero entry is
     1, or None if some row is zero.  Two rows are the same projective point
     iff they normalize to the same row.  The leading entries are inverted
-    together by Fermat, v^(p-2) mod p, square and multiply over the bits of
-    p - 2; every product of two residues fits in int64."""
+    together (``modlinalg._inverses``); every product of two residues fits
+    in int64."""
     nonzero = coords != 0
     if not nonzero.any(axis=1).all():
         return None
-    base = coords[np.arange(coords.shape[0]), nonzero.argmax(axis=1)]
-    inverses = np.ones_like(base)
-    for bit in bin(p - 2)[:1:-1]:
-        if bit == "1":
-            inverses = inverses * base % p
-        base = base * base % p
+    leading = coords[np.arange(coords.shape[0]), nonzero.argmax(axis=1)]
+    inverses = np.array(_inverses(leading.tolist(), p), dtype=np.int64)
     return coords * inverses[:, None] % p
 
 
@@ -398,9 +394,8 @@ def _lockstep(jobs: list, key, size) -> list[list]:
     return batches
 
 
-def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C",
-                   drop: np.ndarray | tuple = (), shifts: tuple[int, int] | None = None
-                   ) -> np.ndarray:
+def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, drop: np.ndarray | tuple = (),
+                   shifts: tuple[int, int] | None = None) -> np.ndarray:
     """All degree-e monomial shifts of degree-d forms, as columns in degree d+e.
 
     ``coeffs`` holds one form per column (hs(n,d) rows, any dtype; the
@@ -408,9 +403,9 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C",
     j), for the g forms and the degree-e monomials in ``monomials`` order:
     monomial-major, form-minor, which in lex order is a staircase (see
     ``chopped_profile``).  Its column span is the degree-(d+e) component of
-    the ideal generated by the forms.  ``order`` is the result's memory
-    layout, "C" or "F"; the Waring side builds column-major, the layout
-    LAPACK factors in place.  A matrix larger than physical memory, counted
+    the ideal generated by the forms.  The result is C-ordered, on both
+    sides: the Waring side copies what it factors into column-major buffers
+    of its own.  A matrix larger than physical memory, counted
     at the coefficients' item size (4 bytes a cell for the int32 residues of
     the exact pipeline), raises ``CapacityError`` instead of being allocated.
 
@@ -444,7 +439,7 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, order: str = "C",
         moved = np.full(rows, shape[0] - 1, dtype=np.int64)
         moved[kept] = np.arange(shape[0] - 1)
         positions = moved[positions]
-    out = np.zeros(shape, dtype=coeffs.dtype, order=order)
+    out = np.zeros(shape, dtype=coeffs.dtype)
     out[positions[:, :, None], np.arange(he * g).reshape(he, 1, g)] = coeffs[None]
     if len(drop):
         out[-1] = 0

@@ -325,13 +325,6 @@ class GridReport:
         }
 
 
-def _run_cases(jobs: list[tuple[int, int, int, int, int | None]]) -> list[Certificate]:
-    """The certificates of one worker's share of jobs (n, r, p, seed, e_max),
-    which share p and e_max (``verify_cases``)."""
-    _, _, p, _, e_max = jobs[0]
-    return verify_cases([(n, r, seed) for n, r, _, seed, _ in jobs], PrimeField(p), e_max)
-
-
 def verify_grid(
     n: int,
     r_from: int,
@@ -355,7 +348,7 @@ def verify_grid(
     would contend for them.
     """
     start = time.perf_counter()
-    jobs: list[tuple[int, int, int, int, int | None]] = []
+    jobs: list[tuple[int, int, int]] = []
     skipped: list[SkippedCase] = []
     for r in range(r_from, r_to + 1):
         params = CaseParams(n, r)
@@ -368,17 +361,18 @@ def verify_grid(
             )
             continue
         for trial in range(trials_per_case):
-            jobs.append((n, r, prime.p, derive_seed(base_seed, n, r, trial), e_max))
+            jobs.append((n, r, derive_seed(base_seed, n, r, trial)))
 
     certificates: list = [None] * len(jobs)
     if workers > 1 and len(jobs) > 1:
         shares = [jobs[i::workers] for i in range(min(workers, len(jobs)))]
         with ProcessPoolExecutor(max_workers=len(shares), initializer=_set_blas_threads,
                                  initargs=(1,)) as pool:
-            for i, share in enumerate(pool.map(_run_cases, shares)):
+            run = functools.partial(verify_cases, prime=prime, e_max=e_max)
+            for i, share in enumerate(pool.map(run, shares)):
                 certificates[i::len(shares)] = share
     elif jobs:
-        certificates = _run_cases(jobs)
+        certificates = verify_cases(jobs, prime, e_max)
 
     tally = {"PASS": 0, "FAIL": 0, "GENERICITY_FAIL": 0}
     for cert in certificates:

@@ -12,8 +12,10 @@ factorizations and by residual checks.
 Every pivoted QR runs LAPACK geqp3 in place on a column-major buffer
 (``_pivoted_qr``), and reflectors are applied with LAPACK unmqr.
 ``numerical_kernel`` is handed the adjoint mat^H of the matrix whose
-kernel it finds, as such a buffer, and spends it, or as a ``Staircase``
-that builds mat^H a block of columns at a time.  In lex order the
+kernel it finds as a ``Staircase``, which builds mat^H a block of columns
+at a time: the catalecticant's is one block, whose build scales and
+conjugates the rows of the catalecticant it is asked for
+(``_equilibrated_adjoint``).  In lex order the
 Macaulay matrix is a staircase: the shifts of each x_0-degree live in a
 top band of rows.  ``cokernel_quotients`` never builds it whole: each
 block of shifts is built by ``macaulay_array`` on its band when its turn
@@ -152,8 +154,7 @@ def catalecticant(form: SymmetricForm, a: int) -> np.ndarray:
     monomials; entry (beta, alpha) is coeffs[alpha+beta] * (alpha+beta)!/beta!
     with factorials taken componentwise.  The weight is the product over
     the variables of (b+k)!/b!, b = beta_v and k = alpha_v, each gathered
-    from one (D-a+1) x (a+1) table of those exact integers.  The result is
-    C-ordered, as ``_equilibrated_adjoint`` needs.
+    from one (D-a+1) x (a+1) table of those exact integers.
     """
     n, D = form.n, form.D
     if not 0 <= a <= D:
@@ -169,12 +170,14 @@ def catalecticant(form: SymmetricForm, a: int) -> np.ndarray:
     return form.coeffs[positions] * weight
 
 
-def _equilibrated_adjoint(mat: np.ndarray) -> np.ndarray:
+def _equilibrated_adjoint(mat: np.ndarray) -> Staircase:
     """The adjoint of mat with each nonzero row scaled to unit norm, as a
-    fresh Fortran-ordered array for ``numerical_kernel`` to spend.  A row
-    norm that is not a finite float (a non-finite entry, or squares that
-    overflow) raises ValueError instead of zeroing its row or filling it
-    with NaN."""
+    one-block ``Staircase`` for ``numerical_kernel``: its build scales and
+    conjugates the rows of mat it is asked for, and its scale is the
+    largest column norm of that adjoint, read a chunk of rows at a time.
+    A row norm that is not a finite float (a non-finite entry, or squares
+    that overflow) raises ValueError here, before any block is built,
+    instead of zeroing its row or filling it with NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(mat, axis=1)
     if not np.isfinite(norms).all():
@@ -182,8 +185,16 @@ def _equilibrated_adjoint(mat: np.ndarray) -> np.ndarray:
             "the catalecticant has rows of non-finite norm: the form's "
             "coefficients are not finite, or overflow once weighted"
         )
-    scaled = mat / np.where(norms > 0, norms, 1.0)[:, None]
-    return np.conjugate(scaled, out=scaled).T
+    norms = np.where(norms > 0, norms, 1.0)[:, None]
+
+    def build(start: int, stop: int) -> np.ndarray:
+        scaled = mat[start:stop] / norms[start:stop]
+        return np.conjugate(scaled, out=scaled).T
+
+    rows, cols = mat.shape
+    scale = max((_largest_column_norm(build(j, j + _CHUNK)) for j in range(0, rows, _CHUNK)),
+                default=0.0)
+    return Staircase((cols, rows), (rows,), scale, build)
 
 
 def _largest_column_norm(a: np.ndarray) -> float:
@@ -285,7 +296,7 @@ def _next_block(stairs: Staircase, start: int, end: int, rank: int, kept: list) 
         live = rank + _live_rows(columns[rank:])
         return np.array(columns[rank:live], order="F")
     block = np.zeros((size - rank, end - start), dtype=np.complex128, order="F")
-    unit = math.gcd(*stairs.ends)
+    unit = math.gcd(*stairs.ends) or 1
     step = max(1, _CHUNK // unit) * unit
     for j in range(start, end, step):
         columns = _reflected(stairs.build(j, min(j + step, end)), kept)
@@ -294,62 +305,46 @@ def _next_block(stairs: Staircase, start: int, end: int, rank: int, kept: list) 
     return block
 
 
-def numerical_kernel(adjoint: np.ndarray | Staircase, rank_hint: int | None = None,
+def numerical_kernel(stairs: Staircase, rank_hint: int | None = None,
                      tol: float = DEFAULT_TOL):
     """Orthonormal basis of the right null space of mat, by column-pivoted
-    QR of its adjoint.
+    QR of its adjoint mat^H, handed as a ``Staircase``.
 
-    Factors ``adjoint`` = mat^H as mat^H P = Q R with LAPACK geqp3, in
-    place as ``_pivoted_qr`` does: it must be a writable, Fortran-ordered
-    complex128 array that the caller gives up, and its storage ends up
-    holding the kept reflectors.  Any other array raises ValueError.
-    Pivoting makes |diag(R)| non-increasing, and it stands in for the
-    singular values: an entry is kept when it is above tol relative to
-    |R_00|, the largest column norm of mat^H, or, given rank_hint, the
-    first rank_hint entries are.  The gap is the smallest kept entry over
-    the largest dropped one: 0 when a kept entry is not above that cutoff,
+    mat^H is factored left-looking, one block of columns at a time, and
+    never held whole: each block is built when its turn comes, receives
+    every earlier block's kept reflectors, and is factored from the rank so
+    far down to its last nonzero row (``_next_block``) by LAPACK geqp3, as
+    ``_pivoted_qr`` does.  Pivoting stays inside a block and makes its
+    |diag(R)| non-increasing, and it stands in for the singular values: an
+    entry is kept when it is above tol relative to the staircase's scale,
+    the largest column norm of the whole of mat^H, or, given rank_hint, the
+    first rank_hint entries are; a hint applies to a one-block staircase
+    only, which is a plain pivoted QR.  A block leaves behind only its kept
+    reflectors and their tau.  The gap is the smallest kept entry over the
+    largest dropped one: 0 when a kept entry is not above that cutoff,
     which only a hint can ask for, and inf when nothing is dropped.
     Without a hint, a gap under 10 means the cutoff is a guess, and that
     is reported as an error rather than a silent choice.  The basis is the
     orthogonal complement of the kept pivoted rows of mat; it is got by
     applying the kept reflectors to unit vectors, never forming Q.
 
-    ``adjoint`` may instead be a ``Staircase``, which is factored
-    left-looking, one block of columns at a time, and never held whole:
-    each block is built when its turn comes, receives every earlier
-    block's kept reflectors, and is factored from the rank so far down to
-    its last nonzero row (``_next_block``), with the cutoff above, relative
-    to the whole of mat^H.  Pivoting stays inside a block, and a block
-    leaves behind only its kept reflectors and their tau.  One block
-    spanning mat^H is a plain pivoted QR.  A hint applies to one block
-    only.
-
     Returns (basis, ranks, gap), ranks the rank of mat^H's leading columns
-    up to each block end: one entry per block, so [k] for an array.
+    up to each block end: one entry per block.
     """
     if not 0 < tol < 1:
         raise ValueError(f"need tol in (0, 1), got {tol}")
-    stairs = adjoint if isinstance(adjoint, Staircase) else None
-    if stairs is None:
-        if not (adjoint.dtype == np.complex128 and adjoint.flags.f_contiguous
-                and adjoint.flags.writeable):
-            raise ValueError("numerical_kernel factors a writable, Fortran-ordered "
-                             "complex128 mat^H in place")
-        ends, scale = [adjoint.shape[1]], _largest_column_norm(adjoint)
-    else:
-        ends, scale = list(stairs.ends), stairs.scale
-    size, count = adjoint.shape
-    bounds = [0, *ends]
+    size, count = stairs.shape
+    bounds = [0, *stairs.ends]
     if bounds[-1] != count or bounds != sorted(bounds):
         raise ValueError(f"ends {bounds[1:]} are no staircase of a {size} x {count} mat^H")
     if rank_hint is not None and len(bounds) > 2:
         raise ValueError("rank_hint applies to one block only")
-    cutoff = tol * scale
+    cutoff = tol * stairs.scale
 
     rank, ranks, kept = 0, [], []
     smallest, largest = math.inf, 0.0
     for start, end in zip(bounds, bounds[1:]):
-        block = adjoint if stairs is None else _next_block(stairs, start, end, rank, kept)
+        block = _next_block(stairs, start, end, rank, kept)
         factor, tau, _ = _pivoted_qr(block)
         diag = np.abs(np.diagonal(factor))
         if rank_hint is None:
@@ -435,7 +430,7 @@ def cokernel_quotients(n: int, d: int, forms: np.ndarray, e: int,
                   f"matrix", 16 * (sum(cells) + max(cells)))
 
     def build(start: int, stop: int) -> np.ndarray:  # g columns a shift; g divides the ends
-        return macaulay_array(n, d, conjugated, e, order="F", shifts=(start // g, stop // g))
+        return macaulay_array(n, d, conjugated, e, shifts=(start // g, stop // g))
 
     stairs = Staircase((hs(n, d + e), ends[-1]), tuple(ends), _largest_column_norm(forms), build)
     cokernel, ranks, gap = numerical_kernel(stairs, tol=tol)
@@ -631,8 +626,9 @@ def decompose(
             points, _ = _normalized_points(coords)
         except ValueError as exc:
             raise DecompositionError(f"eigenvalue step: {exc}", diagnostics) from exc
-        weights = _multinomials(n, D)
-        system = (weights * evaluation_array(points, D)).T
+        system = evaluation_array(points, D)
+        system *= _multinomials(n, D)  # in place: no second array of the system's size
+        system = system.T
         coefficients, *_ = np.linalg.lstsq(system, form.coeffs, rcond=None)
         residual = float(
             np.linalg.norm(system @ coefficients - form.coeffs) / form.norm

@@ -37,6 +37,7 @@ from chopshop.pointideals import (
 )
 from chopshop.verify import missing_sextic_demo, search_monomial_ideals, verify_case, verify_grid
 from chopshop.waring import (
+    Staircase,
     catalecticant,
     decompose,
     form_from_points,
@@ -283,7 +284,10 @@ def test_criterion_10_waring_round_trips(acceptance):
         coefficients = [1.0] * 18
         form = form_from_points(points, coefficients, 10)
         cat = catalecticant(form, 5)
-        _, cat_rank, gap = numerical_kernel(np.array(cat.conj().T, order="F"))
+        adjoint = cat.conj().T
+        stairs = Staircase(adjoint.shape, (len(cat),), float(np.linalg.norm(adjoint, axis=0).max()),
+                           lambda start, stop: adjoint[:, start:stop].copy())
+        _, cat_rank, gap = numerical_kernel(stairs)
         result = decompose(form, 18, seed=seed)
         point_err, _ = recovery_error(
             points, coefficients, result.points, result.coefficients, 10

@@ -267,11 +267,11 @@ class TestSelfCheck:
             verify_case(2, 41, P, seed=0)
 
 
-def _blas_threads_cases(jobs):
-    """Stands in for verify._run_cases in a worker: for each job a PASS that
-    carries the thread count of every OpenBLAS pool the worker has."""
+def _blas_threads_cases(cases, prime, e_max=None):
+    """Stands in for verify.verify_cases in a worker: for each case a PASS
+    that carries the thread count of every OpenBLAS pool the worker has."""
     threads = [get() for get, _ in modlinalg._openblas_pools()]
-    return [SimpleNamespace(verdict="PASS", blas_threads=threads) for _ in jobs]
+    return [SimpleNamespace(verdict="PASS", blas_threads=threads) for _ in cases]
 
 
 class TestVerifyGrid:
@@ -362,7 +362,7 @@ class TestVerifyGrid:
 
     def test_workers_run_on_one_blas_thread(self, blas_pools, monkeypatch):
         # this process runs on two threads, and a forked worker inherits them
-        monkeypatch.setattr(verify, "_run_cases", _blas_threads_cases)
+        monkeypatch.setattr(verify, "verify_cases", _blas_threads_cases)
         report = verify_grid(2, 16, 17, P, base_seed=9, trials_per_case=2, workers=2)
         threads = [c.blas_threads for c in report.certificates]
         assert len(threads) == 4 and all(t and set(t) == {1} for t in threads)

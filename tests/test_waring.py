@@ -81,15 +81,8 @@ def min_principal_cosine(a, b):
 
 
 def kernel_of(mat, *args, **kwargs):
-    """numerical_kernel of mat, handed mat^H as the Fortran-ordered copy it
-    factors in place."""
-    adjoint = np.array(np.conj(mat).T, dtype=np.complex128, order="F")
-    return numerical_kernel(adjoint, *args, **kwargs)
-
-
-def read_only(arr):
-    arr.setflags(write=False)
-    return arr
+    """numerical_kernel of mat, handed mat^H as a one-block staircase."""
+    return numerical_kernel(stairs_of(mat, [len(mat)]), *args, **kwargs)
 
 
 def planted_rank(rng, rows, cols, k):
@@ -292,27 +285,6 @@ class TestNumericalKernel:
         assert rank_found == [0] and math.isinf(gap)
         assert np.array_equal(basis, np.eye(cols))
 
-    @pytest.mark.parametrize("invalid", [
-        pytest.param(np.ascontiguousarray, id="row-major"),
-        pytest.param(lambda adjoint: np.asfortranarray(adjoint.real), id="real"),
-        pytest.param(read_only, id="read-only"),
-    ])
-    def test_factors_only_an_adjoint_it_may_spend(self, invalid):
-        # like _pivoted_qr, it takes a writable, Fortran-ordered complex128
-        # mat^H and spends it; it converts and copies nothing
-        mat = planted_rank(np.random.default_rng(5), 7, 9, 4)
-        adjoint = np.array(mat.conj().T, order="F")
-        given = invalid(adjoint.copy(order="F"))
-        before = given.copy()
-        with pytest.raises(ValueError, match="writable, Fortran-ordered complex128"):
-            numerical_kernel(given)
-        assert np.array_equal(given, before)
-        expected = numerical_kernel(adjoint.copy(order="F"))
-        found = numerical_kernel(adjoint)
-        assert not np.array_equal(adjoint, mat.conj().T)  # it holds the factor now
-        assert found[0].tobytes() == expected[0].tobytes()
-        assert found[1:] == expected[1:]
-
 
 class TestPivotedQR:
     # waring._pivoted_qr runs geqp3 in place; scipy.linalg.qr runs the same
@@ -505,11 +477,18 @@ class TestStaircaseKernel:
         assert gap > 1e6
 
     def test_one_given_step_is_the_plain_factorization(self):
+        # one block is one geqp3 of the whole of mat^H: the same R diagonal,
+        # and an orthonormal basis of the complement of Q's first rank columns
+        import scipy.linalg
+
         mat = planted_rank(np.random.default_rng(2), 7, 9, 4)
-        basis, rank_found, gap = kernel_of(mat)
-        stepped = staircase_kernel(mat, [7])
-        assert stepped[0].tobytes() == basis.tobytes()
-        assert stepped[1:] == (rank_found, gap) and rank_found == [4]
+        factor, _, _ = waring._pivoted_qr(np.array(mat.conj().T, order="F"))
+        diag = np.abs(np.diagonal(factor))
+        q, _, _ = scipy.linalg.qr(mat.conj().T, pivoting=True)
+        basis, ranks, gap = staircase_kernel(mat, [7])
+        assert ranks == [4] and gap == diag[3] / diag[4]
+        assert np.allclose(q[:, :4].conj().T @ basis, 0, rtol=0, atol=1e-13)
+        assert np.allclose(basis.conj().T @ basis, np.eye(5), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("ends", [[7, 300], [294, 300]])
     def test_the_last_block_comes_in_chunks_of_whole_runs(self, ends):
@@ -613,8 +592,7 @@ class TestNumericalTwin:
                 d = CaseParams(n, r).d
                 gap, table = expected_gap_and_table(n, d, r)
                 points = random_unit_points(n, r, r)
-                adjoint = np.conjugate(evaluation_array(points, d)).T
-                kernel, _, _ = numerical_kernel(adjoint, r)
+                kernel, _, _ = numerical_kernel(stairs_of(evaluation_array(points, d), [r]), r)
                 _, observed, _ = cokernel_quotients(n, d, kernel, gap)
                 assert observed == list(table[d + 1:]), (n, r)
                 cases += 1
@@ -624,7 +602,7 @@ class TestNumericalTwin:
 def quotient_dim_oracle(n, d, kernel, t, tol=1e-8):
     """hs(n,t) minus the numerical rank of the degree-t Macaulay matrix of
     the kernel forms, read from |diag(R)| of one plain pivoted QR."""
-    factor, _, _ = waring._pivoted_qr(macaulay_array(n, d, kernel, t - d, order="F"))
+    factor, _, _ = waring._pivoted_qr(np.asfortranarray(macaulay_array(n, d, kernel, t - d)))
     diag = np.abs(np.diagonal(factor))
     return hs(n, t) - int(np.count_nonzero(diag > tol * diag[0]))
 
