@@ -63,13 +63,18 @@ def moved(coords, p, rng):
 
 
 class TestMacaulayArrayDrop:
-    def test_kept_rows_move_up_and_the_rest_are_zero(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_kept_rows_move_up_and_the_rest_are_zero(self, order):
+        # order is the layout of the coefficients; the result is C-ordered
+        # and the same whichever layout they arrive in
         rng = np.random.default_rng(5)
         n, d, e = 3, 3, 2
         drop = np.array([0, 2, 3, 9, 17])
         shape = (hs(n, d), 4)
         for coeffs in (rng.integers(0, P.p, size=shape).astype(np.int32),
                        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+            coeffs = np.asarray(coeffs, order=order)
+            assert coeffs.flags[f"{order}_CONTIGUOUS"]
             whole = macaulay_array(n, d, coeffs, e)
             less = macaulay_array(n, d, coeffs, e, drop=drop)
             kept = hs(n, d + e) - drop.size
@@ -77,6 +82,7 @@ class TestMacaulayArrayDrop:
             assert less.flags.c_contiguous
             assert np.array_equal(less[:kept], np.delete(whole, drop, axis=0))
             assert not less[kept].any()
+            assert np.array_equal(whole, macaulay_array(n, d, np.ascontiguousarray(coeffs), e))
 
     def test_x0_multiples_keep_their_positions(self):
         # lex order lists x_0's multiples first: x_0^e times the monomial at
