@@ -445,10 +445,10 @@ def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int, c1: int):
     return found, panel[:row, w:w + row]
 
 
-def _echelon(a: np.ndarray, p: int, u_inverses: list | None = None) -> list[int]:
+def _echelon(a: np.ndarray, p: int) -> list[int]:
     """In-place LU factorization of one matrix with row swaps; returns the
     pivot columns.  ``_echelons`` of a batch of one."""
-    return _echelons([a], p, None if u_inverses is None else [u_inverses])[0]
+    return _echelons([a], p)[0]
 
 
 def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) -> list:
@@ -522,8 +522,6 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
                 right = c0 + k
             else:
                 cols, l_inv = _pivot_loop(a, p, row0, end, c0, c1)
-                if not cols:
-                    continue
                 if u_inverses is not None:
                     # the U block is its own LU, L = I, so it factors square
                     u_inv = _square_block(np.triu(a[row0:row0 + len(cols), cols]), p)[2]

@@ -360,38 +360,46 @@ def ideal_component(config: PointConfig, t: int) -> GradedBasis:
 def _eliminate(configs: list[PointConfig], degrees: list[int]) -> None:
     """Keep on each configuration its ideal's component at its entry of
     ``degrees``, unless it has it already: the kernels of the evaluation
-    matrices, eliminated in place and in lockstep (``modlinalg._kernels``),
-    in batches of one n, degree and prime (``_lockstep``)."""
+    matrices (``modlinalg._kernels``), in lockstep batches of one n, degree
+    and prime (``_lockstep``)."""
     todo = [(config, t) for config, t in zip(configs, degrees) if t not in config._components]
-    for batch in _lockstep(todo, lambda job: (job[0].n, job[1], job[0].prime.p),
-                           lambda job: 4 * job[0].r * hs(job[0].n, job[1])):
-        arrays = []
-        for config, t in batch:
-            a = evaluation_matrix(config, t).array
-            a.setflags(write=True)  # a fresh array that only this frame holds
-            arrays.append(a)
-        prime = batch[0][0].prime
-        for (config, t), kernel in zip(batch, _kernels(arrays, prime.p)):
-            config._components[t] = GradedBasis(config.n, t, ModMatrix(prime, kernel, _trusted=True))
+    kernels = _lockstep(todo, lambda job: (job[0].n, job[1], job[0].prime.p),
+                        lambda job: 4 * job[0].r * hs(job[0].n, job[1]),
+                        lambda job: evaluation_matrix(*job), _kernels)
+    for (config, t), kernel in zip(todo, kernels):
+        config._components[t] = GradedBasis(config.n, t,
+                                            ModMatrix(config.prime, kernel, _trusted=True))
 
 
-def _lockstep(jobs: list, key, size) -> list[list]:
-    """The jobs in batches to eliminate in lockstep: jobs of one key, in
-    order, each batch holding matrices of at most ``BATCH_BYTES`` in all by
-    ``size`` (a larger one alone)."""
+def _lockstep(jobs: list, key, size, build, eliminate) -> list:
+    """``eliminate(arrays, p)``'s result for each job's matrix, in job order.
+
+    Jobs of one ``key`` (whose last entry is the prime p) run in order, in
+    batches holding matrices of at most ``BATCH_BYTES`` in all by ``size``
+    (a larger one alone).  Each batch is built when its turn comes, one
+    ``ModMatrix`` per job by ``build``, and its fresh arrays are handed to
+    ``eliminate`` together, to be worked on in place and in lockstep.
+    """
     groups: dict = {}
-    for job in jobs:
-        groups.setdefault(key(job), []).append(job)
-    batches = []
-    for group in groups.values():
-        held = BATCH_BYTES
-        for job in group:
-            if held + size(job) > BATCH_BYTES:
+    for i, job in enumerate(jobs):
+        groups.setdefault(key(job), []).append(i)
+    results: list = [None] * len(jobs)
+    for group_key, group in groups.items():
+        batches, held = [], BATCH_BYTES
+        for i in group:
+            if held + size(jobs[i]) > BATCH_BYTES:
                 batches.append([])
                 held = 0
-            batches[-1].append(job)
-            held += size(job)
-    return batches
+            batches[-1].append(i)
+            held += size(jobs[i])
+        for batch in batches:
+            arrays = [build(jobs[i]).array for i in batch]
+            for a in arrays:
+                a.setflags(write=True)  # fresh arrays that only this frame holds
+            for i, result in zip(batch, eliminate(arrays, group_key[-1])):
+                results[i] = result
+            del arrays, a  # before the next batch is built
+    return results
 
 
 def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, drop: np.ndarray | tuple = (),
@@ -493,32 +501,19 @@ def _graded_quotients(basis: GradedBasis, top: int,
 
 
 def _scans(scans: list[tuple]) -> list[list[int]]:
-    """``_graded_quotients`` of each (basis, top, drop): the Macaulay
-    matrices are eliminated in place and in lockstep, in batches of one n,
-    d and prime (``_lockstep``)."""
-    quotients: dict[int, list[int]] = {}
-    jobs = list(enumerate(scans))
-    for batch in _lockstep(jobs, lambda job: (job[1][0].n, job[1][0].degree,
-                                              job[1][0].vectors.field.p),
-                           lambda job: _macaulay_bytes(job[1][0], job[1][1])):
-        arrays = []
-        for _, (basis, top, drop) in batch:
-            a = macaulay_matrix(basis, top, drop).array
-            a.setflags(write=True)  # a fresh array that only this frame holds
-            arrays.append(a)
-        p = batch[0][1][0].vectors.field.p
-        for (i, (basis, top, _)), piv in zip(batch, _echelons(arrays, p)):
-            # the first g * hs(n,e) columns have the rank of M_e; piv ascends
-            n, d, g = basis.n, basis.degree, basis.dim
-            quotients[i] = [hs(n, d + e) - bisect_left(piv, g * hs(n, e))
-                            for e in range(1, top + 1)]
-    return [quotients[i] for i in range(len(scans))]
-
-
-def _macaulay_bytes(basis: GradedBasis, top: int) -> int:
-    """Bytes of the int32 Macaulay matrix at degree d+top with every row,
-    a bound on the matrix ``macaulay_matrix`` builds less the fixed rows."""
-    return 4 * hs(basis.n, basis.degree + top) * basis.dim * hs(basis.n, top)
+    """``_graded_quotients`` of each (basis, top, drop): the pivots of the
+    Macaulay matrices (``modlinalg._echelons``), in lockstep batches of one
+    n, d and prime (``_lockstep``).  A matrix counts at its int32 bytes with
+    every row, a bound on the one built less the rows in ``drop``."""
+    pivots = _lockstep(
+        scans, lambda scan: (scan[0].n, scan[0].degree, scan[0].vectors.field.p),
+        lambda scan: 4 * hs(scan[0].n, scan[0].degree + scan[1]) * scan[0].dim
+        * hs(scan[0].n, scan[1]),
+        lambda scan: macaulay_matrix(*scan), _echelons)
+    # the first g * hs(n,e) columns have the rank of M_e; piv ascends
+    return [[hs(basis.n, basis.degree + e) - bisect_left(piv, basis.dim * hs(basis.n, e))
+             for e in range(1, top + 1)]
+            for (basis, top, _), piv in zip(scans, pivots)]
 
 
 def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedProfile:

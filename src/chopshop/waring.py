@@ -174,7 +174,7 @@ def _equilibrated_adjoint(mat: np.ndarray) -> Staircase:
     """The adjoint of mat with each nonzero row scaled to unit norm, as a
     one-block ``Staircase`` for ``numerical_kernel``: its build scales and
     conjugates the rows of mat it is asked for, and its scale is the
-    largest column norm of that adjoint, read a chunk of rows at a time.
+    largest column norm of that adjoint: the largest norm of a scaled row.
     A row norm that is not a finite float (a non-finite entry, or squares
     that overflow) raises ValueError here, before any block is built,
     instead of zeroing its row or filling it with NaN."""
@@ -192,8 +192,7 @@ def _equilibrated_adjoint(mat: np.ndarray) -> Staircase:
         return np.conjugate(scaled, out=scaled).T
 
     rows, cols = mat.shape
-    scale = max((_largest_column_norm(build(j, j + _CHUNK)) for j in range(0, rows, _CHUNK)),
-                default=0.0)
+    scale = float(np.linalg.norm(mat / norms, axis=1).max(initial=0.0))
     return Staircase((cols, rows), (rows,), scale, build)
 
 

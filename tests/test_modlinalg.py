@@ -383,10 +383,10 @@ def square_cases(p):
 
 
 def recorded_echelon(a, p, leaf):
-    """_echelon of a copy of a at the given leaf, asked for each panel's U
-    inverse as kernel_basis asks, with every _square result, every
-    _pivot_loop result (with the panel's first row and end column) and
-    every _forward call recorded."""
+    """_echelons of a copy of a alone at the given leaf, asked for each
+    panel's U inverse as kernel_basis asks, with every _square result,
+    every _pivot_loop result (with the panel's first row and end column)
+    and every _forward call recorded."""
     got, u_inverses = a.copy(), []
     log = {"square": [], "loop": [], "forward": []}
     real_square, real_loop, real_forward = (
@@ -411,7 +411,7 @@ def recorded_echelon(a, p, leaf):
             mock.patch.object(modlinalg, "_square", square), \
             mock.patch.object(modlinalg, "_pivot_loop", loop), \
             mock.patch.object(modlinalg, "_forward", forward):
-        piv = _echelon(got, p, u_inverses)
+        piv = modlinalg._echelons([got], p, [u_inverses])[0]
     return got, piv, u_inverses, log
 
 
@@ -667,7 +667,7 @@ class TestLockstep:
                 alone = []
                 for a in batch:
                     got, u_inverses = a.copy(), []
-                    piv = _echelon(got, p, u_inverses)
+                    piv = modlinalg._echelons([got], p, [u_inverses])[0]
                     alone.append((got, piv, u_inverses,
                                   kernel_basis(ModMatrix(field, a, _trusted=True)).array))
                 together = [a.copy() for a in batch]

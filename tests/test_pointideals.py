@@ -101,6 +101,19 @@ class TestSampling:
         with pytest.raises(GenericityError):
             sample_points(2, 30, PrimeField(3), 0)
 
+    @pytest.mark.parametrize("batch_bytes", [pointideals.BATCH_BYTES, 1],
+                             ids=["real-budget", "one-byte-budget"])
+    @pytest.mark.parametrize("p", [13, P.p])
+    def test_interleaved_cases_sample_as_each_alone(self, p, batch_bytes, monkeypatch):
+        # cases of n = 2 and n = 3 and of two degrees d, no two neighbours of
+        # one batch, each get the configuration they get alone; at p = 13
+        # (2,16) redraws
+        monkeypatch.setattr(pointideals, "BATCH_BYTES", batch_bytes)
+        cases = [(2, 16, 1), (3, 14, 1), (2, 12, 3), (2, 18, 2), (3, 16, 2), (2, 13, 4)]
+        prime = PrimeField(p)
+        configs = pointideals.sample_configs(cases, prime)
+        assert configs == [sample_points(n, r, prime, seed) for n, r, seed in cases]
+
     def test_same_draws_as_rank_at_every_degree(self):
         # Small primes make degenerate draws common, so this reaches
         # redraws, exhausted budgets and r > p (no linear form over F_p
@@ -469,6 +482,17 @@ def certify(config):
     return _certificates([case], [config], None, config.prime.p)[0]
 
 
+# (n, r, seed, p): configurations of one n and d grouped by prime, and of
+# n = 2 and n = 3 with the primes interleaved, no two neighbours of one key
+SEVERAL_PRIMES = {
+    "grouped": [(2, r, seed, p) for p in (11, 13, P.p) for r, seed in ((16, 1), (18, 2))],
+    "interleaved": [case for pair in zip(
+        [(2, r, seed, p) for r, seed in ((16, 1), (18, 2)) for p in (11, 13, P.p)],
+        [(3, r, seed, p) for p in (13, P.p, 11) for r, seed in ((14, 1), (16, 2))])
+        for case in pair],
+}
+
+
 class TestChoppedProfile:
     def test_graded_elimination_matches_degree_by_degree_scan(self):
         past_prediction = 0
@@ -519,12 +543,19 @@ class TestChoppedProfile:
             cmp = lex_compare_hf(prof.observed, bound)
             assert cmp in (LexOrder.GREATER_EQUAL, LexOrder.EQUAL)
 
-    def test_one_batch_over_several_primes_matches_each_alone(self):
-        # configurations of one n and d over three primes scan in one call;
-        # each Macaulay matrix is eliminated mod its own prime (at p = 11 the
-        # first one's quotient never returns to r when taken mod 2^31 - 1)
-        configs = [sample_points(2, r, PrimeField(p), seed)
-                   for p in (11, 13, P.p) for r, seed in ((16, 1), (18, 2))]
+    @pytest.mark.parametrize("batch_bytes", [pointideals.BATCH_BYTES, 1],
+                             ids=["real-budget", "one-byte-budget"])
+    @pytest.mark.parametrize("order", ["grouped", "interleaved"])
+    def test_one_batch_over_several_primes_matches_each_alone(self, order, batch_bytes,
+                                                              monkeypatch):
+        # configurations over three primes scan in one call; each Macaulay
+        # matrix is eliminated mod its own prime (at p = 11 the first one's
+        # quotient never returns to r when taken mod 2^31 - 1), and each
+        # result comes back to its own configuration, also when neighbours
+        # never share a batch
+        monkeypatch.setattr(pointideals, "BATCH_BYTES", batch_bytes)
+        configs = [sample_points(n, r, PrimeField(p), seed)
+                   for n, r, seed, p in SEVERAL_PRIMES[order]]
         together = pointideals.chopped_profiles(configs)
         assert together == [chopped_profile(cfg) for cfg in configs]
 

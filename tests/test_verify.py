@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from chopshop import modlinalg, pointideals, verify
-from chopshop.formulas import CaseParams, RangeError
-from chopshop.grading import hs, monomials
+from chopshop.formulas import CaseParams, RangeError, predicted_gap
+from chopshop.grading import HilbertTable, hs, monomials
 from chopshop.modlinalg import PrimeField
+from chopshop.pointideals import ChoppedProfile
 from chopshop.verify import (
     Certificate,
     MonomialIdeal,
@@ -100,6 +101,18 @@ class TestVerifyCase:
     def test_16_points_in_p3(self):
         cert = verify_case(3, 16, P, seed=11)
         assert cert.verdict == "PASS" and cert.observed_gap == 2
+
+    def test_a_scan_short_of_r_fails_at_its_first_unscanned_degree(self):
+        # every scanned value matches the expected table, which stops short
+        # of d + gap, and the quotient never came back to r
+        params = CaseParams(2, 41)
+        prediction = predicted_gap(params)
+        observed = prediction.table.values[:-1]
+        profile = ChoppedProfile(HilbertTable(2, observed, None), None)
+        config = pointideals.sample_points(2, 41, P, 0)
+        cert = verify._certificate(params, prediction, config, profile, P.p, 0)
+        assert cert.verdict == "FAIL"
+        assert cert.first_mismatch_degree == len(observed)
 
     def test_inadmissible_r_raises(self):
         with pytest.raises(RangeError):
