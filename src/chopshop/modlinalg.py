@@ -10,9 +10,10 @@ formed in int32.  The workhorse is an in-place LU factorization in LAPACK
 getrf's convention: each multiplier (entry times pivot inverse) is parked
 below its pivot, a unit-lower L, and the pivot rows stay unscaled, U.  It
 is blocked right-looking LU, one left-to-right pass over panels of at most
-32 columns.  Pivoting is deterministic: the first row with a nonzero
-entry, columns left to right, so the pivot columns are the column rank
-profile.  Only ``kernel_basis`` needs U's inverse; callers that need only
+32 columns; a matrix too large to hold whole runs the same panels
+left-looking, a block of columns at a time (below).  Pivoting is
+deterministic: the first row with a nonzero entry, columns left to right,
+so the pivot columns are the column rank profile.  Only ``kernel_basis`` needs U's inverse; callers that need only
 a rank or the pivot columns read the pivots.
 
 A panel's tall part is one triangular product, not a rank-1 update per
@@ -60,6 +61,23 @@ live-row scans, its fall back to the one-pivot loop and its trailing
 update.  The arithmetic is exact, so a matrix meets the same pivots and
 ends with the same numbers whatever runs beside it; one matrix alone is a
 batch of one.
+
+A staircase too large to hold whole is factored left-looking instead
+(``_block_echelon``), a block of columns at a time, each block built only
+when its turn comes (a ``pointideals.Staircase``).  A new block first takes
+the row exchanges made so far, then every earlier panel's forward step in
+order, its pivot rows solved by the panel's L^-1 and the rows below
+updated by the panel's multipliers, and then ``_echelons`` factors its
+rows below the rank so far, panel by panel as above.  Each earlier panel
+still updates each later column once, on the same rows, so the pivots are
+the right-looking scan's, and where the blocks start on panel boundaries
+its products write the same cells too.  A block leaves behind only what
+later blocks need: the row order, and for each panel its L^-1 and its band
+of multipliers, from below its pivot rows down to the last nonzero one; a
+later row exchange that moves a band's row past the band's end grows the
+band to follow it.  The block's U rows and its other columns are dropped,
+so the scan holds the bands and one block, and every float64 temporary of
+its products is bounded by the block, not by the matrix.
 
 The BLAS products here run with OpenBLAS's default threads.
 ``one_blas_thread`` pins every OpenBLAS thread pool loaded in the process
@@ -407,16 +425,19 @@ def _square(blocks: list, p: int) -> list:
             if dinv[:, c].all() else None for c, m in enumerate(map(len, blocks))]
 
 
-def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int, c1: int):
+def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int, c1: int,
+                order: np.ndarray | None = None):
     """Eliminate rows row0:end of columns c0:c1 of ``a`` one pivot at a
     time, in place; returns the pivot columns and the inverse of the
     unit-lower triangle parked on them.  The rows are copied to int64,
     where a product of two residues fits, beside w = c1 - c0 zero columns,
-    whole rows are swapped in both the copy and ``a``, and the reduced copy
-    is written back.  The j-th pivot row gets a 1 in appended column j once
-    swapped into place, so the row operations leave L^-1 in the pivot rows
-    there; columns right of the last 1 are still zero, so no update reads
-    them."""
+    whole rows are swapped in both the copy and ``a`` (and in ``order``,
+    given one entry per row of ``a``), and the reduced copy is written
+    back.  The j-th pivot row gets a 1 in appended column j once swapped
+    into place, so the row operations leave L^-1 in the pivot rows there;
+    columns right of the last 1 are still zero, so no update reads them.
+    An update is reduced as x - p * (x // p), in the buffer of its product:
+    a floor division costs less than an int64 remainder."""
     w = c1 - c0
     panel = np.zeros((end - row0, 2 * w), dtype=np.int64)
     panel[:, :w] = a[row0:end, c0:c1]
@@ -432,13 +453,18 @@ def _pivot_loop(a: np.ndarray, p: int, row0: int, end: int, c0: int, c1: int):
         if rpiv != row:
             panel[[row, rpiv]] = panel[[rpiv, row]]
             a[[row0 + row, row0 + rpiv]] = a[[row0 + rpiv, row0 + row]]
+            if order is not None:
+                order[[row0 + row, row0 + rpiv]] = order[[row0 + rpiv, row0 + row]]
         panel[row, w + row] = 1
         f = panel[row + 1:, lc]
         f *= pow(int(panel[row, lc]), -1, p)
         f %= p
         sub = panel[row + 1:, lc + 1:w + row + 1]
-        sub -= f[:, None] * panel[row, lc + 1:w + row + 1]
-        sub %= p
+        t = f[:, None] * panel[row, lc + 1:w + row + 1]
+        sub -= t
+        np.floor_divide(sub, p, out=t)
+        t *= p
+        sub -= t
         found.append(c0 + lc)
         row += 1
     a[row0:end, c0:c1] = panel[:, :w]
@@ -451,7 +477,8 @@ def _echelon(a: np.ndarray, p: int) -> list[int]:
     return _echelons([a], p)[0]
 
 
-def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) -> list:
+def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None,
+              panels: list | None = None, orders: list | None = None) -> list:
     """In-place LU factorization of each matrix with row swaps, the matrices
     in lockstep; returns each one's pivot columns.
 
@@ -464,7 +491,11 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
     each panel that finds pivots appends the inverse of its pivots' U block,
     rows and columns in order (the panels' pivot rows follow one another):
     the square step's own, or, after the one-pivot loop, one more
-    ``_square_block`` of the block.
+    ``_square_block`` of the block.  Given ``panels``, one list per matrix,
+    each panel that finds pivots appends (its first pivot row, its pivot
+    columns, the inverse of the unit-lower triangle parked on them); given
+    ``orders``, one array per matrix with an entry per row, every row
+    exchange is made in it too.  ``_block_echelon`` keeps both.
 
     One left-to-right pass over panels of at most ``_LEAF`` columns (the
     tests shrink it to run many panels), every matrix at the same panel.  A
@@ -497,7 +528,7 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
     pivots: list[list[int]] = [[] for _ in arrays]
     width = max((a.shape[1] for a in arrays), default=0)
     for c0 in range(0, width, _LEAF):
-        panels = []
+        active = []
         for i, a in enumerate(arrays):
             m, n = a.shape
             row0 = len(pivots[i])
@@ -506,12 +537,12 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
             c1 = min(c0 + _LEAF, n)
             end = row0 + _live_rows(a[row0:, c0:c1])
             if end > row0:
-                panels.append((i, row0, end, c1, min(c1 - c0, end - row0)))
-        if not panels:
+                active.append((i, row0, end, c1, min(c1 - c0, end - row0)))
+        if not active:
             continue
-        squares = _square([arrays[i][row0:row0 + k, c0:c0 + k] for i, row0, _, _, k in panels], p)
+        squares = _square([arrays[i][row0:row0 + k, c0:c0 + k] for i, row0, _, _, k in active], p)
         below, steps = [], []
-        for (i, row0, end, c1, k), square in zip(panels, squares):
+        for (i, row0, end, c1, k), square in zip(active, squares):
             a = arrays[i]
             if square is not None:
                 lu, l_inv, u_inv = square
@@ -521,7 +552,8 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
                 cols = list(range(c0, c0 + k))
                 right = c0 + k
             else:
-                cols, l_inv = _pivot_loop(a, p, row0, end, c0, c1)
+                cols, l_inv = _pivot_loop(a, p, row0, end, c0, c1,
+                                          None if orders is None else orders[i])
                 if u_inverses is not None:
                     # the U block is its own LU, L = I, so it factors square
                     u_inv = _square_block(np.triu(a[row0:row0 + len(cols), cols]), p)[2]
@@ -530,6 +562,8 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
                 steps.append((a, row0, cols, l_inv, a[row0:, right:]))
             if u_inverses is not None:
                 u_inverses[i].append(u_inv)
+            if panels is not None and cols:
+                panels[i].append((row0, cols, l_inv))
             pivots[i] += cols
         if below:
             for (rows, _), multipliers in zip(below, _mul_mods(below, p)):
@@ -537,6 +571,82 @@ def _echelons(arrays: list[np.ndarray], p: int, u_inverses: list | None = None) 
         if steps:
             _forward(steps, p)
     return pivots
+
+
+def _block_echelon(stairs, p: int) -> list[int]:
+    """Pivot columns of a staircase's matrix, factored left-looking a block
+    of columns at a time and never held whole: the pivots ``_echelon`` of
+    the whole matrix finds.
+
+    ``stairs`` has the ``pointideals.Staircase`` contract: ``shape``, block
+    ``ends`` and ``build(start, stop)``, which returns the columns [start,
+    stop) as a fresh writable int32 array on the top rows they reach (every
+    row below is zero in them).  Each block, when its turn comes, first
+    takes the row exchanges made so far (``order``, the original row at
+    each position), then every earlier panel's forward step in order: its
+    k pivot rows solved by its L^-1, and the rows below updated by its
+    multipliers times the solved rows, as ``_forward`` does.  Then the
+    block's rows below the rank so far are factored by ``_echelons``,
+    which records the block's panels and row exchanges.  This is the
+    right-looking scan reordered: each earlier panel updates each later
+    column once, on the same rows.
+
+    A block leaves behind only what later blocks need: the row order, and
+    for each panel its L^-1 and its ``band``, its multipliers on the rows
+    from below its pivot rows down to the last nonzero one.  The block's U
+    rows and its other columns are dropped.  A later exchange may move a
+    row of an earlier band below that band's end, and the band then grows
+    to follow it (``_exchanged``).  A panel's multipliers lie on rows its
+    own columns reach, and an exchange moves rows that the exchanging
+    panel's columns reach, so every band ends within the rows of each later
+    block.
+    """
+    order = np.arange(stairs.shape[0])
+    kept: list[tuple] = []  # (first row of the band, L^-1, band) of every panel so far
+    pivots: list[int] = []
+    for start, stop in zip((0, *stairs.ends), stairs.ends):
+        block = stairs.build(start, stop)
+        moved = np.flatnonzero(order[:len(block)] != np.arange(len(block)))
+        block[moved] = block[order[moved]]
+        for row, l_inv, band in kept:
+            top = block[row - len(l_inv):row]
+            top[...] = _mul_mod(l_inv, top, p)
+            _mul_mod(band, top, p, block[row:row + len(band)])
+        rank = len(pivots)
+        below, panels, local = block[rank:], [], np.arange(len(block) - rank)
+        pivots += [start + c for c in _echelons([below], p, panels=[panels], orders=[local])[0]]
+        swapped = np.flatnonzero(local != np.arange(len(local)))
+        if swapped.size:
+            targets, sources = rank + swapped, rank + local[swapped]
+            order[targets] = order[sources]
+            kept = [(row, l_inv, _exchanged(band, row, targets, sources))
+                    for row, l_inv, band in kept]
+        for row0, cols, l_inv in panels:
+            row = row0 + len(cols)
+            band = below[row:row + _live_rows(below[row:, cols[0]:cols[-1] + 1]), cols]
+            kept.append((rank + row, l_inv, band))
+        del block, below  # before the next block is built
+    return pivots
+
+
+def _exchanged(band: np.ndarray, row: int, targets: np.ndarray,
+               sources: np.ndarray) -> np.ndarray:
+    """A panel's ``band`` (see ``_block_echelon``), whose first row is
+    ``row``, after row exchanges that put the row at each source position
+    at its target position, all of them at or below ``row``: grown to reach
+    the last target that takes a row of it, zero where a target takes a row
+    from below it, and cut after its last nonzero row."""
+    end = row + len(band)
+    inside = sources < end
+    top = max(end, int(targets[inside].max(initial=-1)) + 1)
+    if top == end and (targets >= end).all():
+        return band  # the exchanges are all below it
+    grown = np.zeros((top - row, band.shape[1]), dtype=band.dtype)
+    grown[:len(band)] = band
+    within = targets < top
+    grown[targets[within] - row] = np.where(
+        inside[within, None], band[np.minimum(sources[within], end - 1) - row], 0)
+    return grown[:_live_rows(grown)]
 
 
 def rank(m: ModMatrix) -> int:

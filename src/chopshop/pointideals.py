@@ -23,12 +23,24 @@ builds its staircase without them (``_fixed_rows``), except the last:
 where the quotient is r the matrix keeps one row more than its rank, so
 an elimination that overcounts a rank there still shows a quotient below
 r.  When x_0 vanishes at some point every row is kept.
+
+Both pipelines take a Macaulay matrix too large to hold whole as a
+``Staircase``: its shape, the ends of its blocks of whole shifts, and a
+build of any range of them on the top rows it reaches, made by one builder
+(``macaulay_staircase``).  ``waring.cokernel_quotients`` ends its blocks at
+the degree boundaries and hands them to its QR; the chopped scan ends its
+blocks where they would pass ``BATCH_BYTES`` of int32, on panel boundaries
+where it can, and hands them to ``modlinalg._block_echelon``
+(``_staircase``), after checking the scan's working set against physical
+memory.  A scan within that budget is built whole and runs in lockstep.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +49,8 @@ from .formulas import CaseParams, predicted_gap
 # unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .formulas import gap_upper_bound  # noqa: F401
 from .grading import CapacityError, HilbertTable, hs, monomials, product_index_map
-from .modlinalg import ModMatrix, PrimeField, _echelons, _inverses, _kernels, rank
+from .modlinalg import (_LEAF, ModMatrix, PrimeField, _block_echelon, _echelons, _inverses,
+                        _kernels, rank)
 # unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .modlinalg import kernel_basis  # noqa: F401
 
@@ -393,12 +406,10 @@ def _lockstep(jobs: list, key, size, build, eliminate) -> list:
             batches[-1].append(i)
             held += size(jobs[i])
         for batch in batches:
-            arrays = [build(jobs[i]).array for i in batch]
-            for a in arrays:
-                a.setflags(write=True)  # fresh arrays that only this frame holds
+            arrays = [_writable(build(jobs[i])) for i in batch]
             for i, result in zip(batch, eliminate(arrays, group_key[-1])):
                 results[i] = result
-            del arrays, a  # before the next batch is built
+            del arrays  # before the next batch is built
     return results
 
 
@@ -454,13 +465,55 @@ def macaulay_array(n: int, d: int, coeffs: np.ndarray, e: int, drop: np.ndarray 
     return out
 
 
-def macaulay_matrix(basis: GradedBasis, e: int, drop: np.ndarray | tuple = ()) -> ModMatrix:
+def macaulay_matrix(basis: GradedBasis, e: int, drop: np.ndarray | tuple = (),
+                    shifts: tuple[int, int] | None = None) -> ModMatrix:
     """The Macaulay matrix of the basis forms at degree d+e over F_p, less
-    the rows in ``drop`` (see ``macaulay_array``)."""
+    the rows in ``drop``, or the columns of a range of ``shifts`` of it
+    (see ``macaulay_array``)."""
     if e < 0:
         raise ValueError(f"need e >= 0, got {e}")
-    out = macaulay_array(basis.n, basis.degree, basis.vectors.array, e, drop=drop)
+    out = macaulay_array(basis.n, basis.degree, basis.vectors.array, e, drop=drop, shifts=shifts)
     return ModMatrix(basis.vectors.field, out, _trusted=True)
+
+
+@dataclass(frozen=True)
+class Staircase:
+    """A matrix that a left-looking factorization is handed a block of
+    columns at a time, never whole: ``modlinalg._block_echelon`` over F_p,
+    ``waring.numerical_kernel`` in floating point.
+
+    ``shape`` is the matrix's (rows, columns); ``ends`` are the block ends
+    0 <= e_1 <= ... <= e_m, e_m the column count; ``scale`` is the largest
+    column norm, which sets the numerical kernel's rank cutoff (the exact
+    scan, whose ranks are exact, leaves it 0).  ``build(start, stop)``
+    returns the columns [start, stop) as a fresh array, on its top rows
+    down to the last one that any column before ``stop`` reaches (all rows
+    below are zero, and no earlier block's factor acts on them); the
+    factorization spends it.  A factorization asks only for ranges whose
+    ends are multiples of the greatest common divisor of the block ends,
+    such as whole shifts of a Macaulay matrix (``macaulay_staircase``).
+    """
+
+    shape: tuple[int, int]
+    ends: tuple[int, ...]
+    scale: float
+    build: Callable[[int, int], np.ndarray]
+
+
+def macaulay_staircase(n: int, d: int, g: int, e: int, shift_ends, build_shifts,
+                       scale: float = 0.0, dropped: int = 0) -> Staircase:
+    """The Macaulay matrix at degree d+e of g degree-d forms, as a
+    ``Staircase`` whose blocks end after the shifts ``shift_ends``.  The
+    columns [start, stop) are the shifts [start // g, stop // g), built by
+    ``build_shifts(first, stop)`` on the top rows they reach:
+    ``macaulay_array(..., shifts=)`` or its ``macaulay_matrix`` form, less
+    ``dropped`` rows and with one zero sink row when rows are dropped."""
+    rows = hs(n, d + e) - dropped + 1 if dropped else hs(n, d + e)
+
+    def build(start: int, stop: int) -> np.ndarray:
+        return build_shifts(start // g, stop // g)
+
+    return Staircase((rows, g * hs(n, e)), tuple(g * end for end in shift_ends), scale, build)
 
 
 def chopped_hf(config: PointConfig, d: int, t: int) -> int:
@@ -502,18 +555,85 @@ def _graded_quotients(basis: GradedBasis, top: int,
 
 def _scans(scans: list[tuple]) -> list[list[int]]:
     """``_graded_quotients`` of each (basis, top, drop): the pivots of the
-    Macaulay matrices (``modlinalg._echelons``), in lockstep batches of one
-    n, d and prime (``_lockstep``).  A matrix counts at its int32 bytes with
-    every row, a bound on the one built less the rows in ``drop``."""
-    pivots = _lockstep(
-        scans, lambda scan: (scan[0].n, scan[0].degree, scan[0].vectors.field.p),
+    Macaulay matrices.
+
+    A matrix of at most ``BATCH_BYTES`` of int32 as built is built whole
+    and eliminated in lockstep batches of one n, d and prime (``_lockstep``
+    and ``modlinalg._echelons``), where it counts at its bytes with every
+    row, a bound on the one built less the rows in ``drop``.  A larger one,
+    which would be alone in its batch, is a ``Staircase`` of blocks of whole
+    shifts instead (``_staircase``), built and eliminated a block at a time
+    (``modlinalg._block_echelon``).  Every staircase is checked against
+    physical memory before anything is built."""
+    staircases = [_staircase(*scan) for scan in scans]
+    whole = [i for i, stairs in enumerate(staircases) if stairs is None]
+    pivots = dict(zip(whole, _lockstep(
+        [scans[i] for i in whole],
+        lambda scan: (scan[0].n, scan[0].degree, scan[0].vectors.field.p),
         lambda scan: 4 * hs(scan[0].n, scan[0].degree + scan[1]) * scan[0].dim
         * hs(scan[0].n, scan[1]),
-        lambda scan: macaulay_matrix(*scan), _echelons)
+        lambda scan: macaulay_matrix(*scan), _echelons)))
+    for i, stairs in enumerate(staircases):
+        if stairs is not None:
+            pivots[i] = _block_echelon(stairs, scans[i][0].vectors.field.p)
     # the first g * hs(n,e) columns have the rank of M_e; piv ascends
-    return [[hs(basis.n, basis.degree + e) - bisect_left(piv, basis.dim * hs(basis.n, e))
+    return [[hs(basis.n, basis.degree + e) - bisect_left(pivots[i], basis.dim * hs(basis.n, e))
              for e in range(1, top + 1)]
-            for (basis, top, _), piv in zip(scans, pivots)]
+            for i, (basis, top, _) in enumerate(scans)]
+
+
+def _staircase(basis: GradedBasis, e: int, drop: np.ndarray | tuple) -> Staircase | None:
+    """The Macaulay matrix at degree d+e less the rows in ``drop``, as a
+    ``Staircase`` whose blocks of whole shifts each hold at most
+    ``BATCH_BYTES`` of int32 on the rows they reach (a shift larger than
+    that is a block alone), each built by ``macaulay_matrix(...,
+    shifts=)``; or None when the whole matrix is within that budget.  A
+    block ends early, on a multiple of ``_LEAF`` columns, when it starts on
+    one and the budget holds that much: then the block scan runs the
+    whole-matrix scan's panels, and its products write the same cells.
+
+    Before anything is built, the working set of ``_block_echelon`` is
+    checked against physical memory, and too large a case raises
+    ``CapacityError``.  On an M x N matrix, m = min(M, N), the kept bands
+    of multipliers hold at most the cells of an M x m matrix below its
+    diagonal, at 4 bytes a cell, and the kept L^-1 at most ``_LEAF`` 8-byte
+    entries a pivot.  The largest block, at most the budget or one shift on
+    every row, counts at 4 bytes a cell, the float64 temporaries of an
+    update of it at 16, and the index table of the shifts' products at 8
+    bytes an entry.
+    """
+    n, d, g = basis.n, basis.degree, basis.dim
+    less = len(drop) - 1 if len(drop) else 0  # the dropped rows come back as one sink row
+    rows, count = hs(n, d + e) - less, hs(n, e)
+    if 4 * rows * g * count <= BATCH_BYTES:
+        return None
+    m = min(rows, g * count)
+    bands = m * rows - m * (m + 1) // 2
+    largest = max(BATCH_BYTES // 4, rows * g)
+    _check_memory(f"a staircase of blocks of a {rows} x {g * count} Macaulay matrix",
+                  4 * bands + 8 * _LEAF * m + 20 * largest + 8 * count * hs(n, d))
+    reach = product_index_map(n, d, e).max(axis=1) + 1 - less  # rows built up to each shift
+    unit = math.lcm(g, _LEAF) // g  # the fewest shifts that fill whole panels
+    ends, first = [], 0
+    while first < count:
+        stop = first + 1
+        while stop < count and 4 * int(reach[stop]) * g * (stop + 1 - first) <= BATCH_BYTES:
+            stop += 1
+        if first % unit == 0 and first < stop // unit * unit < stop < count:
+            stop = stop // unit * unit
+        ends.append(stop)
+        first = stop
+    return macaulay_staircase(
+        n, d, g, e, ends, lambda first, stop: _writable(macaulay_matrix(basis, e, drop,
+                                                                        shifts=(first, stop))),
+        dropped=len(drop))
+
+
+def _writable(m: ModMatrix) -> np.ndarray:
+    """The array of a ``ModMatrix`` just built, which only the caller holds,
+    made writable so that it can be eliminated in place."""
+    m.array.setflags(write=True)
+    return m.array
 
 
 def chopped_profile(config: PointConfig, e_max: int | None = None) -> ChoppedProfile:

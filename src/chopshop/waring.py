@@ -40,7 +40,6 @@ saves, and its output bits do not depend on the caller's thread count.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,8 @@ import numpy as np
 from .formulas import admissible, ci_socle, expected_gap_and_table
 from .grading import hs, mono_index, monomials, product_index_map
 from .modlinalg import _live_rows, one_blas_thread
-from .pointideals import _check_memory, evaluation_array, macaulay_array
+from .pointideals import (Staircase, _check_memory, evaluation_array, macaulay_array,
+                          macaulay_staircase)
 
 DEFAULT_TOL = 1e-8
 RESIDUAL_LIMIT = 1e-6
@@ -245,28 +245,6 @@ def _apply_reflectors(side: bytes, reflectors, tau, c: np.ndarray) -> None:
         raise np.linalg.LinAlgError(f"unmqr failed with info {info}")
 
 
-@dataclass(frozen=True)
-class Staircase:
-    """A mat^H that ``numerical_kernel`` is handed a block of columns at a
-    time, never whole.
-
-    ``shape`` is mat^H's (rows, columns); ``ends`` are the block ends
-    0 <= e_1 <= ... <= e_m, e_m the column count; ``scale`` is mat^H's
-    largest column norm, which sets the rank cutoff.  ``build(start,
-    stop)`` returns mat^H's columns [start, stop) as a fresh array, on its
-    top rows down to the last one that any column before ``stop`` reaches
-    (all rows below are zero, and the earlier blocks' reflectors act on no
-    row below); the kernel spends it.  The kernel asks only for ranges
-    whose ends are multiples of the greatest common divisor of the block
-    ends, such as whole shifts of a Macaulay matrix.
-    """
-
-    shape: tuple[int, int]
-    ends: tuple[int, ...]
-    scale: float
-    build: Callable[[int, int], np.ndarray]
-
-
 def _reflected(columns: np.ndarray, kept: list) -> np.ndarray:
     """``columns`` of mat^H with every kept block's reflectors applied in
     order, Q_1^H first, each on the rows it acts on.  Each block's rows are
@@ -428,10 +406,10 @@ def cokernel_quotients(n: int, d: int, forms: np.ndarray, e: int,
     _check_memory(f"a staircase of {e + 1} blocks of a {hs(n, d + e)} x {ends[-1]} Macaulay "
                   f"matrix", 16 * (sum(cells) + max(cells)))
 
-    def build(start: int, stop: int) -> np.ndarray:  # g columns a shift; g divides the ends
-        return macaulay_array(n, d, conjugated, e, shifts=(start // g, stop // g))
-
-    stairs = Staircase((hs(n, d + e), ends[-1]), tuple(ends), _largest_column_norm(forms), build)
+    stairs = macaulay_staircase(
+        n, d, g, e, [hs(n, k) for k in range(e + 1)],
+        lambda first, stop: macaulay_array(n, d, conjugated, e, shifts=(first, stop)),
+        _largest_column_norm(forms))
     cokernel, ranks, gap = numerical_kernel(stairs, tol=tol)
     return cokernel, [hs(n, d + k) - ranks[k] for k in range(1, e + 1)], gap
 

@@ -192,18 +192,30 @@ class TestChoppedHilbertFunction:
 def test_hard_regime_eliminates_one_fixed_row(n, r, monkeypatch):
     # a PASS eliminates one matrix, at the gap, of all but r - 1 of the
     # hs(n, d+G) rows and a zero sink row, whose live rows are all but r - 1:
-    # the points fix r rows and the scan keeps one
-    calls = []
-    echelons = pointideals._echelons
+    # the points fix r rows and the scan keeps one.  A matrix over the
+    # batch budget is built a block of whole shifts at a time, each block
+    # on the rows it reaches, so its blocks tile the shifts in order and
+    # the last one holds every row
+    builds = []
+    build = pointideals.macaulay_matrix
 
-    def recorded(arrays, p, *args):
-        calls.extend((a.shape[0], _live_rows(a)) for a in arrays)
-        return echelons(arrays, p, *args)
+    def recorded(basis, e, drop=(), shifts=None):
+        m = build(basis, e, drop, shifts=shifts)
+        builds.append((e, len(drop), shifts, m.shape[0], _live_rows(m.array)))
+        return m
 
-    monkeypatch.setattr(pointideals, "_echelons", recorded)
+    monkeypatch.setattr(pointideals, "macaulay_matrix", recorded)
     params = CaseParams(n, r)
     prediction = predicted_gap(params)
     profile = chopped_profile(sample_points(n, r, P, 0))
     assert profile.observed_gap == prediction.gap
     rows = hs(n, params.d + prediction.gap)
-    assert calls == [(rows - r + 2, rows - r + 1)]
+    assert {(e, dropped) for e, dropped, *_ in builds} == {(prediction.gap, r - 1)}
+    ranges = [shifts for _, _, shifts, _, _ in builds]
+    whole = 4 * (rows - r + 2) * (hs(n, params.d) - r) * hs(n, prediction.gap)
+    if whole <= pointideals.BATCH_BYTES:
+        assert ranges == [None]
+    else:
+        assert len(ranges) > 1 and ranges[0][0] == 0 and ranges[-1][1] == hs(n, prediction.gap)
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert builds[-1][3:] == (rows - r + 2, rows - r + 1)

@@ -397,8 +397,8 @@ def recorded_echelon(a, p, leaf):
         log["square"].extend(results)
         return results
 
-    def loop(a, p, row0, end, c0, c1):
-        cols, inverse = real_loop(a, p, row0, end, c0, c1)
+    def loop(a, p, row0, end, c0, c1, order=None):
+        cols, inverse = real_loop(a, p, row0, end, c0, c1, order)
         log["loop"].append((row0, c1, list(cols), inverse.copy()))
         return cols, inverse
 
@@ -491,8 +491,8 @@ class TestLeafInverses:
                         calls.append(("square", result[0].copy(), result[1]))
                 return results
 
-            def loop(a, p, row0, end, c0, c1):
-                cols, inverse = real_loop(a, p, row0, end, c0, c1)
+            def loop(a, p, row0, end, c0, c1, order=None):
+                cols, inverse = real_loop(a, p, row0, end, c0, c1, order)
                 if cols:
                     t = a[row0:row0 + len(cols), cols]
                     calls.append(("loop", t, inverse.copy()))

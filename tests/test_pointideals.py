@@ -565,13 +565,14 @@ class TestChoppedProfile:
             chopped_profile(cfg, e_max=1)
 
     def test_graded_elimination_peaks_near_two_int32_matrices(self):
-        # the elimination runs in the int32 matrix as built, so the peak is
-        # that matrix plus the float64 temporaries of its largest products:
-        # 1.88x its int32 bytes at (3,161) (1771 x 1820), where those
-        # temporaries weigh most, and 1.49x at (4,121) (3876 x 5005).  An
-        # int64 copy anywhere on the path adds 2x (the int64 code peaked at
-        # 4x), and a second int32 copy 1x
-        for n, r, bound in ((3, 161, 3), (4, 121, 1.75)):
+        # the elimination builds the int32 matrix a block of shifts at a
+        # time, so the peak is one block of at most BATCH_BYTES, the float64
+        # temporaries of its products and the multipliers kept for later
+        # blocks: 0.55x the whole matrix's int32 bytes at (3,161) (1771 x
+        # 1820) and 0.19x at (4,121) (3876 x 5005), where the whole-matrix
+        # scan peaked at 1.46x and 1.34x.  Holding the whole matrix anywhere
+        # on the path adds 1x
+        for n, r, bound in ((3, 161, 0.75), (4, 121, 0.3)):
             cfg = sample_points(n, r, P, SEED)
             params = CaseParams(n, r)
             mac = macaulay_matrix(ideal_component(cfg, params.d), predicted_gap(params).gap)
