@@ -13,8 +13,9 @@ is blocked right-looking LU, one left-to-right pass over panels of at most
 32 columns; a matrix too large to hold whole runs the same panels
 left-looking, a block of columns at a time (below).  Pivoting is
 deterministic: the first row with a nonzero entry, columns left to right,
-so the pivot columns are the column rank profile.  Only ``kernel_basis`` needs U's inverse; callers that need only
-a rank or the pivot columns read the pivots.
+so the pivot columns are the column rank profile.  Only ``kernel_basis``
+needs U's inverse; callers that need only a rank or the pivot columns read
+the pivots.
 
 A panel's tall part is one triangular product, not a rank-1 update per
 pivot (the FFLAS-FFPACK idea; Dumas, Giorgi and Pernet, ACM TOMS 2008).
